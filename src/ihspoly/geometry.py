@@ -7,7 +7,8 @@ square is negative), and a description of the pseudo-effective cone.
 Two modes exist:
 
 * ``polyhedral`` -- Eff is the cone generated by finitely many declared
-  effective classes; membership questions become exact rational LPs.
+  effective classes; its facets are computed once per geometry, so
+  membership questions become sign tests.
 * ``round`` -- Eff is the half of {q >= 0} containing a declared ample
   class; membership questions become sign conditions on q.
 
@@ -26,11 +27,13 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Optional
 
-from .errors import DomainError, GeometryError
+from .errors import ConsistencyError, DomainError, GeometryError
 from .lattice import BBFLattice, DivClass
-from .linprog import nonneg_combination
+from .linalg import kernel
+from .linprog import Cone, extreme_rays, generated_cone
 
 _NAME_RE = re.compile(r"^[^\W\d][\w'′]*$")
 _NUMBER_RE = re.compile(r"^-?\d+(/\d+)?$")
@@ -81,6 +84,29 @@ class Geometry:
 
     def zero(self) -> DivClass:
         return DivClass([0] * self.rank)
+
+    # Derived cones, built on first use; dataclasses.replace copies start
+    # without them.
+
+    @cached_property
+    def eff_cone(self) -> Cone:
+        """Facets and span equations of the declared effective cone
+        (polyhedral mode)."""
+        cone = generated_cone([g.coords for g in self.effective_generators], self.rank)
+        if kernel([*cone.facets, *cone.equations], self.rank):
+            raise ConsistencyError("declared effective cone is not pointed")
+        return cone
+
+    @cached_property
+    def movable_rays(self) -> tuple[DivClass, ...]:
+        """Extremal rays of Mov: Eff cut by q(-, Q) >= 0 for every prime Q."""
+        cuts = [
+            tuple(sum(a * b for a, b in zip(row, p.cls.coords)) for row in self.lattice.gram)
+            for p in self.primes
+        ]
+        eff = self.eff_cone
+        rays = extreme_rays([*eff.facets, *cuts], eff.equations, self.rank)
+        return tuple(DivClass(r) for r in rays)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +384,7 @@ def is_pseudo_effective(geom: Geometry, d: DivClass) -> bool:
     if d.dim != geom.rank:
         raise DomainError("class dimension does not match geometry rank")
     if geom.mode == "polyhedral":
-        cols = [g.coords for g in geom.effective_generators]
-        return nonneg_combination(cols, d.coords) is not None
+        return geom.eff_cone.contains(d.coords)
     return geom.lattice.square(d) >= 0 and _leading_sign_ok(geom, d)
 
 
@@ -369,10 +394,3 @@ def is_movable(geom: Geometry, d: DivClass) -> bool:
         return False
     return all(geom.lattice.pair(d, p.cls) >= 0 for p in geom.primes)
 
-
-def express_nonneg(geom: Geometry, d: DivClass) -> Optional[list[Fraction]]:
-    """Nonnegative generator coefficients writing d, when they exist."""
-    if geom.mode != "polyhedral":
-        raise DomainError("generator coefficients exist only in polyhedral mode")
-    cols = [g.coords for g in geom.effective_generators]
-    return nonneg_combination(cols, d.coords)

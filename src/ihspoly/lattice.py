@@ -12,12 +12,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .linalg import inertia
 
 Rat = Fraction
+
+
+def primitive_vector(coords: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], Fraction]:
+    """The primitive integral vector on the ray of coords (sign kept) and
+    the positive factor c that scales coords onto it.
+
+    The numerator of c is the least common denominator of coords, since
+    that denominator is coprime to the content of the cleared vector.
+    The zero vector maps to itself with c = 1.
+    """
+    k = lcm(*(c.denominator for c in coords))
+    ints = [int(c * k) for c in coords]
+    g = gcd(*ints) or 1
+    return tuple(Fraction(v, g) for v in ints), Fraction(k, g)
 
 
 @dataclass(frozen=True)
@@ -58,16 +72,7 @@ class DivClass:
 
     def primitive(self) -> "DivClass":
         """The primitive integral generator of the same ray (sign kept)."""
-        if self.is_zero:
-            return self
-        denom = 1
-        for c in self.coords:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in self.coords]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        return DivClass(Fraction(v, g) for v in ints)
+        return DivClass(primitive_vector(self.coords)[0])
 
     def __repr__(self):
         return "DivClass((%s))" % ", ".join(str(c) for c in self.coords)

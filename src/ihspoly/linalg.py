@@ -1,9 +1,10 @@
 """Small exact-rational dense linear algebra.
 
 Everything here works over Fraction and is written for the tiny sizes
-this library meets (rank <= 6): plain Gaussian elimination, and
-symmetric congruence reduction for inertia.  No pivoting strategy
-beyond "find a usable entry" is needed when arithmetic is exact.
+this library meets (rank <= 6): plain Gaussian elimination, reduced
+row echelon form for kernels, and symmetric congruence reduction for
+inertia.  No pivoting strategy beyond "find a usable entry" is needed
+when arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -36,6 +37,39 @@ def solve(matrix: Matrix, rhs: Sequence[Fraction]) -> list[Fraction]:
                 for c in range(col, n + 1):
                     a[r][c] -= f * a[col][c]
     return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def kernel(rows: Matrix, n: int) -> list[tuple[Fraction, ...]]:
+    """Basis of {x in Q^n : row . x = 0 for every row}, exactly.
+
+    One basis vector per free column of the reduced row echelon form;
+    no rows means the whole space.
+    """
+    a = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(n):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        pivot = a[r][col]
+        a[r] = [v / pivot for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [v - f * p for v, p in zip(a[i], a[r])]
+        pivots.append(col)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        x = [Fraction(0)] * n
+        x[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            x[col] = -a[i][free]
+        basis.append(tuple(x))
+    return basis
 
 
 def inertia(sym: Matrix) -> tuple[int, int, int]:
@@ -87,9 +121,3 @@ def _swap_sym(m: list[list[Fraction]], i: int, j: int) -> None:
     m[i], m[j] = m[j], m[i]
     for row in m:
         row[i], row[j] = row[j], row[i]
-
-
-def is_negative_definite_matrix(sym: Matrix) -> bool:
-    n = len(sym)
-    p, m, z = inertia(sym)
-    return (p, m, z) == (0, n, 0)

@@ -1,202 +1,127 @@
-"""Exact rational linear programming for small cone problems.
+"""Exact polyhedral cones by brute force over facet subsets.
 
-Dense two-phase simplex over Fraction with Bland's rule (no cycling,
-no tolerances -- every comparison is exact).  Problem sizes here are a
-handful of rows and columns, so nothing clever is attempted.
-
-The cone helpers answer the questions the geometry layer actually
-asks: membership of a vector in a finitely generated cone, the largest
-step along a direction that stays in the cone, and the extremal rays
-of a generated cone after cutting with halfspaces.
+A cone is stored by its facet inequalities f . x >= 0 and the equations
+e . x = 0 of its linear span.  One routine, ``extreme_rays``, turns
+such a description into rays: every extreme ray of a pointed cone in
+Q^n is the one-dimensional kernel of the span equations together with
+n - 1 - rank(equations) facets that are tight on it.  The facets of a
+generated cone are the extreme rays of its dual inside the span, and
+membership, the largest step along a direction and extremality are
+then sign tests, a min-ratio and a rank test over the facets.  The
+subset count is exponential in the rank, which stays <= 6 here; every
+comparison is exact.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import Sequence
+
+from .lattice import primitive_vector
+from .linalg import kernel
 
 Vec = tuple[Fraction, ...]
 
 
 class InfeasibleError(Exception):
-    """The linear program has no feasible point."""
+    """The starting point lies outside the cone."""
 
 
 class UnboundedError(Exception):
-    """The linear program is unbounded in the optimized direction."""
-
-
-def _pivot(rows, cost, basis, r, col):
-    piv = rows[r][col]
-    rows[r] = [v / piv for v in rows[r]]
-    for i in range(len(rows)):
-        if i != r and rows[i][col]:
-            f = rows[i][col]
-            rows[i] = [a - f * p for a, p in zip(rows[i], rows[r])]
-    if cost[col]:
-        f = cost[col]
-        cost[:] = [a - f * p for a, p in zip(cost, rows[r])]
-    basis[r] = col
-
-
-def _optimize(rows, cost, basis, ncols):
-    """Bland's rule: enter lowest negative-cost column, leave lowest basis."""
-    while True:
-        col = next((j for j in range(ncols) if cost[j] < 0), None)
-        if col is None:
-            return
-        leave = None
-        best = None
-        for i, row in enumerate(rows):
-            if row[col] > 0:
-                ratio = row[-1] / row[col]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave is None:
-            raise UnboundedError("objective unbounded")
-        _pivot(rows, cost, basis, leave, col)
-
-
-def _phase1(a_rows: list[list[Fraction]], b: list[Fraction], nvars: int):
-    """Feasible basic tableau for Ax=b, x>=0, or InfeasibleError."""
-    m = len(a_rows)
-    rows = []
-    for i in range(m):
-        row = list(a_rows[i])
-        rhs = b[i]
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        rows.append(row + art + [rhs])
-    basis = [nvars + i for i in range(m)]
-    # Reduced costs of "minimize sum of artificials" with artificials basic.
-    cost = [Fraction(0)] * (nvars + m + 1)
-    for row in rows:
-        for j in range(nvars):
-            cost[j] -= row[j]
-        cost[-1] -= row[-1]
-    _optimize(rows, cost, basis, nvars)  # artificials never re-enter
-    if -cost[-1] != 0:
-        raise InfeasibleError("no nonnegative solution")
-    # Drive leftover degenerate artificials out of the basis.
-    for i in range(m - 1, -1, -1):
-        if basis[i] >= nvars:
-            col = next((j for j in range(nvars) if rows[i][j]), None)
-            if col is None:
-                del rows[i], basis[i]  # redundant constraint
-            else:
-                _pivot(rows, cost, basis, i, col)
-    return [row[:nvars] + [row[-1]] for row in rows], basis
-
-
-def solve_min(a_rows, b, objective) -> tuple[Fraction, list[Fraction]]:
-    """Minimize objective . x subject to Ax = b, x >= 0, all exact."""
-    nvars = len(objective)
-    rows, basis = _phase1([list(r) for r in a_rows], list(b), nvars)
-    cost = list(objective) + [Fraction(0)]
-    for i, bi in enumerate(basis):  # reduce over the basic columns
-        if cost[bi]:
-            f = cost[bi]
-            cost = [a - f * p for a, p in zip(cost, rows[i])]
-    _optimize(rows, cost, basis, nvars)
-    x = [Fraction(0)] * nvars
-    for i, bi in enumerate(basis):
-        x[bi] = rows[i][-1]
-    return -cost[-1], x
-
-
-def nonneg_combination(columns: Sequence[Vec], target: Vec) -> Optional[list[Fraction]]:
-    """Coefficients l >= 0 with sum l_j columns_j = target, else None."""
-    m = len(target)
-    if not columns:
-        return [] if not any(target) else None
-    a_rows = [[col[i] for col in columns] for i in range(m)]
-    try:
-        rows, basis = _phase1(a_rows, list(target), len(columns))
-    except InfeasibleError:
-        return None
-    x = [Fraction(0)] * len(columns)
-    for i, bi in enumerate(basis):
-        x[bi] = rows[i][-1]
-    return x
-
-
-def in_cone(generators: Sequence[Vec], v: Vec) -> bool:
-    return nonneg_combination(generators, v) is not None
-
-
-def max_step(generators: Sequence[Vec], direction: Vec, start: Vec) -> Fraction:
-    """sup { t >= 0 : start - t*direction in cone(generators) }, exact.
-
-    Raises InfeasibleError when start itself is outside the cone and
-    UnboundedError when the whole ray stays inside (the cone contains
-    the -direction recession ray, impossible for pointed cones).
-    """
-    m = len(start)
-    ncols = len(generators) + 1
-    a_rows = [[g[i] for g in generators] + [direction[i]] for i in range(m)]
-    objective = [Fraction(0)] * len(generators) + [Fraction(-1)]  # maximize t
-    value, _ = solve_min(a_rows, list(start), objective)
-    return -value
-
-
-def _primitive(v: Vec) -> Vec:
-    denom = 1
-    for c in v:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g == 0:
-        return tuple(Fraction(0) for _ in v)
-    return tuple(Fraction(x, g) for x in ints)
+    """The step along the direction is unbounded."""
 
 
 def _dot(f: Vec, v: Vec) -> Fraction:
     return sum(a * b for a, b in zip(f, v))
 
 
+@dataclass(frozen=True)
+class Cone:
+    """The cone {x : f . x >= 0 for every facet, e . x = 0 for every equation}."""
+
+    facets: tuple[Vec, ...]
+    equations: tuple[Vec, ...]
+
+    def contains(self, v: Vec) -> bool:
+        return all(not _dot(e, v) for e in self.equations) and all(
+            _dot(f, v) >= 0 for f in self.facets
+        )
+
+
+def _integral(v: Vec) -> tuple[int, ...]:
+    return tuple(int(c) for c in primitive_vector(v)[0])
+
+
+def extreme_rays(facets: Sequence[Vec], equations: Sequence[Vec], n: int) -> list[Vec]:
+    """Primitive extreme rays, sorted, of a pointed cone in Q^n."""
+    size = len(kernel(equations, n)) - 1
+    if size < 0:
+        return []
+    # Positive rescaling keeps every half-space, and integer dot products
+    # make the sign tests cheap.
+    halfspaces = [_integral(f) for f in facets]
+    found = set()
+    for subset in combinations(halfspaces, size):
+        ker = kernel([*subset, *equations], n)
+        if len(ker) != 1:
+            continue
+        ray = _integral(ker[0])
+        values = [sum(a * b for a, b in zip(f, ray)) for f in halfspaces]
+        if min(values, default=0) >= 0:
+            found.add(ray)
+        elif max(values) <= 0:
+            found.add(tuple(-c for c in ray))
+    return sorted(tuple(Fraction(c) for c in ray) for ray in found)
+
+
+def generated_cone(generators: Sequence[Vec], n: int) -> Cone:
+    """Facets and span equations of cone(generators).
+
+    The facets are the extreme rays of the dual cone inside the span,
+    which is pointed because the generators span it.
+    """
+    equations = tuple(kernel(generators, n))
+    return Cone(tuple(extreme_rays(generators, equations, n)), equations)
+
+
+def max_step(cone: Cone, direction: Vec, start: Vec) -> Fraction:
+    """sup { t >= 0 : start - t*direction in cone }, exact.
+
+    Raises InfeasibleError when start itself is outside the cone and
+    UnboundedError when the whole ray stays inside (the cone contains
+    -direction).  A direction leaving the span allows no step at all.
+    """
+    if not cone.contains(start):
+        raise InfeasibleError("start lies outside the cone")
+    if any(_dot(e, direction) for e in cone.equations):
+        return Fraction(0)
+    best = None
+    for f in cone.facets:
+        down = _dot(f, direction)
+        if down > 0:
+            ratio = _dot(f, start) / down
+            if best is None or ratio < best:
+                best = ratio
+    if best is None:
+        raise UnboundedError("the cone contains the whole ray")
+    return best
+
+
 def prune_to_extremal(rays: Sequence[Vec]) -> list[Vec]:
-    """Primitive representatives of the extremal rays among generators."""
-    uniq: list[Vec] = []
-    for r in rays:
-        p = _primitive(r)
-        if any(p) and p not in uniq:
-            uniq.append(p)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(uniq)):
-            others = uniq[:i] + uniq[i + 1 :]
-            if others and in_cone(others, uniq[i]):
-                del uniq[i]
-                changed = True
-                break
-    return sorted(uniq)
+    """Primitive representatives, sorted, of the extremal rays among generators.
 
-
-def intersect_halfspace(rays: Sequence[Vec], functional: Vec) -> list[Vec]:
-    """Extremal rays of cone(rays) cut by {x : functional . x >= 0}."""
-    pos = [r for r in rays if _dot(functional, r) > 0]
-    neg = [r for r in rays if _dot(functional, r) < 0]
-    zero = [r for r in rays if not _dot(functional, r)]
-    if not neg:
-        return prune_to_extremal(list(rays))
-    new = pos + zero
-    for rp in pos:
-        hp = _dot(functional, rp)
-        for rn in neg:
-            hn = _dot(functional, rn)
-            combo = tuple(hp * bn - hn * bp for bp, bn in zip(rp, rn))
-            if any(combo):
-                new.append(combo)
-    return prune_to_extremal(new)
-
-
-def intersect_hyperplane(rays: Sequence[Vec], functional: Vec) -> list[Vec]:
-    neg = tuple(-f for f in functional)
-    return intersect_halfspace(intersect_halfspace(rays, functional), neg)
+    A generator is extremal when the facets tight on it, together with
+    the span equations, leave a one-dimensional kernel.
+    """
+    uniq = sorted({primitive_vector(r)[0] for r in rays if any(r)})
+    if not uniq:
+        return []
+    n = len(uniq[0])
+    cone = generated_cone(uniq, n)
+    return [
+        r
+        for r in uniq
+        if len(kernel([*(f for f in cone.facets if not _dot(f, r)), *cone.equations], n)) == 1
+    ]

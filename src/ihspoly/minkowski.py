@@ -23,14 +23,7 @@ from .errors import ConsistencyError, DomainError
 from .geometry import Geometry
 from .lattice import DivClass
 from .linalg import solve
-from .linprog import (
-    InfeasibleError,
-    UnboundedError,
-    intersect_halfspace,
-    intersect_hyperplane,
-    max_step,
-    prune_to_extremal,
-)
+from .linprog import InfeasibleError, UnboundedError, max_step, prune_to_extremal
 from .zariski import decompose, null_set
 
 
@@ -77,24 +70,11 @@ def chamber_generator(geom: Geometry, chamber: frozenset[str], flag_name: str) -
     return result.primitive()
 
 
-def _prime_functional(geom: Geometry, cls: DivClass) -> tuple[Fraction, ...]:
-    """Row vector v -> pair(v, cls) in coordinates."""
-    gram = geom.lattice.gram
-    n = geom.lattice.rank
-    return tuple(
-        sum(gram[i][j] * cls.coords[j] for j in range(n)) for i in range(n)
-    )
-
-
 def movable_cone_rays(geom: Geometry) -> tuple[DivClass, ...]:
     """Extremal rays of Mov = Eff cut by pair(-, Q) >= 0 for all primes Q."""
     if geom.mode != "polyhedral":
         raise DomainError("movable cone rays require polyhedral mode")
-    rays = [g.coords for g in geom.effective_generators]
-    for prime in geom.primes:
-        rays = intersect_halfspace(rays, _prime_functional(geom, prime.cls))
-    rays = prune_to_extremal(rays)
-    return tuple(DivClass(r) for r in rays)
+    return geom.movable_rays
 
 
 def isotropic_extremal_rays(geom: Geometry) -> tuple[DivClass, ...]:
@@ -107,13 +87,18 @@ def chamber_closure_rays(geom: Geometry, chamber: frozenset[str]) -> tuple[DivCl
     """Extremal rays of the closure of Sigma_S.
 
     The closure is spanned by Mov intersected with S-perp plus the
-    prime classes of S itself.
+    prime classes of S itself.  Mov lies in {pair(-, Q) >= 0} for every
+    prime Q, so Mov intersected with S-perp is the face of Mov spanned
+    by the movable rays orthogonal to every prime of S.
     """
-    rays = [r.coords for r in movable_cone_rays(geom)]
-    for name in sorted(chamber):
-        rays = intersect_hyperplane(rays, _prime_functional(geom, geom.prime(name).cls))
-    rays += [geom.prime(name).cls.coords for name in sorted(chamber)]
-    rays = prune_to_extremal(rays)
+    lat = geom.lattice
+    primes = [geom.prime(name).cls for name in sorted(chamber)]
+    rays = [
+        r.coords
+        for r in movable_cone_rays(geom)
+        if all(lat.pair(r, p) == 0 for p in primes)
+    ]
+    rays = prune_to_extremal(rays + [p.coords for p in primes])
     return tuple(DivClass(r) for r in rays)
 
 
@@ -194,7 +179,6 @@ def minkowski_decompose(geom: Geometry, d: DivClass, flag_name: str) -> Minkowsk
     dec = decompose(geom, d)  # DomainError when not pseudo-effective
     nu = dec.coefficient(flag_name)
     lat = geom.lattice
-    eff_cols = [g.coords for g in geom.effective_generators]
     m = dec.positive
     terms: list[tuple[Fraction, BasisElement]] = []
     for _ in range(2 * (len(geom.primes) + lat.rank) + 4):
@@ -218,7 +202,7 @@ def minkowski_decompose(geom: Geometry, d: DivClass, flag_name: str) -> Minkowsk
                 if tau is None or bound < tau:
                     tau = bound
         try:
-            eff_bound = max_step(eff_cols, gen.coords, m.coords)
+            eff_bound = max_step(geom.eff_cone, gen.coords, m.coords)
             if tau is None or eff_bound < tau:
                 tau = eff_bound
         except UnboundedError:

@@ -8,9 +8,10 @@ computed after stripping nu_E(D) (the coefficient of E in the negative
 part) off D, and reported together with the offset nu.  Its upper
 boundary is piecewise linear because the positive part P(D - tE) is an
 affine function of t on each Boucksom-Zariski chamber; the walk tracks
-the chamber changes exactly.  The pseudo-effective threshold mu is the
-exact LP optimum in polyhedral mode and a quadratic surd in round mode,
-and the area always equals q(P(D))/2.
+the chamber changes exactly.  The pseudo-effective threshold mu is a
+min-ratio over the facets of the declared effective cone in polyhedral
+mode and a quadratic surd in round mode, and the area always equals
+q(P(D))/2.
 
 Everything here is exact: abscissae of interior breakpoints are
 rational, the terminal abscissa may live in one quadratic extension.
@@ -20,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
 from .geometry import Geometry, Prime, is_pseudo_effective
-from .lattice import DivClass
+from .lattice import DivClass, primitive_vector
 from .linprog import InfeasibleError, UnboundedError, max_step
 from .minkowski import chamber_closure_rays, enumerate_chambers
 from .polygon2d import Point, contains_polygon, convex_hull
@@ -106,9 +106,8 @@ def _proportionality(d: DivClass, e: DivClass) -> Fraction:
 def _threshold(geom: Geometry, d: DivClass, prime: Prime) -> Surd:
     """mu_E(D) = sup { t >= 0 : D - tE pseudo-effective }, D psef."""
     if geom.mode == "polyhedral":
-        cols = [g.coords for g in geom.effective_generators]
         try:
-            return Surd(max_step(cols, prime.cls.coords, d.coords))
+            return Surd(max_step(geom.eff_cone, prime.cls.coords, d.coords))
         except InfeasibleError as exc:
             raise DomainError("class is not pseudo-effective in the declared cone") from exc
         except UnboundedError as exc:
@@ -198,7 +197,7 @@ def _trace(geom: Geometry, d: DivClass, prime: Prime) -> BreakpointTrace:
 
 def _check_terminus(lat, base: DivClass, slope: DivClass, mu: Surd, big: bool) -> None:
     """Cross-check: at t = mu the positive part must reach the isotropic
-    boundary (big start), confirming the LP threshold against the exact
+    boundary (big start), confirming the facet threshold against the exact
     quadratic q(base + t slope) = 0."""
     if not big:
         return
@@ -321,16 +320,7 @@ class ConePoint:
 
 
 def _primitive_cone_point(cls: DivClass, t: Fraction, y: Fraction) -> ConePoint:
-    vec = list(cls.coords) + [t, y]
-    denom = 1
-    for c in vec:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        vec = [Fraction(v, g) for v in ints]
+    vec, _ = primitive_vector(cls.coords + (t, y))
     return ConePoint(DivClass(vec[:-2]), vec[-2], vec[-1])
 
 
@@ -385,9 +375,7 @@ def simplex_flag(geom: Geometry, d: DivClass) -> tuple[DivClass, NOPolygon]:
     q = geom.lattice.square(dec.positive)
     if q <= 0:
         raise DomainError("simplex flag requires a big class")
-    k = 1
-    for c in dec.positive.coords:
-        k = k * c.denominator // gcd(k, c.denominator)
+    k = primitive_vector(dec.positive.coords)[1].numerator  # least common denominator
     flag = dec.positive.scale(k)
     verts = convex_hull(
         [

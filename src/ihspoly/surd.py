@@ -272,17 +272,13 @@ def _lt_mixed(x: Surd, y: Surd) -> bool:
 
     Used only by comparisons (never arithmetic): ordering across
     extensions is well defined even though sums are not representable.
-    x - y = r + b1 sqrt(d1) - b2 sqrt(d2) with r rational; isolate one
-    radical and square twice, tracking signs at each step.
+    x - y = r + b1 sqrt(d1) - b2 sqrt(d2) with r rational, whose exact
+    sign comes from rational enclosures of both radicals.
     """
     # x < y  <=>  x - y < 0  <=>  b1 sqrt(d1) - b2 sqrt(d2) < -r
     r = x.a - y.a
     lhs_b1, lhs_d1 = x.b, x.d
     lhs_b2, lhs_d2 = y.b, y.d
-    # Compare u := b1 sqrt(d1) against v := b2 sqrt(d2) + (-r)
-    # i.e. decide sign of u - v - ... simplest: binary-search-free exact
-    # method: compare floats first for a fast path, then verify by
-    # interval refinement with rational bounds on each sqrt.
     return _surd_gap_sign(r, lhs_b1, lhs_d1, -lhs_b2, lhs_d2) < 0
 
 

@@ -1,9 +1,14 @@
 """Randomized self-check harness: sampling, bookkeeping, green runs."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from ihspoly import CheckResult, DomainError, decompose, run_checks, sample_big_classes
 from ihspoly.geometry import is_pseudo_effective
+
+GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
 
 EXPECTED_CHECK_NAMES = [
     "polygon-area-identity",
@@ -93,3 +98,22 @@ def test_sample_big_classes_impossible_catalog():
     geom = parse_geometry(doc)
     with pytest.raises(DomainError, match="sample"):
         sample_big_classes(geom, 1, seed=0)
+
+
+def test_minkowski_refusals_are_not_failures():
+    # Without E' the flag falls back to the exceptional prime E, and every
+    # sample whose positive part is orthogonal to E has no chamber
+    # generator: minkowski_decompose refuses it, which is neither a run
+    # nor a failure of the reconstruction check.
+    from ihspoly import parse_geometry
+
+    doc = json.loads((GEOM_DIR / "hilb2.geom").read_text())
+    doc["primes"] = [p for p in doc["primes"] if p["name"] != "E'"]
+    geom = parse_geometry(json.dumps(doc))
+    flag = geom.prime("E").cls
+    classes = sample_big_classes(geom, 10, seed=0)
+    runnable = [d for d in classes if geom.lattice.pair(decompose(geom, d).positive, flag)]
+    assert 0 < len(runnable) < len(classes)
+    recon = {r.name: r for r in run_checks(geom, samples=10, seed=0)}["minkowski-reconstruction"]
+    assert recon.runs == len(runnable)
+    assert not any("orthogonal" in m for m in recon.messages)

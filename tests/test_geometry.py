@@ -3,11 +3,13 @@ expressions, and the declared-cone predicates."""
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from ihspoly import (
+    ConsistencyError,
     DivClass,
     DomainError,
     GeometryError,
@@ -18,7 +20,7 @@ from ihspoly import (
     parse_divisor,
     parse_geometry,
 )
-from ihspoly.geometry import express_nonneg, format_rat
+from ihspoly.geometry import format_rat
 
 F = Fraction
 
@@ -340,9 +342,16 @@ def test_cone_predicate_dimension_check(hilb2):
         is_pseudo_effective(hilb2, DivClass([1, 0, 0]))
 
 
-def test_express_nonneg(hilb2, fano_round):
-    coeffs = express_nonneg(hilb2, DivClass([1, 1]))
-    assert coeffs == [F(1), F(1)]  # 1*(0,2) + 1*(1,-1) = (1,1)
-    assert express_nonneg(hilb2, DivClass([-1, 0])) is None
-    with pytest.raises(DomainError):
-        express_nonneg(fano_round, DivClass([1, 0]))
+def test_non_pointed_effective_cone_rejected():
+    # Eff = the upper half-plane contains the line through (1, 0).
+    geom = parse_doc(effective_generators=[[1, 0], [-1, 0], [0, 1]])
+    with pytest.raises(ConsistencyError, match="not pointed"):
+        is_pseudo_effective(geom, DivClass([0, 1]))
+
+
+def test_derived_cones_built_once_per_instance(hilb2):
+    assert hilb2.movable_rays is hilb2.movable_rays
+    assert hilb2.eff_cone is hilb2.eff_cone
+    copy = replace(hilb2, primes=tuple(reversed(hilb2.primes)))
+    assert "movable_rays" not in vars(copy) and "eff_cone" not in vars(copy)
+    assert set(copy.movable_rays) == set(hilb2.movable_rays)

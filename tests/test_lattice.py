@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from ihspoly import BBFLattice, DivClass
-from ihspoly.linalg import SingularMatrixError, inertia, solve
+from ihspoly.lattice import primitive_vector
+from ihspoly.linalg import SingularMatrixError, inertia, kernel, solve
 
 
 # -- independent oracles ---------------------------------------------------
@@ -120,6 +122,9 @@ def test_primitive_clears_denominators_keeps_sign():
     assert DivClass([Fraction(-3, 5), Fraction(6, 5)]).primitive() == DivClass([-1, 2])
     z = DivClass([0, 0])
     assert z.primitive() == z
+    # the factor's numerator is the least common denominator
+    assert primitive_vector((Fraction(3, 2), Fraction(3))) == ((1, 2), Fraction(2, 3))
+    assert primitive_vector((Fraction(0), Fraction(0))) == ((0, 0), 1)
 
 
 def test_primitive_idempotent_seeded():
@@ -145,6 +150,33 @@ def test_solve_exact():
 def test_solve_singular():
     with pytest.raises(SingularMatrixError):
         solve([[1, 2], [2, 4]], [1, 1])
+
+
+def _minor_rank(rows, n):
+    """Largest k with a nonsingular k x k minor, by exhaustive solves."""
+    for k in range(min(len(rows), n), 0, -1):
+        for r in combinations(range(len(rows)), k):
+            for c in combinations(range(n), k):
+                try:
+                    solve([[rows[i][j] for j in c] for i in r], [0] * k)
+                    return k
+                except SingularMatrixError:
+                    pass
+    return 0
+
+
+def test_kernel_matches_minor_rank_seeded():
+    assert kernel([], 2) == [(1, 0), (0, 1)]
+    assert kernel([[1, -1]], 2) == [(1, 1)]
+    rng = random.Random(19)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        basis = kernel(rows, n)
+        assert len(basis) == n - _minor_rank(rows, n)
+        assert _minor_rank(basis, n) == len(basis)
+        for x in basis:
+            assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
 
 
 def test_inertia_matches_descartes_oracle_seeded():

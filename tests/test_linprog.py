@@ -1,247 +1,269 @@
-"""Exact simplex and polyhedral-cone helpers against hand-checked oracles."""
+"""The exact cone engine against hand-checked cases and an independent
+Caratheodory oracle."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from ihspoly.lattice import primitive_vector
+from ihspoly.linalg import SingularMatrixError, solve
 from ihspoly.linprog import (
     InfeasibleError,
     UnboundedError,
-    in_cone,
-    intersect_halfspace,
-    intersect_hyperplane,
+    extreme_rays,
+    generated_cone,
     max_step,
-    nonneg_combination,
     prune_to_extremal,
-    solve_min,
 )
 
 F = Fraction
+
+
+def vec(*xs):
+    return tuple(F(x) for x in xs)
 
 
 def rays_set(rays):
     return {tuple(r) for r in rays}
 
 
-# -- solve_min ---------------------------------------------------------------
+def cone(*gens):
+    return generated_cone([vec(*g) for g in gens], len(gens[0]))
 
 
-def test_solve_min_picks_cheaper_vertex():
-    # min x + y  s.t.  x + 2y = 4: vertices (4,0) cost 4 and (0,2) cost 2.
-    value, x = solve_min([[F(1), F(2)]], [F(4)], [F(1), F(1)])
-    assert value == 2
-    assert x == [F(0), F(2)]
+def cut(gens, functional, hyperplane=False):
+    """Extreme rays of cone(gens) cut by functional . x >= 0 (or = 0)."""
+    c = cone(*gens)
+    f = vec(*functional)
+    if hyperplane:
+        return extreme_rays(c.facets, c.equations + (f,), len(f))
+    return extreme_rays(c.facets + (f,), c.equations, len(f))
 
 
-def test_solve_min_two_constraints():
-    # min 3x + y + 4z  s.t.  x + y = 2, y + z = 3.
-    # Basic solutions: (0,2,1) cost 6, (2,0,3) cost 18 -> optimum 6.
-    value, x = solve_min(
-        [[F(1), F(1), F(0)], [F(0), F(1), F(1)]],
-        [F(2), F(3)],
-        [F(3), F(1), F(4)],
-    )
-    assert value == 6
-    assert x == [F(0), F(2), F(1)]
+def oracle_in_cone(gens, v):
+    """Caratheodory: v lies in cone(gens) iff it is a nonnegative
+    combination of some linearly independent subset of gens; a
+    nonsingular square minor of the subset fixes its coefficients."""
+    n = len(v)
+    if not any(v):
+        return True
+    for k in range(1, n + 1):
+        for subset in combinations(gens, k):
+            for rows in combinations(range(n), k):
+                try:
+                    coeffs = solve([[g[i] for g in subset] for i in rows], [v[i] for i in rows])
+                except SingularMatrixError:
+                    continue
+                if all(c >= 0 for c in coeffs) and all(
+                    sum(c * g[i] for c, g in zip(coeffs, subset)) == v[i] for i in range(n)
+                ):
+                    return True
+                break
+    return False
 
 
-def test_solve_min_fractional_data():
-    value, x = solve_min([[F(1, 2), F(1, 3)]], [F(1)], [F(1), F(1)])
-    # x = 2 costs 2; y = 3 costs 3.
-    assert value == 2
-    assert x == [F(2), F(0)]
+def random_vec(rng, lo, hi, n=3):
+    return tuple(F(rng.randint(lo, hi)) for _ in range(n))
 
 
-def test_solve_min_negative_rhs_normalized():
-    # -x - y = -4 is the same constraint as x + y = 4.
-    value, _ = solve_min([[F(-1), F(-1)]], [F(-4)], [F(1), F(2)])
-    assert value == 4
-
-
-def test_solve_min_infeasible():
-    # x + y = -1 has no nonnegative solution.
-    with pytest.raises(InfeasibleError):
-        solve_min([[F(1), F(1)]], [F(-1)], [F(0), F(0)])
-    # Contradictory pair.
-    with pytest.raises(InfeasibleError):
-        solve_min([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)], [F(0), F(0)])
-
-
-def test_solve_min_unbounded():
-    # x - y = 0 leaves t*(1,1) feasible for all t; cost -2t is unbounded.
-    with pytest.raises(UnboundedError):
-        solve_min([[F(1), F(-1)]], [F(0)], [F(-1), F(-1)])
-
-
-def test_solve_min_solution_satisfies_constraints_seeded():
-    rng = random.Random(41)
-    solved = 0
-    while solved < 40:
-        m, n = rng.randint(1, 3), rng.randint(2, 5)
-        a = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
-        b = [F(rng.randint(-4, 4)) for _ in range(m)]
-        c = [F(rng.randint(0, 5)) for _ in range(n)]  # bounded below by 0
-        try:
-            value, x = solve_min(a, b, c)
-        except (InfeasibleError, UnboundedError):
-            continue
-        assert all(xi >= 0 for xi in x)
-        for row, rhs in zip(a, b):
-            assert sum(r * xi for r, xi in zip(row, x)) == rhs
-        assert sum(ci * xi for ci, xi in zip(c, x)) == value
-        solved += 1
-
-
-# -- cone membership -----------------------------------------------------------
-
-
-def test_nonneg_combination_basic():
-    cols = [(F(1), F(0)), (F(1), F(1))]
-    assert nonneg_combination(cols, (F(2), F(1))) == [F(1), F(1)]
-    assert nonneg_combination(cols, (F(0), F(1))) is None
-    assert nonneg_combination(cols, (F(0), F(0))) == [F(0), F(0)]
-
-
-def test_nonneg_combination_empty_columns():
-    assert nonneg_combination([], (F(0), F(0))) == []
-    assert nonneg_combination([], (F(1), F(0))) is None
-
-
-def test_nonneg_combination_certificate_reconstructs_seeded():
-    rng = random.Random(43)
-    for _ in range(40):
-        cols = [tuple(F(rng.randint(-3, 3)) for _ in range(3)) for _ in range(4)]
-        target = tuple(F(rng.randint(-5, 5)) for _ in range(3))
-        coeffs = nonneg_combination(cols, target)
-        if coeffs is None:
-            continue
-        assert all(c >= 0 for c in coeffs)
-        for i in range(3):
-            assert sum(c * col[i] for c, col in zip(coeffs, cols)) == target[i]
+# -- membership ----------------------------------------------------------------
 
 
 def test_in_cone_orthant():
-    gens = [(F(1), F(0)), (F(0), F(1))]
-    assert in_cone(gens, (F(3), F(2)))
-    assert in_cone(gens, (F(0), F(0)))
-    assert not in_cone(gens, (F(-1), F(2)))
+    orthant = cone((1, 0), (0, 1))
+    assert orthant.contains(vec(3, 2))
+    assert orthant.contains(vec(0, 0))
+    assert not orthant.contains(vec(-1, 2))
+
+
+def test_in_cone_two_rays():
+    c = cone((1, 0), (1, 1))
+    assert c.contains(vec(2, 1))
+    assert not c.contains(vec(0, 1))
+    assert c.contains(vec(0, 0))
+
+
+def test_in_cone_no_generators():
+    c = generated_cone([], 2)
+    assert c.facets == ()
+    assert c.contains(vec(0, 0))
+    assert not c.contains(vec(1, 0))
+
+
+def test_membership_matches_caratheodory_oracle_seeded():
+    rng = random.Random(43)
+    outcomes = set()
+    for _ in range(40):
+        gens = [g for g in (random_vec(rng, -2, 2) for _ in range(4)) if any(g)]
+        c = generated_cone(gens, 3)
+        for _ in range(5):
+            v = random_vec(rng, -3, 3)
+            expected = oracle_in_cone(gens, v)
+            assert c.contains(v) == expected, (gens, v)
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 # -- max_step -------------------------------------------------------------------
 
 
 def test_max_step_orthant():
-    gens = [(F(1), F(0)), (F(0), F(1))]
-    start = (F(2), F(3))
-    assert max_step(gens, (F(1), F(0)), start) == 2
-    assert max_step(gens, (F(1), F(1)), start) == 2
-    assert max_step(gens, (F(0), F(1)), start) == 3
-    assert max_step(gens, (F(2), F(1)), start) == 1
+    orthant = cone((1, 0), (0, 1))
+    start = vec(2, 3)
+    assert max_step(orthant, vec(1, 0), start) == 2
+    assert max_step(orthant, vec(1, 1), start) == 2
+    assert max_step(orthant, vec(0, 1), start) == 3
+    assert max_step(orthant, vec(2, 1), start) == 1
 
 
 def test_max_step_start_outside():
-    gens = [(F(1), F(0)), (F(0), F(1))]
     with pytest.raises(InfeasibleError):
-        max_step(gens, (F(1), F(0)), (F(-1), F(0)))
+        max_step(cone((1, 0), (0, 1)), vec(1, 0), vec(-1, 0))
 
 
 def test_max_step_unbounded():
-    gens = [(F(1), F(0)), (F(0), F(1))]
     with pytest.raises(UnboundedError):
-        max_step(gens, (F(0), F(-1)), (F(1), F(1)))
+        max_step(cone((1, 0), (0, 1)), vec(0, -1), vec(1, 1))
 
 
 def test_max_step_lands_on_boundary():
     # Cone {0 <= y <= 2x}; start (2,2); direction (0,1).
     # start - t*(0,1) = (2, 2-t) stays inside iff 0 <= 2-t, so t_max = 2
     # and the segment exits through the y = 0 facet.
-    gens = [(F(1), F(0)), (F(1), F(2))]
-    t = max_step(gens, (F(0), F(1)), (F(2), F(2)))
+    c = cone((1, 0), (1, 2))
+    t = max_step(c, vec(0, 1), vec(2, 2))
     assert t == 2
     end = (F(2), F(2) - t)
-    assert in_cone(gens, end)
-    assert not in_cone(gens, (end[0], end[1] - F(1, 100)))
+    assert c.contains(end)
+    assert not c.contains((end[0], end[1] - F(1, 100)))
+
+
+def test_max_step_tight_against_oracle_seeded():
+    rng = random.Random(45)
+    bounded = 0
+    for _ in range(40):
+        gens = [g for g in (random_vec(rng, -2, 2) for _ in range(4)) if any(g)]
+        c = generated_cone(gens, 3)
+        coeffs = [rng.randint(0, 3) for _ in gens]
+        start = tuple(sum(k * g[i] for k, g in zip(coeffs, gens)) for i in range(3))
+        direction = random_vec(rng, -2, 2)
+        try:
+            t = max_step(c, direction, start)
+        except UnboundedError:
+            assert oracle_in_cone(gens, tuple(-x for x in direction))
+            continue
+        bounded += 1
+        assert t >= 0
+        assert oracle_in_cone(gens, tuple(s - t * d for s, d in zip(start, direction)))
+        beyond = t + F(1, 7)
+        assert not oracle_in_cone(gens, tuple(s - beyond * d for s, d in zip(start, direction)))
+    assert bounded >= 20
 
 
 # -- extremal rays and cuts --------------------------------------------------------
 
 
 def test_prune_to_extremal_drops_interior_ray():
-    rays = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
+    rays = [vec(1, 0), vec(0, 1), vec(1, 1)]
     assert rays_set(prune_to_extremal(rays)) == {(1, 0), (0, 1)}
 
 
 def test_prune_to_extremal_merges_scalings():
-    rays = [(F(2), F(0)), (F(3), F(0)), (F(1, 2), F(0))]
+    rays = [vec(2, 0), vec(3, 0), vec(F(1, 2), 0)]
     assert prune_to_extremal(rays) == [(1, 0)]
 
 
 def test_prune_to_extremal_drops_zero():
-    assert prune_to_extremal([(F(0), F(0)), (F(1), F(0))]) == [(1, 0)]
+    assert prune_to_extremal([vec(0, 0), vec(1, 0)]) == [(1, 0)]
 
 
 def test_prune_to_extremal_3d_octant_face():
-    rays = [
-        (F(1), F(0), F(0)),
-        (F(0), F(1), F(0)),
-        (F(0), F(0), F(1)),
-        (F(1), F(1), F(1)),
-        (F(2), F(1), F(0)),
-    ]
+    rays = [vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1), vec(1, 1, 1), vec(2, 1, 0)]
     assert rays_set(prune_to_extremal(rays)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
+def test_prune_to_extremal_matches_caratheodory_oracle_seeded():
+    rng = random.Random(49)
+    dropped = 0
+    for _ in range(30):
+        # a positive first coordinate keeps the cone pointed
+        gens = [(F(rng.randint(1, 3)),) + random_vec(rng, -2, 2, 2) for _ in range(5)]
+        kept = prune_to_extremal(gens)
+        for g in gens:
+            p = primitive_vector(g)[0]
+            others = [h for h in gens if primitive_vector(h)[0] != p]
+            assert (p in kept) == (not oracle_in_cone(others, g)), (gens, g)
+        assert set(kept) <= {primitive_vector(g)[0] for g in gens}
+        dropped += len({primitive_vector(g)[0] for g in gens}) - len(kept)
+    assert dropped > 0
+
+
 def test_intersect_halfspace_cuts_orthant():
-    rays = [(F(1), F(0)), (F(0), F(1))]
-    cut = intersect_halfspace(rays, (F(1), F(-1)))  # keep x >= y
-    assert rays_set(cut) == {(1, 0), (1, 1)}
+    assert rays_set(cut([(1, 0), (0, 1)], (1, -1))) == {(1, 0), (1, 1)}  # keep x >= y
 
 
 def test_intersect_halfspace_no_cut_needed():
-    rays = [(F(1), F(0)), (F(0), F(1))]
-    cut = intersect_halfspace(rays, (F(1), F(1)))
-    assert rays_set(cut) == {(1, 0), (0, 1)}
+    assert rays_set(cut([(1, 0), (0, 1)], (1, 1))) == {(1, 0), (0, 1)}
 
 
 def test_intersect_halfspace_everything_cut():
-    rays = [(F(1), F(0)), (F(0), F(1))]
-    cut = intersect_halfspace(rays, (F(-1), F(-1)))
-    assert cut == []
+    assert cut([(1, 0), (0, 1)], (-1, -1)) == []
 
 
 def test_intersect_halfspace_octant_oracle():
     # Cut x + y - z >= 0 through the octant: new extremal rays appear on
     # the two facets that cross the plane.
-    rays = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
-    cut = intersect_halfspace(rays, (F(1), F(1), F(-1)))
-    assert rays_set(cut) == {(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)}
-    # Every returned ray satisfies the halfspace and lies in the octant.
-    for r in cut:
+    rays = cut([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 1, -1))
+    assert rays_set(rays) == {(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)}
+    for r in rays:
         assert r[0] + r[1] - r[2] >= 0
         assert all(c >= 0 for c in r)
 
 
 def test_intersect_hyperplane_orthant():
-    rays = [(F(1), F(0)), (F(0), F(1))]
-    assert intersect_hyperplane(rays, (F(1), F(-1))) == [(1, 1)]
+    assert cut([(1, 0), (0, 1)], (1, -1), hyperplane=True) == [(1, 1)]
 
 
 def test_intersect_hyperplane_octant():
-    rays = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
-    cut = intersect_hyperplane(rays, (F(1), F(1), F(-1)))
-    assert rays_set(cut) == {(1, 0, 1), (0, 1, 1)}
+    rays = cut([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 1, -1), hyperplane=True)
+    assert rays_set(rays) == {(1, 0, 1), (0, 1, 1)}
 
 
 def test_halfspace_cut_members_stay_members_seeded():
     rng = random.Random(47)
-    rays = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
-    functional = (F(2), F(-1), F(-1))
-    cut = intersect_halfspace(rays, functional)
+    octant = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    functional = vec(2, -1, -1)
+    rays = cut(octant, functional)
     for _ in range(40):
-        coeffs = [F(rng.randint(0, 5)) for _ in cut]
-        v = tuple(
-            sum(c * r[i] for c, r in zip(coeffs, cut)) for i in range(3)
-        )
-        assert in_cone(rays, v)
+        coeffs = [F(rng.randint(0, 5)) for _ in rays]
+        v = tuple(sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(3))
+        assert cone(*octant).contains(v)
         assert sum(f * vi for f, vi in zip(functional, v)) >= 0
+
+
+# -- cones that are not full-dimensional or not pointed ----------------------------
+
+
+def test_lower_dimensional_cone():
+    c = cone((1, 0, 0), (0, 1, 0), (1, 1, 0))
+    assert rays_set(c.facets) == {(1, 0, 0), (0, 1, 0)}
+    assert len(c.equations) == 1
+    assert c.contains(vec(1, 2, 0))
+    assert not c.contains(vec(1, 1, 1))
+    assert not c.contains(vec(-1, 1, 0))
+    assert max_step(c, vec(0, 0, 1), vec(1, 1, 0)) == 0  # leaves the span
+    assert max_step(c, vec(1, 0, 0), vec(2, 1, 0)) == 2
+    assert prune_to_extremal([vec(1, 0, 0), vec(0, 1, 0), vec(1, 1, 0)]) == [(0, 1, 0), (1, 0, 0)]
+
+
+def test_non_pointed_cone():
+    # The upper half-plane: the line through (1, 0) is its lineality space.
+    c = cone((1, 0), (-1, 0), (0, 1))
+    assert c.facets == ((0, 1),) and c.equations == ()
+    assert c.contains(vec(-5, 1)) and c.contains(vec(3, 0))
+    assert not c.contains(vec(0, -1))
+    assert max_step(c, vec(0, 1), vec(4, 3)) == 3
+    with pytest.raises(UnboundedError):
+        max_step(c, vec(1, 0), vec(0, 1))
