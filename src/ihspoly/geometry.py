@@ -12,6 +12,12 @@ Two modes exist:
 * ``round`` -- Eff is the half of {q >= 0} containing a declared ample
   class; membership questions become sign conditions on q.
 
+Data derived from the catalog is built on first use and kept on the
+geometry, bounded by the catalog's size: the facets of Eff, the
+extremal rays of Mov, the chamber list (negative-definite sets of
+exceptional primes), each prime's form q(-, E) as a row, and the
+inverse Gram matrix of each Zariski support met so far.
+
 Everything downstream is correct relative to this declared data: a
 truncated catalog (actual manifolds may carry infinitely many prime
 exceptional divisors) yields the truncation's decompositions.
@@ -28,11 +34,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Optional
 
 from .errors import ConsistencyError, DomainError, GeometryError
-from .lattice import BBFLattice, DivClass
-from .linalg import kernel
+from .lattice import BBFLattice, DivClass, dot
+from .linalg import SingularMatrixError, inertia, inverse, kernel
 from .linprog import Cone, extreme_rays, generated_cone
 
 _NAME_RE = re.compile(r"^[^\W\d][\w'′]*$")
@@ -85,8 +92,8 @@ class Geometry:
     def zero(self) -> DivClass:
         return DivClass([0] * self.rank)
 
-    # Derived cones, built on first use; dataclasses.replace copies start
-    # without them.
+    # Derived data, built on first use; dataclasses.replace copies start
+    # without it.
 
     @cached_property
     def eff_cone(self) -> Cone:
@@ -100,13 +107,59 @@ class Geometry:
     @cached_property
     def movable_rays(self) -> tuple[DivClass, ...]:
         """Extremal rays of Mov: Eff cut by q(-, Q) >= 0 for every prime Q."""
-        cuts = [
-            tuple(sum(a * b for a, b in zip(row, p.cls.coords)) for row in self.lattice.gram)
-            for p in self.primes
-        ]
         eff = self.eff_cone
-        rays = extreme_rays([*eff.facets, *cuts], eff.equations, self.rank)
+        rays = extreme_rays([*eff.facets, *self.prime_forms.values()], eff.equations, self.rank)
         return tuple(DivClass(r) for r in rays)
+
+    @cached_property
+    def chambers(self) -> tuple[frozenset[str], ...]:
+        """All negative-definite subsets of the exceptional primes: the
+        empty set first, then by size and then by name."""
+        exceptional = self.exceptional_primes
+        found: list[frozenset[str]] = [frozenset()]
+        for size in range(1, len(exceptional) + 1):
+            for combo in combinations(exceptional, size):
+                if self.lattice.is_negative_definite([p.cls for p in combo]):
+                    found.append(frozenset(p.name for p in combo))
+        found.sort(key=lambda s: (len(s), tuple(sorted(s))))
+        return tuple(found)
+
+    @cached_property
+    def prime_forms(self) -> dict[str, tuple[Fraction, ...]]:
+        """The row G.E of every prime E, by name, so q(x, E) = x . row."""
+        return {
+            p.name: tuple(dot(p.cls.coords, row) for row in self.lattice.gram)
+            for p in self.primes
+        }
+
+    def prime_pair(self, x: DivClass, name: str) -> Fraction:
+        """q(x, E) for the prime E called name."""
+        return dot(x.coords, self.prime_forms[name])
+
+    @cached_property
+    def support_inverses(self) -> dict[tuple[str, ...], tuple[tuple[Fraction, ...], ...]]:
+        """Inverse Gram matrix of every Zariski support met so far, keyed
+        by its sorted prime names; support_inverse fills it."""
+        return {}
+
+    def support_inverse(self, names: tuple[str, ...]) -> tuple[tuple[Fraction, ...], ...]:
+        """Inverse Gram matrix of the primes called names (sorted), built
+        on first use once the matrix is checked to be negative definite."""
+        found = self.support_inverses.get(names)
+        if found is not None:
+            return found
+        gram = self.lattice.sub_gram([self._by_name[n].cls for n in names])
+        if inertia(gram) != (0, len(names), 0):
+            raise ConsistencyError(
+                f"Gram matrix of {list(names)} is not negative definite; "
+                "the declared prime catalog is inconsistent"
+            )
+        try:
+            found = tuple(tuple(row) for row in inverse(gram))
+        except SingularMatrixError as exc:  # unreachable after the inertia check
+            raise ConsistencyError(str(exc)) from exc
+        self.support_inverses[names] = found
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -392,5 +445,5 @@ def is_movable(geom: Geometry, d: DivClass) -> bool:
     """Pseudo-effective and q-nonnegative against every declared prime."""
     if not is_pseudo_effective(geom, d):
         return False
-    return all(geom.lattice.pair(d, p.cls) >= 0 for p in geom.primes)
+    return all(geom.prime_pair(d, p.name) >= 0 for p in geom.primes)
 

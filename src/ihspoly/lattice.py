@@ -34,6 +34,18 @@ def primitive_vector(coords: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], 
     return tuple(Fraction(v, g) for v in ints), Fraction(k, g)
 
 
+_ZERO = Fraction(0)
+
+
+def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
+    """Exact x . y over the nonzero coordinates of x."""
+    total = _ZERO
+    for a, b in zip(x, y, strict=True):
+        if a:
+            total += a * b
+    return total
+
+
 @dataclass(frozen=True)
 class DivClass:
     """A rational divisor class: coordinate vector in a fixed basis."""

@@ -1,10 +1,10 @@
 """Small exact-rational dense linear algebra.
 
 Everything here works over Fraction and is written for the tiny sizes
-this library meets (rank <= 6): plain Gaussian elimination, reduced
-row echelon form for kernels, and symmetric congruence reduction for
-inertia.  No pivoting strategy beyond "find a usable entry" is needed
-when arithmetic is exact.
+this library meets (rank <= 6): plain Gaussian elimination for solves
+and inverses, reduced row echelon form for kernels, and symmetric
+congruence reduction for inertia.  No pivoting strategy beyond "find a
+usable entry" is needed when arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -37,6 +37,13 @@ def solve(matrix: Matrix, rhs: Sequence[Fraction]) -> list[Fraction]:
                 for c in range(col, n + 1):
                     a[r][c] -= f * a[col][c]
     return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def inverse(matrix: Matrix) -> list[list[Fraction]]:
+    """Exact inverse of a square nonsingular matrix, one solve per column."""
+    n = len(matrix)
+    cols = [solve(matrix, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def kernel(rows: Matrix, n: int) -> list[tuple[Fraction, ...]]:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .lattice import primitive_vector
+from .lattice import dot, primitive_vector
 from .linalg import kernel
 
 Vec = tuple[Fraction, ...]
@@ -33,10 +33,6 @@ class UnboundedError(Exception):
     """The step along the direction is unbounded."""
 
 
-def _dot(f: Vec, v: Vec) -> Fraction:
-    return sum(a * b for a, b in zip(f, v))
-
-
 @dataclass(frozen=True)
 class Cone:
     """The cone {x : f . x >= 0 for every facet, e . x = 0 for every equation}."""
@@ -45,8 +41,8 @@ class Cone:
     equations: tuple[Vec, ...]
 
     def contains(self, v: Vec) -> bool:
-        return all(not _dot(e, v) for e in self.equations) and all(
-            _dot(f, v) >= 0 for f in self.facets
+        return all(not dot(e, v) for e in self.equations) and all(
+            dot(f, v) >= 0 for f in self.facets
         )
 
 
@@ -95,13 +91,13 @@ def max_step(cone: Cone, direction: Vec, start: Vec) -> Fraction:
     """
     if not cone.contains(start):
         raise InfeasibleError("start lies outside the cone")
-    if any(_dot(e, direction) for e in cone.equations):
+    if any(dot(e, direction) for e in cone.equations):
         return Fraction(0)
     best = None
     for f in cone.facets:
-        down = _dot(f, direction)
+        down = dot(f, direction)
         if down > 0:
-            ratio = _dot(f, start) / down
+            ratio = dot(f, start) / down
             if best is None or ratio < best:
                 best = ratio
     if best is None:
@@ -123,5 +119,5 @@ def prune_to_extremal(rays: Sequence[Vec]) -> list[Vec]:
     return [
         r
         for r in uniq
-        if len(kernel([*(f for f in cone.facets if not _dot(f, r)), *cone.equations], n)) == 1
+        if len(kernel([*(f for f in cone.facets if not dot(f, r)), *cone.equations], n)) == 1
     ]

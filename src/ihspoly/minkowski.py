@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from .errors import ConsistencyError, DomainError
@@ -33,15 +32,7 @@ def enumerate_chambers(geom: Geometry) -> tuple[frozenset[str], ...]:
     The empty set (the movable chamber) always comes first; the rest
     follow by size and then by name, so the order is reproducible.
     """
-    exceptional = geom.exceptional_primes
-    found: list[frozenset[str]] = [frozenset()]
-    for size in range(1, len(exceptional) + 1):
-        for combo in combinations(exceptional, size):
-            classes = [p.cls for p in combo]
-            if geom.lattice.is_negative_definite(classes):
-                found.append(frozenset(p.name for p in combo))
-    found.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return tuple(found)
+    return geom.chambers
 
 
 def chamber_generator(geom: Geometry, chamber: frozenset[str], flag_name: str) -> DivClass:
@@ -56,9 +47,8 @@ def chamber_generator(geom: Geometry, chamber: frozenset[str], flag_name: str) -
     if not chamber:
         return flag.cls.primitive()
     primes = [geom.prime(name) for name in sorted(chamber)]
-    lat = geom.lattice
-    gram = lat.sub_gram([p.cls for p in primes])
-    rhs = [-lat.pair(flag.cls, p.cls) for p in primes]
+    gram = geom.lattice.sub_gram([p.cls for p in primes])
+    rhs = [-geom.prime_pair(flag.cls, p.name) for p in primes]
     xs = solve(gram, rhs)
     if any(x < 0 for x in xs):
         raise ConsistencyError(
@@ -91,14 +81,13 @@ def chamber_closure_rays(geom: Geometry, chamber: frozenset[str]) -> tuple[DivCl
     prime Q, so Mov intersected with S-perp is the face of Mov spanned
     by the movable rays orthogonal to every prime of S.
     """
-    lat = geom.lattice
-    primes = [geom.prime(name).cls for name in sorted(chamber)]
+    primes = [geom.prime(name) for name in sorted(chamber)]
     rays = [
         r.coords
         for r in movable_cone_rays(geom)
-        if all(lat.pair(r, p) == 0 for p in primes)
+        if all(geom.prime_pair(r, p.name) == 0 for p in primes)
     ]
-    rays = prune_to_extremal(rays + [p.coords for p in primes])
+    rays = prune_to_extremal(rays + [p.cls.coords for p in primes])
     return tuple(DivClass(r) for r in rays)
 
 
@@ -196,9 +185,9 @@ def minkowski_decompose(geom: Geometry, d: DivClass, flag_name: str) -> Minkowsk
         gen = chamber_generator(geom, sigma, flag_name)
         tau: Optional[Fraction] = None
         for prime in geom.primes:
-            down = lat.pair(gen, prime.cls)
+            down = geom.prime_pair(gen, prime.name)
             if down > 0:
-                bound = lat.pair(m, prime.cls) / down
+                bound = geom.prime_pair(m, prime.name) / down
                 if tau is None or bound < tau:
                     tau = bound
         try:

@@ -34,7 +34,7 @@ from .polygon2d import minkowski_sum as hull_minkowski_sum
 from .polygon2d import scale as hull_scale
 from .polygon2d import translate as hull_translate
 from .surd import Surd, smallest_positive_root
-from .zariski import chamber_positive_part, decompose
+from .zariski import ZariskiDecomposition, chamber_positive_part, decompose
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def _threshold(geom: Geometry, d: DivClass, prime: Prime) -> Surd:
                 "threshold unbounded: declared effective cone is not pointed"
             ) from exc
     lat = geom.lattice
-    qd, qde, qe = lat.square(d), lat.pair(d, prime.cls), lat.square(prime.cls)
+    qd, qde, qe = lat.square(d), geom.prime_pair(d, prime.name), lat.square(prime.cls)
     if qd == 0:
         if qde > 0:
             return Surd(0)
@@ -141,15 +141,21 @@ def mu_threshold(geom: Geometry, d: DivClass, prime_name: str) -> Surd:
 # chamber walk
 
 
-def _trace(geom: Geometry, d: DivClass, prime: Prime) -> BreakpointTrace:
-    """Piecewise-affine trace of t -> P(D - tE) on [0, mu]; nu already 0."""
+def _trace(
+    geom: Geometry, d: DivClass, prime: Prime, dec: Optional[ZariskiDecomposition] = None
+) -> BreakpointTrace:
+    """Piecewise-affine trace of t -> P(D - tE) on [0, mu]; nu already 0.
+
+    dec is decompose(geom, d) when the caller already holds it.
+    """
     lat = geom.lattice
-    try:
-        dec = decompose(geom, d)
-    except DomainError as exc:
-        raise ConsistencyError(
-            "normalized class left the declared effective cone"
-        ) from exc
+    if dec is None:
+        try:
+            dec = decompose(geom, d)
+        except DomainError as exc:
+            raise ConsistencyError(
+                "normalized class left the declared effective cone"
+            ) from exc
     if dec.coefficient(prime.name):
         raise DomainError(
             "flag prime must sit outside the negative support; strip nu first"
@@ -170,7 +176,7 @@ def _trace(geom: Geometry, d: DivClass, prime: Prime) -> BreakpointTrace:
         for q in geom.primes:
             if q.name in support or q.name == prime.name:
                 continue
-            c0, c1 = lat.pair(base, q.cls), lat.pair(slope, q.cls)
+            c0, c1 = geom.prime_pair(base, q.name), geom.prime_pair(slope, q.name)
             if c1 >= 0:
                 continue
             hit = -c0 / c1
@@ -223,7 +229,7 @@ def chamber_walk(geom: Geometry, d: DivClass, prime_name: str) -> BreakpointTrac
         raise DomainError(
             "flag prime must sit outside the negative support; strip nu first"
         )
-    return _trace(geom, d, prime)
+    return _trace(geom, d, prime, dec)
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +246,13 @@ def polygon(geom: Geometry, d: DivClass, prime_name: str) -> NOPolygon:
     prime = geom.prime(prime_name)
     dec = decompose(geom, d)  # raises DomainError when not psef
     nu = dec.coefficient(prime_name)
-    d_norm = d - prime.cls.scale(nu) if nu else d
-    trace = _trace(geom, d_norm, prime)
-    lat = geom.lattice
+    if nu:
+        trace = _trace(geom, d - prime.cls.scale(nu), prime)
+    else:
+        trace = _trace(geom, d, prime, dec)
     pts: list[Point] = [(Surd(0), Surd(0)), (trace.mu, Surd(0))]
     for seg in trace.segments:
-        c0, c1 = lat.pair(seg.base, prime.cls), lat.pair(seg.slope, prime.cls)
+        c0, c1 = geom.prime_pair(seg.base, prime_name), geom.prime_pair(seg.slope, prime_name)
         pts.append((Surd(seg.t_start), Surd(c0 + seg.t_start * c1)))
         pts.append((seg.t_end, Surd(c0) + seg.t_end * c1))
     verts = tuple(convex_hull(pts))
@@ -297,15 +304,16 @@ def cone_contains(geom: Geometry, prime_name: str, zeta: DivClass, t, y) -> bool
     nu = dec.coefficient(prime_name)
     if t < nu:
         return False
-    z_norm = zeta - prime.cls.scale(nu) if nu else zeta
-    trace = _trace(geom, z_norm, prime)
+    if nu:
+        trace = _trace(geom, zeta - prime.cls.scale(nu), prime)
+    else:
+        trace = _trace(geom, zeta, prime, dec)
     t_rel = t - nu
     if t_rel > trace.mu:
         return False
-    lat = geom.lattice
     for seg in trace.segments:
         if t_rel >= seg.t_start and t_rel <= seg.t_end:
-            c0, c1 = lat.pair(seg.base, prime.cls), lat.pair(seg.slope, prime.cls)
+            c0, c1 = geom.prime_pair(seg.base, prime_name), geom.prime_pair(seg.slope, prime_name)
             return y <= Surd(c0) + t_rel * c1
     raise ConsistencyError("trace segments do not cover [0, mu]")  # unreachable
 
@@ -334,7 +342,6 @@ def cone_generators(geom: Geometry, prime_name: str) -> tuple[ConePoint, ...]:
     if geom.mode != "polyhedral":
         raise DomainError("cone generators require polyhedral mode")
     prime = geom.prime(prime_name)
-    lat = geom.lattice
     rays: list[DivClass] = []
     for chamber in enumerate_chambers(geom):
         for ray in chamber_closure_rays(geom, chamber):
@@ -348,7 +355,7 @@ def cone_generators(geom: Geometry, prime_name: str) -> tuple[ConePoint, ...]:
             raise ConsistencyError(
                 "chamber-closure ray is not pseudo-effective; catalog inconsistent"
             ) from exc
-        height = lat.pair(pos, prime.cls)
+        height = geom.prime_pair(pos, prime_name)
         points.append(_primitive_cone_point(ray, Fraction(0), height))
         points.append(_primitive_cone_point(ray, Fraction(0), Fraction(0)))
     points.append(_primitive_cone_point(prime.cls, Fraction(1), Fraction(0)))

@@ -8,10 +8,13 @@ root), so arithmetic between two irrational surds with different
 discriminants is refused rather than coerced into a degree-4 field:
 that refusal is a bug signal, not a feature gap.
 
-Construction canonicalizes aggressively: square factors are pulled out
-of d, sqrt(0) and sqrt(1) collapse into the rational part, and b == 0
-forces d == 0.  Equality is therefore structural, and the total order
-is decided exactly by a sign analysis of a^2 - b^2*d, never by floats.
+Construction from outside input canonicalizes aggressively: square
+factors are pulled out of d, sqrt(0) and sqrt(1) collapse into the
+rational part, and b == 0 forces d == 0.  Arithmetic results are
+canonical by construction (their d is an operand's square-free d, or 0
+when b cancels), so they skip that work.  Equality is therefore
+structural, and the total order is decided exactly by a sign analysis
+of a^2 - b^2*d, never by floats.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from functools import total_ordering
 from typing import Union
 
 RatLike = Union[int, Fraction]
+
+_ZERO = Fraction(0)
 
 
 class DiscriminantMixError(ArithmeticError):
@@ -82,6 +87,14 @@ class Surd:
         self._a, self._b, self._d = a, b, d
 
     @classmethod
+    def _raw(cls, a: Fraction, b: Fraction, d: int) -> "Surd":
+        """Trusted constructor for parts that are already canonical: a and
+        b are Fractions and d is square-free and > 1 whenever b != 0."""
+        out = object.__new__(cls)
+        out._a, out._b, out._d = a, b, d if b else 0
+        return out
+
+    @classmethod
     def sqrt(cls, x: RatLike) -> "Surd":
         """Exact square root of a non-negative rational."""
         x = Fraction(x)
@@ -114,7 +127,7 @@ class Surd:
 
     @property
     def conjugate(self) -> "Surd":
-        return Surd(self._a, -self._b, self._d)
+        return Surd._raw(self._a, -self._b, self._d)
 
     @property
     def norm(self) -> Fraction:
@@ -143,8 +156,10 @@ class Surd:
     def _coerce(self, other) -> "Surd | None":
         if isinstance(other, Surd):
             return other
-        if isinstance(other, (int, Fraction)):
-            return Surd(other)
+        if isinstance(other, Fraction):
+            return Surd._raw(other, _ZERO, 0)
+        if isinstance(other, int):
+            return Surd._raw(Fraction(other), _ZERO, 0)
         return None
 
     def _common_d(self, other: "Surd") -> int:
@@ -159,31 +174,32 @@ class Surd:
         if o is None:
             return NotImplemented
         d = self._common_d(o)
-        return Surd(self._a + o._a, self._b + o._b, d)
+        return Surd._raw(self._a + o._a, self._b + o._b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Surd(-self._a, -self._b, self._d)
+        return Surd._raw(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        d = self._common_d(o)
+        return Surd._raw(self._a - o._a, self._b - o._b, d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         d = self._common_d(o)
-        return Surd(
+        return Surd._raw(
             self._a * o._a + self._b * o._b * d,
             self._a * o._b + self._b * o._a,
             d,
@@ -238,9 +254,8 @@ class Surd:
             return (self - o).sign() < 0
         except DiscriminantMixError:
             # Distinct discriminants still have a well-defined order:
-            # compare via the sign of (a1-a2) + b1 sqrt(d1) - b2 sqrt(d2),
-            # rational only when both b parts vanish -- not the case here.
-            # Squaring twice settles it exactly.
+            # the sign of (a1-a2) + b1 sqrt(d1) - b2 sqrt(d2), decided
+            # exactly from rational enclosures of both radicals.
             return _lt_mixed(self, o)
 
     def __hash__(self):

@@ -13,18 +13,22 @@ the candidate positive part.  Supports only ever grow, so the loop ends
 after at most #catalog rounds; failures of negative definiteness or
 coefficient positivity are reported as catalog inconsistencies rather
 than patched over.
+
+P is linear on each chamber, so the inverse Gram matrix of a support is
+built once per geometry (Geometry.support_inverse) and every later
+solve on that support is the primes' pairings with D times that
+inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ConsistencyError, DomainError
 from .geometry import Geometry, is_movable, is_pseudo_effective
-from .lattice import DivClass
-from .linalg import SingularMatrixError, inertia, solve
+from .lattice import DivClass, dot
 
 
 @dataclass(frozen=True)
@@ -46,32 +50,23 @@ class ZariskiDecomposition:
         return Fraction(0)
 
 
-def _support_solve(geom: Geometry, d: DivClass, support) -> list[Fraction]:
-    """Coefficients x with Gram_S x = (q(D, E_i))_i; orthogonalizes D - N."""
-    classes = [p.cls for p in support]
-    gram = geom.lattice.sub_gram(classes)
-    names = [p.name for p in support]
-    if inertia(gram) != (0, len(support), 0):
-        raise ConsistencyError(
-            f"Gram matrix of {sorted(names)} is not negative definite; "
-            "the declared prime catalog is inconsistent"
-        )
-    rhs = [geom.lattice.pair(d, c) for c in classes]
-    try:
-        return solve(gram, rhs)
-    except SingularMatrixError as exc:  # unreachable after the inertia check
-        raise ConsistencyError(str(exc)) from exc
+def _support_solve(geom: Geometry, d: DivClass, names: tuple[str, ...]) -> list[Fraction]:
+    """Coefficients x with Gram_S x = (q(D, E_i))_i for the sorted support
+    names S, by the cached inverse; orthogonalizes D - N."""
+    rhs = [geom.prime_pair(d, n) for n in names]
+    return [dot(row, rhs) for row in geom.support_inverse(names)]
 
 
 def decompose(geom: Geometry, d: DivClass) -> ZariskiDecomposition:
     """Divisorial Zariski decomposition of a pseudo-effective class."""
     if not is_pseudo_effective(geom, d):
         raise DomainError("class is not pseudo-effective in the declared cone")
-    lat = geom.lattice
-    support = [p for p in geom.exceptional_primes if lat.pair(d, p.cls) < 0]
+    support = [p for p in geom.exceptional_primes if geom.prime_pair(d, p.name) < 0]
     for _ in range(len(geom.primes) + 1):
         if support:
-            coeffs = _support_solve(geom, d, support)
+            names = tuple(sorted(p.name for p in support))
+            solved = dict(zip(names, _support_solve(geom, d, names)))
+            coeffs = [solved[p.name] for p in support]
             for p, x in zip(support, coeffs):
                 if x < 0:
                     raise ConsistencyError(
@@ -88,7 +83,7 @@ def decompose(geom: Geometry, d: DivClass) -> ZariskiDecomposition:
         in_support = {p.name for p in support}
         joining = [
             p for p in geom.primes
-            if p.name not in in_support and lat.pair(positive, p.cls) < 0
+            if p.name not in in_support and geom.prime_pair(positive, p.name) < 0
         ]
         if not joining:
             pairs = sorted(
@@ -107,8 +102,7 @@ def null_set(geom: Geometry, p: DivClass) -> frozenset[str]:
     """Primes orthogonal to a movable class."""
     if not is_movable(geom, p):
         raise DomainError("null_set requires a movable class")
-    lat = geom.lattice
-    return frozenset(q.name for q in geom.primes if lat.pair(p, q.cls) == 0)
+    return frozenset(q.name for q in geom.primes if geom.prime_pair(p, q.name) == 0)
 
 
 def is_big(geom: Geometry, d: DivClass) -> bool:
@@ -180,11 +174,11 @@ def chamber_positive_part(
     on the chamber this equals decompose(d).positive, and the formulas
     of two adjacent chambers agree exactly on their common wall.
     """
-    names = sorted(set(support_names))
+    names = tuple(sorted(set(support_names)))
     primes = [geom.prime(n) for n in names]
     if not primes:
         return d, {}
-    coeffs = _support_solve(geom, d, primes)
+    coeffs = _support_solve(geom, d, names)
     negative = geom.zero()
     for p, x in zip(primes, coeffs):
         negative = negative + p.cls.scale(x)

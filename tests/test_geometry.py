@@ -20,7 +20,9 @@ from ihspoly import (
     parse_divisor,
     parse_geometry,
 )
+from ihspoly.checks import run_checks, sample_big_classes
 from ihspoly.geometry import format_rat
+from ihspoly.minkowski import enumerate_chambers
 
 F = Fraction
 
@@ -355,3 +357,33 @@ def test_derived_cones_built_once_per_instance(hilb2):
     copy = replace(hilb2, primes=tuple(reversed(hilb2.primes)))
     assert "movable_rays" not in vars(copy) and "eff_cone" not in vars(copy)
     assert set(copy.movable_rays) == set(hilb2.movable_rays)
+
+
+DERIVED = ("eff_cone", "movable_rays", "chambers", "prime_forms", "support_inverses")
+
+
+def test_support_inverses_are_chambers_after_checks(hilb2_elliptic):
+    run_checks(hilb2_elliptic, 4, 0)
+    chambers = enumerate_chambers(hilb2_elliptic)
+    assert chambers is hilb2_elliptic.chambers
+    keys = hilb2_elliptic.support_inverses
+    assert keys
+    lat = hilb2_elliptic.lattice
+    for names, inv in keys.items():
+        assert list(names) == sorted(names)
+        assert frozenset(names) in chambers
+        gram = lat.sub_gram([hilb2_elliptic.prime(n).cls for n in names])
+        identity = [
+            [sum(a * b for a, b in zip(row, col)) for col in zip(*gram)] for row in inv
+        ]
+        assert identity == [[int(i == j) for j in range(len(names))] for i in range(len(names))]
+    copy = replace(hilb2_elliptic)
+    assert not any(key in vars(copy) for key in DERIVED)
+    assert copy.support_inverses == {}
+
+
+def test_prime_forms_match_the_pairing(hilb2_elliptic):
+    lat = hilb2_elliptic.lattice
+    for d in sample_big_classes(hilb2_elliptic, 5, seed=3):
+        for p in hilb2_elliptic.primes:
+            assert hilb2_elliptic.prime_pair(d, p.name) == lat.pair(d, p.cls)

@@ -42,6 +42,7 @@ from ihspoly import (
     positive_part,
     simplex_flag,
 )
+from ihspoly import okounkov
 from ihspoly.polygon2d import contains_point, point
 
 F = Fraction
@@ -248,6 +249,24 @@ def test_area_identity_seeded(hilb2, k3_elliptic, hilb2_elliptic):
 
 
 # -- the chamber walk ------------------------------------------------------------------
+
+
+def test_polygon_decomposes_once(hilb2, monkeypatch):
+    calls = []
+
+    def counting(geom, d):
+        calls.append(d)
+        return decompose(geom, d)
+
+    monkeypatch.setattr(okounkov, "decompose", counting)
+    # nu = 0: the walk reuses polygon's own decomposition.
+    polygon(hilb2, DivClass([3, -1]), "E")
+    assert calls == [DivClass([3, -1])]
+    # nu > 0: the walk decomposes the stripped class D - nu E.
+    calls.clear()
+    poly = polygon(hilb2, DivClass([3, 2]), "E")
+    assert poly.nu > 0
+    assert calls == [DivClass([3, 2]), DivClass([3, 2]) - hilb2.prime("E").cls.scale(poly.nu)]
 
 
 def test_walk_segments_explicit(hilb2):

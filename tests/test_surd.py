@@ -238,6 +238,56 @@ def test_hash_consistent_with_fraction():
     assert seen[Surd(1, 1, 5)] == "x"
 
 
+def assert_canonical(r: Surd, expected: Surd) -> None:
+    """r, built by the trusted constructor, is what full canonicalization
+    of its own parts gives, and equals the expected value."""
+    ref = Surd(r.a, r.b, r.d)
+    assert (type(r.a), type(r.b), type(r.d)) == (Fraction, Fraction, int)
+    assert (r.a, r.b, r.d) == (ref.a, ref.b, ref.d)
+    assert hash(r) == hash(ref)
+    assert (r.a, r.b, r.d) == (expected.a, expected.b, expected.d)
+
+
+def test_arithmetic_results_are_canonical_seeded():
+    rng = random.Random(17)
+
+    def rat():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    # 8, 12 and 18 are not square-free: the operands canonicalize first.
+    for raw_d in (2, 3, 5, 8, 12, 18):
+        for _ in range(60):
+            x = Surd(rat(), rat(), raw_d)
+            d = x.d
+            partners = [
+                Surd(rat()),  # rational
+                Surd(rat(), rat(), raw_d),  # same extension
+                Surd(rat(), -x.b, d),  # b cancels in the sum
+                Surd(rat(), x.b, d),  # b cancels in the difference
+                x.conjugate,  # b cancels in the product
+            ]
+            for y in partners:
+                e = d or y.d  # x itself may have come out rational
+                assert_canonical(x + y, Surd(x.a + y.a, x.b + y.b, e))
+                assert_canonical(x - y, Surd(x.a - y.a, x.b - y.b, e))
+                assert_canonical(
+                    x * y, Surd(x.a * y.a + x.b * y.b * e, x.a * y.b + x.b * y.a, e)
+                )
+                if y:
+                    q = x / y
+                    assert_canonical(q, q)
+                    assert_canonical(q * y, x)
+            assert_canonical(-x, Surd(-x.a, -x.b, d))
+            assert_canonical(x.conjugate, Surd(x.a, -x.b, d))
+            if x:
+                assert_canonical(x / x, Surd(1))
+            c = rat()
+            assert_canonical(x + c, Surd(x.a + c, x.b, d))
+            assert_canonical(c - x, Surd(c - x.a, -x.b, d))
+            assert_canonical(3 * x, Surd(3 * x.a, 3 * x.b, d))
+            assert_canonical(x * 0, Surd(0))
+
+
 # -- rendering -------------------------------------------------------------
 
 

@@ -21,7 +21,9 @@ s^2 = c^2 = -2, f^2 = f.c = s.c = 0):
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -39,6 +41,9 @@ from ihspoly import (
     restricted_volume,
     volume,
 )
+from ihspoly.checks import sample_big_classes
+from ihspoly.linalg import solve
+from ihspoly.minkowski import enumerate_chambers
 from ihspoly.zariski import chamber_id, chamber_positive_part, divisorial_base_loci
 
 F = Fraction
@@ -283,6 +288,89 @@ def test_chamber_positive_part_rejects_bad_support(hilb2):
     # q(E') = 0, so {E, E'} spans no negative definite sublattice.
     with pytest.raises(ConsistencyError, match="negative definite"):
         chamber_positive_part(hilb2, DivClass([1, 0]), ["E", "E'"])
+
+
+def test_failed_support_is_not_cached(hilb2):
+    geom = replace(hilb2)
+    for _ in range(2):
+        with pytest.raises(ConsistencyError, match="negative definite"):
+            chamber_positive_part(geom, DivClass([1, 0]), ["E", "E'"])
+        assert ("E", "E'") not in geom.support_inverses
+
+
+def leading_minors_negative_definite(gram) -> bool:
+    """(-1)^k det_k > 0 for every leading minor, determinants by the
+    permutation expansion (independent of linalg)."""
+    for k in range(1, len(gram) + 1):
+        det = Fraction(0)
+        for perm in permutations(range(k)):
+            sign = (-1) ** sum(1 for i in range(k) for j in range(i) if perm[j] > perm[i])
+            term = Fraction(sign)
+            for i, j in enumerate(perm):
+                term *= gram[i][j]
+            det += term
+        if (-1) ** k * det <= 0:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["hilb2", "k3_elliptic", "hilb2_elliptic", "fano_round"])
+def test_decomposition_properties_seeded(name, request):
+    """The defining properties of P + N on seeded big classes, on each
+    catalog and on its reversed-order copy."""
+    geom = request.getfixturevalue(name)
+    reversed_geom = replace(
+        geom,
+        primes=tuple(reversed(geom.primes)),
+        effective_generators=tuple(reversed(geom.effective_generators)),
+    )
+    for g in (geom, reversed_geom):
+        lat = g.lattice
+        classes = sample_big_classes(g, 12, seed=5)
+        # Rescaled classes move N relative to P; adding a prime enlarges N.
+        classes += [d.scale(F(1, 3)) for d in classes[:4]]
+        classes += [d + p.cls for d in classes[:4] for p in g.exceptional_primes]
+        for d in classes:
+            dec = decompose(g, d)
+            assert dec.positive + dec.negative_part == d
+            combo = g.zero()
+            for n, c in dec.negative:
+                assert c > 0
+                combo = combo + g.prime(n).cls.scale(c)
+            assert combo == dec.negative_part
+            for q in g.primes:
+                pairing = lat.pair(dec.positive, q.cls)
+                assert pairing >= 0
+                if q.name in dec.support:
+                    assert pairing == 0
+            names = sorted(dec.support)
+            if names:
+                support = [g.prime(n).cls for n in names]
+                assert leading_minors_negative_definite(lat.sub_gram(support))
+
+
+@pytest.mark.parametrize("name", ["hilb2", "k3_elliptic", "hilb2_elliptic"])
+def test_chamber_formula_matches_fresh_solve_seeded(name, request):
+    """chamber_positive_part on the cached inverse against a fresh solve of
+    the support's Gram system, on every chamber."""
+    geom = request.getfixturevalue(name)
+    lat = geom.lattice
+    for g in (geom, replace(geom, primes=tuple(reversed(geom.primes)))):
+        for chamber in enumerate_chambers(g):
+            names = sorted(chamber)
+            support = [g.prime(n).cls for n in names]
+            gram = lat.sub_gram(support)
+            for d in sample_big_classes(g, 6, seed=9):
+                pos, coeffs = chamber_positive_part(g, d, chamber)
+                if not names:
+                    assert (pos, coeffs) == (d, {})
+                    continue
+                fresh = solve(gram, [lat.pair(d, c) for c in support])
+                assert coeffs == dict(zip(names, fresh))
+                negative = g.zero()
+                for c, x in zip(support, fresh):
+                    negative = negative + c.scale(x)
+                assert pos == d - negative
 
 
 def test_decompose_rejects_degenerate_catalog():
