@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import DomainError, IHSError
 from .geometry import Geometry, format_divisor, is_pseudo_effective
-from .lattice import DivClass
+from .lattice import DivClass, linear_combination
 from .minkowski import chamber_generator, enumerate_chambers, minkowski_decompose
 from .okounkov import (
     polygon,
@@ -87,9 +87,7 @@ def sample_big_classes(geom: Geometry, count: int, seed: int = 0) -> list[DivCla
                     Fraction(rng.randint(0, 6), rng.choice((1, 1, 1, 2)))
                     for _ in gens
                 ]
-                cand = DivClass([Fraction(0)] * lat.rank)
-                for c, g in zip(coeffs, gens):
-                    cand = cand + g.scale(c)
+                cand = linear_combination(coeffs, gens, lat.rank)
                 if cand.is_zero:
                     continue
                 if lat.square(decompose(geom, cand).positive) > 0:
@@ -124,9 +122,37 @@ def _fmt(geom: Geometry, d: DivClass) -> str:
     return format_divisor(geom, d)
 
 
+def _shared_polygons():
+    """polygon(geom, d, prime_name), computed once per (geometry, class,
+    prime) for the life of the returned function; a raised IHSError is
+    stored and raised again to every later caller.  Geometries are told
+    apart by identity, so a reordered copy keeps its own polygons."""
+    seen: dict = {}
+
+    def shared(geom: Geometry, d: DivClass, prime_name: str):
+        key = (id(geom), d, prime_name)
+        found = seen.get(key)
+        if found is None:
+            try:
+                found = polygon(geom, d, prime_name)
+            except IHSError as exc:
+                found = exc
+            seen[key] = found
+        if isinstance(found, IHSError):
+            raise found
+        return found
+
+    return shared
+
+
 def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[CheckResult, ...]:
-    """Run every structural check on `samples` seeded big classes."""
+    """Run every structural check on `samples` seeded big classes.
+
+    The checks share one polygon per (geometry, class, flag) for this
+    call only; nothing is kept once it returns.
+    """
     lat = geom.lattice
+    shared_polygon = _shared_polygons()
     classes = sample_big_classes(geom, samples, seed)
     n = geom.lattice.half_dim
     c = geom.lattice.fujiki
@@ -140,7 +166,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
         for p in primes:
             area_id.run(
                 f"2*area != q(P) for D={_fmt(geom, d)}, E={p.name}",
-                lambda d=d, p=p, qp=qp: polygon(geom, d, p.name).area * 2 == qp,
+                lambda d=d, p=p, qp=qp: shared_polygon(geom, d, p.name).area * 2 == qp,
             )
 
     vol_chain = _Recorder("volume-chain")
@@ -148,14 +174,14 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
         def chain(d=d) -> bool:
             qp = lat.square(decompose(geom, d).positive)
             v = volume(geom, d)
-            a = polygon(geom, d, flag.name).area
+            a = shared_polygon(geom, d, flag.name).area
             return a * 2 == qp and (a * 2) ** n * c == v and Surd(qp) ** n * c == v
         vol_chain.run(f"volume chain broke for D={_fmt(geom, d)}", chain)
 
     structure = _Recorder("breakpoint-structure")
     for d in classes:
         def struct(d=d) -> bool:
-            tr = polygon(geom, d, flag.name).trace
+            tr = shared_polygon(geom, d, flag.name).trace
             slopes = []
             for prev, nxt in zip(tr.segments, tr.segments[1:]):
                 if not prev.chamber <= nxt.chamber:
@@ -174,8 +200,8 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
                 # The absolute polygon of D + E beyond t = 1 is exactly the
                 # polygon of D shifted by (1, 0) (substitute t -> t - 1);
                 # left of t = 1 it may grow, so equality is one-sided.
-                base = polygon(geom, d, p.name)
-                moved = polygon(geom, d + p.cls, p.name)
+                base = shared_polygon(geom, d, p.name)
+                moved = shared_polygon(geom, d + p.cls, p.name)
                 if moved.nu + moved.mu != Surd(base.nu) + base.mu + 1:
                     return False
                 shifted = translate(base.absolute_vertices(), 1, 0)
@@ -204,10 +230,10 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
     logconc = _Recorder("volume-log-concavity")
     for d1, d2 in zip(classes, classes[1:]):
         def supa(d1=d1, d2=d2) -> bool:
-            p1 = polygon(geom, d1, flag.name)
-            p2 = polygon(geom, d2, flag.name)
+            p1 = shared_polygon(geom, d1, flag.name)
+            p2 = shared_polygon(geom, d2, flag.name)
             return polygon_contains(
-                polygon(geom, d1 + d2, flag.name), polygon_minkowski_sum(p1, p2)
+                shared_polygon(geom, d1 + d2, flag.name), polygon_minkowski_sum(p1, p2)
             )
         superadd.run(
             f"superadditivity broke for {_fmt(geom, d1)} and {_fmt(geom, d2)}", supa
@@ -230,7 +256,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
             again = decompose(geom, pos)
             if again.negative or again.positive != pos:
                 return False
-            return polygon(geom, pos, flag.name).vertices == polygon(
+            return shared_polygon(geom, pos, flag.name).vertices == shared_polygon(
                 geom, d, flag.name
             ).vertices
         idem.run(f"idempotence broke for D={_fmt(geom, d)}", idempotent)
@@ -246,8 +272,8 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
             a, b = decompose(geom, d), decompose(shuffled, d)
             if a.positive != b.positive or dict(a.negative) != dict(b.negative):
                 return False
-            pa = polygon(geom, d, flag.name)
-            pb = polygon(shuffled, d, flag.name)
+            pa = shared_polygon(geom, d, flag.name)
+            pb = shared_polygon(shuffled, d, flag.name)
             return pa.vertices == pb.vertices and pa.nu == pb.nu and pa.mu == pb.mu
         reorder.run(f"catalog order changed results for D={_fmt(geom, d)}", invariant)
 
@@ -266,11 +292,11 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
                     return False
                 if not full:
                     return True
-                total = polygon_scale(0, polygon(geom, d, flag.name))
+                total = polygon_scale(0, shared_polygon(geom, d, flag.name))
                 for coeff, element in mk.terms:
-                    piece = polygon_scale(coeff, polygon(geom, element.cls, flag.name))
+                    piece = polygon_scale(coeff, shared_polygon(geom, element.cls, flag.name))
                     total = polygon_minkowski_sum(total, piece)
-                return total.vertices == polygon(geom, d, flag.name).vertices
+                return total.vertices == shared_polygon(geom, d, flag.name).vertices
             recon.run(f"reconstruction broke for D={_fmt(geom, d)}", rebuild)
 
     walls = _Recorder("wall-continuity")

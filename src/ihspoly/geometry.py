@@ -15,8 +15,9 @@ Two modes exist:
 Data derived from the catalog is built on first use and kept on the
 geometry, bounded by the catalog's size: the facets of Eff, the
 extremal rays of Mov, the chamber list (negative-definite sets of
-exceptional primes), each prime's form q(-, E) as a row, and the
-inverse Gram matrix of each Zariski support met so far.
+exceptional primes), each prime's form q(-, E) as an integer row over
+a denominator, and the inverse Gram matrix of each Zariski support met
+so far.
 
 Everything downstream is correct relative to this declared data: a
 truncated catalog (actual manifolds may carry infinitely many prime
@@ -99,7 +100,7 @@ class Geometry:
     def eff_cone(self) -> Cone:
         """Facets and span equations of the declared effective cone
         (polyhedral mode)."""
-        cone = generated_cone([g.coords for g in self.effective_generators], self.rank)
+        cone = generated_cone([g.num for g in self.effective_generators], self.rank)
         if kernel([*cone.facets, *cone.equations], self.rank):
             raise ConsistencyError("declared effective cone is not pointed")
         return cone
@@ -108,7 +109,8 @@ class Geometry:
     def movable_rays(self) -> tuple[DivClass, ...]:
         """Extremal rays of Mov: Eff cut by q(-, Q) >= 0 for every prime Q."""
         eff = self.eff_cone
-        rays = extreme_rays([*eff.facets, *self.prime_forms.values()], eff.equations, self.rank)
+        rows = [row for row, _ in self.prime_forms.values()]
+        rays = extreme_rays([*eff.facets, *rows], eff.equations, self.rank)
         return tuple(DivClass(r) for r in rays)
 
     @cached_property
@@ -125,16 +127,15 @@ class Geometry:
         return tuple(found)
 
     @cached_property
-    def prime_forms(self) -> dict[str, tuple[Fraction, ...]]:
-        """The row G.E of every prime E, by name, so q(x, E) = x . row."""
-        return {
-            p.name: tuple(dot(p.cls.coords, row) for row in self.lattice.gram)
-            for p in self.primes
-        }
+    def prime_forms(self) -> dict[str, tuple[tuple[int, ...], int]]:
+        """The form q(-, E) of every prime E, by name, as an integer row
+        and a positive denominator: q(x, E) = (x.num . row) / (x.den * den)."""
+        return {p.name: self.lattice.form(p.cls) for p in self.primes}
 
     def prime_pair(self, x: DivClass, name: str) -> Fraction:
         """q(x, E) for the prime E called name."""
-        return dot(x.coords, self.prime_forms[name])
+        row, den = self.prime_forms[name]
+        return Fraction(dot(x.num, row), x.den * den)
 
     @cached_property
     def support_inverses(self) -> dict[tuple[str, ...], tuple[tuple[Fraction, ...], ...]]:
@@ -437,7 +438,7 @@ def is_pseudo_effective(geom: Geometry, d: DivClass) -> bool:
     if d.dim != geom.rank:
         raise DomainError("class dimension does not match geometry rank")
     if geom.mode == "polyhedral":
-        return geom.eff_cone.contains(d.coords)
+        return geom.eff_cone.contains(d.num)  # den > 0 changes no sign
     return geom.lattice.square(d) >= 0 and _leading_sign_ok(geom, d)
 
 

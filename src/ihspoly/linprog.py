@@ -1,8 +1,9 @@
 """Exact polyhedral cones by brute force over facet subsets.
 
 A cone is stored by its facet inequalities f . x >= 0 and the equations
-e . x = 0 of its linear span.  One routine, ``extreme_rays``, turns
-such a description into rays: every extreme ray of a pointed cone in
+e . x = 0 of its linear span, each a primitive integer row, so sign
+tests on integer vectors stay in ints.  One routine, ``extreme_rays``,
+turns such a description into rays: every extreme ray of a pointed cone in
 Q^n is the one-dimensional kernel of the span equations together with
 n - 1 - rank(equations) facets that are tight on it.  The facets of a
 generated cone are the extreme rays of its dual inside the span, and
@@ -23,6 +24,7 @@ from .lattice import dot, primitive_vector
 from .linalg import kernel
 
 Vec = tuple[Fraction, ...]
+Row = tuple[int, ...]
 
 
 class InfeasibleError(Exception):
@@ -35,10 +37,11 @@ class UnboundedError(Exception):
 
 @dataclass(frozen=True)
 class Cone:
-    """The cone {x : f . x >= 0 for every facet, e . x = 0 for every equation}."""
+    """The cone {x : f . x >= 0 for every facet, e . x = 0 for every equation},
+    facets and equations as primitive integer rows."""
 
-    facets: tuple[Vec, ...]
-    equations: tuple[Vec, ...]
+    facets: tuple[Row, ...]
+    equations: tuple[Row, ...]
 
     def contains(self, v: Vec) -> bool:
         return all(not dot(e, v) for e in self.equations) and all(
@@ -46,12 +49,12 @@ class Cone:
         )
 
 
-def _integral(v: Vec) -> tuple[int, ...]:
+def _integral(v: Vec) -> Row:
     return tuple(int(c) for c in primitive_vector(v)[0])
 
 
-def extreme_rays(facets: Sequence[Vec], equations: Sequence[Vec], n: int) -> list[Vec]:
-    """Primitive extreme rays, sorted, of a pointed cone in Q^n."""
+def extreme_rays(facets: Sequence[Vec], equations: Sequence[Vec], n: int) -> list[Row]:
+    """Primitive integer extreme rays, sorted, of a pointed cone in Q^n."""
     size = len(kernel(equations, n)) - 1
     if size < 0:
         return []
@@ -64,12 +67,12 @@ def extreme_rays(facets: Sequence[Vec], equations: Sequence[Vec], n: int) -> lis
         if len(ker) != 1:
             continue
         ray = _integral(ker[0])
-        values = [sum(a * b for a, b in zip(f, ray)) for f in halfspaces]
+        values = [dot(f, ray) for f in halfspaces]
         if min(values, default=0) >= 0:
             found.add(ray)
         elif max(values) <= 0:
             found.add(tuple(-c for c in ray))
-    return sorted(tuple(Fraction(c) for c in ray) for ray in found)
+    return sorted(found)
 
 
 def generated_cone(generators: Sequence[Vec], n: int) -> Cone:
@@ -78,7 +81,7 @@ def generated_cone(generators: Sequence[Vec], n: int) -> Cone:
     The facets are the extreme rays of the dual cone inside the span,
     which is pointed because the generators span it.
     """
-    equations = tuple(kernel(generators, n))
+    equations = tuple(_integral(e) for e in kernel(generators, n))
     return Cone(tuple(extreme_rays(generators, equations, n)), equations)
 
 
@@ -88,6 +91,8 @@ def max_step(cone: Cone, direction: Vec, start: Vec) -> Fraction:
     Raises InfeasibleError when start itself is outside the cone and
     UnboundedError when the whole ray stays inside (the cone contains
     -direction).  A direction leaving the span allows no step at all.
+    Classes may be passed as their integer numerators: the signs stay,
+    and the step rescales by direction.den / start.den.
     """
     if not cone.contains(start):
         raise InfeasibleError("start lies outside the cone")
@@ -97,7 +102,7 @@ def max_step(cone: Cone, direction: Vec, start: Vec) -> Fraction:
     for f in cone.facets:
         down = dot(f, direction)
         if down > 0:
-            ratio = dot(f, start) / down
+            ratio = Fraction(dot(f, start), down)
             if best is None or ratio < best:
                 best = ratio
     if best is None:
@@ -105,13 +110,14 @@ def max_step(cone: Cone, direction: Vec, start: Vec) -> Fraction:
     return best
 
 
-def prune_to_extremal(rays: Sequence[Vec]) -> list[Vec]:
-    """Primitive representatives, sorted, of the extremal rays among generators.
+def prune_to_extremal(rays: Sequence[Vec]) -> list[Row]:
+    """Primitive integer representatives, sorted, of the extremal rays
+    among generators.
 
     A generator is extremal when the facets tight on it, together with
     the span equations, leave a one-dimensional kernel.
     """
-    uniq = sorted({primitive_vector(r)[0] for r in rays if any(r)})
+    uniq = sorted({_integral(r) for r in rays if any(r)})
     if not uniq:
         return []
     n = len(uniq[0])

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import ConsistencyError, DomainError
 from .geometry import Geometry
-from .lattice import DivClass
+from .lattice import DivClass, linear_combination
 from .linalg import solve
 from .linprog import InfeasibleError, UnboundedError, max_step, prune_to_extremal
 from .zariski import decompose, null_set
@@ -54,10 +54,8 @@ def chamber_generator(geom: Geometry, chamber: frozenset[str], flag_name: str) -
         raise ConsistencyError(
             "chamber generator acquired a negative correction coefficient"
         )
-    result = flag.cls
-    for x, p in zip(xs, primes):
-        result = result + p.cls.scale(x)
-    return result.primitive()
+    correction = linear_combination(xs, [p.cls for p in primes], geom.rank)
+    return (flag.cls + correction).primitive()
 
 
 def movable_cone_rays(geom: Geometry) -> tuple[DivClass, ...]:
@@ -83,11 +81,11 @@ def chamber_closure_rays(geom: Geometry, chamber: frozenset[str]) -> tuple[DivCl
     """
     primes = [geom.prime(name) for name in sorted(chamber)]
     rays = [
-        r.coords
+        r.num
         for r in movable_cone_rays(geom)
         if all(geom.prime_pair(r, p.name) == 0 for p in primes)
     ]
-    rays = prune_to_extremal(rays + [p.cls.coords for p in primes])
+    rays = prune_to_extremal(rays + [p.cls.num for p in primes])
     return tuple(DivClass(r) for r in rays)
 
 
@@ -133,10 +131,9 @@ class MinkowskiDecomposition:
     nu: Fraction
 
     def reconstruct(self, rank: int) -> DivClass:
-        total = DivClass([Fraction(0)] * rank)
-        for coeff, element in self.terms:
-            total = total + element.cls.scale(coeff)
-        return total
+        return linear_combination(
+            [coeff for coeff, _ in self.terms], [element.cls for _, element in self.terms], rank
+        )
 
 
 def _match_isotropic(geom: Geometry, m: DivClass) -> tuple[Fraction, BasisElement]:
@@ -191,7 +188,7 @@ def minkowski_decompose(geom: Geometry, d: DivClass, flag_name: str) -> Minkowsk
                 if tau is None or bound < tau:
                     tau = bound
         try:
-            eff_bound = max_step(geom.eff_cone, gen.coords, m.coords)
+            eff_bound = max_step(geom.eff_cone, gen.num, m.num) * Fraction(gen.den, m.den)
             if tau is None or eff_bound < tau:
                 tau = eff_bound
         except UnboundedError:

@@ -107,7 +107,8 @@ def _threshold(geom: Geometry, d: DivClass, prime: Prime) -> Surd:
     """mu_E(D) = sup { t >= 0 : D - tE pseudo-effective }, D psef."""
     if geom.mode == "polyhedral":
         try:
-            return Surd(max_step(geom.eff_cone, prime.cls.coords, d.coords))
+            e = prime.cls
+            return Surd(max_step(geom.eff_cone, e.num, d.num) * Fraction(e.den, d.den))
         except InfeasibleError as exc:
             raise DomainError("class is not pseudo-effective in the declared cone") from exc
         except UnboundedError as exc:
@@ -382,7 +383,7 @@ def simplex_flag(geom: Geometry, d: DivClass) -> tuple[DivClass, NOPolygon]:
     q = geom.lattice.square(dec.positive)
     if q <= 0:
         raise DomainError("simplex flag requires a big class")
-    k = primitive_vector(dec.positive.coords)[1].numerator  # least common denominator
+    k = dec.positive.den
     flag = dec.positive.scale(k)
     verts = convex_hull(
         [

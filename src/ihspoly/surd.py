@@ -12,7 +12,9 @@ Construction from outside input canonicalizes aggressively: square
 factors are pulled out of d, sqrt(0) and sqrt(1) collapse into the
 rational part, and b == 0 forces d == 0.  Arithmetic results are
 canonical by construction (their d is an operand's square-free d, or 0
-when b cancels), so they skip that work.  Equality is therefore
+when b cancels), so they skip that work; sums and differences of two
+rationals, and products with a rational, also skip the other part's
+arithmetic and the discriminant check.  Equality is therefore
 structural, and the total order is decided exactly by a sign analysis
 of a^2 - b^2*d, never by floats.
 """
@@ -173,6 +175,8 @@ class Surd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self._b and not o._b:
+            return Surd._raw(self._a + o._a, _ZERO, 0)
         d = self._common_d(o)
         return Surd._raw(self._a + o._a, self._b + o._b, d)
 
@@ -185,6 +189,8 @@ class Surd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self._b and not o._b:
+            return Surd._raw(self._a - o._a, _ZERO, 0)
         d = self._common_d(o)
         return Surd._raw(self._a - o._a, self._b - o._b, d)
 
@@ -198,6 +204,14 @@ class Surd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # (a + b sqrt(d)) * r = a r + b r sqrt(d) for rational r; a zero
+        # product b r sends d to 0 in _raw.
+        if not o._b:
+            r = o._a
+            return Surd._raw(self._a * r, self._b * r, self._d)
+        if not self._b:
+            r = self._a
+            return Surd._raw(o._a * r, o._b * r, o._d)
         d = self._common_d(o)
         return Surd._raw(
             self._a * o._a + self._b * o._b * d,

@@ -17,7 +17,8 @@ than patched over.
 P is linear on each chamber, so the inverse Gram matrix of a support is
 built once per geometry (Geometry.support_inverse) and every later
 solve on that support is the primes' pairings with D times that
-inverse.
+inverse; the negative part sum x_i E_i is then summed in integers over
+one common denominator.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterable
 
 from .errors import ConsistencyError, DomainError
 from .geometry import Geometry, is_movable, is_pseudo_effective
-from .lattice import DivClass, dot
+from .lattice import DivClass, dot, linear_combination
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,7 @@ def decompose(geom: Geometry, d: DivClass) -> ZariskiDecomposition:
                         f"negative coefficient {x} for prime {p.name!r}; "
                         "the declared prime catalog is inconsistent"
                     )
-            negative_part = geom.zero()
-            for p, x in zip(support, coeffs):
-                negative_part = negative_part + p.cls.scale(x)
+            negative_part = linear_combination(coeffs, [p.cls for p in support], geom.rank)
         else:
             coeffs = []
             negative_part = geom.zero()
@@ -179,7 +178,5 @@ def chamber_positive_part(
     if not primes:
         return d, {}
     coeffs = _support_solve(geom, d, names)
-    negative = geom.zero()
-    for p, x in zip(primes, coeffs):
-        negative = negative + p.cls.scale(x)
+    negative = linear_combination(coeffs, [p.cls for p in primes], geom.rank)
     return d - negative, dict(zip(names, coeffs))

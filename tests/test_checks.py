@@ -1,12 +1,20 @@
 """Randomized self-check harness: sampling, bookkeeping, green runs."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ihspoly import CheckResult, DomainError, decompose, run_checks, sample_big_classes
-from ihspoly.geometry import is_pseudo_effective
+from ihspoly import (
+    CheckResult,
+    ConsistencyError,
+    DomainError,
+    decompose,
+    run_checks,
+    sample_big_classes,
+)
+from ihspoly.geometry import format_divisor, is_pseudo_effective
 
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
 
@@ -117,3 +125,54 @@ def test_minkowski_refusals_are_not_failures():
     recon = {r.name: r for r in run_checks(geom, samples=10, seed=0)}["minkowski-reconstruction"]
     assert recon.runs == len(runnable)
     assert not any("orthogonal" in m for m in recon.messages)
+
+
+def test_run_checks_builds_each_polygon_once(hilb2_elliptic, monkeypatch):
+    from ihspoly import checks
+
+    built = Counter()
+    real = checks.polygon
+
+    def counting(geom, d, prime_name):
+        built[(id(geom), d, prime_name)] += 1
+        return real(geom, d, prime_name)
+
+    monkeypatch.setattr(checks, "polygon", counting)
+    run_checks(hilb2_elliptic, 4, 0)
+    assert built and set(built.values()) == {1}
+    # the catalog-order check's reordered copy builds its own polygons
+    assert len({geom_id for geom_id, _, _ in built}) == 2
+
+
+def test_shared_polygon_failure_reaches_every_check(hilb2_elliptic, monkeypatch):
+    from ihspoly import checks
+
+    geom = hilb2_elliptic
+    bad = sample_big_classes(geom, 4, seed=0)[1]
+    real = checks.polygon
+
+    def failing(g, d, prime_name):
+        if d == bad:
+            raise ConsistencyError("forced polygon failure")
+        return real(g, d, prime_name)
+
+    monkeypatch.setattr(checks, "polygon", failing)
+    shared = run_checks(geom, 4, 0)
+    # The same run with every polygon call computed afresh.
+    monkeypatch.setattr(checks, "_shared_polygons", lambda: failing)
+    unshared = run_checks(geom, 4, 0)
+    assert shared == unshared
+    label = format_divisor(geom, bad)
+    hit = {r.name: r for r in shared if any(label in m for m in r.messages)}
+    assert set(hit) == {
+        "polygon-area-identity",
+        "volume-chain",
+        "breakpoint-structure",
+        "flag-translation",
+        "polygon-superadditivity",
+        "zariski-idempotence",
+        "minkowski-reconstruction",
+    }
+    assert hit["polygon-area-identity"].failed == len(geom.primes)
+    for r in hit.values():
+        assert all(m.endswith(": forced polygon failure") for m in r.messages if label in m)

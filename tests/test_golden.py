@@ -1,4 +1,4 @@
-"""Golden `--format machine` output of every subcommand except `check`.
+"""Golden `--format machine` output of every subcommand.
 
 `golden_machine.json` maps each command line (catalog path relative to
 the repository root) to its exact stdout on the bundled catalogs, domain
@@ -47,6 +47,9 @@ def command_lines() -> list[list[str]]:
         for cmd in ("minkowski-basis", "cone-generators"):
             lines += [[cmd, path, p] for p in primes]
         lines.append(["chambers", path])
+    for catalog in CLASSES:
+        path = f"geometries/{catalog}.geom"
+        lines += [["check", path, "--samples", "6", "--seed", str(seed)] for seed in (0, 1)]
     return lines
 
 

@@ -1,5 +1,8 @@
 """Divisor classes and the BBF pairing: algebra, signatures, definiteness."""
 
+import copy
+import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +10,7 @@ from itertools import combinations
 import pytest
 
 from ihspoly import BBFLattice, DivClass
-from ihspoly.lattice import primitive_vector
+from ihspoly.lattice import linear_combination, primitive_vector
 from ihspoly.linalg import SingularMatrixError, inertia, kernel, solve
 
 
@@ -137,6 +140,80 @@ def test_primitive_idempotent_seeded():
         assert p.primitive() == p
         if not v.is_zero:
             assert all(c.denominator == 1 for c in p.coords)
+
+
+def assert_canonical_class(v: DivClass) -> None:
+    assert type(v.den) is int and v.den > 0
+    assert all(type(c) is int for c in v.num)
+    assert math.gcd(v.den, *v.num) == 1
+
+
+def oracle_primitive(coords):
+    """Clear denominators, then divide out the content; all in Fractions."""
+    k = 1
+    for c in coords:
+        k = k * c.denominator // math.gcd(k, c.denominator)
+    ints = [c * k for c in coords]
+    g = math.gcd(*(int(c) for c in ints)) or 1
+    return [c / g for c in ints]
+
+
+def test_divclass_canonical_form():
+    a, b = DivClass([1, 2]), DivClass([Fraction(2, 2), Fraction(4, 2)])
+    assert a == b and hash(a) == hash(b)
+    assert (b.num, b.den) == ((1, 2), 1)
+    v = DivClass([Fraction(1, 2), Fraction(-2, 3), "5/6", 0])
+    assert (v.num, v.den) == ((3, -4, 5, 0), 6)
+    assert v.coords == (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), Fraction(0))
+    z = DivClass([Fraction(0, 7), 0])
+    assert (z.num, z.den) == ((0, 0), 1)
+    for w in (a, b, v, z, DivClass([Fraction(6, 4), Fraction(9, 4)])):
+        assert_canonical_class(w)
+    with pytest.raises(AttributeError):
+        v.den = 1
+    with pytest.raises(AttributeError):
+        del v.num
+    assert copy.deepcopy(v) == v and pickle.loads(pickle.dumps(v)) == v
+
+
+def test_divclass_arithmetic_matches_fraction_oracle_seeded():
+    rng = random.Random(11)
+
+    def coords():
+        return [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6))) for _ in range(4)]
+
+    for _ in range(200):
+        x, y = coords(), coords()
+        f = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        a, b = DivClass(x), DivClass(y)
+        cases = [
+            (a + b, [p + q for p, q in zip(x, y)]),
+            (a - b, [p - q for p, q in zip(x, y)]),
+            (-a, [-p for p in x]),
+            (a.scale(f), [f * p for p in x]),
+            (f * a, [f * p for p in x]),
+            (a.scale(3), [3 * p for p in x]),
+            (a.primitive(), oracle_primitive(x)),
+            (linear_combination([f, 2], [a, b], 4), [f * p + 2 * q for p, q in zip(x, y)]),
+        ]
+        for got, want in cases:
+            assert_canonical_class(got)
+            assert got.coords == tuple(want)
+            assert got == DivClass(want) and hash(got) == hash(DivClass(want))
+
+
+def test_pairing_with_fractional_gram_matches_fraction_oracle_seeded():
+    gram = [[2, Fraction(1, 2), 0], [Fraction(1, 2), Fraction(-3, 4), 0], [0, 0, Fraction(-5, 3)]]
+    lat = BBFLattice(gram, 1, 1)
+    rng = random.Random(13)
+    for _ in range(100):
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(3)]
+        y = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(3)]
+        want = sum(x[i] * Fraction(gram[i][j]) * y[j] for i in range(3) for j in range(3))
+        assert lat.pair(DivClass(x), DivClass(y)) == want
+        row, den = lat.form(DivClass(y))
+        assert den > 0 and math.gcd(den, *row) == 1
+        assert Fraction(sum(a * b for a, b in zip(DivClass(x).num, row)), DivClass(x).den * den) == want
 
 
 # -- exact linear algebra helpers -------------------------------------------

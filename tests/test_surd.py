@@ -288,6 +288,32 @@ def test_arithmetic_results_are_canonical_seeded():
             assert_canonical(x * 0, Surd(0))
 
 
+def test_rational_operand_fast_paths_seeded():
+    rng = random.Random(29)
+
+    def rat():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    for raw_d in (2, 3, 12):
+        for _ in range(40):
+            x = Surd(rat(), Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)), raw_d)
+            d = x.d
+            for c in (rat(), Fraction(0)):
+                for r in (Surd(c), c, int(c)):
+                    v = Fraction(r.a) if isinstance(r, Surd) else Fraction(r)
+                    assert_canonical(x * r, Surd(x.a * v, x.b * v, d))
+                    assert_canonical(r * x, Surd(x.a * v, x.b * v, d))
+                    assert_canonical(x + r, Surd(x.a + v, x.b, d))
+                    assert_canonical(r + x, Surd(x.a + v, x.b, d))
+                    assert_canonical(x - r, Surd(x.a - v, x.b, d))
+                    assert_canonical(r - x, Surd(v - x.a, -x.b, d))
+                    w = Surd(rat())
+                    assert_canonical(w * r, Surd(w.a * v))
+                    assert_canonical(w + r, Surd(w.a + v))
+                    assert_canonical(w - r, Surd(w.a - v))
+            assert (x * 0).d == 0 and (Surd(0) * x).d == 0
+
+
 # -- rendering -------------------------------------------------------------
 
 

@@ -28,6 +28,7 @@ from itertools import permutations
 import pytest
 
 from ihspoly import (
+    BBFLattice,
     ConsistencyError,
     DivClass,
     DomainError,
@@ -37,6 +38,7 @@ from ihspoly import (
     null_set,
     parse_divisor,
     parse_geometry,
+    polygon,
     positive_part,
     restricted_volume,
     volume,
@@ -393,3 +395,39 @@ def test_decompose_rejects_degenerate_catalog():
     geom = parse_geometry(json.dumps(doc))
     with pytest.raises(ConsistencyError, match="negative definite"):
         decompose(geom, DivClass([0, 1]))
+
+
+def test_fractional_gram_and_prime_class_oracle(hilb2_elliptic):
+    # The bundled catalogs all have integral Grams and prime classes.
+    # Halving the Gram matrix and the class of R1 changes no chamber:
+    # P and N stay, R1's coefficient doubles, heights and q halve.
+    geom = hilb2_elliptic
+    lat = geom.lattice
+    half_lat = BBFLattice([[v / 2 for v in row] for row in lat.gram], lat.fujiki, lat.half_dim)
+    halved = "R1"
+    half = replace(
+        geom,
+        lattice=half_lat,
+        primes=tuple(
+            replace(p, cls=p.cls.scale(F(1, 2))) if p.name == halved else p for p in geom.primes
+        ),
+    )
+    assert any(v.denominator > 1 for row in half.lattice.gram for v in row)
+    assert half.prime(halved).cls.den == 2
+    flag = next(p.name for p in geom.primes if not p.exceptional)
+    n = lat.half_dim
+    seen_halved = False
+    for d in sample_big_classes(geom, 16, seed=5):
+        a, b = decompose(geom, d), decompose(half, d)
+        assert b.positive == a.positive and b.negative_part == a.negative_part
+        assert b.coefficient(halved) == 2 * a.coefficient(halved)
+        assert {k: x for k, x in b.negative if k != halved} == {
+            k: x for k, x in a.negative if k != halved
+        }
+        seen_halved |= a.coefficient(halved) > 0
+        pa, pb = polygon(geom, d, flag), polygon(half, d, flag)
+        assert (pb.nu, pb.mu) == (pa.nu, pa.mu)
+        assert [x for x, _ in pb.vertices] == [x for x, _ in pa.vertices]
+        assert [y * 2 for _, y in pb.vertices] == [y for _, y in pa.vertices]
+        assert volume(half, d) == volume(geom, d) * F(1, 2) ** n
+    assert seen_halved
