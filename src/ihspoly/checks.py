@@ -149,7 +149,8 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
     """Run every structural check on `samples` seeded big classes.
 
     The checks share one polygon per (geometry, class, flag) for this
-    call only; nothing is kept once it returns.
+    call only; nothing is kept once it returns.  flag-translation's
+    D + E polygons are used once, so they are built outside the share.
     """
     lat = geom.lattice
     shared_polygon = _shared_polygons()
@@ -201,7 +202,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
                 # polygon of D shifted by (1, 0) (substitute t -> t - 1);
                 # left of t = 1 it may grow, so equality is one-sided.
                 base = shared_polygon(geom, d, p.name)
-                moved = shared_polygon(geom, d + p.cls, p.name)
+                moved = polygon(geom, d + p.cls, p.name)  # used only here
                 if moved.nu + moved.mu != Surd(base.nu) + base.mu + 1:
                     return False
                 shifted = translate(base.absolute_vertices(), 1, 0)

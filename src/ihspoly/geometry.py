@@ -16,8 +16,9 @@ Data derived from the catalog is built on first use and kept on the
 geometry, bounded by the catalog's size: the facets of Eff, the
 extremal rays of Mov, the chamber list (negative-definite sets of
 exceptional primes), each prime's form q(-, E) as an integer row over
-a denominator, and the inverse Gram matrix of each Zariski support met
-so far.
+a denominator, the inverse Gram matrix of each Zariski support met
+so far, and the chamber-walk slope of each (flag prime, chamber) met so
+far.
 
 Everything downstream is correct relative to this declared data: a
 truncated catalog (actual manifolds may carry infinitely many prime
@@ -161,6 +162,13 @@ class Geometry:
             raise ConsistencyError(str(exc)) from exc
         self.support_inverses[names] = found
         return found
+
+    @cached_property
+    def walk_slopes(self) -> dict[tuple[str, frozenset[str]], DivClass]:
+        """Slope -P_S(E) of the chamber walk along the prime E on the
+        chamber S, keyed by (E's name, S); at most primes x chambers
+        entries, filled by okounkov's walk."""
+        return {}
 
 
 # ---------------------------------------------------------------------------

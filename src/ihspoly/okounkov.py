@@ -68,7 +68,8 @@ class NOPolygon:
 
     Vertices are counterclockwise from the lexicographic minimum, in
     normalized coordinates (the E-offset nu is carried separately);
-    degenerate polygons keep 1 or 2 vertices.
+    degenerate polygons keep 1 or 2 vertices.  This is polygon2d's
+    canonical form, which polygon_minkowski_sum relies on.
     """
 
     vertices: tuple[Point, ...]
@@ -168,8 +169,7 @@ def _trace(
     t = Fraction(0)
     for _ in range(2 * len(geom.primes) + 4):
         base, _ = chamber_positive_part(geom, d, support)
-        neg_slope, _ = chamber_positive_part(geom, prime.cls, support)
-        slope = -neg_slope
+        slope = _walk_slope(geom, prime, support)
         # Next wall: first prime outside the chamber whose pairing with
         # the affine positive part decreases through zero.
         t_next: Optional[Fraction] = None
@@ -200,6 +200,17 @@ def _trace(
         support.update(joiners)
         t = t_next
     raise ConsistencyError("chamber walk exceeded the iteration cap")
+
+
+def _walk_slope(geom: Geometry, prime: Prime, support: set[str]) -> DivClass:
+    """-P_S(E) for the chamber S = support: the walk's slope there, kept
+    in geom.walk_slopes once solved (a failed solve is not kept)."""
+    key = (prime.name, frozenset(support))
+    slope = geom.walk_slopes.get(key)
+    if slope is None:
+        slope = -chamber_positive_part(geom, prime.cls, support)[0]
+        geom.walk_slopes[key] = slope
+    return slope
 
 
 def _check_terminus(lat, base: DivClass, slope: DivClass, mu: Surd, big: bool) -> None:

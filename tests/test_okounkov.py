@@ -18,12 +18,14 @@ trapezoid area (2 + sqrt(3))(2 - sqrt(3)) = 1 exactly.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from ihspoly import (
     ConePoint,
+    ConsistencyError,
     DivClass,
     DomainError,
     Surd,
@@ -40,10 +42,12 @@ from ihspoly import (
     polygon_minkowski_sum,
     polygon_scale,
     positive_part,
+    sample_big_classes,
     simplex_flag,
 )
 from ihspoly import okounkov
-from ihspoly.polygon2d import contains_point, point
+from ihspoly.polygon2d import contains_point, convex_hull, point
+from ihspoly.zariski import chamber_positive_part
 
 F = Fraction
 
@@ -326,6 +330,27 @@ def test_walk_chambers_nest(hilb2, k3_elliptic, hilb2_elliptic):
                     assert a < b  # strictly growing support
 
 
+def test_walk_slope_cache_matches_fresh_solve(hilb2, k3_elliptic, hilb2_elliptic):
+    for geom in (hilb2, k3_elliptic, hilb2_elliptic):
+        fresh_copy = replace(geom)
+        assert fresh_copy.walk_slopes == {}
+        for prime in fresh_copy.primes:
+            for chamber in fresh_copy.chambers:
+                fresh = -chamber_positive_part(geom, prime.cls, chamber)[0]
+                cached = okounkov._walk_slope(fresh_copy, prime, set(chamber))
+                assert cached == fresh
+                assert okounkov._walk_slope(fresh_copy, prime, set(chamber)) is cached
+        slopes = fresh_copy.walk_slopes
+        assert len(slopes) == len(geom.primes) * len(geom.chambers)
+        assert set(slopes) == {(p.name, c) for p in geom.primes for c in geom.chambers}
+        # a failed solve is not kept
+        movable = next(p for p in geom.primes if not p.exceptional)
+        with pytest.raises(ConsistencyError):
+            okounkov._walk_slope(fresh_copy, movable, {movable.name})
+        assert (movable.name, frozenset({movable.name})) not in fresh_copy.walk_slopes
+        assert len(fresh_copy.walk_slopes) == len(slopes)
+
+
 def test_walk_requires_big(hilb2):
     with pytest.raises(DomainError, match="big"):
         chamber_walk(hilb2, DivClass([1, -1]), "E")
@@ -377,6 +402,33 @@ def test_superadditivity_equality_case(hilb2):
     assert summed.vertices == direct.vertices
     assert polygon_contains(direct, summed)
     assert polygon_contains(summed, direct)
+
+
+def test_polygon_vertices_are_canonical(hilb2, k3_elliptic, hilb2_elliptic, fano_round):
+    # polygon_minkowski_sum's precondition: every vertex tuple it is given
+    # or returns is a fixed point of convex_hull.
+    def canonical(verts):
+        return list(verts) == convex_hull(verts)
+
+    for geom in (hilb2, k3_elliptic, hilb2_elliptic, fano_round):
+        classes = sample_big_classes(geom, 4, seed=7) + [geom.zero()]
+        classes += [p.cls for p in geom.primes]
+        for prime in geom.primes:
+            polys = []
+            for d in classes:
+                try:
+                    polys.append(polygon(geom, d, prime.name))
+                except DomainError:
+                    continue
+            assert any(len(p.vertices) < 3 for p in polys)
+            for poly in polys:
+                assert canonical(poly.vertices)
+                assert canonical(poly.absolute_vertices())
+                for f in (0, F(1, 3), 2):
+                    assert canonical(polygon_scale(f, poly).vertices)
+            for a in polys:
+                for b in polys:
+                    assert canonical(polygon_minkowski_sum(a, b).vertices)
 
 
 def test_polygon_contains_with_offsets(hilb2):

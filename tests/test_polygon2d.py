@@ -16,7 +16,7 @@ from ihspoly.polygon2d import (
     scale,
     translate,
 )
-from ihspoly.surd import Surd
+from ihspoly.surd import DiscriminantMixError, Surd
 
 F = Fraction
 
@@ -155,6 +155,79 @@ def test_minkowski_area_superadditive_seeded():
         if not p or not q:
             continue
         assert not area(minkowski_sum(p, q)) < area(p) + area(q)
+
+
+def _hull_of_pairwise_sums(p, q):
+    """The former minkowski_sum, kept as the oracle: the hull of all
+    n*m pairwise vertex sums."""
+    return convex_hull([(a[0] + b[0], a[1] + b[1]) for a in p for b in q])
+
+
+def _random_canonical(rng, d):
+    """A canonical polygon over Q(sqrt(d)) with 1 to 9 hull inputs; grid
+    inputs make parallel edges, segments and points common."""
+    k = rng.choice((1, 2, 2, 3, 4, 6, 9))
+    if rng.random() < 0.4:
+        return convex_hull([point(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(k)])
+
+    def coord():
+        a = F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+        if d and rng.random() < 0.5:
+            return Surd(a, F(rng.randint(-3, 3), rng.choice((1, 2))), d)
+        return Surd(a)
+
+    return convex_hull([(coord(), coord()) for _ in range(k)])
+
+
+@pytest.mark.parametrize("d", [0, 2, 3])
+def test_minkowski_sum_matches_pairwise_hull_oracle_seeded(d):
+    rng = random.Random(101 + d)
+    for _ in range(300):
+        p, q = _random_canonical(rng, d), _random_canonical(rng, d)
+        assert minkowski_sum(p, q) == _hull_of_pairwise_sums(p, q)
+
+
+def test_minkowski_sum_degenerate_inputs_match_oracle():
+    pt = [point(1, 2)]
+    seg = convex_hull([point(2, 2), point(0, 0)])  # given in reverse
+    same_dir = convex_hull([point(5, 1), point(6, 2)])
+    anti = convex_hull([point(3, 0), point(1, 2)])  # slope -1
+    vertical = convex_hull([point(0, 3), point(0, 1)])
+    tri = [point(0, 0), point(1, 0), point(0, 1)]
+    shapes = [pt, seg, same_dir, anti, vertical, tri, square(2)]
+    for p in shapes:
+        for q in shapes:
+            assert minkowski_sum(p, q) == _hull_of_pairwise_sums(p, q)
+    # parallel segments add into one segment, a point into a translate
+    assert minkowski_sum(seg, same_dir) == [point(5, 1), point(8, 4)]
+    assert minkowski_sum(pt, pt) == [point(2, 4)]
+    assert len(minkowski_sum(seg, anti)) == 4
+
+
+def test_minkowski_sum_joins_parallel_edges():
+    # Both have a horizontal bottom edge and a vertical right edge; the sum
+    # carries each direction as one edge, with no collinear vertex.
+    trap = [point(0, 0), point(3, 0), point(3, 1), point(1, 2)]
+    rect = [point(0, 0), point(2, 0), point(2, 1), point(0, 1)]
+    s = minkowski_sum(trap, rect)
+    assert s == _hull_of_pairwise_sums(trap, rect)
+    assert s == [point(0, 0), point(5, 0), point(5, 2), point(3, 3), point(1, 3), point(0, 1)]
+    # Surd edges parallel to each other: the rectangle scaled by 1 + sqrt(2)
+    r = Surd(1, 1, 2)
+    big = [(x * r, y * r) for x, y in rect]
+    assert minkowski_sum(rect, big) == [(x * (r + 1), y * (r + 1)) for x, y in rect]
+
+
+def test_minkowski_sum_mixed_discriminants_raise():
+    p = [point(0, 0), (Surd(0, 1, 2), Surd(0)), point(0, 1)]
+    q = [point(0, 0), (Surd(0, 1, 3), Surd(0)), point(0, 1)]
+    with pytest.raises(DiscriminantMixError):
+        minkowski_sum(p, q)
+    # the refusal does not depend on which vertices would meet
+    with pytest.raises(DiscriminantMixError):
+        minkowski_sum([(Surd(0, 1, 2), Surd(0))], [(Surd(0), Surd(0, 1, 3))])
+    # one irrational extension plus rationals is fine
+    assert minkowski_sum(p, square()) == _hull_of_pairwise_sums(p, square())
 
 
 # -- scale / translate -----------------------------------------------------------------
