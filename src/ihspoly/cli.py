@@ -6,10 +6,11 @@ arguments; divisor classes are written in basis/prime names, e.g.
 (file, JSON, or divisor expression), 3 request outside the domain of
 the operation or a contradictory catalog, 4 self-checks ran and failed.
 
-With --format machine the result is a single JSON object on stdout
-(errors included, as {"status": "error", ...}); the payload carries no
-timing or environment fields, so reruns on the same input are
-byte-identical.
+Each subcommand builds only its machine payload.  With --format machine
+the payload is printed as a single JSON object on stdout (errors
+included, as {"status": "error", ...}); it carries no timing or
+environment fields, so reruns on the same input are byte-identical.
+The default text output is rendered from the same payload.
 """
 
 from __future__ import annotations
@@ -88,116 +89,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
-    if args.format == "machine":
-        print(report.machine_ok(args.command, payload))
-    else:
-        print(text)
-
-
-def _cmd_decompose(geom: Geometry, args: argparse.Namespace) -> int:
+def _cmd_decompose(geom: Geometry, args: argparse.Namespace) -> dict:
     d = parse_divisor(geom, args.divisor)
-    dec = decompose(geom, d)
-    _emit(
-        args,
-        report.decomposition_text(geom, d, dec),
-        report.decomposition_json(geom, d, dec),
-    )
-    return 0
+    return report.decomposition_json(geom, d, decompose(geom, d))
 
 
-def _cmd_polygon(geom: Geometry, args: argparse.Namespace) -> int:
+def _cmd_polygon(geom: Geometry, args: argparse.Namespace) -> dict:
     d = parse_divisor(geom, args.divisor)
     poly = polygon(geom, d, args.prime)
-    text = report.polygon_text(geom, d, args.prime, poly)
     payload = report.polygon_json(geom, d, args.prime, poly)
     if args.svg:
         Path(args.svg).write_text(report.polygon_svg(geom, d, args.prime, poly))
-        text += f"\nsvg             {args.svg}"
         payload["svg"] = args.svg
-    _emit(args, text, payload)
-    return 0
+    return payload
 
 
-def _cmd_volume(geom: Geometry, args: argparse.Namespace) -> int:
+def _cmd_volume(geom: Geometry, args: argparse.Namespace) -> dict:
     d = parse_divisor(geom, args.divisor)
     value = volume(geom, d)
     q = geom.lattice.square(decompose(geom, d).positive)
-    _emit(
-        args,
-        report.volume_text(geom, d, value, q),
-        report.volume_json(geom, d, value, q),
-    )
-    return 0
+    return report.volume_json(geom, d, value, q)
 
 
-def _cmd_restricted_volume(geom: Geometry, args: argparse.Namespace) -> int:
+def _cmd_restricted_volume(geom: Geometry, args: argparse.Namespace) -> dict:
     d = parse_divisor(geom, args.divisor)
     value = restricted_volume(geom, d, args.prime)
-    _emit(
-        args,
-        report.restricted_volume_text(geom, d, args.prime, value),
-        report.restricted_volume_json(geom, d, args.prime, value),
-    )
-    return 0
+    return report.restricted_volume_json(geom, d, args.prime, value)
 
 
-def _cmd_minkowski(geom: Geometry, args: argparse.Namespace) -> int:
+def _cmd_minkowski(geom: Geometry, args: argparse.Namespace) -> dict:
     d = parse_divisor(geom, args.divisor)
     mk = minkowski_decompose(geom, d, args.prime)
-    _emit(
-        args,
-        report.minkowski_text(geom, d, args.prime, mk),
-        report.minkowski_json(geom, d, args.prime, mk),
-    )
-    return 0
+    return report.minkowski_json(geom, d, args.prime, mk)
 
 
-def _cmd_minkowski_basis(geom: Geometry, args: argparse.Namespace) -> int:
-    basis = minkowski_basis(geom, args.prime)
-    _emit(
-        args,
-        report.basis_text(geom, args.prime, basis),
-        report.basis_json(geom, args.prime, basis),
-    )
-    return 0
+def _cmd_minkowski_basis(geom: Geometry, args: argparse.Namespace) -> dict:
+    return report.basis_json(geom, args.prime, minkowski_basis(geom, args.prime))
 
 
-def _cmd_chambers(geom: Geometry, args: argparse.Namespace) -> int:
+def _cmd_chambers(geom: Geometry, args: argparse.Namespace) -> dict:
     chambers = enumerate_chambers(geom)
     closures = None
     if geom.mode == "polyhedral":
         closures = {c: chamber_closure_rays(geom, c) for c in chambers}
-    _emit(
-        args,
-        report.chambers_text(geom, chambers, closures),
-        report.chambers_json(geom, chambers, closures),
-    )
-    return 0
+    return report.chambers_json(geom, chambers, closures)
 
 
-def _cmd_cone_generators(geom: Geometry, args: argparse.Namespace) -> int:
-    points = cone_generators(geom, args.prime)
-    _emit(
-        args,
-        report.cone_text(geom, args.prime, points),
-        report.cone_json(geom, args.prime, points),
-    )
-    return 0
+def _cmd_cone_generators(geom: Geometry, args: argparse.Namespace) -> dict:
+    return report.cone_json(geom, args.prime, cone_generators(geom, args.prime))
 
 
-def _cmd_check(geom: Geometry, args: argparse.Namespace) -> int:
+def _cmd_check(geom: Geometry, args: argparse.Namespace) -> dict:
     if args.samples < 1:
         raise DomainError("--samples must be at least 1")
-    started = time.perf_counter()
     results = run_checks(geom, samples=args.samples, seed=args.seed)
-    elapsed = time.perf_counter() - started
-    _emit(
-        args,
-        report.checks_text(geom, results, elapsed),
-        report.checks_json(geom, results),
-    )
-    return 0 if all(r.passed for r in results) else _CHECKS
+    return report.checks_json(geom, results)
 
 
 _HANDLERS = {
@@ -226,20 +172,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         geom = load_geometry(args.geometry)
-    except OSError as exc:
-        return _fail(args, _PARSE, f"cannot read geometry: {exc}")
-    except GeometryError as exc:
+        started = time.perf_counter()
+        payload = _HANDLERS[args.command](geom, args)
+    except (GeometryError, OSError) as exc:
         return _fail(args, _PARSE, str(exc))
-    try:
-        return _HANDLERS[args.command](geom, args)
-    except GeometryError as exc:
-        return _fail(args, _PARSE, str(exc))
-    except DomainError as exc:
+    except (DomainError, ConsistencyError) as exc:
         return _fail(args, _DOMAIN, str(exc))
-    except ConsistencyError as exc:
-        return _fail(args, _DOMAIN, str(exc))
-    except OSError as exc:
-        return _fail(args, _PARSE, str(exc))
+    if args.format == "machine":
+        print(report.machine_ok(args.command, payload))
+    else:
+        print(report.text(args.command, payload, time.perf_counter() - started))
+    return 0 if payload.get("passed", True) else _CHECKS
 
 
 if __name__ == "__main__":

@@ -183,10 +183,17 @@ def _parse_rat(value, where: str) -> Fraction:
     if isinstance(value, str):
         if not _NUMBER_RE.match(value.strip()):
             raise GeometryError(f"{where}: {value!r} is not an exact rational")
-        return Fraction(value.strip())
+        return _fraction(value.strip(), where)
     if isinstance(value, float):
         raise GeometryError(f"{where}: floats are forbidden; write 'p/q'")
     raise GeometryError(f"{where}: expected a rational, got {type(value).__name__}")
+
+
+def _fraction(text: str, where: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise GeometryError(f"{where}: {text!r} has a zero denominator") from None
 
 
 def format_rat(x: Fraction) -> str:
@@ -309,7 +316,7 @@ def load_geometry(path) -> Geometry:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GeometryError(f"cannot read geometry file: {exc}") from exc
     return parse_geometry(text)
 
@@ -379,7 +386,7 @@ def parse_divisor(geom: Geometry, text: str) -> DivClass:
                 continue
             coeff = None
             if kind == "num":
-                coeff = Fraction(value)
+                coeff = _fraction(value, "divisor term")
                 i += 1
                 if i < len(tokens) and tokens[i] == ("op", "*"):
                     i += 1

@@ -1,11 +1,13 @@
-"""Rendering of results as text blocks, machine JSON, and SVG.
+"""Rendering of results as machine payloads, their text view, and SVG.
 
-Text output is for reading; the machine format is a stable JSON object
-whose fields never depend on wall-clock state (timings stay text-only),
-so byte-identical inputs give byte-identical payloads.  Rationals are
-serialized as strings ("-3/2"), quadratic irrationals as objects
-carrying both the exact (a, b, d) triple of a + b*sqrt(d) and a display
-string; the float field is advisory.
+Each command's result is built once, as the machine payload (`*_json`);
+the default text output is a view of that payload (`text`), so the two
+formats cannot drift apart.  The payload never depends on wall-clock
+state (timings stay text-only), so byte-identical inputs give
+byte-identical payloads.  Rationals are serialized as strings ("-3/2"),
+quadratic irrationals as objects carrying both the exact (a, b, d)
+triple of a + b*sqrt(d) and a display string; the float field is
+advisory.
 """
 
 from __future__ import annotations
@@ -23,12 +25,6 @@ from .surd import Surd
 from .zariski import ZariskiDecomposition
 
 
-def surd_text(value: Surd) -> str:
-    if value.is_rational:
-        return str(value)
-    return f"{value} (~{float(value):.6g})"
-
-
 def surd_json(value: Surd) -> dict:
     return {
         "display": str(value),
@@ -39,8 +35,14 @@ def surd_json(value: Surd) -> dict:
     }
 
 
-def _point_text(pt: tuple[Surd, Surd]) -> str:
-    return f"({pt[0]}, {pt[1]})"
+def surd_text(value: Surd | dict) -> str:
+    """Text view of a Surd or of its `surd_json` payload: the display
+    string, followed by a float approximation when irrational."""
+    if isinstance(value, Surd):
+        value = surd_json(value)
+    if value["b"] == "0":
+        return value["display"]
+    return f"{value['display']} (~{value['float']:.6g})"
 
 
 def _point_json(pt: tuple[Surd, Surd]) -> dict:
@@ -56,24 +58,6 @@ def divisor_json(geom: Geometry, d: DivClass) -> dict:
 
 # ---------------------------------------------------------------------------
 # Zariski decomposition
-
-
-def decomposition_text(geom: Geometry, d: DivClass, dec: ZariskiDecomposition) -> str:
-    lat = geom.lattice
-    lines = [
-        f"geometry        {geom.name}",
-        f"class           {format_divisor(geom, d)}",
-        f"positive part   {format_divisor(geom, dec.positive)}",
-    ]
-    if dec.negative:
-        for name, coeff in dec.negative:
-            lines.append(f"negative part   {format_rat(coeff)} * {name}")
-    else:
-        lines.append("negative part   0")
-    q = lat.square(dec.positive)
-    lines.append(f"q(P)            {format_rat(q)}")
-    lines.append(f"big             {'yes' if q > 0 else 'no'}")
-    return "\n".join(lines)
 
 
 def decomposition_json(geom: Geometry, d: DivClass, dec: ZariskiDecomposition) -> dict:
@@ -110,35 +94,6 @@ def _trace_rows(geom: Geometry, trace: BreakpointTrace) -> list[dict]:
     return rows
 
 
-def polygon_text(
-    geom: Geometry, d: DivClass, prime_name: str, poly: NOPolygon
-) -> str:
-    lines = [
-        f"geometry        {geom.name}",
-        f"class           {format_divisor(geom, d)}",
-        f"flag prime      {prime_name}",
-        f"nu              {format_rat(poly.nu)}",
-        f"mu              {surd_text(poly.mu)}",
-        f"area            {surd_text(poly.area)}",
-        "vertices        " + "  ".join(_point_text(p) for p in poly.vertices),
-    ]
-    trace = poly.trace
-    if trace is not None:
-        if trace.interior_breakpoints:
-            bps = ", ".join(format_rat(b) for b in trace.interior_breakpoints)
-            lines.append(f"breakpoints     {bps}")
-        else:
-            lines.append("breakpoints     none")
-        for seg in trace.segments:
-            chamber = "{" + ", ".join(sorted(seg.chamber)) + "}"
-            lines.append(
-                f"  [{format_rat(seg.t_start)}, {seg.t_end}] chamber {chamber}: "
-                f"P = {format_divisor(geom, seg.base)}"
-                f" + t * ({format_divisor(geom, seg.slope)})"
-            )
-    return "\n".join(lines)
-
-
 def polygon_json(
     geom: Geometry, d: DivClass, prime_name: str, poly: NOPolygon
 ) -> dict:
@@ -163,17 +118,6 @@ def polygon_json(
 # volumes
 
 
-def volume_text(geom: Geometry, d: DivClass, value: Fraction, q: Fraction) -> str:
-    return "\n".join(
-        [
-            f"geometry        {geom.name}",
-            f"class           {format_divisor(geom, d)}",
-            f"q(P)            {format_rat(q)}",
-            f"volume          {format_rat(value)}",
-        ]
-    )
-
-
 def volume_json(geom: Geometry, d: DivClass, value: Fraction, q: Fraction) -> dict:
     return {
         "geometry": geom.name,
@@ -181,19 +125,6 @@ def volume_json(geom: Geometry, d: DivClass, value: Fraction, q: Fraction) -> di
         "q_positive": format_rat(q),
         "volume": format_rat(value),
     }
-
-
-def restricted_volume_text(
-    geom: Geometry, d: DivClass, prime_name: str, value: Fraction
-) -> str:
-    return "\n".join(
-        [
-            f"geometry        {geom.name}",
-            f"class           {format_divisor(geom, d)}",
-            f"prime           {prime_name}",
-            f"restricted vol  {format_rat(value)}",
-        ]
-    )
 
 
 def restricted_volume_json(
@@ -211,59 +142,20 @@ def restricted_volume_json(
 # Minkowski bases and decompositions
 
 
-def _element_label(element: BasisElement) -> str:
-    if element.origin == "chamber":
-        names = ", ".join(sorted(element.chamber or ()))
-        return f"chamber {{{names}}}"
-    return "isotropic ray"
-
-
-def basis_text(geom: Geometry, flag_name: str, basis: Sequence[BasisElement]) -> str:
-    lines = [
-        f"geometry        {geom.name}",
-        f"flag prime      {flag_name}",
-        f"basis size      {len(basis)}",
-    ]
-    for element in basis:
-        lines.append(
-            f"  {format_divisor(geom, element.cls):<24} [{_element_label(element)}]"
-        )
-    return "\n".join(lines)
+def _element_json(geom: Geometry, element: BasisElement) -> dict:
+    return {
+        "class": divisor_json(geom, element.cls),
+        "origin": element.origin,
+        "chamber": sorted(element.chamber) if element.chamber is not None else None,
+    }
 
 
 def basis_json(geom: Geometry, flag_name: str, basis: Sequence[BasisElement]) -> dict:
     return {
         "geometry": geom.name,
         "flag": flag_name,
-        "elements": [
-            {
-                "class": divisor_json(geom, element.cls),
-                "origin": element.origin,
-                "chamber": sorted(element.chamber) if element.chamber is not None else None,
-            }
-            for element in basis
-        ],
+        "elements": [_element_json(geom, element) for element in basis],
     }
-
-
-def minkowski_text(
-    geom: Geometry, d: DivClass, flag_name: str, mk: MinkowskiDecomposition
-) -> str:
-    lines = [
-        f"geometry        {geom.name}",
-        f"class           {format_divisor(geom, d)}",
-        f"flag prime      {flag_name}",
-        f"nu              {format_rat(mk.nu)}",
-    ]
-    if mk.terms:
-        for coeff, element in mk.terms:
-            lines.append(
-                f"  {format_rat(coeff)} * ({format_divisor(geom, element.cls)})"
-                f"  [{_element_label(element)}]"
-            )
-    else:
-        lines.append("  positive part is zero")
-    return "\n".join(lines)
 
 
 def minkowski_json(
@@ -275,12 +167,7 @@ def minkowski_json(
         "flag": flag_name,
         "nu": format_rat(mk.nu),
         "terms": [
-            {
-                "coefficient": format_rat(coeff),
-                "class": divisor_json(geom, element.cls),
-                "origin": element.origin,
-                "chamber": sorted(element.chamber) if element.chamber is not None else None,
-            }
+            {"coefficient": format_rat(coeff), **_element_json(geom, element)}
             for coeff, element in mk.terms
         ],
     }
@@ -288,21 +175,6 @@ def minkowski_json(
 
 # ---------------------------------------------------------------------------
 # chambers and cone generators
-
-
-def chambers_text(
-    geom: Geometry,
-    chambers: Sequence[frozenset[str]],
-    closures: Optional[dict[frozenset[str], tuple[DivClass, ...]]],
-) -> str:
-    lines = [f"geometry        {geom.name}", f"chambers        {len(chambers)}"]
-    for chamber in chambers:
-        names = "{" + ", ".join(sorted(chamber)) + "}"
-        lines.append(f"  {names}")
-        if closures is not None:
-            rays = "  ".join(format_divisor(geom, r) for r in closures[chamber])
-            lines.append(f"    closure rays: {rays}")
-    return "\n".join(lines)
 
 
 def chambers_json(
@@ -317,20 +189,6 @@ def chambers_json(
             row["closure_rays"] = [divisor_json(geom, r) for r in closures[chamber]]
         rows.append(row)
     return {"geometry": geom.name, "chambers": rows}
-
-
-def cone_text(geom: Geometry, prime_name: str, points: Sequence[ConePoint]) -> str:
-    lines = [
-        f"geometry        {geom.name}",
-        f"flag prime      {prime_name}",
-        f"generators      {len(points)}",
-    ]
-    for pt in points:
-        lines.append(
-            f"  ({format_divisor(geom, pt.cls)};"
-            f" t={format_rat(pt.t)}, y={format_rat(pt.y)})"
-        )
-    return "\n".join(lines)
 
 
 def cone_json(geom: Geometry, prime_name: str, points: Sequence[ConePoint]) -> dict:
@@ -350,26 +208,6 @@ def cone_json(geom: Geometry, prime_name: str, points: Sequence[ConePoint]) -> d
 
 # ---------------------------------------------------------------------------
 # checks
-
-
-def checks_text(
-    geom: Geometry, results: Sequence[CheckResult], elapsed: float
-) -> str:
-    lines = [f"geometry        {geom.name}"]
-    for r in results:
-        if r.skipped:
-            status = "SKIP"
-        elif r.passed:
-            status = "PASS"
-        else:
-            status = "FAIL"
-        lines.append(f"{status:<6} {r.name:<28} {r.runs} run(s), {r.failed} failed")
-        for msg in r.messages:
-            lines.append(f"       - {msg}")
-    total_failed = sum(r.failed for r in results)
-    verdict = "all checks passed" if total_failed == 0 else f"{total_failed} failure(s)"
-    lines.append(f"result          {verdict} in {elapsed:.2f}s")
-    return "\n".join(lines)
 
 
 def checks_json(geom: Geometry, results: Sequence[CheckResult]) -> dict:
@@ -404,6 +242,128 @@ def machine_error(code: int, message: str) -> str:
         indent=2,
         ensure_ascii=False,
     )
+
+
+# ---------------------------------------------------------------------------
+# text view of a payload
+
+
+def _row(label: str, value) -> str:
+    return f"{label:<16}{value}"
+
+
+def _braces(names: Sequence[str]) -> str:
+    return "{" + ", ".join(names) + "}"
+
+
+def _decompose_rows(p: dict) -> list[str]:
+    negative = [f"{n['coefficient']} * {n['prime']}" for n in p["negative"]] or ["0"]
+    return [
+        _row("positive part", p["positive"]["display"]),
+        *(_row("negative part", term) for term in negative),
+        _row("q(P)", p["q_positive"]),
+        _row("big", "yes" if p["big"] else "no"),
+    ]
+
+
+def _polygon_rows(p: dict) -> list[str]:
+    vertices = "  ".join(f"({v['t']['display']}, {v['y']['display']})" for v in p["vertices"])
+    rows = [
+        _row("nu", p["nu"]),
+        _row("mu", surd_text(p["mu"])),
+        _row("area", surd_text(p["area"])),
+        _row("vertices", vertices),
+    ]
+    if "segments" in p:
+        rows.append(_row("breakpoints", ", ".join(p["breakpoints"]) or "none"))
+        rows += [
+            f"  [{seg['t_start']}, {seg['t_end']['display']}] chamber {_braces(seg['chamber'])}: "
+            f"P = {seg['base']['display']} + t * ({seg['slope']['display']})"
+            for seg in p["segments"]
+        ]
+    if "svg" in p:
+        rows.append(_row("svg", p["svg"]))
+    return rows
+
+
+def _volume_rows(p: dict) -> list[str]:
+    return [_row("q(P)", p["q_positive"]), _row("volume", p["volume"])]
+
+
+def _restricted_volume_rows(p: dict) -> list[str]:
+    return [_row("prime", p["prime"]), _row("restricted vol", p["restricted_volume"])]
+
+
+def _origin(element: dict) -> str:
+    if element["origin"] == "chamber":
+        return f"chamber {_braces(element['chamber'])}"
+    return "isotropic ray"
+
+
+def _basis_rows(p: dict) -> list[str]:
+    return [_row("basis size", len(p["elements"]))] + [
+        f"  {e['class']['display']:<24} [{_origin(e)}]" for e in p["elements"]
+    ]
+
+
+def _minkowski_rows(p: dict) -> list[str]:
+    terms = [
+        f"  {t['coefficient']} * ({t['class']['display']})  [{_origin(t)}]"
+        for t in p["terms"]
+    ]
+    return [_row("nu", p["nu"])] + (terms or ["  positive part is zero"])
+
+
+def _chambers_rows(p: dict) -> list[str]:
+    rows = [_row("chambers", len(p["chambers"]))]
+    for chamber in p["chambers"]:
+        rows.append(f"  {_braces(chamber['primes'])}")
+        if "closure_rays" in chamber:
+            rays = "  ".join(r["display"] for r in chamber["closure_rays"])
+            rows.append(f"    closure rays: {rays}")
+    return rows
+
+
+def _cone_rows(p: dict) -> list[str]:
+    return [_row("generators", len(p["generators"]))] + [
+        f"  ({g['class']['display']}; t={g['t']}, y={g['y']})" for g in p["generators"]
+    ]
+
+
+def _check_rows(p: dict, elapsed: float) -> list[str]:
+    rows = []
+    for c in p["checks"]:
+        status = "SKIP" if c["runs"] == 0 else "PASS" if c["failed"] == 0 else "FAIL"
+        rows.append(f"{status:<6} {c['name']:<28} {c['runs']} run(s), {c['failed']} failed")
+        rows += [f"       - {msg}" for msg in c["messages"]]
+    failed = sum(c["failed"] for c in p["checks"])
+    verdict = f"{failed} failure(s)" if failed else "all checks passed"
+    return rows + [_row("result", f"{verdict} in {elapsed:.2f}s")]
+
+
+_ROWS = {
+    "decompose": _decompose_rows,
+    "polygon": _polygon_rows,
+    "volume": _volume_rows,
+    "restricted-volume": _restricted_volume_rows,
+    "minkowski": _minkowski_rows,
+    "minkowski-basis": _basis_rows,
+    "chambers": _chambers_rows,
+    "cone-generators": _cone_rows,
+}
+
+
+def text(command: str, payload: dict, elapsed: float) -> str:
+    """Text view of a command's machine payload; `elapsed` (seconds) is
+    shown by `check` only, since timings stay out of the payload."""
+    rows = [_row("geometry", payload["geometry"])]
+    if "class" in payload:
+        rows.append(_row("class", payload["class"]["display"]))
+    if "flag" in payload:
+        rows.append(_row("flag prime", payload["flag"]))
+    if command == "check":
+        return "\n".join(rows + _check_rows(payload, elapsed))
+    return "\n".join(rows + _ROWS[command](payload))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line driver: subcommands, formats, exit codes, SVG output."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -93,9 +94,20 @@ def test_polygon_round_surd_payload(capsys):
 
 def test_polygon_svg(capsys, tmp_path):
     target = tmp_path / "tri.svg"
-    code, out, _ = run(capsys, "polygon", HILB2, "H", "E", "--svg", str(target))
-    assert code == 0
-    assert str(target) in out
+    code, out, err = run(capsys, "polygon", HILB2, "H", "E", "--svg", str(target))
+    assert code == 0 and err == ""
+    assert out == (
+        "geometry        hilb2-quartic-model\n"
+        "class           H\n"
+        "flag prime      E\n"
+        "nu              0\n"
+        "mu              1/2\n"
+        "area            1\n"
+        "vertices        (0, 0)  (1/2, 0)  (1/2, 4)\n"
+        "breakpoints     none\n"
+        "  [0, 1/2] chamber {}: P = H + t * (-2*d)\n"
+        f"svg             {target}\n"
+    )
     svg = target.read_text()
     assert svg.startswith("<svg ")
     assert "<title>(1/2, 4)</title>" in svg
@@ -229,6 +241,34 @@ def test_invalid_json_exits_2(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+def _zero_denominator_catalog() -> bytes:
+    doc = json.loads(Path(HILB2).read_text())
+    doc["gram"][0][0] = "2/0"
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize(
+    "content, expression, message",
+    [
+        (b"\xff\xfe{}", "H", "cannot read geometry file: 'utf-8' codec"),
+        (_zero_denominator_catalog(), "H", "gram[0][0]: '2/0' has a zero denominator"),
+        (Path(HILB2).read_bytes(), "1/0 H", "divisor term: '1/0' has a zero denominator"),
+    ],
+    ids=["non-utf8-catalog", "zero-denominator-catalog", "zero-denominator-term"],
+)
+def test_unreadable_input_exits_2_in_both_formats(capsys, tmp_path, content, expression, message):
+    path = tmp_path / "input.geom"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "decompose", str(path), expression)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    code, out, err = run(capsys, "decompose", str(path), expression, "--format", "machine")
+    assert (code, err) == (2, "")
+    payload = json.loads(out)
+    assert (payload["status"], payload["code"]) == ("error", 2)
+    assert message in payload["message"]
+
+
 def test_bad_divisor_expression_exits_2(capsys):
     code, _, err = run(capsys, "decompose", HILB2, "3*")
     assert code == 2
@@ -305,9 +345,37 @@ def test_check_failures_exit_4(capsys, tmp_path):
     }
     path = tmp_path / "pinched.geom"
     path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "check", str(path), "--samples", "4")
-    assert code == 4
-    assert "FAIL" in out
+    code, out, err = run(capsys, "check", str(path), "--samples", "4")
+    assert code == 4 and err == ""
+    broke = "terminal cross-check failed: q(P(D - mu E)) != 0; the declared data is inconsistent"
+    area = [("3*H", "E"), ("3*H", "E'"), ("3*H", "E"), ("3*H", "E'"), ("2*H", "E")]
+    classes = ["3*H", "3*H", "2*H", "3*H"]
+    translated = ["E", "E'", "E", "E'"]
+    pairs = [("3*H", "3*H"), ("3*H", "2*H"), ("2*H", "3*H")]
+    expected = [
+        "geometry        pinched",
+        "FAIL   polygon-area-identity        8 run(s), 8 failed",
+        *(f"       - 2*area != q(P) for D={d}, E={e}: {broke}" for d, e in area),
+        "FAIL   volume-chain                 4 run(s), 4 failed",
+        *(f"       - volume chain broke for D={d}: {broke}" for d in classes),
+        "FAIL   breakpoint-structure         4 run(s), 4 failed",
+        *(f"       - trace structure broke for D={d}: {broke}" for d in classes),
+        "FAIL   flag-translation             4 run(s), 4 failed",
+        *(f"       - translation by {e} broke for D=3*H: {broke}" for e in translated),
+        "FAIL   polygon-superadditivity      3 run(s), 3 failed",
+        *(f"       - superadditivity broke for {a} and {b}: {broke}" for a, b in pairs),
+        "PASS   volume-log-concavity         3 run(s), 0 failed",
+        "FAIL   zariski-idempotence          4 run(s), 4 failed",
+        *(f"       - idempotence broke for D={d}: {broke}" for d in classes),
+        "FAIL   catalog-order-invariance     1 run(s), 1 failed",
+        f"       - catalog order changed results for D=3*H: {broke}",
+        "FAIL   minkowski-reconstruction     4 run(s), 4 failed",
+        *(f"       - reconstruction broke for D={d}: {broke}" for d in classes),
+        "PASS   wall-continuity              1 run(s), 0 failed",
+    ]
+    *body, result, end = out.split("\n")
+    assert body == expected and end == ""
+    assert re.fullmatch(r"result          32 failure\(s\) in \d+\.\d\ds", result)
 
 
 def test_check_failures_machine_reports_failed(capsys, tmp_path):

@@ -17,6 +17,7 @@ from ihspoly import (
     geometry_to_json,
     is_movable,
     is_pseudo_effective,
+    load_geometry,
     parse_divisor,
     parse_geometry,
 )
@@ -72,6 +73,13 @@ def test_parse_valid_document():
 def test_unknown_prime_name_raises_domain_error():
     with pytest.raises(DomainError, match="unknown prime"):
         parse_doc().prime("Z")
+
+
+def test_undecodable_file(tmp_path):
+    path = tmp_path / "bad.geom"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(GeometryError, match="cannot read geometry file: 'utf-8' codec"):
+        load_geometry(path)
 
 
 def test_invalid_json():
@@ -223,6 +231,8 @@ def test_rational_entries_as_strings():
     assert geom.prime("E").cls == DivClass([0, 1])
     with pytest.raises(GeometryError, match="floats are forbidden"):
         parse_doc(gram=[[2.0, 0], [0, -2]])
+    with pytest.raises(GeometryError, match=r"gram\[1\]\[1\]: '-2/0' has a zero denominator"):
+        parse_doc(gram=[[2, 0], [0, "-2/0"]])
 
 
 # -- serialization -------------------------------------------------------------
@@ -292,6 +302,8 @@ def test_parse_divisor_errors(hilb2):
         parse_divisor(hilb2, "H d")
     with pytest.raises(GeometryError, match="cannot tokenize"):
         parse_divisor(hilb2, "H @ d")
+    with pytest.raises(GeometryError, match="divisor term: '1/0' has a zero denominator"):
+        parse_divisor(hilb2, "1/0 H")
 
 
 def test_format_divisor(hilb2):

@@ -1,9 +1,12 @@
-"""Golden `--format machine` output of every subcommand.
+"""Golden output of every subcommand, in both formats.
 
 `golden_machine.json` maps each command line (catalog path relative to
-the repository root) to its exact stdout on the bundled catalogs, domain
-refusals included as error payloads.  Replaying it in-process pins the
-engine's answers byte for byte.  To re-record after an intended change:
+the repository root) to its exact `--format machine` stdout on the
+bundled catalogs, domain refusals included as error payloads.
+`golden_text.json` maps the same command lines to the default text
+format's stdout, stderr and exit code, with `check`'s wall-clock time
+masked.  Replaying both in-process pins the engine's answers and their
+rendering byte for byte.  To re-record after an intended change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -11,6 +14,7 @@ engine's answers byte for byte.  To re-record after an intended change:
 import contextlib
 import io
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -21,6 +25,8 @@ from ihspoly.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden_machine.json")
+GOLDEN_TEXT = Path(__file__).with_name("golden_text.json")
+ELAPSED = re.compile(r" in \d+\.\d\ds$", re.MULTILINE)
 
 # A fixed class list per catalog: big, non-big, wall and interior
 # classes, plus one class outside the effective cone (a refusal).
@@ -61,9 +67,22 @@ def machine_stdout(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def text_result(argv: list[str]) -> dict:
+    """Text-format stdout, stderr and exit code; `check`'s time masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], str(ROOT / argv[1]), *argv[2:]])
+    return {
+        "stdout": ELAPSED.sub(" in N.NNs", out.getvalue()),
+        "stderr": err.getvalue(),
+        "exit": code,
+    }
+
+
 def test_golden_covers_the_command_list():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert list(golden) == [shlex.join(argv) for argv in command_lines()]
+    expected = [shlex.join(argv) for argv in command_lines()]
+    for path in (GOLDEN, GOLDEN_TEXT):
+        assert list(json.loads(path.read_text(encoding="utf-8"))) == expected, path.name
 
 
 @pytest.mark.parametrize("catalog", sorted(CLASSES))
@@ -75,6 +94,20 @@ def test_golden_machine_output_byte_identical(catalog):
             assert machine_stdout(argv) == expected, line
 
 
+@pytest.mark.parametrize("catalog", sorted(CLASSES))
+def test_golden_text_output_byte_identical(catalog):
+    golden = json.loads(GOLDEN_TEXT.read_text(encoding="utf-8"))
+    for line, expected in golden.items():
+        argv = shlex.split(line)
+        if argv[1] == f"geometries/{catalog}.geom":
+            assert text_result(argv) == expected, line
+
+
+def _record(path: Path, render) -> None:
+    recorded = {shlex.join(argv): render(argv) for argv in command_lines()}
+    path.write_text(json.dumps(recorded, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
 if __name__ == "__main__":
-    recorded = {shlex.join(argv): machine_stdout(argv) for argv in command_lines()}
-    GOLDEN.write_text(json.dumps(recorded, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    _record(GOLDEN, machine_stdout)
+    _record(GOLDEN_TEXT, text_result)

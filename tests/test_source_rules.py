@@ -1,0 +1,68 @@
+"""Rules the engine's source keeps, checked on its syntax trees.
+
+The package has no runtime dependency: every import is relative or from
+the standard library.  Its arithmetic is exact: the only floats are the
+display approximations and SVG coordinates in `report.py`, and the
+conversion `Surd.__float__` that produces them.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ihspoly"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _surd_float_nodes(tree: ast.Module) -> set[int]:
+    """Ids of the nodes inside `Surd.__float__`."""
+    inside: set[int] = set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "Surd":
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__float__":
+                    inside |= {id(node) for node in ast.walk(item)}
+    return inside
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "surd.py", "report.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_relative_or_stdlib(path):
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] in sys.stdlib_module_names, (
+                f"{path.name}:{node.lineno} imports {name}"
+            )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "report.py"], ids=lambda p: p.name
+)
+def test_no_floats_outside_display(path):
+    tree = _tree(path)
+    exempt = _surd_float_nodes(tree)
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        literal = isinstance(node, ast.Constant) and isinstance(node.value, float)
+        call = (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        )
+        assert not (literal or call), f"{path.name}:{node.lineno} uses a float"
