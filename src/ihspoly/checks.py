@@ -76,6 +76,11 @@ class _Recorder:
 
 def sample_big_classes(geom: Geometry, count: int, seed: int = 0) -> list[DivClass]:
     """Deterministic sample of big classes inside the declared cone."""
+    return _sample_big_classes(geom, count, seed, decompose)
+
+
+def _sample_big_classes(geom: Geometry, count: int, seed: int, decomposed) -> list[DivClass]:
+    """sample_big_classes, decomposing candidates with decomposed(geom, d)."""
     rng = random.Random(seed)
     lat = geom.lattice
     out: list[DivClass] = []
@@ -90,7 +95,7 @@ def sample_big_classes(geom: Geometry, count: int, seed: int = 0) -> list[DivCla
                 cand = linear_combination(coeffs, gens, lat.rank)
                 if cand.is_zero:
                     continue
-                if lat.square(decompose(geom, cand).positive) > 0:
+                if lat.square(decomposed(geom, cand).positive) > 0:
                     out.append(cand)
                     break
             else:
@@ -122,19 +127,18 @@ def _fmt(geom: Geometry, d: DivClass) -> str:
     return format_divisor(geom, d)
 
 
-def _shared_polygons():
-    """polygon(geom, d, prime_name), computed once per (geometry, class,
-    prime) for the life of the returned function; a raised IHSError is
-    stored and raised again to every later caller.  Geometries are told
-    apart by identity, so a reordered copy keeps its own polygons."""
+def _shared(fn):
+    """fn(geom, *args), computed once per (geometry, args) for the life of
+    the returned function; a raised IHSError is stored and raised again
+    to every later caller.  Geometries are told apart by identity."""
     seen: dict = {}
 
-    def shared(geom: Geometry, d: DivClass, prime_name: str):
-        key = (id(geom), d, prime_name)
+    def shared(geom: Geometry, *args):
+        key = (id(geom), *args)
         found = seen.get(key)
         if found is None:
             try:
-                found = polygon(geom, d, prime_name)
+                found = fn(geom, *args)
             except IHSError as exc:
                 found = exc
             seen[key] = found
@@ -148,32 +152,38 @@ def _shared_polygons():
 def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[CheckResult, ...]:
     """Run every structural check on `samples` seeded big classes.
 
-    The checks share one polygon per (geometry, class, flag) for this
-    call only; nothing is kept once it returns.  flag-translation's
-    D + E polygons are used once, so they are built outside the share.
+    The checks share one decomposition per (geometry, class) and one
+    polygon per (geometry, class, flag) for this call only; nothing is
+    kept once it returns.  Polygons that only one check reads are built
+    outside the share: flag-translation's D + E, superadditivity's
+    D1 + D2, area-identity's non-flag polygons of the samples that
+    flag-translation skips, and the reordered copy's.
     """
     lat = geom.lattice
-    shared_polygon = _shared_polygons()
-    classes = sample_big_classes(geom, samples, seed)
+    shared_polygon = _shared(polygon)
+    shared_decompose = _shared(decompose)
+    classes = _sample_big_classes(geom, samples, seed, shared_decompose)
     n = geom.lattice.half_dim
     c = geom.lattice.fujiki
     primes = geom.primes
     flag_pool = [p for p in primes if not p.exceptional] or list(primes)
     flag = flag_pool[0]
 
+    translated = classes[: max(1, len(classes) // 2)]  # flag-translation's samples
     area_id = _Recorder("polygon-area-identity")
-    for d in classes:
-        qp = lat.square(decompose(geom, d).positive)
+    for i, d in enumerate(classes):
+        qp = lat.square(shared_decompose(geom, d).positive)
         for p in primes:
+            build = shared_polygon if p == flag or i < len(translated) else polygon
             area_id.run(
                 f"2*area != q(P) for D={_fmt(geom, d)}, E={p.name}",
-                lambda d=d, p=p, qp=qp: shared_polygon(geom, d, p.name).area * 2 == qp,
+                lambda d=d, p=p, qp=qp, build=build: build(geom, d, p.name).area * 2 == qp,
             )
 
     vol_chain = _Recorder("volume-chain")
     for d in classes:
         def chain(d=d) -> bool:
-            qp = lat.square(decompose(geom, d).positive)
+            qp = lat.square(shared_decompose(geom, d).positive)
             v = volume(geom, d)
             a = shared_polygon(geom, d, flag.name).area
             return a * 2 == qp and (a * 2) ** n * c == v and Surd(qp) ** n * c == v
@@ -195,7 +205,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
         structure.run(f"trace structure broke for D={_fmt(geom, d)}", struct)
 
     translation = _Recorder("flag-translation")
-    for d in classes[: max(1, len(classes) // 2)]:
+    for d in translated:
         for p in primes:
             def shift(d=d, p=p) -> bool:
                 # The absolute polygon of D + E beyond t = 1 is exactly the
@@ -234,16 +244,16 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
             p1 = shared_polygon(geom, d1, flag.name)
             p2 = shared_polygon(geom, d2, flag.name)
             return polygon_contains(
-                shared_polygon(geom, d1 + d2, flag.name), polygon_minkowski_sum(p1, p2)
+                polygon(geom, d1 + d2, flag.name), polygon_minkowski_sum(p1, p2)
             )
         superadd.run(
             f"superadditivity broke for {_fmt(geom, d1)} and {_fmt(geom, d2)}", supa
         )
 
         def logc(d1=d1, d2=d2) -> bool:
-            s1 = lat.square(decompose(geom, d1).positive)
-            s2 = lat.square(decompose(geom, d2).positive)
-            s12 = lat.square(decompose(geom, d1 + d2).positive)
+            s1 = lat.square(shared_decompose(geom, d1).positive)
+            s2 = lat.square(shared_decompose(geom, d2).positive)
+            s12 = lat.square(shared_decompose(geom, d1 + d2).positive)
             gap = s12 - s1 - s2
             return gap >= 0 and gap * gap >= 4 * s1 * s2
         logconc.run(
@@ -253,8 +263,8 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
     idem = _Recorder("zariski-idempotence")
     for d in classes:
         def idempotent(d=d) -> bool:
-            pos = decompose(geom, d).positive
-            again = decompose(geom, pos)
+            pos = shared_decompose(geom, d).positive
+            again = shared_decompose(geom, pos)
             if again.negative or again.positive != pos:
                 return False
             return shared_polygon(geom, pos, flag.name).vertices == shared_polygon(
@@ -270,11 +280,11 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
     )
     for d in classes[: max(1, len(classes) // 4)]:
         def invariant(d=d) -> bool:
-            a, b = decompose(geom, d), decompose(shuffled, d)
+            a, b = shared_decompose(geom, d), decompose(shuffled, d)
             if a.positive != b.positive or dict(a.negative) != dict(b.negative):
                 return False
             pa = shared_polygon(geom, d, flag.name)
-            pb = shared_polygon(shuffled, d, flag.name)
+            pb = polygon(shuffled, d, flag.name)  # used only here
             return pa.vertices == pb.vertices and pa.nu == pb.nu and pa.mu == pb.mu
         reorder.run(f"catalog order changed results for D={_fmt(geom, d)}", invariant)
 
@@ -286,7 +296,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
                     mk = minkowski_decompose(geom, d, flag.name)
                 except DomainError:
                     return None  # no chamber generator exists for the flag
-                pos = decompose(geom, d).positive
+                pos = shared_decompose(geom, d).positive
                 if mk.reconstruct(lat.rank) != pos:
                     return False
                 if any(coeff <= 0 for coeff, _ in mk.terms):

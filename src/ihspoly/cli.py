@@ -31,7 +31,7 @@ from .minkowski import (
     minkowski_decompose,
 )
 from .okounkov import cone_generators, polygon
-from .zariski import decompose, restricted_volume, volume
+from .zariski import decompose, restricted_volume, volume_from_square
 
 _PARSE, _DOMAIN, _CHECKS = 2, 3, 4
 
@@ -106,9 +106,8 @@ def _cmd_polygon(geom: Geometry, args: argparse.Namespace) -> dict:
 
 def _cmd_volume(geom: Geometry, args: argparse.Namespace) -> dict:
     d = parse_divisor(geom, args.divisor)
-    value = volume(geom, d)
     q = geom.lattice.square(decompose(geom, d).positive)
-    return report.volume_json(geom, d, value, q)
+    return report.volume_json(geom, d, volume_from_square(geom, q), q)
 
 
 def _cmd_restricted_volume(geom: Geometry, args: argparse.Namespace) -> dict:

@@ -13,6 +13,11 @@ min-ratio over the facets of the declared effective cone in polyhedral
 mode and a quadratic surd in round mode, and the area always equals
 q(P(D))/2.
 
+The height q(P(D - tE), E) is concave, so the walk yields the upper
+boundary already in order: the vertices are read off it in polygon2d's
+canonical form, (0, 0), (mu, 0), then the graph from t = mu back to
+t = 0, and no hull is taken.
+
 Everything here is exact: abscissae of interior breakpoints are
 rational, the terminal abscissa may live in one quadratic extension.
 """
@@ -28,7 +33,7 @@ from .geometry import Geometry, Prime, is_pseudo_effective
 from .lattice import DivClass, primitive_vector
 from .linprog import InfeasibleError, UnboundedError, max_step
 from .minkowski import chamber_closure_rays, enumerate_chambers
-from .polygon2d import Point, contains_polygon, convex_hull
+from .polygon2d import Point, contains_polygon
 from .polygon2d import area as hull_area
 from .polygon2d import minkowski_sum as hull_minkowski_sum
 from .polygon2d import scale as hull_scale
@@ -262,13 +267,39 @@ def polygon(geom: Geometry, d: DivClass, prime_name: str) -> NOPolygon:
         trace = _trace(geom, d - prime.cls.scale(nu), prime)
     else:
         trace = _trace(geom, d, prime, dec)
-    pts: list[Point] = [(Surd(0), Surd(0)), (trace.mu, Surd(0))]
-    for seg in trace.segments:
-        c0, c1 = geom.prime_pair(seg.base, prime_name), geom.prime_pair(seg.slope, prime_name)
-        pts.append((Surd(seg.t_start), Surd(c0 + seg.t_start * c1)))
-        pts.append((seg.t_end, Surd(c0) + seg.t_end * c1))
-    verts = tuple(convex_hull(pts))
-    return NOPolygon(verts, nu, trace.mu, trace)
+    return NOPolygon(_outline(geom, trace, prime_name), nu, trace.mu, trace)
+
+
+def _outline(geom: Geometry, trace: BreakpointTrace, prime_name: str) -> tuple[Point, ...]:
+    """Canonical vertices of the region under the trace's height function
+    h(t) = q(P(D - tE), E) on [0, mu], read off in order.
+
+    h is concave and piecewise linear, so the counterclockwise boundary
+    from the lexicographic minimum (0, 0) is (mu, 0) and then the graph
+    of h from t = mu back to t = 0.  A joint between two segments of
+    equal slope q(slope, E) is not a vertex, and neither is a chain end
+    at height 0, which coincides with (0, 0) or (mu, 0).  With mu = 0
+    the region is the segment from (0, 0) to (0, h(0)), or the point
+    (0, 0); with h = 0 throughout it is the segment to (mu, 0).
+    """
+    zero = Surd(0)
+    heights = [
+        (geom.prime_pair(seg.base, prime_name), geom.prime_pair(seg.slope, prime_name))
+        for seg in trace.segments
+    ]
+    mu = trace.mu
+    start = (zero, Surd(heights[0][0]))
+    if not mu:
+        return ((zero, zero), start) if start[1] else ((zero, zero),)
+    c0, c1 = heights[-1]
+    chain = [(mu, Surd(c0) + mu * c1)]
+    for i in range(len(heights) - 1, 0, -1):
+        c0, c1 = heights[i]
+        if c1 != heights[i - 1][1]:
+            t = trace.segments[i].t_start
+            chain.append((Surd(t), Surd(c0 + t * c1)))
+    chain.append(start)
+    return ((zero, zero), (mu, zero), *(v for v in chain if v[1]))
 
 
 def polygon_area(poly: NOPolygon) -> Surd:
@@ -396,12 +427,7 @@ def simplex_flag(geom: Geometry, d: DivClass) -> tuple[DivClass, NOPolygon]:
         raise DomainError("simplex flag requires a big class")
     k = dec.positive.den
     flag = dec.positive.scale(k)
-    verts = convex_hull(
-        [
-            (Surd(0), Surd(0)),
-            (Surd(Fraction(1, k)), Surd(0)),
-            (Surd(0), Surd(k * q)),
-        ]
-    )
-    poly = NOPolygon(tuple(verts), Fraction(0), Surd(Fraction(1, k)), None)
+    # (0, 0), (1/k, 0), (0, kq) is already in canonical order
+    verts = ((Surd(0), Surd(0)), (Surd(Fraction(1, k)), Surd(0)), (Surd(0), Surd(k * q)))
+    poly = NOPolygon(verts, Fraction(0), Surd(Fraction(1, k)), None)
     return flag, poly

@@ -7,7 +7,10 @@ show up as polygon slices of non-big classes.
 
 A polygon is canonical in the form convex_hull returns: counterclockwise
 from the lexicographic minimum with no collinear vertices, or its 1 or 2
-sorted vertices when degenerate.  minkowski_sum takes canonical inputs
+sorted vertices when degenerate.  convex_hull is the definition of that
+form and the tests' oracle; the library's polygons are born canonical
+(okounkov reads them off the chamber walk in order), and minkowski_sum,
+scale and translate keep them so.  minkowski_sum takes canonical inputs
 and merges their edge sequences in O(n + m) exact operations.
 """
 

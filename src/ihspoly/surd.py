@@ -1,29 +1,31 @@
 """Exact arithmetic in a real quadratic extension Q(sqrt(d)).
 
-A :class:`Surd` stores a value a + b*sqrt(d) with a, b rational and d a
-square-free non-negative integer.  Every computation in this library
-lives in a single such extension at a time (thresholds solve one
-quadratic equation, and every later quantity is an affine image of its
-root), so arithmetic between two irrational surds with different
-discriminants is refused rather than coerced into a degree-4 field:
-that refusal is a bug signal, not a feature gap.
+A :class:`Surd` is the value (an + bn*sqrt(d)) / den with integers an,
+bn, den and d: den > 0, gcd(an, bn, den) == 1, and d a square-free
+integer > 1 whenever bn != 0 (d == 0 when bn == 0).  That form is
+unique, so equality and hashing are structural; the ``a``/``b``
+properties give the rational parts a = an/den and b = bn/den as
+Fractions.  Every computation in this library lives in a single
+extension at a time (thresholds solve one quadratic equation, and every
+later quantity is an affine image of its root), so arithmetic between
+two irrational surds with different discriminants is refused rather
+than coerced into a degree-4 field: that refusal is a bug signal, not a
+feature gap.
 
 Construction from outside input canonicalizes aggressively: square
 factors are pulled out of d, sqrt(0) and sqrt(1) collapse into the
-rational part, and b == 0 forces d == 0.  Arithmetic results are
-canonical by construction (their d is an operand's square-free d, or 0
-when b cancels), so they skip that work; sums and differences of two
-rationals, and products with a rational, also skip the other part's
-arithmetic and the discriminant check.  Equality is therefore
-structural, and the total order is decided exactly by a sign analysis
-of a^2 - b^2*d, never by floats.
+rational part, and b == 0 forces d == 0.  Arithmetic runs on the
+integer parts: int and Fraction operands are read as (n, 0, 1) and
+(numerator, 0, denominator) without building a Surd or a Fraction, and
+each result is reduced by one three-way gcd (its d is an operand's
+square-free d, or 0 when the radical part cancels).  The total order is
+decided exactly by a sign analysis of an^2 - bn^2*d, never by floats.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import total_ordering
 from typing import Union
 
 RatLike = Union[int, Fraction]
@@ -63,13 +65,54 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return r, d * m
 
 
-@total_ordering
-class Surd:
-    """a + b*sqrt(d) with exact rational a, b and square-free d >= 0."""
+def _parts(x) -> "tuple[int, int, int, int] | None":
+    """(an, bn, den, d) of a Surd, int or Fraction; None for other types."""
+    if isinstance(x, Surd):
+        return x._an, x._bn, x._den, x._d
+    if isinstance(x, int):
+        return int(x), 0, 1, 0
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator, 0
+    return None
 
-    __slots__ = ("_a", "_b", "_d")
+
+def _make(an: int, bn: int, den: int, d: int) -> "Surd":
+    """Trusted constructor: den != 0 and d square-free > 1 whenever
+    bn != 0.  Reduces by gcd(an, bn, den) and makes den positive."""
+    g = math.gcd(an, bn, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        an, bn, den = an // g, bn // g, den // g
+    out = object.__new__(Surd)
+    out._an, out._bn, out._den, out._d = an, bn, den, d if bn else 0
+    return out
+
+
+def _sign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d), d square-free > 1 whenever b != 0."""
+    if not b:
+        return (a > 0) - (a < 0)
+    if not a or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    # Mixed signs: compare a^2 with b^2 d.  Equality is impossible
+    # because d is square-free and > 1 here.
+    return 1 if (a * a - b * b * d > 0) == (a > 0) else -1
+
+
+def _mix_error(d1: int, d2: int) -> DiscriminantMixError:
+    return DiscriminantMixError(f"cannot combine sqrt({d1}) with sqrt({d2})")
+
+
+class Surd:
+    """(an + bn*sqrt(d)) / den in lowest terms; see the module docstring."""
+
+    __slots__ = ("_an", "_bn", "_den", "_d")
 
     def __init__(self, a: RatLike = 0, b: RatLike = 0, d: int = 0):
+        if not b and not d and isinstance(a, (int, Fraction)):
+            self._an, self._bn, self._den, self._d = _parts(a)
+            return
         a = Fraction(a)
         b = Fraction(b)
         if d < 0:
@@ -78,23 +121,16 @@ class Surd:
             r, d = squarefree_decompose(int(d))
             b *= r
             if d == 0:
-                b = Fraction(0)
+                b = _ZERO
             elif d == 1:
                 a += b
-                b = Fraction(0)
-                d = 0
-        if not b:
-            d = 0
-            b = Fraction(0)
-        self._a, self._b, self._d = a, b, d
-
-    @classmethod
-    def _raw(cls, a: Fraction, b: Fraction, d: int) -> "Surd":
-        """Trusted constructor for parts that are already canonical: a and
-        b are Fractions and d is square-free and > 1 whenever b != 0."""
-        out = object.__new__(cls)
-        out._a, out._b, out._d = a, b, d if b else 0
-        return out
+                b = _ZERO
+        # lcm of the two denominators leaves gcd(an, bn, den) == 1
+        den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+        self._an = a.numerator * (den // a.denominator)
+        self._bn = b.numerator * (den // b.denominator)
+        self._den = den
+        self._d = d if b else 0
 
     @classmethod
     def sqrt(cls, x: RatLike) -> "Surd":
@@ -108,11 +144,11 @@ class Surd:
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        return Fraction(self._an, self._den)
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        return Fraction(self._bn, self._den)
 
     @property
     def d(self) -> int:
@@ -120,123 +156,101 @@ class Surd:
 
     @property
     def is_rational(self) -> bool:
-        return not self._b
+        return not self._bn
 
     def as_fraction(self) -> Fraction:
-        if self._b:
+        if self._bn:
             raise ValueError(f"{self} is irrational")
-        return self._a
+        return Fraction(self._an, self._den)
 
     @property
     def conjugate(self) -> "Surd":
-        return Surd._raw(self._a, -self._b, self._d)
+        return _make(self._an, -self._bn, self._den, self._d)
 
     @property
     def norm(self) -> Fraction:
         """Field norm a^2 - b^2 d (product with the conjugate)."""
-        return self._a * self._a - self._b * self._b * self._d
+        an, bn = self._an, self._bn
+        return Fraction(an * an - bn * bn * self._d, self._den * self._den)
 
     def sign(self) -> int:
-        a, b = self._a, self._b
-        if not b:
-            return (a > 0) - (a < 0)
-        if not a:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Mixed signs: compare a^2 with b^2 d.  Equality is impossible
-        # because d is square-free and > 1 here.
-        n = self.norm
-        if a > 0:  # b < 0: positive iff a^2 > b^2 d
-            return 1 if n > 0 else -1
-        return 1 if n < 0 else -1  # a < 0, b > 0
+        return _sign(self._an, self._bn, self._d)
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other) -> "Surd | None":
-        if isinstance(other, Surd):
-            return other
-        if isinstance(other, Fraction):
-            return Surd._raw(other, _ZERO, 0)
-        if isinstance(other, int):
-            return Surd._raw(Fraction(other), _ZERO, 0)
-        return None
-
-    def _common_d(self, other: "Surd") -> int:
-        if self._b and other._b and self._d != other._d:
-            raise DiscriminantMixError(
-                f"cannot combine sqrt({self._d}) with sqrt({other._d})"
-            )
-        return self._d if self._b else other._d
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        if not self._b and not o._b:
-            return Surd._raw(self._a + o._a, _ZERO, 0)
-        d = self._common_d(o)
-        return Surd._raw(self._a + o._a, self._b + o._b, d)
+        an, bn, den, d = o
+        if bn and self._bn and d != self._d:
+            raise _mix_error(self._d, d)
+        n = self._den
+        if den == n:
+            return _make(self._an + an, self._bn + bn, n, self._d or d)
+        return _make(self._an * den + an * n, self._bn * den + bn * n, n * den, self._d or d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Surd._raw(-self._a, -self._b, self._d)
+        return _make(-self._an, -self._bn, self._den, self._d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        if not self._b and not o._b:
-            return Surd._raw(self._a - o._a, _ZERO, 0)
-        d = self._common_d(o)
-        return Surd._raw(self._a - o._a, self._b - o._b, d)
+        an, bn, den, d = o
+        if bn and self._bn and d != self._d:
+            raise _mix_error(self._d, d)
+        n = self._den
+        if den == n:
+            return _make(self._an - an, self._bn - bn, n, self._d or d)
+        return _make(self._an * den - an * n, self._bn * den - bn * n, n * den, self._d or d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _make(*o) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        # (a + b sqrt(d)) * r = a r + b r sqrt(d) for rational r; a zero
-        # product b r sends d to 0 in _raw.
-        if not o._b:
-            r = o._a
-            return Surd._raw(self._a * r, self._b * r, self._d)
-        if not self._b:
-            r = self._a
-            return Surd._raw(o._a * r, o._b * r, o._d)
-        d = self._common_d(o)
-        return Surd._raw(
-            self._a * o._a + self._b * o._b * d,
-            self._a * o._b + self._b * o._a,
-            d,
-        )
+        a1, b1, n1, d1 = self._an, self._bn, self._den, self._d
+        a2, b2, n2, d2 = o
+        if not b2:
+            return _make(a1 * a2, b1 * a2, n1 * n2, d1)
+        if not b1:
+            return _make(a1 * a2, a1 * b2, n1 * n2, d2)
+        if d1 != d2:
+            raise _mix_error(d1, d2)
+        return _make(a1 * a2 + b1 * b2 * d1, a1 * b2 + b1 * a2, n1 * n2, d1)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        self._common_d(o)
-        n = o.norm
-        if not n:
+        a1, b1, n1, d1 = self._an, self._bn, self._den, self._d
+        a2, b2, n2, d2 = o
+        if b1 and b2 and d1 != d2:
+            raise _mix_error(d1, d2)
+        d = d1 or d2
+        norm = a2 * a2 - b2 * b2 * d
+        if not norm:
             raise ZeroDivisionError("division by zero surd")
-        # 1/(a + b sqrt(d)) = (a - b sqrt(d)) / (a^2 - b^2 d)
-        return (self * o.conjugate) * (Fraction(1) / n)
+        # (a1 + b1 r)/n1 * n2 (a2 - b2 r) / (a2^2 - b2^2 d), r = sqrt(d)
+        return _make(
+            n2 * (a1 * a2 - b1 * b2 * d), n2 * (b1 * a2 - a1 * b2), n1 * norm, d
+        )
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _make(*o) / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -250,50 +264,69 @@ class Surd:
         return -self if self.sign() < 0 else self
 
     def __bool__(self):
-        return bool(self._a or self._b)
+        return bool(self._an or self._bn)
 
     # -- comparisons ---------------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return (self._a, self._b, self._d) == (o._a, o._b, o._d)
+        return (self._an, self._bn, self._den, self._d) == o
 
-    def __lt__(self, other):
-        o = self._coerce(other)
+    def _cmp(self, other):
+        """Sign of self - other, or NotImplemented for foreign types."""
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        try:
-            return (self - o).sign() < 0
-        except DiscriminantMixError:
+        an, bn, den, d = o
+        if bn and self._bn and d != self._d:
             # Distinct discriminants still have a well-defined order:
             # the sign of (a1-a2) + b1 sqrt(d1) - b2 sqrt(d2), decided
             # exactly from rational enclosures of both radicals.
-            return _lt_mixed(self, o)
+            return -1 if _lt_mixed(self, other) else 1
+        n = self._den
+        return _sign(self._an * den - an * n, self._bn * den - bn * n, self._d or d)
+
+    def __lt__(self, other):
+        c = self._cmp(other)
+        return c if c is NotImplemented else c < 0
+
+    def __le__(self, other):
+        c = self._cmp(other)
+        return c if c is NotImplemented else c <= 0
+
+    def __gt__(self, other):
+        c = self._cmp(other)
+        return c if c is NotImplemented else c > 0
+
+    def __ge__(self, other):
+        c = self._cmp(other)
+        return c if c is NotImplemented else c >= 0
 
     def __hash__(self):
-        if not self._b:
-            return hash(self._a)
-        return hash((self._a, self._b, self._d))
+        if not self._bn:
+            return hash(self._an) if self._den == 1 else hash(Fraction(self._an, self._den))
+        return hash((self._an, self._bn, self._den, self._d))
 
     # -- rendering ------------------------------------------------------
 
     def __float__(self) -> float:
-        return float(self._a) + float(self._b) * math.sqrt(self._d)
+        return float(self.a) + float(self.b) * math.sqrt(self._d)
 
     def __repr__(self):
-        return f"Surd({self._a!r}, {self._b!r}, {self._d})"
+        return f"Surd({self.a!r}, {self.b!r}, {self._d})"
 
     def __str__(self):
-        if not self._b:
-            return str(self._a)
-        mag = abs(self._b)
+        a, b = self.a, self.b
+        if not b:
+            return str(a)
+        mag = abs(b)
         core = f"sqrt({self._d})" if mag == 1 else f"{mag}*sqrt({self._d})"
-        if not self._a:
-            return core if self._b > 0 else f"-{core}"
-        joiner = "+" if self._b > 0 else "-"
-        return f"{self._a}{joiner}{core}"
+        if not a:
+            return core if b > 0 else f"-{core}"
+        joiner = "+" if b > 0 else "-"
+        return f"{a}{joiner}{core}"
 
 
 def _lt_mixed(x: Surd, y: Surd) -> bool:

@@ -137,8 +137,12 @@ def divisorial_base_loci(geom: Geometry, d: DivClass) -> tuple[frozenset[str], f
 
 def volume(geom: Geometry, d: DivClass) -> Fraction:
     """vol(D) = c_X q(P(D))^n for big D, else 0."""
-    dec = decompose(geom, d)
-    q = geom.lattice.square(dec.positive)
+    return volume_from_square(geom, geom.lattice.square(decompose(geom, d).positive))
+
+
+def volume_from_square(geom: Geometry, q: Fraction) -> Fraction:
+    """The volume c_X q^n of a class whose positive part has square q,
+    or 0 when q <= 0 (not big)."""
     if q <= 0:
         return Fraction(0)
     return geom.lattice.fujiki * q ** geom.lattice.half_dim

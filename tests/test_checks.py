@@ -144,6 +144,21 @@ def test_run_checks_builds_each_polygon_once(hilb2_elliptic, monkeypatch):
     assert len({geom_id for geom_id, _, _ in built}) == 2
 
 
+def test_run_checks_decomposes_each_class_once(hilb2_elliptic, monkeypatch):
+    from ihspoly import checks
+
+    calls = Counter()
+    real = checks.decompose
+
+    def counting(geom, d):
+        calls[(id(geom), d)] += 1
+        return real(geom, d)
+
+    monkeypatch.setattr(checks, "decompose", counting)
+    run_checks(hilb2_elliptic, 4, 0)
+    assert calls and set(calls.values()) == {1}
+
+
 def test_shared_polygon_failure_reaches_every_check(hilb2_elliptic, monkeypatch):
     from ihspoly import checks
 
@@ -158,8 +173,8 @@ def test_shared_polygon_failure_reaches_every_check(hilb2_elliptic, monkeypatch)
 
     monkeypatch.setattr(checks, "polygon", failing)
     shared = run_checks(geom, 4, 0)
-    # The same run with every polygon call computed afresh.
-    monkeypatch.setattr(checks, "_shared_polygons", lambda: failing)
+    # The same run with every polygon and decomposition computed afresh.
+    monkeypatch.setattr(checks, "_shared", lambda fn: fn)
     unshared = run_checks(geom, 4, 0)
     assert shared == unshared
     label = format_divisor(geom, bad)

@@ -131,6 +131,23 @@ def test_volume_text(capsys):
     assert "volume          300" in out
 
 
+def test_volume_decomposes_once(capsys, monkeypatch):
+    from ihspoly import cli, zariski
+
+    calls = []
+    real = zariski.decompose
+
+    def counting(geom, d):
+        calls.append(d)
+        return real(geom, d)
+
+    monkeypatch.setattr(zariski, "decompose", counting)
+    monkeypatch.setattr(cli, "decompose", counting)
+    code, payload = run_json(capsys, "volume", HILB2, "3*H - E")
+    assert code == 0 and payload["volume"] == "300" and payload["q_positive"] == "10"
+    assert len(calls) == 1
+
+
 def test_restricted_volume_machine(capsys):
     code, payload = run_json(capsys, "restricted-volume", HILB2, "3*H - E", "E'")
     assert code == 0

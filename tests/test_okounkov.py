@@ -17,9 +17,12 @@ solves 2t^2 - 8t + 2 = 0, mu = 2 - sqrt(3); height 4 - 2t; the
 trapezoid area (2 + sqrt(3))(2 - sqrt(3)) = 1 exactly.
 """
 
+import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +53,7 @@ from ihspoly.polygon2d import contains_point, convex_hull, point
 from ihspoly.zariski import chamber_positive_part
 
 F = Fraction
+GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
 
 
 # -- thresholds -----------------------------------------------------------------
@@ -429,6 +433,125 @@ def test_polygon_vertices_are_canonical(hilb2, k3_elliptic, hilb2_elliptic, fano
             for a in polys:
                 for b in polys:
                     assert canonical(polygon_minkowski_sum(a, b).vertices)
+
+
+PLANE = """{
+    "name": "plane", "half_dim": 1, "fujiki": 1,
+    "basis": ["u", "v"], "gram": [[0, 1], [1, 0]],
+    "mode": "round",
+    "primes": [{"name": "S", "class": [1, 0], "exceptional": false}],
+    "ample": [1, 1]
+}"""
+
+
+def _without_e_prime():
+    """hilb2 without E': its only flag is the exceptional prime E."""
+    doc = json.loads((GEOM_DIR / "hilb2.geom").read_text())
+    doc["primes"] = [p for p in doc["primes"] if p["name"] != "E'"]
+    return parse_geometry(json.dumps(doc))
+
+
+def _hull_of_trace(geom, trace, prime_name):
+    """The former polygon construction, kept as the oracle: the convex hull
+    of (0, 0), (mu, 0) and both ends of every walk segment at their
+    heights q(base + t slope, E)."""
+    pts = [point(0, 0), (trace.mu, Surd(0))]
+    for seg in trace.segments:
+        c0 = geom.prime_pair(seg.base, prime_name)
+        c1 = geom.prime_pair(seg.slope, prime_name)
+        pts.append((Surd(seg.t_start), Surd(c0 + seg.t_start * c1)))
+        pts.append((seg.t_end, Surd(c0) + seg.t_end * c1))
+    return tuple(convex_hull(pts))
+
+
+def test_polygon_outline_matches_hull_oracle(hilb2, k3_elliptic, hilb2_elliptic, fano_round):
+    # Every prime of every bundled catalog and test fixture, over sampled
+    # big classes, the zero class, the primes, the cone generators, the
+    # ample class and their translates by each prime.
+    seen = Counter()
+    geoms = (hilb2, k3_elliptic, hilb2_elliptic, fano_round, parse_geometry(PLANE), _without_e_prime())
+    for geom in geoms:
+        lat = geom.lattice
+        classes = sample_big_classes(geom, 6, seed=5) + [geom.zero()]
+        classes += [p.cls for p in geom.primes] + list(geom.effective_generators)
+        if geom.ample is not None:
+            classes.append(geom.ample)
+        classes += [d + p.cls for d in classes[:4] for p in geom.primes]
+        for prime in geom.primes:
+            for d in classes:
+                try:
+                    poly = polygon(geom, d, prime.name)
+                except DomainError:
+                    continue
+                assert poly.vertices == _hull_of_trace(geom, poly.trace, prime.name)
+                assert len(poly.vertices) <= 2 * lat.rank + 2
+                seen["big" if lat.square(positive_part(geom, d)) > 0 else "not big"] += 1
+                seen["mu = 0"] += not poly.mu
+                seen["nu > 0"] += poly.nu > 0
+                seen["isotropic"] += lat.square(d) == 0
+    assert all(seen[k] for k in ("big", "not big", "mu = 0", "nu > 0", "isotropic")), seen
+    for geom in (hilb2, k3_elliptic, hilb2_elliptic):
+        for d in sample_big_classes(geom, 4, seed=6):
+            _, tri = simplex_flag(geom, d)
+            assert list(tri.vertices) == convex_hull(tri.vertices)
+
+
+def test_outline_drops_joints_of_equal_slope(hilb2):
+    # A consistent walk changes the height slope at every wall, so this
+    # trace is made by hand.  Along E' the height is 6 - 2t on [0, 1] and
+    # again on [1, 2], then 10 - 4t down to 0 at mu = 5/2: the joint at
+    # t = 1 is no corner, the one at t = 2 is, and (5/2, 0) is (mu, 0).
+    def seg(t0, t1, base, slope):
+        return okounkov.WalkSegment(F(t0), Surd(t1), frozenset(), DivClass(base), DivClass(slope))
+
+    mu = F(5, 2)
+    trace = okounkov.BreakpointTrace(
+        (seg(0, 1, [3, 0], [-1, 0]), seg(1, 2, [3, 0], [-1, 0]), seg(2, mu, [5, 0], [-2, 0])),
+        Surd(mu),
+    )
+    verts = okounkov._outline(hilb2, trace, "E'")
+    assert verts == (point(0, 0), point(mu, 0), point(2, 2), point(0, 6))
+    assert verts == _hull_of_trace(hilb2, trace, "E'")
+
+
+def _locate(verts, x, y):
+    """'out', 'on' or 'in' for the point (x, y) against a counterclockwise
+    convex polygon, all in Fractions."""
+    sides = [
+        (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)
+        for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1])
+    ]
+    if any(s < 0 for s in sides):
+        return "out"
+    return "on" if any(s == 0 for s in sides) else "in"
+
+
+def test_polygon_slices_match_fresh_decompositions(hilb2, k3_elliptic, hilb2_elliptic):
+    # The slice rule: over t in [0, mu) the polygon's vertical extent is
+    # [0, q(P(D - tE), E)], with P from a decomposition of its own.  For
+    # 0 < t < mu the vertical line meets the boundary of the polygon in
+    # exactly two points, so (t, 0) and (t, h) both on it, with (t, h/2)
+    # inside, pin the extent down exactly; at t = 0 it is the left edge.
+    rng = random.Random(131)
+    for geom in (hilb2, k3_elliptic, hilb2_elliptic):
+        lat = geom.lattice
+        for d in sample_big_classes(geom, 8, seed=11):
+            for prime in geom.primes:
+                poly = polygon(geom, d, prime.name)
+                verts = [(x.as_fraction(), y.as_fraction()) for x, y in poly.vertices]
+                assert len(verts) <= 2 * lat.rank + 2
+                base = d - prime.cls.scale(poly.nu)
+                mu = poly.mu.as_fraction()
+                for t in [F(0)] + [mu * F(rng.randrange(1, 12), 12) for _ in range(4)]:
+                    pos = decompose(geom, base - prime.cls.scale(t)).positive
+                    h = lat.pair(pos, prime.cls)
+                    if t == 0:
+                        assert max(y for x, y in verts if x == 0) == h
+                        continue
+                    assert h > 0
+                    assert _locate(verts, t, F(0)) == "on"
+                    assert _locate(verts, t, h) == "on"
+                    assert _locate(verts, t, h / 2) == "in"
 
 
 def test_polygon_contains_with_offsets(hilb2):
