@@ -16,16 +16,11 @@ from fractions import Fraction
 from .errors import DomainError, IHSError
 from .geometry import Geometry, format_divisor, is_pseudo_effective
 from .lattice import DivClass, linear_combination
-from .minkowski import chamber_generator, enumerate_chambers, minkowski_decompose
-from .okounkov import (
-    polygon,
-    polygon_contains,
-    polygon_minkowski_sum,
-    polygon_scale,
-)
+from .minkowski import _minkowski_decompose, chamber_generator, enumerate_chambers
+from .okounkov import _polygon, polygon_contains, polygon_minkowski_sum, polygon_scale
 from .polygon2d import contains_point, contains_polygon, translate
 from .surd import Surd
-from .zariski import chamber_positive_part, decompose, volume
+from .zariski import chamber_positive_part, decompose, volume_from_square
 
 
 @dataclass(frozen=True)
@@ -54,21 +49,23 @@ class _Recorder:
         self.failed = 0
         self.messages: list[str] = []
 
-    def run(self, label: str, fn) -> None:
+    def run(self, label, fn) -> None:
         """Run one sample; fn returns None when the sample lies outside
-        the check's domain, which counts neither as a run nor a failure."""
+        the check's domain, which counts neither as a run nor a failure.
+        label() gives the failure message; it is called only for a
+        failed sample that is kept, before run returns."""
+        error = None
         try:
             ok = fn()
         except IHSError as exc:
-            ok = False
-            label = f"{label}: {exc}"
+            ok, error = False, exc
         if ok is None:
             return
         self.runs += 1
         if not ok:
             self.failed += 1
             if len(self.messages) < _MAX_MESSAGES:
-                self.messages.append(label)
+                self.messages.append(label() if error is None else f"{label()}: {error}")
 
     def result(self) -> CheckResult:
         return CheckResult(self.name, self.runs, self.failed, tuple(self.messages))
@@ -154,14 +151,20 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
 
     The checks share one decomposition per (geometry, class) and one
     polygon per (geometry, class, flag) for this call only; nothing is
-    kept once it returns.  Polygons that only one check reads are built
-    outside the share: flag-translation's D + E, superadditivity's
+    kept once it returns.  Every polygon, volume and Minkowski
+    decomposition takes its decompositions (D - nu E included) from the
+    shared ones.  Polygons that only one check reads are built outside
+    the polygon share: flag-translation's D + E, superadditivity's
     D1 + D2, area-identity's non-flag polygons of the samples that
     flag-translation skips, and the reordered copy's.
     """
     lat = geom.lattice
-    shared_polygon = _shared(polygon)
     shared_decompose = _shared(decompose)
+
+    def polygon(g: Geometry, d: DivClass, prime_name: str):
+        return _polygon(g, d, prime_name, shared_decompose)
+
+    shared_polygon = _shared(polygon)
     classes = _sample_big_classes(geom, samples, seed, shared_decompose)
     n = geom.lattice.half_dim
     c = geom.lattice.fujiki
@@ -176,7 +179,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
         for p in primes:
             build = shared_polygon if p == flag or i < len(translated) else polygon
             area_id.run(
-                f"2*area != q(P) for D={_fmt(geom, d)}, E={p.name}",
+                lambda: f"2*area != q(P) for D={_fmt(geom, d)}, E={p.name}",
                 lambda d=d, p=p, qp=qp, build=build: build(geom, d, p.name).area * 2 == qp,
             )
 
@@ -184,10 +187,10 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
     for d in classes:
         def chain(d=d) -> bool:
             qp = lat.square(shared_decompose(geom, d).positive)
-            v = volume(geom, d)
+            v = volume_from_square(geom, qp)
             a = shared_polygon(geom, d, flag.name).area
             return a * 2 == qp and (a * 2) ** n * c == v and Surd(qp) ** n * c == v
-        vol_chain.run(f"volume chain broke for D={_fmt(geom, d)}", chain)
+        vol_chain.run(lambda: f"volume chain broke for D={_fmt(geom, d)}", chain)
 
     structure = _Recorder("breakpoint-structure")
     for d in classes:
@@ -202,7 +205,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
             for seg in tr.segments:
                 slopes.append(lat.pair(seg.slope, flag.cls))
             return all(a >= b for a, b in zip(slopes, slopes[1:]))
-        structure.run(f"trace structure broke for D={_fmt(geom, d)}", struct)
+        structure.run(lambda: f"trace structure broke for D={_fmt(geom, d)}", struct)
 
     translation = _Recorder("flag-translation")
     for d in translated:
@@ -234,7 +237,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
                     )
                 return True
             translation.run(
-                f"translation by {p.name} broke for D={_fmt(geom, d)}", shift
+                lambda: f"translation by {p.name} broke for D={_fmt(geom, d)}", shift
             )
 
     superadd = _Recorder("polygon-superadditivity")
@@ -247,7 +250,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
                 polygon(geom, d1 + d2, flag.name), polygon_minkowski_sum(p1, p2)
             )
         superadd.run(
-            f"superadditivity broke for {_fmt(geom, d1)} and {_fmt(geom, d2)}", supa
+            lambda: f"superadditivity broke for {_fmt(geom, d1)} and {_fmt(geom, d2)}", supa
         )
 
         def logc(d1=d1, d2=d2) -> bool:
@@ -257,7 +260,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
             gap = s12 - s1 - s2
             return gap >= 0 and gap * gap >= 4 * s1 * s2
         logconc.run(
-            f"log-concavity broke for {_fmt(geom, d1)} and {_fmt(geom, d2)}", logc
+            lambda: f"log-concavity broke for {_fmt(geom, d1)} and {_fmt(geom, d2)}", logc
         )
 
     idem = _Recorder("zariski-idempotence")
@@ -270,7 +273,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
             return shared_polygon(geom, pos, flag.name).vertices == shared_polygon(
                 geom, d, flag.name
             ).vertices
-        idem.run(f"idempotence broke for D={_fmt(geom, d)}", idempotent)
+        idem.run(lambda: f"idempotence broke for D={_fmt(geom, d)}", idempotent)
 
     reorder = _Recorder("catalog-order-invariance")
     shuffled = replace(
@@ -280,20 +283,20 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
     )
     for d in classes[: max(1, len(classes) // 4)]:
         def invariant(d=d) -> bool:
-            a, b = shared_decompose(geom, d), decompose(shuffled, d)
+            a, b = shared_decompose(geom, d), shared_decompose(shuffled, d)
             if a.positive != b.positive or dict(a.negative) != dict(b.negative):
                 return False
             pa = shared_polygon(geom, d, flag.name)
             pb = polygon(shuffled, d, flag.name)  # used only here
             return pa.vertices == pb.vertices and pa.nu == pb.nu and pa.mu == pb.mu
-        reorder.run(f"catalog order changed results for D={_fmt(geom, d)}", invariant)
+        reorder.run(lambda: f"catalog order changed results for D={_fmt(geom, d)}", invariant)
 
     recon = _Recorder("minkowski-reconstruction")
     if geom.mode == "polyhedral":
         for i, d in enumerate(classes):
             def rebuild(d=d, full=(i < 5)) -> bool | None:
                 try:
-                    mk = minkowski_decompose(geom, d, flag.name)
+                    mk = _minkowski_decompose(geom, d, flag.name, shared_decompose)
                 except DomainError:
                     return None  # no chamber generator exists for the flag
                 pos = shared_decompose(geom, d).positive
@@ -308,7 +311,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
                     piece = polygon_scale(coeff, shared_polygon(geom, element.cls, flag.name))
                     total = polygon_minkowski_sum(total, piece)
                 return total.vertices == shared_polygon(geom, d, flag.name).vertices
-            recon.run(f"reconstruction broke for D={_fmt(geom, d)}", rebuild)
+            recon.run(lambda: f"reconstruction broke for D={_fmt(geom, d)}", rebuild)
 
     walls = _Recorder("wall-continuity")
     if geom.mode == "polyhedral":
@@ -332,7 +335,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
                     hi, _ = chamber_positive_part(geom, wall, big_ch)
                     return lo == hi
                 walls.run(
-                    f"wall between {sorted(small)} and {sorted(big_ch)} discontinuous",
+                    lambda: f"wall between {sorted(small)} and {sorted(big_ch)} discontinuous",
                     continuous,
                 )
 

@@ -16,9 +16,12 @@ Data derived from the catalog is built on first use and kept on the
 geometry, bounded by the catalog's size: the facets of Eff, the
 extremal rays of Mov, the chamber list (negative-definite sets of
 exceptional primes), each prime's form q(-, E) as an integer row over
-a denominator, the inverse Gram matrix of each Zariski support met
-so far, and the chamber-walk slope of each (flag prime, chamber) met so
-far.
+a denominator, and, for each Zariski support met so far, its integer
+projector (SupportProjector: P is linear on a chamber S, so P_S and the
+coefficients of N are two integer matrices over one denominator each,
+built from one inverse Gram matrix).  Per (flag prime, chamber) met so
+far it also keeps the chamber-walk slope and the Minkowski chamber
+generator.  A failed build is never kept.
 
 Everything downstream is correct relative to this declared data: a
 truncated catalog (actual manifolds may carry infinitely many prime
@@ -37,10 +40,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConsistencyError, DomainError, GeometryError
-from .lattice import BBFLattice, DivClass, dot
+from .lattice import BBFLattice, DivClass, dot, integer_rows
 from .linalg import SingularMatrixError, inertia, inverse, kernel
 from .linprog import Cone, extreme_rays, generated_cone
 
@@ -60,6 +63,32 @@ class Prime:
     name: str
     cls: DivClass
     exceptional: bool
+
+
+class SupportProjector(NamedTuple):
+    """The chamber-local linear map D -> P(D) on a Zariski support S, in
+    integers.
+
+    For a class d the coefficient of the i-th prime of S (sorted by name)
+    in N is coeff_rows[i] . d.num / (coeff_den * d.den), and
+    P_S(d) = d - sum x_i E_i is rows . d.num / (den * d.den).  P_S(d) is
+    orthogonal to every prime of S and P_S fixes S-perp.
+    """
+
+    coeff_rows: tuple[tuple[int, ...], ...]
+    coeff_den: int
+    rows: tuple[tuple[int, ...], ...]
+    den: int
+
+    def positive(self, d: DivClass) -> DivClass:
+        if not self.coeff_rows:  # the empty support: P is the identity
+            return d
+        num = d.num
+        return DivClass._raw(tuple(dot(row, num) for row in self.rows), self.den * d.den)
+
+    def coefficients(self, d: DivClass) -> tuple[Fraction, ...]:
+        den = self.coeff_den * d.den
+        return tuple(Fraction(dot(row, d.num), den) for row in self.coeff_rows)
 
 
 @dataclass(frozen=True)
@@ -139,28 +168,45 @@ class Geometry:
         return Fraction(dot(x.num, row), x.den * den)
 
     @cached_property
-    def support_inverses(self) -> dict[tuple[str, ...], tuple[tuple[Fraction, ...], ...]]:
-        """Inverse Gram matrix of every Zariski support met so far, keyed
-        by its sorted prime names; support_inverse fills it."""
+    def support_projectors(self) -> dict[tuple[str, ...], SupportProjector]:
+        """Integer projector of every Zariski support met so far, keyed by
+        its sorted prime names; support_projector fills it."""
         return {}
 
-    def support_inverse(self, names: tuple[str, ...]) -> tuple[tuple[Fraction, ...], ...]:
-        """Inverse Gram matrix of the primes called names (sorted), built
-        on first use once the matrix is checked to be negative definite."""
-        found = self.support_inverses.get(names)
+    def support_projector(self, names: tuple[str, ...]) -> SupportProjector:
+        """Integer projector of the support of primes called names
+        (sorted), built on first use once its Gram matrix is checked to
+        be negative definite."""
+        found = self.support_projectors.get(names)
         if found is not None:
             return found
-        gram = self.lattice.sub_gram([self._by_name[n].cls for n in names])
+        classes = [self.prime(n).cls for n in names]
+        gram = self.lattice.sub_gram(classes)
         if inertia(gram) != (0, len(names), 0):
             raise ConsistencyError(
                 f"Gram matrix of {list(names)} is not negative definite; "
                 "the declared prime catalog is inconsistent"
             )
         try:
-            found = tuple(tuple(row) for row in inverse(gram))
+            inv = inverse(gram)
         except SingularMatrixError as exc:  # unreachable after the inertia check
             raise ConsistencyError(str(exc)) from exc
-        self.support_inverses[names] = found
+        # x = inv . (q(d, E_i))_i with q(d, E_i) = d.num . row_i / (d.den * den_i)
+        forms = [self.prime_forms[n] for n in names]
+        coeffs = [
+            [sum(a * Fraction(row[c], den) for a, (row, den) in zip(inv_row, forms))
+             for c in range(self.rank)]
+            for inv_row in inv
+        ]
+        # P_S(d) = d - sum_i x_i E_i, as a matrix acting on d.num over d.den
+        coords = [cls.coords for cls in classes]
+        proj = [
+            [int(r == c) - sum(e[r] * x[c] for e, x in zip(coords, coeffs))
+             for c in range(self.rank)]
+            for r in range(self.rank)
+        ]
+        found = SupportProjector(*integer_rows(coeffs), *integer_rows(proj))
+        self.support_projectors[names] = found
         return found
 
     @cached_property
@@ -168,6 +214,13 @@ class Geometry:
         """Slope -P_S(E) of the chamber walk along the prime E on the
         chamber S, keyed by (E's name, S); at most primes x chambers
         entries, filled by okounkov's walk."""
+        return {}
+
+    @cached_property
+    def chamber_generators(self) -> dict[tuple[str, frozenset[str]], DivClass]:
+        """Minkowski chamber generator of the flag prime E on the chamber
+        S, keyed by (E's name, S); at most primes x chambers entries,
+        filled by minkowski.chamber_generator."""
         return {}
 
 
@@ -461,5 +514,5 @@ def is_movable(geom: Geometry, d: DivClass) -> bool:
     """Pseudo-effective and q-nonnegative against every declared prime."""
     if not is_pseudo_effective(geom, d):
         return False
-    return all(geom.prime_pair(d, p.name) >= 0 for p in geom.primes)
+    return all(dot(d.num, row) >= 0 for row, _ in geom.prime_forms.values())
 

@@ -40,6 +40,13 @@ def primitive_vector(coords: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], 
     return tuple(Fraction(v, g) for v in ints), Fraction(k, g)
 
 
+def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rational rows as integer rows over their least common denominator
+    (1 when there are no entries)."""
+    den = lcm(*(v.denominator for row in rows for v in row))
+    return tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows), den
+
+
 def dot(x: Sequence, y: Sequence):
     """Exact x . y; integer vectors give an int, rational ones a Fraction."""
     if len(x) != len(y):
@@ -202,9 +209,9 @@ class BBFLattice:
                 f"BBF form must have signature (1, rank-1); got {sig}"
             )
         # gram == igram / gden, so a pairing is one integer double sum.
-        gden = lcm(*(v.denominator for row in rows for v in row))
+        igram, gden = integer_rows(rows)
         object.__setattr__(self, "_gden", gden)
-        object.__setattr__(self, "_igram", tuple(tuple(int(v * gden) for v in row) for row in rows))
+        object.__setattr__(self, "_igram", igram)
 
     @property
     def rank(self) -> int:

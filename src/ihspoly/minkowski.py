@@ -10,6 +10,12 @@ of E + sum x_i E_i orthogonal to every E_i in S -- plus the isotropic
 extremal rays of the movable cone.  Every big-and-movable class then
 decomposes as a nonnegative rational combination of basis elements by
 walking down the chambers, and the polygons add up along the way.
+
+The generator of S is P_S(E) made primitive, so it comes from the
+support's integer projector (Geometry.support_projector) with no Gram
+solve of its own, and it is kept per (flag, chamber) in
+Geometry.chamber_generators.  The walk's wall tests are signs of
+integer dot products with the primes' form rows.
 """
 
 from __future__ import annotations
@@ -20,8 +26,7 @@ from typing import Optional
 
 from .errors import ConsistencyError, DomainError
 from .geometry import Geometry
-from .lattice import DivClass, linear_combination
-from .linalg import solve
+from .lattice import DivClass, dot, linear_combination
 from .linprog import InfeasibleError, UnboundedError, max_step, prune_to_extremal
 from .zariski import decompose, null_set
 
@@ -38,24 +43,26 @@ def enumerate_chambers(geom: Geometry) -> tuple[frozenset[str], ...]:
 def chamber_generator(geom: Geometry, chamber: frozenset[str], flag_name: str) -> DivClass:
     """Primitive generator of the ray of the flag pushed into S-perp.
 
-    Solves pair(E + sum x_i E_i, E_j) = 0 for all E_j in S; the x_i
-    must come out nonnegative or the catalog is contradictory.
+    The ray of E + sum x_i E_i with pair(-, E_j) = 0 for all E_j in S,
+    i.e. of P_S(E); the x_i must come out nonnegative or the catalog is
+    contradictory.  Kept in geom.chamber_generators once built (a
+    failure is not kept).
     """
     flag = geom.prime(flag_name)
     if flag.name in chamber:
         raise DomainError("flag prime cannot lie in the chamber it generates against")
-    if not chamber:
-        return flag.cls.primitive()
-    primes = [geom.prime(name) for name in sorted(chamber)]
-    gram = geom.lattice.sub_gram([p.cls for p in primes])
-    rhs = [-geom.prime_pair(flag.cls, p.name) for p in primes]
-    xs = solve(gram, rhs)
-    if any(x < 0 for x in xs):
-        raise ConsistencyError(
-            "chamber generator acquired a negative correction coefficient"
-        )
-    correction = linear_combination(xs, [p.cls for p in primes], geom.rank)
-    return (flag.cls + correction).primitive()
+    key = (flag_name, frozenset(chamber))
+    found = geom.chamber_generators.get(key)
+    if found is None:
+        proj = geom.support_projector(tuple(sorted(chamber)))
+        # x_i = -(coefficient of E_i in N_S(E)), over a positive denominator
+        if any(dot(row, flag.cls.num) > 0 for row in proj.coeff_rows):
+            raise ConsistencyError(
+                "chamber generator acquired a negative correction coefficient"
+            )
+        found = proj.positive(flag.cls).primitive()
+        geom.chamber_generators[key] = found
+    return found
 
 
 def movable_cone_rays(geom: Geometry) -> tuple[DivClass, ...]:
@@ -80,11 +87,8 @@ def chamber_closure_rays(geom: Geometry, chamber: frozenset[str]) -> tuple[DivCl
     by the movable rays orthogonal to every prime of S.
     """
     primes = [geom.prime(name) for name in sorted(chamber)]
-    rays = [
-        r.num
-        for r in movable_cone_rays(geom)
-        if all(geom.prime_pair(r, p.name) == 0 for p in primes)
-    ]
+    rows = [geom.prime_forms[p.name][0] for p in primes]
+    rays = [r.num for r in movable_cone_rays(geom) if not any(dot(r.num, row) for row in rows)]
     rays = prune_to_extremal(rays + [p.cls.num for p in primes])
     return tuple(DivClass(r) for r in rays)
 
@@ -159,12 +163,21 @@ def minkowski_decompose(geom: Geometry, d: DivClass, flag_name: str) -> Minkowsk
     the movable cone allows; the leftover lands on a wall and the walk
     repeats until zero or an isotropic ray remains.
     """
+    return _minkowski_decompose(geom, d, flag_name, decompose)
+
+
+def _minkowski_decompose(
+    geom: Geometry, d: DivClass, flag_name: str, decomposed
+) -> MinkowskiDecomposition:
+    """minkowski_decompose, taking the decomposition of D from
+    decomposed(geom, d) (zariski.decompose or a caller's memo)."""
     if geom.mode != "polyhedral":
         raise DomainError("minkowski decomposition requires polyhedral mode")
     flag = geom.prime(flag_name)
-    dec = decompose(geom, d)  # DomainError when not pseudo-effective
+    dec = decomposed(geom, d)  # DomainError when not pseudo-effective
     nu = dec.coefficient(flag_name)
     lat = geom.lattice
+    forms = geom.prime_forms
     m = dec.positive
     terms: list[tuple[Fraction, BasisElement]] = []
     for _ in range(2 * (len(geom.primes) + lat.rank) + 4):
@@ -180,11 +193,12 @@ def minkowski_decompose(geom: Geometry, d: DivClass, flag_name: str) -> Minkowsk
                 "no chamber generator exists for it"
             )
         gen = chamber_generator(geom, sigma, flag_name)
+        # tau = min over primes Q with q(gen, Q) > 0 of q(m, Q) / q(gen, Q)
         tau: Optional[Fraction] = None
-        for prime in geom.primes:
-            down = geom.prime_pair(gen, prime.name)
+        for row, _ in forms.values():
+            down = dot(gen.num, row)
             if down > 0:
-                bound = geom.prime_pair(m, prime.name) / down
+                bound = Fraction(dot(m.num, row) * gen.den, down * m.den)
                 if tau is None or bound < tau:
                     tau = bound
         try:

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
 from .geometry import Geometry, Prime, is_pseudo_effective
-from .lattice import DivClass, primitive_vector
+from .lattice import DivClass, dot, primitive_vector
 from .linprog import InfeasibleError, UnboundedError, max_step
 from .minkowski import chamber_closure_rays, enumerate_chambers
 from .polygon2d import Point, contains_polygon
@@ -39,7 +39,7 @@ from .polygon2d import minkowski_sum as hull_minkowski_sum
 from .polygon2d import scale as hull_scale
 from .polygon2d import translate as hull_translate
 from .surd import Surd, smallest_positive_root
-from .zariski import ZariskiDecomposition, chamber_positive_part, decompose
+from .zariski import ZariskiDecomposition, decompose
 
 
 @dataclass(frozen=True)
@@ -149,43 +149,38 @@ def mu_threshold(geom: Geometry, d: DivClass, prime_name: str) -> Surd:
 
 
 def _trace(
-    geom: Geometry, d: DivClass, prime: Prime, dec: Optional[ZariskiDecomposition] = None
+    geom: Geometry, d: DivClass, prime: Prime, dec: ZariskiDecomposition
 ) -> BreakpointTrace:
-    """Piecewise-affine trace of t -> P(D - tE) on [0, mu]; nu already 0.
-
-    dec is decompose(geom, d) when the caller already holds it.
-    """
+    """Piecewise-affine trace of t -> P(D - tE) on [0, mu]; nu already 0
+    and dec = decompose(geom, d)."""
     lat = geom.lattice
-    if dec is None:
-        try:
-            dec = decompose(geom, d)
-        except DomainError as exc:
-            raise ConsistencyError(
-                "normalized class left the declared effective cone"
-            ) from exc
     if dec.coefficient(prime.name):
         raise DomainError(
             "flag prime must sit outside the negative support; strip nu first"
         )
     mu = _threshold(geom, d, prime)
     big = lat.square(dec.positive) > 0
+    forms = geom.prime_forms
     support = set(dec.support)
     segments: list[WalkSegment] = []
     t = Fraction(0)
     for _ in range(2 * len(geom.primes) + 4):
-        base, _ = chamber_positive_part(geom, d, support)
+        base = geom.support_projector(tuple(sorted(support))).positive(d)
         slope = _walk_slope(geom, prime, support)
         # Next wall: first prime outside the chamber whose pairing with
-        # the affine positive part decreases through zero.
+        # the affine positive part decreases through zero; the pairings
+        # are c0 = base.num . row and c1 = slope.num . row over their
+        # classes' denominators (the form's own denominator cancels).
         t_next: Optional[Fraction] = None
         joiners: list[str] = []
         for q in geom.primes:
             if q.name in support or q.name == prime.name:
                 continue
-            c0, c1 = geom.prime_pair(base, q.name), geom.prime_pair(slope, q.name)
+            row = forms[q.name][0]
+            c1 = dot(slope.num, row)
             if c1 >= 0:
                 continue
-            hit = -c0 / c1
+            hit = Fraction(-dot(base.num, row) * slope.den, c1 * base.den)
             if hit < t:
                 raise ConsistencyError(
                     f"prime {q.name!r} pairs negatively inside a chamber"
@@ -207,13 +202,30 @@ def _trace(
     raise ConsistencyError("chamber walk exceeded the iteration cap")
 
 
+def _normalized_trace(
+    geom: Geometry, d: DivClass, prime: Prime, dec: ZariskiDecomposition, decomposed
+) -> BreakpointTrace:
+    """The trace of D - nu E, where nu = nu_E(D) is read off
+    dec = decomposed(geom, d); decomposed decomposes D - nu E too."""
+    nu = dec.coefficient(prime.name)
+    if nu:
+        d = d - prime.cls.scale(nu)
+        try:
+            dec = decomposed(geom, d)
+        except DomainError as exc:
+            raise ConsistencyError(
+                "normalized class left the declared effective cone"
+            ) from exc
+    return _trace(geom, d, prime, dec)
+
+
 def _walk_slope(geom: Geometry, prime: Prime, support: set[str]) -> DivClass:
     """-P_S(E) for the chamber S = support: the walk's slope there, kept
     in geom.walk_slopes once solved (a failed solve is not kept)."""
     key = (prime.name, frozenset(support))
     slope = geom.walk_slopes.get(key)
     if slope is None:
-        slope = -chamber_positive_part(geom, prime.cls, support)[0]
+        slope = -geom.support_projector(tuple(sorted(support))).positive(prime.cls)
         geom.walk_slopes[key] = slope
     return slope
 
@@ -260,13 +272,16 @@ def polygon(geom: Geometry, d: DivClass, prime_name: str) -> NOPolygon:
     q(P(D))/2; non-big classes degenerate to a segment or point swept
     by the same construction.
     """
+    return _polygon(geom, d, prime_name, decompose)
+
+
+def _polygon(geom: Geometry, d: DivClass, prime_name: str, decomposed) -> NOPolygon:
+    """polygon, taking the decompositions of D and of D - nu E from
+    decomposed(geom, class) (zariski.decompose or a caller's memo)."""
     prime = geom.prime(prime_name)
-    dec = decompose(geom, d)  # raises DomainError when not psef
+    dec = decomposed(geom, d)  # raises DomainError when not psef
+    trace = _normalized_trace(geom, d, prime, dec, decomposed)
     nu = dec.coefficient(prime_name)
-    if nu:
-        trace = _trace(geom, d - prime.cls.scale(nu), prime)
-    else:
-        trace = _trace(geom, d, prime, dec)
     return NOPolygon(_outline(geom, trace, prime_name), nu, trace.mu, trace)
 
 
@@ -347,10 +362,7 @@ def cone_contains(geom: Geometry, prime_name: str, zeta: DivClass, t, y) -> bool
     nu = dec.coefficient(prime_name)
     if t < nu:
         return False
-    if nu:
-        trace = _trace(geom, zeta - prime.cls.scale(nu), prime)
-    else:
-        trace = _trace(geom, zeta, prime, dec)
+    trace = _normalized_trace(geom, zeta, prime, dec, decompose)
     t_rel = t - nu
     if t_rel > trace.mu:
         return False

@@ -61,7 +61,7 @@ def divisor_json(geom: Geometry, d: DivClass) -> dict:
 
 
 def decomposition_json(geom: Geometry, d: DivClass, dec: ZariskiDecomposition) -> dict:
-    lat = geom.lattice
+    q = geom.lattice.square(dec.positive)
     return {
         "geometry": geom.name,
         "class": divisor_json(geom, d),
@@ -70,8 +70,8 @@ def decomposition_json(geom: Geometry, d: DivClass, dec: ZariskiDecomposition) -
             {"prime": name, "coefficient": format_rat(coeff)}
             for name, coeff in dec.negative
         ],
-        "q_positive": format_rat(lat.square(dec.positive)),
-        "big": lat.square(dec.positive) > 0,
+        "q_positive": format_rat(q),
+        "big": q > 0,
     }
 
 

@@ -14,11 +14,12 @@ after at most #catalog rounds; failures of negative definiteness or
 coefficient positivity are reported as catalog inconsistencies rather
 than patched over.
 
-P is linear on each chamber, so the inverse Gram matrix of a support is
-built once per geometry (Geometry.support_inverse) and every later
-solve on that support is the primes' pairings with D times that
-inverse; the negative part sum x_i E_i is then summed in integers over
-one common denominator.
+P is linear on each chamber S, so it is one fixed rational projector
+P_S there: Geometry.support_projector builds it once per geometry as
+integer matrices, and a solve on S is then integer matrix-vector
+products with D's numerators.  The support and joining tests are signs
+of integer dot products with the primes' form rows, and a Fraction is
+built only for the coefficients a decomposition returns.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable
 
 from .errors import ConsistencyError, DomainError
 from .geometry import Geometry, is_movable, is_pseudo_effective
-from .lattice import DivClass, dot, linear_combination
+from .lattice import DivClass, dot
 
 
 @dataclass(frozen=True)
@@ -51,44 +52,36 @@ class ZariskiDecomposition:
         return Fraction(0)
 
 
-def _support_solve(geom: Geometry, d: DivClass, names: tuple[str, ...]) -> list[Fraction]:
-    """Coefficients x with Gram_S x = (q(D, E_i))_i for the sorted support
-    names S, by the cached inverse; orthogonalizes D - N."""
-    rhs = [geom.prime_pair(d, n) for n in names]
-    return [dot(row, rhs) for row in geom.support_inverse(names)]
-
-
 def decompose(geom: Geometry, d: DivClass) -> ZariskiDecomposition:
     """Divisorial Zariski decomposition of a pseudo-effective class."""
     if not is_pseudo_effective(geom, d):
         raise DomainError("class is not pseudo-effective in the declared cone")
-    support = [p for p in geom.exceptional_primes if geom.prime_pair(d, p.name) < 0]
+    forms = geom.prime_forms
+    num, den = d.num, d.den
+    support = [p for p in geom.exceptional_primes if dot(num, forms[p.name][0]) < 0]
     for _ in range(len(geom.primes) + 1):
-        if support:
-            names = tuple(sorted(p.name for p in support))
-            solved = dict(zip(names, _support_solve(geom, d, names)))
-            coeffs = [solved[p.name] for p in support]
-            for p, x in zip(support, coeffs):
-                if x < 0:
-                    raise ConsistencyError(
-                        f"negative coefficient {x} for prime {p.name!r}; "
-                        "the declared prime catalog is inconsistent"
-                    )
-            negative_part = linear_combination(coeffs, [p.cls for p in support], geom.rank)
-        else:
-            coeffs = []
-            negative_part = geom.zero()
-        positive = d - negative_part
-        in_support = {p.name for p in support}
+        names = tuple(sorted(p.name for p in support))
+        proj = geom.support_projector(names)
+        # coefficient numerators over proj.coeff_den * den, by name
+        xs = dict(zip(names, (dot(row, num) for row in proj.coeff_rows)))
+        for p in support:
+            if xs[p.name] < 0:
+                x = Fraction(xs[p.name], proj.coeff_den * den)
+                raise ConsistencyError(
+                    f"negative coefficient {x} for prime {p.name!r}; "
+                    "the declared prime catalog is inconsistent"
+                )
+        # over proj.den * den; the empty support's projector is the identity
+        positive = tuple(dot(row, num) for row in proj.rows) if names else num
         joining = [
             p for p in geom.primes
-            if p.name not in in_support and geom.prime_pair(positive, p.name) < 0
+            if p.name not in xs and dot(positive, forms[p.name][0]) < 0
         ]
         if not joining:
-            pairs = sorted(
-                (p.name, x) for p, x in zip(support, coeffs) if x > 0
-            )
-            return ZariskiDecomposition(positive, tuple(pairs), negative_part)
+            pos = DivClass._raw(positive, proj.den * den)
+            cden = proj.coeff_den * den
+            negative = tuple((n, Fraction(x, cden)) for n, x in xs.items() if x > 0)
+            return ZariskiDecomposition(pos, negative, d - pos)
         support = support + joining
     raise ConsistencyError("Zariski support enlargement did not stabilize")
 
@@ -101,7 +94,7 @@ def null_set(geom: Geometry, p: DivClass) -> frozenset[str]:
     """Primes orthogonal to a movable class."""
     if not is_movable(geom, p):
         raise DomainError("null_set requires a movable class")
-    return frozenset(q.name for q in geom.primes if geom.prime_pair(p, q.name) == 0)
+    return frozenset(name for name, (row, _) in geom.prime_forms.items() if dot(p.num, row) == 0)
 
 
 def is_big(geom: Geometry, d: DivClass) -> bool:
@@ -173,14 +166,10 @@ def chamber_positive_part(
 ) -> tuple[DivClass, dict[str, Fraction]]:
     """The chamber-local linear formula for P at fixed support.
 
-    Solves the Gram system for the given support without sign checks;
+    Applies the support's cached projector without sign checks;
     on the chamber this equals decompose(d).positive, and the formulas
     of two adjacent chambers agree exactly on their common wall.
     """
     names = tuple(sorted(set(support_names)))
-    primes = [geom.prime(n) for n in names]
-    if not primes:
-        return d, {}
-    coeffs = _support_solve(geom, d, names)
-    negative = linear_combination(coeffs, [p.cls for p in primes], geom.rank)
-    return d - negative, dict(zip(names, coeffs))
+    proj = geom.support_projector(names)
+    return proj.positive(d), dict(zip(names, proj.coefficients(d)))

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -131,13 +132,13 @@ def test_run_checks_builds_each_polygon_once(hilb2_elliptic, monkeypatch):
     from ihspoly import checks
 
     built = Counter()
-    real = checks.polygon
+    real = checks._polygon
 
-    def counting(geom, d, prime_name):
+    def counting(geom, d, prime_name, decomposed):
         built[(id(geom), d, prime_name)] += 1
-        return real(geom, d, prime_name)
+        return real(geom, d, prime_name, decomposed)
 
-    monkeypatch.setattr(checks, "polygon", counting)
+    monkeypatch.setattr(checks, "_polygon", counting)
     run_checks(hilb2_elliptic, 4, 0)
     assert built and set(built.values()) == {1}
     # the catalog-order check's reordered copy builds its own polygons
@@ -159,19 +160,88 @@ def test_run_checks_decomposes_each_class_once(hilb2_elliptic, monkeypatch):
     assert calls and set(calls.values()) == {1}
 
 
+def test_run_checks_decomposes_each_class_once_across_layers(hilb2_elliptic, monkeypatch):
+    # polygon, volume and minkowski_decompose take their decompositions
+    # (D - nu E included) from run_checks' memo, so a wrapper on decompose
+    # in every module that binds it sees each (geometry, class) once.
+    import ihspoly
+    from ihspoly import checks, minkowski, okounkov, zariski
+
+    calls = Counter()
+    real = zariski.decompose
+
+    def counting(geom, d):
+        calls[(id(geom), d)] += 1
+        return real(geom, d)
+
+    modules = [m for m in vars(ihspoly).values() if getattr(m, "decompose", None) is real]
+    assert {checks, minkowski, okounkov, zariski} <= set(modules)
+    for module in modules:
+        monkeypatch.setattr(module, "decompose", counting)
+    run_checks(hilb2_elliptic, 4, 0)
+    assert set(calls.values()) == {1}
+    assert len(calls) == 35
+
+
+def test_run_checks_gram_solves_once_per_chamber(hilb2_elliptic, monkeypatch):
+    # The Gram solves are linalg.inverse, one per support projector built,
+    # and any linalg.solve bound by a module outside linalg; count them at
+    # those call sites, on a copy whose derived data starts empty.
+    import ihspoly
+    from ihspoly import geometry, linalg
+
+    geom = replace(hilb2_elliptic)
+    solves = Counter()
+    built = []  # (geometry, support) of every projector build
+
+    def counted(name, fn):
+        def wrapper(*args):
+            solves[name] += 1
+            return fn(*args)
+        return wrapper
+
+    real_projector = geometry.Geometry.support_projector
+
+    def projector(self, names):
+        if names not in self.support_projectors:
+            built.append((self, names))
+        return real_projector(self, names)
+
+    monkeypatch.setattr(geometry, "inverse", counted("inverse", linalg.inverse))
+    monkeypatch.setattr(geometry.Geometry, "support_projector", projector)
+    for module in vars(ihspoly).values():
+        if module is not linalg and getattr(module, "solve", None) is linalg.solve:
+            monkeypatch.setattr(module, "solve", counted("solve", linalg.solve))
+    first = run_checks(geom, 4, 0)
+    own = [names for g, names in built if g is geom]
+    assert solves["inverse"] == len(built)
+    assert len(own) == len(set(own)) == len(geom.support_projectors) > 1
+    assert set(own) <= {tuple(sorted(c)) for c in geom.chambers}
+    # the catalog-order check's reordered copy is a fresh geometry
+    copies = [names for g, names in built if g is not geom]
+    assert len(copies) == len(set(copies)) and set(copies) <= set(own)
+    assert solves["solve"] <= len(geom.primes) * len(geom.chambers)
+    before = solves.copy()
+    built.clear()
+    assert run_checks(geom, 4, 0) == first
+    assert not any(g is geom for g, _ in built)
+    assert solves["solve"] == before["solve"]
+    assert solves["inverse"] - before["inverse"] == len(built) == len(copies)
+
+
 def test_shared_polygon_failure_reaches_every_check(hilb2_elliptic, monkeypatch):
     from ihspoly import checks
 
     geom = hilb2_elliptic
     bad = sample_big_classes(geom, 4, seed=0)[1]
-    real = checks.polygon
+    real = checks._polygon
 
-    def failing(g, d, prime_name):
+    def failing(g, d, prime_name, decomposed):
         if d == bad:
             raise ConsistencyError("forced polygon failure")
-        return real(g, d, prime_name)
+        return real(g, d, prime_name, decomposed)
 
-    monkeypatch.setattr(checks, "polygon", failing)
+    monkeypatch.setattr(checks, "_polygon", failing)
     shared = run_checks(geom, 4, 0)
     # The same run with every polygon and decomposition computed afresh.
     monkeypatch.setattr(checks, "_shared", lambda fn: fn)

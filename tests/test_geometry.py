@@ -23,6 +23,7 @@ from ihspoly import (
 )
 from ihspoly.checks import run_checks, sample_big_classes
 from ihspoly.geometry import format_rat
+from ihspoly.linalg import kernel
 from ihspoly.minkowski import enumerate_chambers
 
 F = Fraction
@@ -371,27 +372,48 @@ def test_derived_cones_built_once_per_instance(hilb2):
     assert set(copy.movable_rays) == set(hilb2.movable_rays)
 
 
-DERIVED = ("eff_cone", "movable_rays", "chambers", "prime_forms", "support_inverses")
+DERIVED = (
+    "eff_cone",
+    "movable_rays",
+    "chambers",
+    "prime_forms",
+    "support_projectors",
+    "walk_slopes",
+    "chamber_generators",
+)
 
 
-def test_support_inverses_are_chambers_after_checks(hilb2_elliptic):
+def test_support_projectors_are_chambers_after_checks(hilb2_elliptic):
     run_checks(hilb2_elliptic, 4, 0)
     chambers = enumerate_chambers(hilb2_elliptic)
     assert chambers is hilb2_elliptic.chambers
-    keys = hilb2_elliptic.support_inverses
-    assert keys
+    projectors = hilb2_elliptic.support_projectors
+    assert len(projectors) > 1
     lat = hilb2_elliptic.lattice
-    for names, inv in keys.items():
+    rank = hilb2_elliptic.rank
+    units = [DivClass([int(i == j) for j in range(rank)]) for i in range(rank)]
+    classes = units + sample_big_classes(hilb2_elliptic, 4, seed=7)
+    for names, proj in projectors.items():
         assert list(names) == sorted(names)
         assert frozenset(names) in chambers
-        gram = lat.sub_gram([hilb2_elliptic.prime(n).cls for n in names])
-        identity = [
-            [sum(a * b for a, b in zip(row, col)) for col in zip(*gram)] for row in inv
-        ]
-        assert identity == [[int(i == j) for j in range(len(names))] for i in range(len(names))]
+        primes = [hilb2_elliptic.prime(n).cls for n in names]
+        for x in classes:
+            p = proj.positive(x)
+            # P_S(x) is orthogonal to S, and x - P_S(x) is sum x_i E_i
+            assert all(lat.pair(p, e) == 0 for e in primes)
+            negative = hilb2_elliptic.zero()
+            for e, c in zip(primes, proj.coefficients(x)):
+                negative = negative + e.scale(c)
+            assert x - p == negative
+        # P_S fixes S-perp
+        perp = kernel([hilb2_elliptic.prime_forms[n][0] for n in names], rank)
+        assert len(perp) == rank - len(names)
+        for v in perp:
+            y = DivClass(v)
+            assert proj.positive(y) == y and not any(proj.coefficients(y))
     copy = replace(hilb2_elliptic)
     assert not any(key in vars(copy) for key in DERIVED)
-    assert copy.support_inverses == {}
+    assert copy.support_projectors == {}
 
 
 def test_prime_forms_match_the_pairing(hilb2_elliptic):

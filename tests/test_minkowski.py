@@ -33,6 +33,7 @@ triangle (0,0),(3,0),(0,2) is the quadrilateral
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,7 @@ from ihspoly import (
     polygon_minkowski_sum,
     polygon_scale,
 )
+from ihspoly.linalg import solve
 from ihspoly.polygon2d import point
 
 F = Fraction
@@ -155,6 +157,40 @@ def test_chamber_generator_orthogonality(hilb2, k3_elliptic, hilb2_elliptic):
             assert gen == gen.primitive()
             for name in chamber:
                 assert lat.pair(gen, geom.prime(name).cls) == 0
+
+
+def test_chamber_generator_cache_matches_fresh_solve(hilb2, k3_elliptic, hilb2_elliptic):
+    # The kept generator against a fresh Fraction solve of
+    # pair(E + sum x_i E_i, E_j) = 0 on every (prime, chamber).
+    for geom in (hilb2, k3_elliptic, hilb2_elliptic):
+        lat = geom.lattice
+        fresh_copy = replace(geom)
+        assert fresh_copy.chamber_generators == {}
+        for prime in geom.primes:
+            for chamber in geom.chambers:
+                if prime.name in chamber:
+                    with pytest.raises(DomainError, match="flag"):
+                        chamber_generator(fresh_copy, chamber, prime.name)
+                    continue
+                support = [geom.prime(n).cls for n in sorted(chamber)]
+                xs = solve(lat.sub_gram(support), [-lat.pair(prime.cls, c) for c in support])
+                assert all(x >= 0 for x in xs)
+                fresh = prime.cls
+                for c, x in zip(support, xs):
+                    fresh = fresh + c.scale(x)
+                cached = chamber_generator(fresh_copy, chamber, prime.name)
+                assert cached == fresh.primitive()
+                assert chamber_generator(fresh_copy, chamber, prime.name) is cached
+        kept = fresh_copy.chamber_generators
+        assert set(kept) == {
+            (p.name, c) for p in geom.primes for c in geom.chambers if p.name not in c
+        }
+        # a failed build is not kept
+        movable = next(p for p in geom.primes if not p.exceptional)
+        flag = next(p for p in geom.primes if p is not movable)
+        with pytest.raises(ConsistencyError, match="negative definite"):
+            chamber_generator(fresh_copy, frozenset({movable.name}), flag.name)
+        assert (flag.name, frozenset({movable.name})) not in kept
 
 
 # -- movable cone rays -----------------------------------------------------------------

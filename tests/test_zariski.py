@@ -297,7 +297,7 @@ def test_failed_support_is_not_cached(hilb2):
     for _ in range(2):
         with pytest.raises(ConsistencyError, match="negative definite"):
             chamber_positive_part(geom, DivClass([1, 0]), ["E", "E'"])
-        assert ("E", "E'") not in geom.support_inverses
+        assert ("E", "E'") not in geom.support_projectors
 
 
 def leading_minors_negative_definite(gram) -> bool:
@@ -351,19 +351,47 @@ def test_decomposition_properties_seeded(name, request):
                 assert leading_minors_negative_definite(lat.sub_gram(support))
 
 
-@pytest.mark.parametrize("name", ["hilb2", "k3_elliptic", "hilb2_elliptic"])
+def halve_r1(geom):
+    """hilb2_elliptic with its Gram matrix and the class of R1 halved: a
+    catalog with a fractional Gram matrix and a fractional prime class."""
+    lat = geom.lattice
+    half_lat = BBFLattice([[v / 2 for v in row] for row in lat.gram], lat.fujiki, lat.half_dim)
+    return replace(
+        geom,
+        lattice=half_lat,
+        primes=tuple(
+            replace(p, cls=p.cls.scale(F(1, 2))) if p.name == "R1" else p for p in geom.primes
+        ),
+    )
+
+
+@pytest.fixture
+def hilb2_elliptic_halved(hilb2_elliptic):
+    return halve_r1(hilb2_elliptic)
+
+
+@pytest.mark.parametrize(
+    "name", ["hilb2", "k3_elliptic", "hilb2_elliptic", "hilb2_elliptic_halved"]
+)
 def test_chamber_formula_matches_fresh_solve_seeded(name, request):
-    """chamber_positive_part on the cached inverse against a fresh solve of
-    the support's Gram system, on every chamber."""
+    """The cached integer projector, and chamber_positive_part on it,
+    against a fresh Fraction solve of the support's Gram system, on
+    every chamber."""
     geom = request.getfixturevalue(name)
     lat = geom.lattice
     for g in (geom, replace(geom, primes=tuple(reversed(geom.primes)))):
+        classes = sample_big_classes(g, 6, seed=9)
+        # fractional classes, the primes themselves and the basis vectors
+        classes += [d.scale(F(1, 3)) for d in classes[:2]] + [p.cls for p in g.primes]
+        classes += [DivClass([int(i == j) for j in range(g.rank)]) for i in range(g.rank)]
         for chamber in enumerate_chambers(g):
             names = sorted(chamber)
             support = [g.prime(n).cls for n in names]
             gram = lat.sub_gram(support)
-            for d in sample_big_classes(g, 6, seed=9):
+            proj = g.support_projector(tuple(names))
+            for d in classes:
                 pos, coeffs = chamber_positive_part(g, d, chamber)
+                assert (pos, tuple(coeffs.values())) == (proj.positive(d), proj.coefficients(d))
                 if not names:
                     assert (pos, coeffs) == (d, {})
                     continue
@@ -403,15 +431,8 @@ def test_fractional_gram_and_prime_class_oracle(hilb2_elliptic):
     # P and N stay, R1's coefficient doubles, heights and q halve.
     geom = hilb2_elliptic
     lat = geom.lattice
-    half_lat = BBFLattice([[v / 2 for v in row] for row in lat.gram], lat.fujiki, lat.half_dim)
     halved = "R1"
-    half = replace(
-        geom,
-        lattice=half_lat,
-        primes=tuple(
-            replace(p, cls=p.cls.scale(F(1, 2))) if p.name == halved else p for p in geom.primes
-        ),
-    )
+    half = halve_r1(geom)
     assert any(v.denominator > 1 for row in half.lattice.gram for v in row)
     assert half.prime(halved).cls.den == 2
     flag = next(p.name for p in geom.primes if not p.exceptional)
