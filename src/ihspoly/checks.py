@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DomainError, IHSError
-from .geometry import Geometry, format_divisor, is_pseudo_effective
+from .geometry import Geometry, format_divisor, is_movable, is_pseudo_effective
 from .lattice import DivClass, linear_combination
 from .minkowski import _minkowski_decompose, chamber_generator, enumerate_chambers
 from .okounkov import _polygon, polygon_contains, polygon_minkowski_sum, polygon_scale
@@ -304,7 +304,10 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
                     return False
                 if any(coeff <= 0 for coeff, _ in mk.terms):
                     return False
-                if not full:
+                # Polygons add over the terms only when every generator
+                # is movable; an exceptional flag is its own generator on
+                # the empty chamber, and it is not movable.
+                if not full or not all(is_movable(geom, e.cls) for _, e in mk.terms):
                     return True
                 total = polygon_scale(0, shared_polygon(geom, d, flag.name))
                 for coeff, element in mk.terms:

@@ -16,12 +16,15 @@ Data derived from the catalog is built on first use and kept on the
 geometry, bounded by the catalog's size: the facets of Eff, the
 extremal rays of Mov, the chamber list (negative-definite sets of
 exceptional primes), each prime's form q(-, E) as an integer row over
-a denominator, and, for each Zariski support met so far, its integer
-projector (SupportProjector: P is linear on a chamber S, so P_S and the
-coefficients of N are two integer matrices over one denominator each,
-built from one inverse Gram matrix).  Per (flag prime, chamber) met so
-far it also keeps the chamber-walk slope and the Minkowski chamber
-generator.  A failed build is never kept.
+a denominator, and one record per Zariski support met so far, keyed by
+the support's frozenset of names like every other chamber value.  The
+record (SupportProjector) is the chamber-local map P_S: P is linear on
+a chamber S, so P_S and the coefficients of N are two integer matrices
+over one denominator each, built from one inverse Gram matrix, and the
+images P_S(E) of every catalog prime come with them.  The chamber
+walk's slope along E on S is -P_S(E) and the Minkowski generator of S
+is P_S(E) made primitive, so both are read off the record.  A failed
+build is never kept.
 
 Everything downstream is correct relative to this declared data: a
 truncated catalog (actual manifolds may carry infinitely many prime
@@ -69,26 +72,33 @@ class SupportProjector(NamedTuple):
     """The chamber-local linear map D -> P(D) on a Zariski support S, in
     integers.
 
-    For a class d the coefficient of the i-th prime of S (sorted by name)
-    in N is coeff_rows[i] . d.num / (coeff_den * d.den), and
+    names are S's primes sorted.  For a class d the coefficient of
+    names[i] in N is coeff_rows[i] . d.num / (coeff_den * d.den), and
     P_S(d) = d - sum x_i E_i is rows . d.num / (den * d.den).  P_S(d) is
-    orthogonal to every prime of S and P_S fixes S-perp.
+    orthogonal to every prime of S and P_S fixes S-perp.  images holds
+    P_S(E) for every catalog prime E, by name.
     """
 
+    names: tuple[str, ...]
     coeff_rows: tuple[tuple[int, ...], ...]
     coeff_den: int
     rows: tuple[tuple[int, ...], ...]
     den: int
+    images: dict[str, DivClass]
 
     def positive(self, d: DivClass) -> DivClass:
-        if not self.coeff_rows:  # the empty support: P is the identity
+        if not self.names:  # the empty support: P is the identity
             return d
-        num = d.num
-        return DivClass._raw(tuple(dot(row, num) for row in self.rows), self.den * d.den)
+        return _apply(self.rows, self.den, d)
 
     def coefficients(self, d: DivClass) -> tuple[Fraction, ...]:
         den = self.coeff_den * d.den
         return tuple(Fraction(dot(row, d.num), den) for row in self.coeff_rows)
+
+
+def _apply(rows: tuple[tuple[int, ...], ...], den: int, d: DivClass) -> DivClass:
+    """(rows . d.num) / (den * d.den) as a class."""
+    return DivClass._raw(tuple(dot(row, d.num) for row in rows), den * d.den)
 
 
 @dataclass(frozen=True)
@@ -168,18 +178,18 @@ class Geometry:
         return Fraction(dot(x.num, row), x.den * den)
 
     @cached_property
-    def support_projectors(self) -> dict[tuple[str, ...], SupportProjector]:
-        """Integer projector of every Zariski support met so far, keyed by
-        its sorted prime names; support_projector fills it."""
+    def support_projectors(self) -> dict[frozenset[str], SupportProjector]:
+        """The record of every Zariski support met so far, keyed by its
+        prime names; support_projector fills it."""
         return {}
 
-    def support_projector(self, names: tuple[str, ...]) -> SupportProjector:
-        """Integer projector of the support of primes called names
-        (sorted), built on first use once its Gram matrix is checked to
-        be negative definite."""
-        found = self.support_projectors.get(names)
+    def support_projector(self, support: frozenset[str]) -> SupportProjector:
+        """The record of the support of primes called support, built on
+        first use once its Gram matrix is checked to be negative definite."""
+        found = self.support_projectors.get(support)
         if found is not None:
             return found
+        names = tuple(sorted(support))
         classes = [self.prime(n).cls for n in names]
         gram = self.lattice.sub_gram(classes)
         if inertia(gram) != (0, len(names), 0):
@@ -200,28 +210,15 @@ class Geometry:
         ]
         # P_S(d) = d - sum_i x_i E_i, as a matrix acting on d.num over d.den
         coords = [cls.coords for cls in classes]
-        proj = [
+        rows, den = integer_rows([
             [int(r == c) - sum(e[r] * x[c] for e, x in zip(coords, coeffs))
              for c in range(self.rank)]
             for r in range(self.rank)
-        ]
-        found = SupportProjector(*integer_rows(coeffs), *integer_rows(proj))
-        self.support_projectors[names] = found
+        ])
+        images = {p.name: _apply(rows, den, p.cls) for p in self.primes}
+        found = SupportProjector(names, *integer_rows(coeffs), rows, den, images)
+        self.support_projectors[support] = found
         return found
-
-    @cached_property
-    def walk_slopes(self) -> dict[tuple[str, frozenset[str]], DivClass]:
-        """Slope -P_S(E) of the chamber walk along the prime E on the
-        chamber S, keyed by (E's name, S); at most primes x chambers
-        entries, filled by okounkov's walk."""
-        return {}
-
-    @cached_property
-    def chamber_generators(self) -> dict[tuple[str, frozenset[str]], DivClass]:
-        """Minkowski chamber generator of the flag prime E on the chamber
-        S, keyed by (E's name, S); at most primes x chambers entries,
-        filled by minkowski.chamber_generator."""
-        return {}
 
 
 # ---------------------------------------------------------------------------

@@ -26,20 +26,6 @@ from .linalg import inertia
 Rat = Fraction
 
 
-def primitive_vector(coords: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], Fraction]:
-    """The primitive integral vector on the ray of coords (sign kept) and
-    the positive factor c that scales coords onto it.
-
-    The numerator of c is the least common denominator of coords, since
-    that denominator is coprime to the content of the cleared vector.
-    The zero vector maps to itself with c = 1.
-    """
-    k = lcm(*(c.denominator for c in coords))
-    ints = [int(c * k) for c in coords]
-    g = gcd(*ints) or 1
-    return tuple(Fraction(v, g) for v in ints), Fraction(k, g)
-
-
 def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Rational rows as integer rows over their least common denominator
     (1 when there are no entries)."""
@@ -69,11 +55,9 @@ class DivClass:
         if all(type(c) is int for c in coords):
             num, den = coords, 1
         else:
-            fracs = [Fraction(c) for c in coords]
             # The lcm of reduced denominators is coprime to the content
             # of the cleared numerators, so the pair is canonical.
-            den = lcm(*(f.denominator for f in fracs))
-            num = tuple(f.numerator * (den // f.denominator) for f in fracs)
+            (num,), den = integer_rows([[Fraction(c) for c in coords]])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -157,6 +141,17 @@ class DivClass:
         """The primitive integral generator of the same ray (sign kept)."""
         g = gcd(*self.num) or 1
         return DivClass._raw(tuple(v // g for v in self.num), 1)
+
+    def ratio(self, other: "DivClass") -> Fraction | None:
+        """The c with self == c * other, or None when there is none; 0
+        when both are zero."""
+        a, b = self.num, other.num
+        k = next((i for i, v in enumerate(b) if v), None)
+        if k is None:
+            return None if any(a) else Fraction(0)
+        if any(x * b[k] != y * a[k] for x, y in zip(a, b, strict=True)):
+            return None
+        return Fraction(a[k] * other.den, b[k] * self.den)
 
     def __repr__(self):
         return "DivClass((%s))" % ", ".join(str(c) for c in self.coords)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .lattice import dot, primitive_vector
+from .lattice import DivClass, dot
 from .linalg import kernel
 
 Vec = tuple[Fraction, ...]
@@ -49,10 +49,6 @@ class Cone:
         )
 
 
-def _integral(v: Vec) -> Row:
-    return tuple(int(c) for c in primitive_vector(v)[0])
-
-
 def extreme_rays(facets: Sequence[Vec], equations: Sequence[Vec], n: int) -> list[Row]:
     """Primitive integer extreme rays, sorted, of a pointed cone in Q^n."""
     size = len(kernel(equations, n)) - 1
@@ -60,13 +56,13 @@ def extreme_rays(facets: Sequence[Vec], equations: Sequence[Vec], n: int) -> lis
         return []
     # Positive rescaling keeps every half-space, and integer dot products
     # make the sign tests cheap.
-    halfspaces = [_integral(f) for f in facets]
+    halfspaces = [DivClass(f).primitive().num for f in facets]
     found = set()
     for subset in combinations(halfspaces, size):
         ker = kernel([*subset, *equations], n)
         if len(ker) != 1:
             continue
-        ray = _integral(ker[0])
+        ray = DivClass(ker[0]).primitive().num
         values = [dot(f, ray) for f in halfspaces]
         if min(values, default=0) >= 0:
             found.add(ray)
@@ -81,7 +77,7 @@ def generated_cone(generators: Sequence[Vec], n: int) -> Cone:
     The facets are the extreme rays of the dual cone inside the span,
     which is pointed because the generators span it.
     """
-    equations = tuple(_integral(e) for e in kernel(generators, n))
+    equations = tuple(DivClass(e).primitive().num for e in kernel(generators, n))
     return Cone(tuple(extreme_rays(generators, equations, n)), equations)
 
 
@@ -117,7 +113,7 @@ def prune_to_extremal(rays: Sequence[Vec]) -> list[Row]:
     A generator is extremal when the facets tight on it, together with
     the span equations, leave a one-dimensional kernel.
     """
-    uniq = sorted({_integral(r) for r in rays if any(r)})
+    uniq = sorted({DivClass(r).primitive().num for r in rays if any(r)})
     if not uniq:
         return []
     n = len(uniq[0])

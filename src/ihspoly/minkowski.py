@@ -11,11 +11,11 @@ extremal rays of the movable cone.  Every big-and-movable class then
 decomposes as a nonnegative rational combination of basis elements by
 walking down the chambers, and the polygons add up along the way.
 
-The generator of S is P_S(E) made primitive, so it comes from the
-support's integer projector (Geometry.support_projector) with no Gram
-solve of its own, and it is kept per (flag, chamber) in
-Geometry.chamber_generators.  The walk's wall tests are signs of
-integer dot products with the primes' form rows.
+The generator of S is P_S(E) made primitive, so it is read off the
+support's record (Geometry.support_projector), which holds P_S(E) for
+every catalog prime, with no Gram solve or cache of its own.  The
+walk's wall tests are signs of integer dot products with the primes'
+form rows.
 """
 
 from __future__ import annotations
@@ -45,24 +45,18 @@ def chamber_generator(geom: Geometry, chamber: frozenset[str], flag_name: str) -
 
     The ray of E + sum x_i E_i with pair(-, E_j) = 0 for all E_j in S,
     i.e. of P_S(E); the x_i must come out nonnegative or the catalog is
-    contradictory.  Kept in geom.chamber_generators once built (a
-    failure is not kept).
+    contradictory.
     """
     flag = geom.prime(flag_name)
     if flag.name in chamber:
         raise DomainError("flag prime cannot lie in the chamber it generates against")
-    key = (flag_name, frozenset(chamber))
-    found = geom.chamber_generators.get(key)
-    if found is None:
-        proj = geom.support_projector(tuple(sorted(chamber)))
-        # x_i = -(coefficient of E_i in N_S(E)), over a positive denominator
-        if any(dot(row, flag.cls.num) > 0 for row in proj.coeff_rows):
-            raise ConsistencyError(
-                "chamber generator acquired a negative correction coefficient"
-            )
-        found = proj.positive(flag.cls).primitive()
-        geom.chamber_generators[key] = found
-    return found
+    proj = geom.support_projector(chamber)
+    # x_i = -(coefficient of E_i in N_S(E)), over a positive denominator
+    if any(dot(row, flag.cls.num) > 0 for row in proj.coeff_rows):
+        raise ConsistencyError(
+            "chamber generator acquired a negative correction coefficient"
+        )
+    return proj.images[flag_name].primitive()
 
 
 def movable_cone_rays(geom: Geometry) -> tuple[DivClass, ...]:
@@ -142,14 +136,8 @@ class MinkowskiDecomposition:
 
 def _match_isotropic(geom: Geometry, m: DivClass) -> tuple[Fraction, BasisElement]:
     for ray in isotropic_extremal_rays(geom):
-        ratio: Optional[Fraction] = None
-        for mc, rc in zip(m.coords, ray.coords):
-            if rc:
-                ratio = mc / rc
-                break
-        if ratio is None or ratio <= 0:
-            continue
-        if ray.scale(ratio) == m:
+        ratio = m.ratio(ray)
+        if ratio is not None and ratio > 0:
             return ratio, BasisElement(ray, "isotropic", None)
     raise ConsistencyError(
         "isotropic movable class is not a multiple of any listed extremal ray"

@@ -7,11 +7,12 @@ For a pseudo-effective class D and a prime divisor E, the polygon is
 computed after stripping nu_E(D) (the coefficient of E in the negative
 part) off D, and reported together with the offset nu.  Its upper
 boundary is piecewise linear because the positive part P(D - tE) is an
-affine function of t on each Boucksom-Zariski chamber; the walk tracks
-the chamber changes exactly.  The pseudo-effective threshold mu is a
-min-ratio over the facets of the declared effective cone in polyhedral
-mode and a quadratic surd in round mode, and the area always equals
-q(P(D))/2.
+affine function of t on each Boucksom-Zariski chamber S, with slope
+-P_S(E) read off the support's record (Geometry.support_projector);
+the walk tracks the chamber changes exactly.  The pseudo-effective
+threshold mu is a min-ratio over the facets of the declared effective
+cone in polyhedral mode and a quadratic surd in round mode, and the
+area always equals q(P(D))/2.
 
 The height q(P(D - tE), E) is concave, so the walk yields the upper
 boundary already in order: the vertices are read off it in polygon2d's
@@ -30,7 +31,7 @@ from typing import Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
 from .geometry import Geometry, Prime, is_pseudo_effective
-from .lattice import DivClass, dot, primitive_vector
+from .lattice import DivClass, dot
 from .linprog import InfeasibleError, UnboundedError, max_step
 from .minkowski import chamber_closure_rays, enumerate_chambers
 from .polygon2d import Point, contains_polygon
@@ -96,17 +97,10 @@ class NOPolygon:
 
 
 def _proportionality(d: DivClass, e: DivClass) -> Fraction:
-    ratio = None
-    for dc, ec in zip(d.coords, e.coords):
-        if ec:
-            r = dc / ec
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                raise ConsistencyError("isotropic orthogonal classes not proportional")
-        elif dc:
-            raise ConsistencyError("isotropic orthogonal classes not proportional")
-    return ratio if ratio is not None else Fraction(0)
+    ratio = d.ratio(e)
+    if ratio is None:
+        raise ConsistencyError("isotropic orthogonal classes not proportional")
+    return ratio
 
 
 def _threshold(geom: Geometry, d: DivClass, prime: Prime) -> Surd:
@@ -161,12 +155,12 @@ def _trace(
     mu = _threshold(geom, d, prime)
     big = lat.square(dec.positive) > 0
     forms = geom.prime_forms
-    support = set(dec.support)
+    support = dec.support
     segments: list[WalkSegment] = []
     t = Fraction(0)
     for _ in range(2 * len(geom.primes) + 4):
-        base = geom.support_projector(tuple(sorted(support))).positive(d)
-        slope = _walk_slope(geom, prime, support)
+        proj = geom.support_projector(support)
+        base, slope = proj.positive(d), -proj.images[prime.name]
         # Next wall: first prime outside the chamber whose pairing with
         # the affine positive part decreases through zero; the pairings
         # are c0 = base.num . row and c1 = slope.num . row over their
@@ -190,14 +184,14 @@ def _trace(
             elif hit == t_next:
                 joiners.append(q.name)
         if t_next is not None and t_next == t and Surd(t) < mu:
-            support.update(joiners)  # wall at the current abscissa
+            support = support.union(joiners)  # wall at the current abscissa
             continue
         if t_next is None or t_next >= mu:
-            segments.append(WalkSegment(t, mu, frozenset(support), base, slope))
+            segments.append(WalkSegment(t, mu, support, base, slope))
             _check_terminus(lat, base, slope, mu, big)
             return BreakpointTrace(tuple(segments), mu)
-        segments.append(WalkSegment(t, Surd(t_next), frozenset(support), base, slope))
-        support.update(joiners)
+        segments.append(WalkSegment(t, Surd(t_next), support, base, slope))
+        support = support.union(joiners)
         t = t_next
     raise ConsistencyError("chamber walk exceeded the iteration cap")
 
@@ -217,17 +211,6 @@ def _normalized_trace(
                 "normalized class left the declared effective cone"
             ) from exc
     return _trace(geom, d, prime, dec)
-
-
-def _walk_slope(geom: Geometry, prime: Prime, support: set[str]) -> DivClass:
-    """-P_S(E) for the chamber S = support: the walk's slope there, kept
-    in geom.walk_slopes once solved (a failed solve is not kept)."""
-    key = (prime.name, frozenset(support))
-    slope = geom.walk_slopes.get(key)
-    if slope is None:
-        slope = -geom.support_projector(tuple(sorted(support))).positive(prime.cls)
-        geom.walk_slopes[key] = slope
-    return slope
 
 
 def _check_terminus(lat, base: DivClass, slope: DivClass, mu: Surd, big: bool) -> None:
@@ -254,10 +237,6 @@ def chamber_walk(geom: Geometry, d: DivClass, prime_name: str) -> BreakpointTrac
     dec = decompose(geom, d)
     if geom.lattice.square(dec.positive) <= 0:
         raise DomainError("chamber walk requires a big class")
-    if dec.coefficient(prime_name):
-        raise DomainError(
-            "flag prime must sit outside the negative support; strip nu first"
-        )
     return _trace(geom, d, prime, dec)
 
 
@@ -383,8 +362,8 @@ class ConePoint:
 
 
 def _primitive_cone_point(cls: DivClass, t: Fraction, y: Fraction) -> ConePoint:
-    vec, _ = primitive_vector(cls.coords + (t, y))
-    return ConePoint(DivClass(vec[:-2]), vec[-2], vec[-1])
+    vec = DivClass(cls.coords + (t, y)).primitive().num
+    return ConePoint(DivClass(vec[:-2]), Fraction(vec[-2]), Fraction(vec[-1]))
 
 
 def cone_generators(geom: Geometry, prime_name: str) -> tuple[ConePoint, ...]:

@@ -16,10 +16,11 @@ than patched over.
 
 P is linear on each chamber S, so it is one fixed rational projector
 P_S there: Geometry.support_projector builds it once per geometry as
-integer matrices, and a solve on S is then integer matrix-vector
-products with D's numerators.  The support and joining tests are signs
-of integer dot products with the primes' form rows, and a Fraction is
-built only for the coefficients a decomposition returns.
+integer matrices, keyed by the support's frozenset of names, and a
+solve on S is then integer matrix-vector products with D's numerators.
+The support and joining tests are signs of integer dot products with
+the primes' form rows, and a Fraction is built only for the
+coefficients a decomposition returns.
 """
 
 from __future__ import annotations
@@ -58,31 +59,32 @@ def decompose(geom: Geometry, d: DivClass) -> ZariskiDecomposition:
         raise DomainError("class is not pseudo-effective in the declared cone")
     forms = geom.prime_forms
     num, den = d.num, d.den
-    support = [p for p in geom.exceptional_primes if dot(num, forms[p.name][0]) < 0]
+    support = frozenset(
+        p.name for p in geom.exceptional_primes if dot(num, forms[p.name][0]) < 0
+    )
     for _ in range(len(geom.primes) + 1):
-        names = tuple(sorted(p.name for p in support))
-        proj = geom.support_projector(names)
+        proj = geom.support_projector(support)
         # coefficient numerators over proj.coeff_den * den, by name
-        xs = dict(zip(names, (dot(row, num) for row in proj.coeff_rows)))
-        for p in support:
-            if xs[p.name] < 0:
-                x = Fraction(xs[p.name], proj.coeff_den * den)
+        xs = dict(zip(proj.names, (dot(row, num) for row in proj.coeff_rows)))
+        for name, x in xs.items():
+            if x < 0:
+                x = Fraction(x, proj.coeff_den * den)
                 raise ConsistencyError(
-                    f"negative coefficient {x} for prime {p.name!r}; "
+                    f"negative coefficient {x} for prime {name!r}; "
                     "the declared prime catalog is inconsistent"
                 )
         # over proj.den * den; the empty support's projector is the identity
-        positive = tuple(dot(row, num) for row in proj.rows) if names else num
+        positive = tuple(dot(row, num) for row in proj.rows) if support else num
         joining = [
-            p for p in geom.primes
-            if p.name not in xs and dot(positive, forms[p.name][0]) < 0
+            p.name for p in geom.primes
+            if p.name not in support and dot(positive, forms[p.name][0]) < 0
         ]
         if not joining:
             pos = DivClass._raw(positive, proj.den * den)
             cden = proj.coeff_den * den
             negative = tuple((n, Fraction(x, cden)) for n, x in xs.items() if x > 0)
             return ZariskiDecomposition(pos, negative, d - pos)
-        support = support + joining
+        support = support.union(joining)
     raise ConsistencyError("Zariski support enlargement did not stabilize")
 
 
@@ -170,6 +172,5 @@ def chamber_positive_part(
     on the chamber this equals decompose(d).positive, and the formulas
     of two adjacent chambers agree exactly on their common wall.
     """
-    names = tuple(sorted(set(support_names)))
-    proj = geom.support_projector(names)
-    return proj.positive(d), dict(zip(names, proj.coefficients(d)))
+    proj = geom.support_projector(frozenset(support_names))
+    return proj.positive(d), dict(zip(proj.names, proj.coefficients(d)))

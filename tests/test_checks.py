@@ -109,16 +109,22 @@ def test_sample_big_classes_impossible_catalog():
         sample_big_classes(geom, 1, seed=0)
 
 
+def hilb2_without_e_prime():
+    """hilb2.geom without its non-exceptional prime E', so the check
+    flag falls back to the exceptional E."""
+    from ihspoly import parse_geometry
+
+    doc = json.loads((GEOM_DIR / "hilb2.geom").read_text())
+    doc["primes"] = [p for p in doc["primes"] if p["name"] != "E'"]
+    return parse_geometry(json.dumps(doc))
+
+
 def test_minkowski_refusals_are_not_failures():
     # Without E' the flag falls back to the exceptional prime E, and every
     # sample whose positive part is orthogonal to E has no chamber
     # generator: minkowski_decompose refuses it, which is neither a run
     # nor a failure of the reconstruction check.
-    from ihspoly import parse_geometry
-
-    doc = json.loads((GEOM_DIR / "hilb2.geom").read_text())
-    doc["primes"] = [p for p in doc["primes"] if p["name"] != "E'"]
-    geom = parse_geometry(json.dumps(doc))
+    geom = hilb2_without_e_prime()
     flag = geom.prime("E").cls
     classes = sample_big_classes(geom, 10, seed=0)
     runnable = [d for d in classes if geom.lattice.pair(decompose(geom, d).positive, flag)]
@@ -126,6 +132,16 @@ def test_minkowski_refusals_are_not_failures():
     recon = {r.name: r for r in run_checks(geom, samples=10, seed=0)}["minkowski-reconstruction"]
     assert recon.runs == len(runnable)
     assert not any("orthogonal" in m for m in recon.messages)
+
+
+def test_reconstruction_with_a_non_movable_generator_passes():
+    # With the flag E the empty chamber's generator is E itself, which is
+    # not movable, and the polygons of a Minkowski decomposition using it
+    # need not add up (for D = 6H - 2d the summed polygon is a vertical
+    # segment).  Such samples check the class identity only.
+    geom = hilb2_without_e_prime()
+    recon = {r.name: r for r in run_checks(geom, samples=10, seed=0)}["minkowski-reconstruction"]
+    assert (recon.runs, recon.failed) == (2, 0), recon.messages
 
 
 def test_run_checks_builds_each_polygon_once(hilb2_elliptic, monkeypatch):
@@ -202,10 +218,10 @@ def test_run_checks_gram_solves_once_per_chamber(hilb2_elliptic, monkeypatch):
 
     real_projector = geometry.Geometry.support_projector
 
-    def projector(self, names):
-        if names not in self.support_projectors:
-            built.append((self, names))
-        return real_projector(self, names)
+    def projector(self, support):
+        if support not in self.support_projectors:
+            built.append((self, support))
+        return real_projector(self, support)
 
     monkeypatch.setattr(geometry, "inverse", counted("inverse", linalg.inverse))
     monkeypatch.setattr(geometry.Geometry, "support_projector", projector)
@@ -213,12 +229,12 @@ def test_run_checks_gram_solves_once_per_chamber(hilb2_elliptic, monkeypatch):
         if module is not linalg and getattr(module, "solve", None) is linalg.solve:
             monkeypatch.setattr(module, "solve", counted("solve", linalg.solve))
     first = run_checks(geom, 4, 0)
-    own = [names for g, names in built if g is geom]
+    own = [support for g, support in built if g is geom]
     assert solves["inverse"] == len(built)
     assert len(own) == len(set(own)) == len(geom.support_projectors) > 1
-    assert set(own) <= {tuple(sorted(c)) for c in geom.chambers}
+    assert set(own) <= set(geom.chambers)
     # the catalog-order check's reordered copy is a fresh geometry
-    copies = [names for g, names in built if g is not geom]
+    copies = [support for g, support in built if g is not geom]
     assert len(copies) == len(set(copies)) and set(copies) <= set(own)
     assert solves["solve"] <= len(geom.primes) * len(geom.chambers)
     before = solves.copy()

@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 
 from ihspoly import BBFLattice, DivClass
-from ihspoly.lattice import linear_combination, primitive_vector
+from ihspoly.lattice import linear_combination
 from ihspoly.linalg import SingularMatrixError, inertia, kernel, solve
 
 
@@ -125,9 +125,8 @@ def test_primitive_clears_denominators_keeps_sign():
     assert DivClass([Fraction(-3, 5), Fraction(6, 5)]).primitive() == DivClass([-1, 2])
     z = DivClass([0, 0])
     assert z.primitive() == z
-    # the factor's numerator is the least common denominator
-    assert primitive_vector((Fraction(3, 2), Fraction(3))) == ((1, 2), Fraction(2, 3))
-    assert primitive_vector((Fraction(0), Fraction(0))) == ((0, 0), 1)
+    assert DivClass((Fraction(3, 2), Fraction(3))).primitive().num == (1, 2)
+    assert DivClass((Fraction(0), Fraction(0))).primitive().num == (0, 0)
 
 
 def test_primitive_idempotent_seeded():
@@ -140,6 +139,43 @@ def test_primitive_idempotent_seeded():
         assert p.primitive() == p
         if not v.is_zero:
             assert all(c.denominator == 1 for c in p.coords)
+
+
+def oracle_ratio(x, y):
+    """The c with x == c * y, or None; 0 when both vanish.  Fractions only."""
+    c = None
+    for p, q in zip(x, y):
+        if q:
+            if c is None:
+                c = p / q
+            elif p != c * q:
+                return None
+        elif p:
+            return None
+    return Fraction(0) if c is None else c
+
+
+def test_ratio_matches_fraction_oracle_seeded():
+    rng = random.Random(17)
+    hits = misses = 0
+    for _ in range(300):
+        y = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(3)]
+        if rng.random() < 0.6:
+            c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            x = [c * q for q in y]
+        else:
+            x = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(3)]
+        got, want = DivClass(x).ratio(DivClass(y)), oracle_ratio(x, y)
+        assert got == want, (x, y)
+        if got is None:
+            misses += 1
+        else:
+            hits += 1
+            assert type(got) is Fraction and DivClass(y).scale(got) == DivClass(x)
+    assert hits > 50 and misses > 50
+    zero = DivClass([0, 0, 0])
+    assert zero.ratio(zero) == 0 and DivClass([1, 0, 0]).ratio(zero) is None
+    assert zero.ratio(DivClass([0, 2, 0])) == 0
 
 
 def assert_canonical_class(v: DivClass) -> None:

@@ -1,13 +1,13 @@
 """The exact cone engine against hand-checked cases and an independent
 Caratheodory oracle."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from ihspoly.lattice import primitive_vector
 from ihspoly.linalg import SingularMatrixError, solve
 from ihspoly.linprog import (
     InfeasibleError,
@@ -184,6 +184,13 @@ def test_prune_to_extremal_3d_octant_face():
     assert rays_set(prune_to_extremal(rays)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
+def primitive(v):
+    """The primitive integer vector on the ray of v, by Fraction arithmetic."""
+    k = math.lcm(*(Fraction(c).denominator for c in v))
+    g = math.gcd(*(int(c * k) for c in v)) or 1
+    return tuple(int(c * k) // g for c in v)
+
+
 def test_prune_to_extremal_matches_caratheodory_oracle_seeded():
     rng = random.Random(49)
     dropped = 0
@@ -192,11 +199,11 @@ def test_prune_to_extremal_matches_caratheodory_oracle_seeded():
         gens = [(F(rng.randint(1, 3)),) + random_vec(rng, -2, 2, 2) for _ in range(5)]
         kept = prune_to_extremal(gens)
         for g in gens:
-            p = primitive_vector(g)[0]
-            others = [h for h in gens if primitive_vector(h)[0] != p]
+            p = primitive(g)
+            others = [h for h in gens if primitive(h) != p]
             assert (p in kept) == (not oracle_in_cone(others, g)), (gens, g)
-        assert set(kept) <= {primitive_vector(g)[0] for g in gens}
-        dropped += len({primitive_vector(g)[0] for g in gens}) - len(kept)
+        assert set(kept) <= {primitive(g) for g in gens}
+        dropped += len({primitive(g) for g in gens}) - len(kept)
     assert dropped > 0
 
 

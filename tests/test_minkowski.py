@@ -160,12 +160,12 @@ def test_chamber_generator_orthogonality(hilb2, k3_elliptic, hilb2_elliptic):
 
 
 def test_chamber_generator_cache_matches_fresh_solve(hilb2, k3_elliptic, hilb2_elliptic):
-    # The kept generator against a fresh Fraction solve of
-    # pair(E + sum x_i E_i, E_j) = 0 on every (prime, chamber).
+    # The generator read off the support's record against a fresh Fraction
+    # solve of pair(E + sum x_i E_i, E_j) = 0 on every (prime, chamber).
     for geom in (hilb2, k3_elliptic, hilb2_elliptic):
         lat = geom.lattice
         fresh_copy = replace(geom)
-        assert fresh_copy.chamber_generators == {}
+        assert fresh_copy.support_projectors == {}
         for prime in geom.primes:
             for chamber in geom.chambers:
                 if prime.name in chamber:
@@ -178,19 +178,18 @@ def test_chamber_generator_cache_matches_fresh_solve(hilb2, k3_elliptic, hilb2_e
                 fresh = prime.cls
                 for c, x in zip(support, xs):
                     fresh = fresh + c.scale(x)
-                cached = chamber_generator(fresh_copy, chamber, prime.name)
-                assert cached == fresh.primitive()
-                assert chamber_generator(fresh_copy, chamber, prime.name) is cached
-        kept = fresh_copy.chamber_generators
-        assert set(kept) == {
-            (p.name, c) for p in geom.primes for c in geom.chambers if p.name not in c
-        }
+                record = fresh_copy.support_projector(chamber)
+                assert chamber_generator(fresh_copy, chamber, prime.name) == fresh.primitive()
+                assert fresh_copy.support_projector(chamber) is record
+        # one record per chamber, whichever flag asked for it
+        assert set(fresh_copy.support_projectors) == set(geom.chambers)
+        kept = dict(fresh_copy.support_projectors)
         # a failed build is not kept
         movable = next(p for p in geom.primes if not p.exceptional)
         flag = next(p for p in geom.primes if p is not movable)
         with pytest.raises(ConsistencyError, match="negative definite"):
             chamber_generator(fresh_copy, frozenset({movable.name}), flag.name)
-        assert (flag.name, frozenset({movable.name})) not in kept
+        assert fresh_copy.support_projectors == kept
 
 
 # -- movable cone rays -----------------------------------------------------------------

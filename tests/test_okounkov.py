@@ -49,8 +49,8 @@ from ihspoly import (
     simplex_flag,
 )
 from ihspoly import okounkov
+from ihspoly.linalg import solve
 from ihspoly.polygon2d import contains_point, convex_hull, point
-from ihspoly.zariski import chamber_positive_part
 
 F = Fraction
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
@@ -335,24 +335,42 @@ def test_walk_chambers_nest(hilb2, k3_elliptic, hilb2_elliptic):
 
 
 def test_walk_slope_cache_matches_fresh_solve(hilb2, k3_elliptic, hilb2_elliptic):
+    # The walk slope on support S is -P_S(E), read off the support's record;
+    # against a fresh Fraction solve of the Gram system of S.
     for geom in (hilb2, k3_elliptic, hilb2_elliptic):
+        lat = geom.lattice
         fresh_copy = replace(geom)
-        assert fresh_copy.walk_slopes == {}
+        assert fresh_copy.support_projectors == {}
+        fresh = {}
         for prime in fresh_copy.primes:
             for chamber in fresh_copy.chambers:
-                fresh = -chamber_positive_part(geom, prime.cls, chamber)[0]
-                cached = okounkov._walk_slope(fresh_copy, prime, set(chamber))
-                assert cached == fresh
-                assert okounkov._walk_slope(fresh_copy, prime, set(chamber)) is cached
-        slopes = fresh_copy.walk_slopes
-        assert len(slopes) == len(geom.primes) * len(geom.chambers)
-        assert set(slopes) == {(p.name, c) for p in geom.primes for c in geom.chambers}
+                support = [geom.prime(n).cls for n in sorted(chamber)]
+                xs = solve(lat.sub_gram(support), [lat.pair(prime.cls, c) for c in support])
+                image = prime.cls
+                for c, x in zip(support, xs):
+                    image = image - c.scale(x)
+                record = fresh_copy.support_projector(chamber)
+                assert record.images[prime.name] == image
+                assert fresh_copy.support_projector(chamber) is record
+                fresh[prime.name, chamber] = -image
+        assert set(fresh_copy.support_projectors) == set(geom.chambers)
+        # the walk takes its slopes from those records
+        walked = 0
+        for d in sample_big_classes(fresh_copy, 4, seed=11):
+            dec = decompose(fresh_copy, d)
+            for prime in fresh_copy.primes:
+                if dec.coefficient(prime.name):
+                    continue
+                for seg in chamber_walk(fresh_copy, d, prime.name).segments:
+                    assert seg.slope == fresh[prime.name, seg.chamber]
+                    walked += 1
+        assert walked
         # a failed solve is not kept
+        kept = dict(fresh_copy.support_projectors)
         movable = next(p for p in geom.primes if not p.exceptional)
         with pytest.raises(ConsistencyError):
-            okounkov._walk_slope(fresh_copy, movable, {movable.name})
-        assert (movable.name, frozenset({movable.name})) not in fresh_copy.walk_slopes
-        assert len(fresh_copy.walk_slopes) == len(slopes)
+            fresh_copy.support_projector(frozenset({movable.name}))
+        assert fresh_copy.support_projectors == kept
 
 
 def test_walk_requires_big(hilb2):

@@ -3,17 +3,23 @@
 The package has no runtime dependency: every import is relative or from
 the standard library.  Its arithmetic is exact: the only floats are the
 display approximations and SVG coordinates in `report.py`, and the
-conversion `Surd.__float__` that produces them.
+conversion `Surd.__float__` that produces them.  Data derived from a
+catalog is kept on the `Geometry` as cached properties, and only
+`geometry.py` fills them.
 """
 
 import ast
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
+from ihspoly.geometry import Geometry
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "ihspoly"
 MODULES = sorted(SRC.glob("*.py"))
+CACHES = {name for name, v in vars(Geometry).items() if isinstance(v, cached_property)}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -66,3 +72,28 @@ def test_no_floats_outside_display(path):
             and node.func.id == "float"
         )
         assert not (literal or call), f"{path.name}:{node.lineno} uses a float"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "geometry.py"], ids=lambda p: p.name
+)
+def test_geometry_caches_written_only_in_geometry(path):
+    """Derived data on a Geometry is filled by geometry.py alone: no other
+    module assigns into, updates or setdefaults one of its cached
+    properties."""
+    assert "support_projectors" in CACHES
+
+    def is_cache(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in CACHES
+
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+            for target in targets:
+                for t in target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]:
+                    written = t.value if isinstance(t, ast.Subscript) else t
+                    assert not is_cache(written), f"{path.name}:{node.lineno} writes a cache"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            assert not (
+                node.func.attr in ("update", "setdefault") and is_cache(node.func.value)
+            ), f"{path.name}:{node.lineno} fills a cache"

@@ -32,6 +32,8 @@ from ihspoly import (
     ConsistencyError,
     DivClass,
     DomainError,
+    chamber_generator,
+    chamber_walk,
     decompose,
     is_big,
     is_movable,
@@ -297,7 +299,7 @@ def test_failed_support_is_not_cached(hilb2):
     for _ in range(2):
         with pytest.raises(ConsistencyError, match="negative definite"):
             chamber_positive_part(geom, DivClass([1, 0]), ["E", "E'"])
-        assert ("E", "E'") not in geom.support_projectors
+        assert frozenset({"E", "E'"}) not in geom.support_projectors
 
 
 def leading_minors_negative_definite(gram) -> bool:
@@ -388,7 +390,7 @@ def test_chamber_formula_matches_fresh_solve_seeded(name, request):
             names = sorted(chamber)
             support = [g.prime(n).cls for n in names]
             gram = lat.sub_gram(support)
-            proj = g.support_projector(tuple(names))
+            proj = g.support_projector(chamber)
             for d in classes:
                 pos, coeffs = chamber_positive_part(g, d, chamber)
                 assert (pos, tuple(coeffs.values())) == (proj.positive(d), proj.coefficients(d))
@@ -401,6 +403,62 @@ def test_chamber_formula_matches_fresh_solve_seeded(name, request):
                 for c, x in zip(support, fresh):
                     negative = negative + c.scale(x)
                 assert pos == d - negative
+
+
+@pytest.mark.parametrize(
+    "name", ["hilb2", "k3_elliptic", "hilb2_elliptic", "hilb2_elliptic_halved"]
+)
+def test_support_records_match_fresh_solve(name, request):
+    """One record per chamber, against a fresh Fraction solve of the
+    support's Gram system: images[E] is P_S(E) for every (prime, chamber),
+    the chamber walk's slope on S is -P_S(E), and the Minkowski
+    generator of S is P_S(E) made primitive."""
+    geom = replace(request.getfixturevalue(name))
+    lat = geom.lattice
+    assert geom.support_projectors == {}
+    fresh = {}
+    for chamber in geom.chambers:
+        support = [geom.prime(n).cls for n in sorted(chamber)]
+        record = geom.support_projector(chamber)
+        assert record.names == tuple(sorted(chamber))
+        assert set(record.images) == {p.name for p in geom.primes}
+        for prime in geom.primes:
+            xs = solve(lat.sub_gram(support), [lat.pair(prime.cls, c) for c in support])
+            image = prime.cls
+            for c, x in zip(support, xs):
+                image = image - c.scale(x)
+            assert record.images[prime.name] == image
+            fresh[prime.name, chamber] = image
+            if prime.name in chamber:
+                with pytest.raises(DomainError, match="flag"):
+                    chamber_generator(geom, chamber, prime.name)
+                continue
+            assert all(x <= 0 for x in xs)  # E + sum (-x_i) E_i, with -x_i >= 0
+            assert chamber_generator(geom, chamber, prime.name) == image.primitive()
+        assert geom.support_projector(chamber) is record
+    # records are keyed by the chambers themselves
+    assert set(geom.support_projectors) == set(geom.chambers)
+    walked = set()
+    for d in sample_big_classes(geom, 6, seed=4):
+        dec = decompose(geom, d)
+        for prime in geom.primes:
+            if dec.coefficient(prime.name):
+                continue
+            for seg in chamber_walk(geom, d, prime.name).segments:
+                assert seg.slope == -fresh[prime.name, seg.chamber]
+                walked.add((prime.name, seg.chamber))
+    assert len({chamber for _, chamber in walked}) > 1
+    # a failed build is not kept
+    kept = dict(geom.support_projectors)
+    movable = next(p for p in geom.primes if not p.exceptional)
+    flag = next(p for p in geom.primes if p is not movable)
+    for build in (
+        lambda: geom.support_projector(frozenset({movable.name})),
+        lambda: chamber_generator(geom, frozenset({movable.name}), flag.name),
+    ):
+        with pytest.raises(ConsistencyError, match="negative definite"):
+            build()
+        assert geom.support_projectors == kept
 
 
 def test_decompose_rejects_degenerate_catalog():
