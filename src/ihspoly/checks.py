@@ -120,10 +120,6 @@ def _sample_big_classes(geom: Geometry, count: int, seed: int, decomposed) -> li
     return out
 
 
-def _fmt(geom: Geometry, d: DivClass) -> str:
-    return format_divisor(geom, d)
-
-
 def _shared(fn):
     """fn(geom, *args), computed once per (geometry, args) for the life of
     the returned function; a raised IHSError is stored and raised again
@@ -152,17 +148,18 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
     The checks share one decomposition per (geometry, class) and one
     polygon per (geometry, class, flag) for this call only; nothing is
     kept once it returns.  Every polygon, volume and Minkowski
-    decomposition takes its decompositions (D - nu E included) from the
-    shared ones.  Polygons that only one check reads are built outside
-    the polygon share: flag-translation's D + E, superadditivity's
-    D1 + D2, area-identity's non-flag polygons of the samples that
-    flag-translation skips, and the reordered copy's.
+    decomposition takes the decomposition of its class from the shared
+    ones; a polygon reads that of D - nu E off that of D, so D - nu E
+    is never decomposed.  Polygons that only one check reads are built
+    outside the polygon share: flag-translation's D + E,
+    superadditivity's D1 + D2, area-identity's non-flag polygons of the
+    samples that flag-translation skips, and the reordered copy's.
     """
     lat = geom.lattice
     shared_decompose = _shared(decompose)
 
     def polygon(g: Geometry, d: DivClass, prime_name: str):
-        return _polygon(g, d, prime_name, shared_decompose)
+        return _polygon(g, d, g.prime(prime_name), shared_decompose(g, d))
 
     shared_polygon = _shared(polygon)
     classes = _sample_big_classes(geom, samples, seed, shared_decompose)
@@ -179,7 +176,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
         for p in primes:
             build = shared_polygon if p == flag or i < len(translated) else polygon
             area_id.run(
-                lambda: f"2*area != q(P) for D={_fmt(geom, d)}, E={p.name}",
+                lambda: f"2*area != q(P) for D={format_divisor(geom, d)}, E={p.name}",
                 lambda d=d, p=p, qp=qp, build=build: build(geom, d, p.name).area * 2 == qp,
             )
 
@@ -190,7 +187,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
             v = volume_from_square(geom, qp)
             a = shared_polygon(geom, d, flag.name).area
             return a * 2 == qp and (a * 2) ** n * c == v and Surd(qp) ** n * c == v
-        vol_chain.run(lambda: f"volume chain broke for D={_fmt(geom, d)}", chain)
+        vol_chain.run(lambda: f"volume chain broke for D={format_divisor(geom, d)}", chain)
 
     structure = _Recorder("breakpoint-structure")
     for d in classes:
@@ -205,7 +202,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
             for seg in tr.segments:
                 slopes.append(lat.pair(seg.slope, flag.cls))
             return all(a >= b for a, b in zip(slopes, slopes[1:]))
-        structure.run(lambda: f"trace structure broke for D={_fmt(geom, d)}", struct)
+        structure.run(lambda: f"trace structure broke for D={format_divisor(geom, d)}", struct)
 
     translation = _Recorder("flag-translation")
     for d in translated:
@@ -237,7 +234,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
                     )
                 return True
             translation.run(
-                lambda: f"translation by {p.name} broke for D={_fmt(geom, d)}", shift
+                lambda: f"translation by {p.name} broke for D={format_divisor(geom, d)}", shift
             )
 
     superadd = _Recorder("polygon-superadditivity")
@@ -250,7 +247,9 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
                 polygon(geom, d1 + d2, flag.name), polygon_minkowski_sum(p1, p2)
             )
         superadd.run(
-            lambda: f"superadditivity broke for {_fmt(geom, d1)} and {_fmt(geom, d2)}", supa
+            lambda: f"superadditivity broke for {format_divisor(geom, d1)} "
+            f"and {format_divisor(geom, d2)}",
+            supa,
         )
 
         def logc(d1=d1, d2=d2) -> bool:
@@ -260,7 +259,9 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
             gap = s12 - s1 - s2
             return gap >= 0 and gap * gap >= 4 * s1 * s2
         logconc.run(
-            lambda: f"log-concavity broke for {_fmt(geom, d1)} and {_fmt(geom, d2)}", logc
+            lambda: f"log-concavity broke for {format_divisor(geom, d1)} "
+            f"and {format_divisor(geom, d2)}",
+            logc,
         )
 
     idem = _Recorder("zariski-idempotence")
@@ -273,7 +274,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
             return shared_polygon(geom, pos, flag.name).vertices == shared_polygon(
                 geom, d, flag.name
             ).vertices
-        idem.run(lambda: f"idempotence broke for D={_fmt(geom, d)}", idempotent)
+        idem.run(lambda: f"idempotence broke for D={format_divisor(geom, d)}", idempotent)
 
     reorder = _Recorder("catalog-order-invariance")
     shuffled = replace(
@@ -289,14 +290,16 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
             pa = shared_polygon(geom, d, flag.name)
             pb = polygon(shuffled, d, flag.name)  # used only here
             return pa.vertices == pb.vertices and pa.nu == pb.nu and pa.mu == pb.mu
-        reorder.run(lambda: f"catalog order changed results for D={_fmt(geom, d)}", invariant)
+        reorder.run(
+            lambda: f"catalog order changed results for D={format_divisor(geom, d)}", invariant
+        )
 
     recon = _Recorder("minkowski-reconstruction")
     if geom.mode == "polyhedral":
         for i, d in enumerate(classes):
             def rebuild(d=d, full=(i < 5)) -> bool | None:
                 try:
-                    mk = _minkowski_decompose(geom, d, flag.name, shared_decompose)
+                    mk = _minkowski_decompose(geom, shared_decompose(geom, d), flag.name)
                 except DomainError:
                     return None  # no chamber generator exists for the flag
                 pos = shared_decompose(geom, d).positive
@@ -314,7 +317,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
                     piece = polygon_scale(coeff, shared_polygon(geom, element.cls, flag.name))
                     total = polygon_minkowski_sum(total, piece)
                 return total.vertices == shared_polygon(geom, d, flag.name).vertices
-            recon.run(lambda: f"reconstruction broke for D={_fmt(geom, d)}", rebuild)
+            recon.run(lambda: f"reconstruction broke for D={format_divisor(geom, d)}", rebuild)
 
     walls = _Recorder("wall-continuity")
     if geom.mode == "polyhedral":

@@ -13,8 +13,9 @@ Two modes exist:
   class; membership questions become sign conditions on q.
 
 Data derived from the catalog is built on first use and kept on the
-geometry, bounded by the catalog's size: the facets of Eff, the
-extremal rays of Mov, the chamber list (negative-definite sets of
+geometry, bounded by the catalog's size: the facets of Eff, Mov as
+the cone cut out by Eff's facets and the primes' form rows (mov_cone)
+and its extremal rays, the chamber list (negative-definite sets of
 exceptional primes), each prime's form q(-, E) as an integer row over
 a denominator, and one record per Zariski support met so far, keyed by
 the support's frozenset of names like every other chamber value.  The
@@ -146,12 +147,18 @@ class Geometry:
         return cone
 
     @cached_property
-    def movable_rays(self) -> tuple[DivClass, ...]:
-        """Extremal rays of Mov: Eff cut by q(-, Q) >= 0 for every prime Q."""
+    def mov_cone(self) -> Cone:
+        """Mov = Eff cut by q(-, Q) >= 0 for every prime Q (polyhedral
+        mode); some of the primes' rows may be redundant."""
         eff = self.eff_cone
-        rows = [row for row, _ in self.prime_forms.values()]
-        rays = extreme_rays([*eff.facets, *rows], eff.equations, self.rank)
-        return tuple(DivClass(r) for r in rays)
+        rows = (DivClass(row).primitive().num for row, _ in self.prime_forms.values())
+        return Cone((*eff.facets, *rows), eff.equations)
+
+    @cached_property
+    def movable_rays(self) -> tuple[DivClass, ...]:
+        """Extremal rays of Mov."""
+        mov = self.mov_cone
+        return tuple(DivClass(r) for r in extreme_rays(mov.facets, mov.equations, self.rank))
 
     @cached_property
     def chambers(self) -> tuple[frozenset[str], ...]:

@@ -14,8 +14,10 @@ walking down the chambers, and the polygons add up along the way.
 The generator of S is P_S(E) made primitive, so it is read off the
 support's record (Geometry.support_projector), which holds P_S(E) for
 every catalog prime, with no Gram solve or cache of its own.  The
-walk's wall tests are signs of integer dot products with the primes'
-form rows.
+walk's step tau along a generator is the largest one that keeps the
+leftover movable: one max_step over Mov (Geometry.mov_cone, Eff cut by
+the primes' form rows), so both the prime walls and the facets of Eff
+bound it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import Optional
 from .errors import ConsistencyError, DomainError
 from .geometry import Geometry
 from .lattice import DivClass, dot, linear_combination
-from .linprog import InfeasibleError, UnboundedError, max_step, prune_to_extremal
-from .zariski import decompose, null_set
+from .linprog import UnboundedError, max_step, prune_to_extremal
+from .zariski import ZariskiDecomposition, decompose, null_set
 
 
 def enumerate_chambers(geom: Geometry) -> tuple[frozenset[str], ...]:
@@ -151,21 +153,19 @@ def minkowski_decompose(geom: Geometry, d: DivClass, flag_name: str) -> Minkowsk
     the movable cone allows; the leftover lands on a wall and the walk
     repeats until zero or an isotropic ray remains.
     """
-    return _minkowski_decompose(geom, d, flag_name, decompose)
+    if geom.mode != "polyhedral":
+        raise DomainError("minkowski decomposition requires polyhedral mode")
+    geom.prime(flag_name)  # an unknown flag is refused before decomposing
+    return _minkowski_decompose(geom, decompose(geom, d), flag_name)
 
 
 def _minkowski_decompose(
-    geom: Geometry, d: DivClass, flag_name: str, decomposed
+    geom: Geometry, dec: ZariskiDecomposition, flag_name: str
 ) -> MinkowskiDecomposition:
-    """minkowski_decompose, taking the decomposition of D from
-    decomposed(geom, d) (zariski.decompose or a caller's memo)."""
-    if geom.mode != "polyhedral":
-        raise DomainError("minkowski decomposition requires polyhedral mode")
-    flag = geom.prime(flag_name)
-    dec = decomposed(geom, d)  # DomainError when not pseudo-effective
+    """minkowski_decompose, given dec = decompose(geom, d) on a polyhedral
+    geometry with a prime called flag_name."""
     nu = dec.coefficient(flag_name)
     lat = geom.lattice
-    forms = geom.prime_forms
     m = dec.positive
     terms: list[tuple[Fraction, BasisElement]] = []
     for _ in range(2 * (len(geom.primes) + lat.rank) + 4):
@@ -174,33 +174,17 @@ def _minkowski_decompose(
         if lat.square(m) == 0:
             terms.append(_match_isotropic(geom, m))
             return MinkowskiDecomposition(tuple(terms), nu)
-        sigma = frozenset(null_set(geom, m))
-        if flag.name in sigma:
+        sigma = frozenset(null_set(geom, m))  # DomainError unless m is in Mov
+        if flag_name in sigma:
             raise DomainError(
                 "flag prime is orthogonal to the positive part; "
                 "no chamber generator exists for it"
             )
         gen = chamber_generator(geom, sigma, flag_name)
-        # tau = min over primes Q with q(gen, Q) > 0 of q(m, Q) / q(gen, Q)
-        tau: Optional[Fraction] = None
-        for row, _ in forms.values():
-            down = dot(gen.num, row)
-            if down > 0:
-                bound = Fraction(dot(m.num, row) * gen.den, down * m.den)
-                if tau is None or bound < tau:
-                    tau = bound
         try:
-            eff_bound = max_step(geom.eff_cone, gen.num, m.num) * Fraction(gen.den, m.den)
-            if tau is None or eff_bound < tau:
-                tau = eff_bound
-        except UnboundedError:
-            pass
-        except InfeasibleError as exc:
-            raise ConsistencyError(
-                "movable class left the declared effective cone"
-            ) from exc
-        if tau is None:
-            raise ConsistencyError("no wall bounds the chamber generator direction")
+            tau = max_step(geom.mov_cone, gen.num, m.num) * Fraction(gen.den, m.den)
+        except UnboundedError as exc:
+            raise ConsistencyError("no wall bounds the chamber generator direction") from exc
         if tau <= 0:
             raise ConsistencyError(
                 "chamber generator cannot be subtracted; catalog inconsistent"

@@ -5,7 +5,10 @@ For a pseudo-effective class D and a prime divisor E, the polygon is
     { (t, y) : 0 <= t <= mu_E(D),  0 <= y <= q(P(D - tE), E) }
 
 computed after stripping nu_E(D) (the coefficient of E in the negative
-part) off D, and reported together with the offset nu.  Its upper
+part) off D, and reported together with the offset nu.  The divisorial
+Zariski decomposition is unique (Boucksom 2004), so D - nu E =
+P(D) + (N(D) - nu E) is its own decomposition: nu comes off N(D), and
+D is decomposed once per polygon, cone probe or walk.  Its upper
 boundary is piecewise linear because the positive part P(D - tE) is an
 affine function of t on each Boucksom-Zariski chamber S, with slope
 -P_S(E) read off the support's record (Geometry.support_projector);
@@ -145,17 +148,20 @@ def mu_threshold(geom: Geometry, d: DivClass, prime_name: str) -> Surd:
 def _trace(
     geom: Geometry, d: DivClass, prime: Prime, dec: ZariskiDecomposition
 ) -> BreakpointTrace:
-    """Piecewise-affine trace of t -> P(D - tE) on [0, mu]; nu already 0
-    and dec = decompose(geom, d)."""
+    """Piecewise-affine trace of t -> P(D - nu E - tE) on [0, mu], with
+    dec = decompose(geom, d) and nu = nu_E(D); D - nu E has support
+    dec.support - {E} and positive part dec.positive (uniqueness)."""
     lat = geom.lattice
-    if dec.coefficient(prime.name):
-        raise DomainError(
-            "flag prime must sit outside the negative support; strip nu first"
-        )
-    mu = _threshold(geom, d, prime)
+    nu = dec.coefficient(prime.name)
+    if nu:
+        d = d - prime.cls.scale(nu)
+    try:
+        mu = _threshold(geom, d, prime)
+    except DomainError as exc:  # D is psef, so only a stripped class gets here
+        raise ConsistencyError("normalized class left the declared effective cone") from exc
     big = lat.square(dec.positive) > 0
     forms = geom.prime_forms
-    support = dec.support
+    support = dec.support - {prime.name}
     segments: list[WalkSegment] = []
     t = Fraction(0)
     for _ in range(2 * len(geom.primes) + 4):
@@ -196,23 +202,6 @@ def _trace(
     raise ConsistencyError("chamber walk exceeded the iteration cap")
 
 
-def _normalized_trace(
-    geom: Geometry, d: DivClass, prime: Prime, dec: ZariskiDecomposition, decomposed
-) -> BreakpointTrace:
-    """The trace of D - nu E, where nu = nu_E(D) is read off
-    dec = decomposed(geom, d); decomposed decomposes D - nu E too."""
-    nu = dec.coefficient(prime.name)
-    if nu:
-        d = d - prime.cls.scale(nu)
-        try:
-            dec = decomposed(geom, d)
-        except DomainError as exc:
-            raise ConsistencyError(
-                "normalized class left the declared effective cone"
-            ) from exc
-    return _trace(geom, d, prime, dec)
-
-
 def _check_terminus(lat, base: DivClass, slope: DivClass, mu: Surd, big: bool) -> None:
     """Cross-check: at t = mu the positive part must reach the isotropic
     boundary (big start), confirming the facet threshold against the exact
@@ -237,6 +226,10 @@ def chamber_walk(geom: Geometry, d: DivClass, prime_name: str) -> BreakpointTrac
     dec = decompose(geom, d)
     if geom.lattice.square(dec.positive) <= 0:
         raise DomainError("chamber walk requires a big class")
+    if dec.coefficient(prime_name):
+        raise DomainError(
+            "flag prime must sit outside the negative support; strip nu first"
+        )
     return _trace(geom, d, prime, dec)
 
 
@@ -251,17 +244,14 @@ def polygon(geom: Geometry, d: DivClass, prime_name: str) -> NOPolygon:
     q(P(D))/2; non-big classes degenerate to a segment or point swept
     by the same construction.
     """
-    return _polygon(geom, d, prime_name, decompose)
+    return _polygon(geom, d, geom.prime(prime_name), decompose(geom, d))
 
 
-def _polygon(geom: Geometry, d: DivClass, prime_name: str, decomposed) -> NOPolygon:
-    """polygon, taking the decompositions of D and of D - nu E from
-    decomposed(geom, class) (zariski.decompose or a caller's memo)."""
-    prime = geom.prime(prime_name)
-    dec = decomposed(geom, d)  # raises DomainError when not psef
-    trace = _normalized_trace(geom, d, prime, dec, decomposed)
-    nu = dec.coefficient(prime_name)
-    return NOPolygon(_outline(geom, trace, prime_name), nu, trace.mu, trace)
+def _polygon(geom: Geometry, d: DivClass, prime: Prime, dec: ZariskiDecomposition) -> NOPolygon:
+    """polygon, given the flag prime and dec = decompose(geom, d)."""
+    trace = _trace(geom, d, prime, dec)
+    nu = dec.coefficient(prime.name)
+    return NOPolygon(_outline(geom, trace, prime.name), nu, trace.mu, trace)
 
 
 def _outline(geom: Geometry, trace: BreakpointTrace, prime_name: str) -> tuple[Point, ...]:
@@ -309,8 +299,6 @@ def polygon_scale(factor, p: NOPolygon) -> NOPolygon:
     f = Fraction(factor)
     if f < 0:
         raise DomainError("polygon scaling factor must be nonnegative")
-    if f == 0:
-        return NOPolygon(((Surd(0), Surd(0)),), Fraction(0), Surd(0), None)
     verts = tuple(hull_scale(p.vertices, f))
     return NOPolygon(verts, p.nu * f, p.mu * f, None)
 
@@ -341,7 +329,7 @@ def cone_contains(geom: Geometry, prime_name: str, zeta: DivClass, t, y) -> bool
     nu = dec.coefficient(prime_name)
     if t < nu:
         return False
-    trace = _normalized_trace(geom, zeta, prime, dec, decompose)
+    trace = _trace(geom, zeta, prime, dec)
     t_rel = t - nu
     if t_rel > trace.mu:
         return False

@@ -155,11 +155,7 @@ def contains_point(vertices: Sequence[Point], pt: Point) -> bool:
         ab = (b[0] - a[0], b[1] - a[1])
         t = (pt[0] - a[0]) * ab[0] + (pt[1] - a[1]) * ab[1]
         return t.sign() >= 0 and (t - (ab[0] * ab[0] + ab[1] * ab[1])).sign() <= 0
-    for i, v in enumerate(vertices):
-        w = vertices[(i + 1) % len(vertices)]
-        if cross(v, w, pt).sign() < 0:
-            return False
-    return True
+    return contains_polygon(vertices, [pt])
 
 
 def contains_polygon(outer: Sequence[Point], inner: Sequence[Point]) -> bool:

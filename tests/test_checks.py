@@ -150,9 +150,9 @@ def test_run_checks_builds_each_polygon_once(hilb2_elliptic, monkeypatch):
     built = Counter()
     real = checks._polygon
 
-    def counting(geom, d, prime_name, decomposed):
-        built[(id(geom), d, prime_name)] += 1
-        return real(geom, d, prime_name, decomposed)
+    def counting(geom, d, prime, dec):
+        built[(id(geom), d, prime.name)] += 1
+        return real(geom, d, prime, dec)
 
     monkeypatch.setattr(checks, "_polygon", counting)
     run_checks(hilb2_elliptic, 4, 0)
@@ -178,8 +178,9 @@ def test_run_checks_decomposes_each_class_once(hilb2_elliptic, monkeypatch):
 
 def test_run_checks_decomposes_each_class_once_across_layers(hilb2_elliptic, monkeypatch):
     # polygon, volume and minkowski_decompose take their decompositions
-    # (D - nu E included) from run_checks' memo, so a wrapper on decompose
-    # in every module that binds it sees each (geometry, class) once.
+    # from run_checks' memo and a polygon reads D - nu E off D's, so a
+    # wrapper on decompose in every module that binds it sees each
+    # (geometry, class) once and no stripped class at all.
     import ihspoly
     from ihspoly import checks, minkowski, okounkov, zariski
 
@@ -196,7 +197,7 @@ def test_run_checks_decomposes_each_class_once_across_layers(hilb2_elliptic, mon
         monkeypatch.setattr(module, "decompose", counting)
     run_checks(hilb2_elliptic, 4, 0)
     assert set(calls.values()) == {1}
-    assert len(calls) == 35
+    assert len(calls) == 28
 
 
 def test_run_checks_gram_solves_once_per_chamber(hilb2_elliptic, monkeypatch):
@@ -252,10 +253,10 @@ def test_shared_polygon_failure_reaches_every_check(hilb2_elliptic, monkeypatch)
     bad = sample_big_classes(geom, 4, seed=0)[1]
     real = checks._polygon
 
-    def failing(g, d, prime_name, decomposed):
+    def failing(g, d, prime, dec):
         if d == bad:
             raise ConsistencyError("forced polygon failure")
-        return real(g, d, prime_name, decomposed)
+        return real(g, d, prime, dec)
 
     monkeypatch.setattr(checks, "_polygon", failing)
     shared = run_checks(geom, 4, 0)

@@ -367,13 +367,32 @@ def test_non_pointed_effective_cone_rejected():
 def test_derived_cones_built_once_per_instance(hilb2):
     assert hilb2.movable_rays is hilb2.movable_rays
     assert hilb2.eff_cone is hilb2.eff_cone
+    assert hilb2.mov_cone is hilb2.mov_cone
     copy = replace(hilb2, primes=tuple(reversed(hilb2.primes)))
     assert "movable_rays" not in vars(copy) and "eff_cone" not in vars(copy)
     assert set(copy.movable_rays) == set(hilb2.movable_rays)
 
 
+def test_mov_cone_matches_is_movable_seeded(hilb2, k3_elliptic, hilb2_elliptic):
+    # Mov is Eff cut by the primes' form rows: its rays lie in it, and its
+    # membership test is is_movable on any class, inside Eff or not.
+    rng = random.Random(137)
+    for geom in (hilb2, k3_elliptic, hilb2_elliptic):
+        mov = geom.mov_cone
+        assert mov.equations == geom.eff_cone.equations
+        assert all(mov.contains(r.num) for r in geom.movable_rays)
+        seen = set()
+        for _ in range(200):
+            d = DivClass([F(rng.randint(-3, 6), rng.choice((1, 2))) for _ in range(geom.rank)])
+            movable = is_movable(geom, d)
+            assert mov.contains(d.num) == movable
+            seen.add((movable, is_pseudo_effective(geom, d)))
+        assert seen == {(True, True), (False, True), (False, False)}
+
+
 DERIVED = (
     "eff_cone",
+    "mov_cone",
     "movable_rays",
     "chambers",
     "prime_forms",

@@ -58,6 +58,7 @@ from ihspoly import (
     polygon_scale,
 )
 from ihspoly.linalg import solve
+from ihspoly.linprog import UnboundedError, max_step
 from ihspoly.polygon2d import point
 
 F = Fraction
@@ -446,3 +447,43 @@ def test_minkowski_decompose_seeded(hilb2, k3_elliptic, hilb2_elliptic):
                 acc = polygon_minkowski_sum(acc, piece)
             assert acc.vertices == total.vertices
             assert acc.mu == total.mu
+
+
+def _two_pass_step(geom, gen, m):
+    """The step along gen from m as a min-ratio over the primes' rows with
+    q(gen, Q) > 0, then a max_step over Eff when that one is bounded."""
+    lat = geom.lattice
+    bounds = [
+        lat.pair(m, p.cls) / lat.pair(gen, p.cls)
+        for p in geom.primes
+        if lat.pair(gen, p.cls) > 0
+    ]
+    try:
+        bounds.append(max_step(geom.eff_cone, gen.coords, m.coords))
+    except UnboundedError:
+        pass
+    return min(bounds)
+
+
+def test_minkowski_step_matches_two_pass_oracle_seeded(hilb2, k3_elliptic, hilb2_elliptic):
+    # Mov is Eff cut by the primes' rows, so the walk's one max_step over
+    # Mov equals the prime-row min-ratio followed by a max_step over Eff.
+    rng = random.Random(139)
+    for geom in (hilb2, k3_elliptic, hilb2_elliptic):
+        steps = 0
+        for _ in range(25):
+            d = geom.zero()
+            for g in geom.effective_generators:
+                d = d + g.scale(F(rng.randint(0, 5), rng.choice((1, 2))))
+            for flag in geom.primes:
+                try:
+                    dec = minkowski_decompose(geom, d, flag.name)
+                except DomainError:
+                    continue
+                m = decompose(geom, d).positive
+                for coeff, element in dec.terms:
+                    if element.origin == "chamber":
+                        assert coeff == _two_pass_step(geom, element.cls, m)
+                        steps += 1
+                    m = m - element.cls.scale(coeff)
+        assert steps

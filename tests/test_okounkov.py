@@ -29,8 +29,10 @@ import pytest
 from ihspoly import (
     ConePoint,
     ConsistencyError,
+    DiscriminantMixError,
     DivClass,
     DomainError,
+    NOPolygon,
     Surd,
     chamber_walk,
     cone_contains,
@@ -270,11 +272,42 @@ def test_polygon_decomposes_once(hilb2, monkeypatch):
     # nu = 0: the walk reuses polygon's own decomposition.
     polygon(hilb2, DivClass([3, -1]), "E")
     assert calls == [DivClass([3, -1])]
-    # nu > 0: the walk decomposes the stripped class D - nu E.
+    # nu > 0: the walk reads D - nu E's decomposition off D's.
     calls.clear()
     poly = polygon(hilb2, DivClass([3, 2]), "E")
     assert poly.nu > 0
-    assert calls == [DivClass([3, 2]), DivClass([3, 2]) - hilb2.prime("E").cls.scale(poly.nu)]
+    assert calls == [DivClass([3, 2])]
+
+
+def test_nu_strip_matches_fresh_decomposition_seeded(hilb2, k3_elliptic, hilb2_elliptic):
+    # The decomposition is unique, so D - nu E = P(D) + (N(D) - nu E) is
+    # its own: a fresh decompose of the stripped class must agree, and
+    # so must the walk of the stripped class, which has nu = 0.
+    rng = random.Random(131)
+    for geom in (hilb2, k3_elliptic, hilb2_elliptic):
+        exceptional = geom.exceptional_primes
+        checked = 0
+        for _ in range(12):
+            d = geom.zero()
+            for g in geom.effective_generators:
+                d = d + g.scale(F(rng.randint(0, 4), rng.choice((1, 2))))
+            for e in exceptional:
+                d = d + e.cls.scale(rng.randint(0, 2))
+            dec = decompose(geom, d)
+            for prime in geom.primes:
+                nu = dec.coefficient(prime.name)
+                if not nu:
+                    continue
+                stripped = d - prime.cls.scale(nu)
+                fresh = decompose(geom, stripped)
+                assert fresh.positive == dec.positive
+                assert fresh.negative == tuple((n, c) for n, c in dec.negative if n != prime.name)
+                assert fresh.negative_part == dec.negative_part - prime.cls.scale(nu)
+                poly, again = polygon(geom, d, prime.name), polygon(geom, stripped, prime.name)
+                assert (poly.nu, again.nu) == (nu, 0)
+                assert poly.trace == again.trace and poly.vertices == again.vertices
+                checked += 1
+        assert checked
 
 
 def test_walk_segments_explicit(hilb2):
@@ -397,7 +430,7 @@ def test_minkowski_decomposition_of_trapezium(hilb2):
     assert total.mu == expected.mu == 3
 
 
-def test_polygon_scale(hilb2):
+def test_polygon_scale(hilb2, fano_round):
     tri = polygon(hilb2, DivClass([1, 0]), "E")
     doubled = polygon_scale(2, tri)
     assert doubled.vertices == (point(0, 0), point(1, 0), point(1, 8))
@@ -406,6 +439,10 @@ def test_polygon_scale(hilb2):
     collapsed = polygon_scale(0, tri)
     assert collapsed.vertices == (point(0, 0),)
     assert collapsed.mu == 0
+    # a nonzero offset nu and an irrational width collapse to zero too
+    for poly in (polygon(hilb2, DivClass([1, 2]), "E"), polygon(fano_round, DivClass([1, 0]), "S")):
+        assert poly.nu or not poly.mu.is_rational
+        assert polygon_scale(0, poly) == NOPolygon((point(0, 0),), F(0), Surd(0))
     with pytest.raises(DomainError):
         polygon_scale(-1, tri)
 
@@ -655,6 +692,18 @@ def test_cone_contains_surd_abscissa(fano_round):
     assert not cone_contains(fano_round, "S", d, mu, Surd(0, 2, 3) + F(1, 100))
     assert not cone_contains(fano_round, "S", d, mu + F(1, 100), 0)
     assert cone_contains(fano_round, "S", d, 0, 4)
+
+
+def test_cone_contains_across_discriminants(fano_round):
+    # t = sqrt(7)/5 against thresholds over sqrt(3): the segment scan only
+    # compares, where a point test on the polygon would mix sqrt(3) and
+    # sqrt(7) arithmetic.
+    t, y = Surd(0, F(1, 5), 7), F(1, 100)
+    assert cone_contains(fano_round, "S", DivClass([3, 1]), t, y)  # 3A + B
+    assert not cone_contains(fano_round, "S", DivClass([1, 0]), t, y)  # A
+    verts = polygon(fano_round, DivClass([3, 1]), "S").absolute_vertices()
+    with pytest.raises(DiscriminantMixError):
+        contains_point(verts, point(t, y))
 
 
 def test_cone_contains_requires_psef(hilb2):
