@@ -25,7 +25,9 @@ over one denominator each, built from one inverse Gram matrix, and the
 images P_S(E) of every catalog prime come with them.  The chamber
 walk's slope along E on S is -P_S(E) and the Minkowski generator of S
 is P_S(E) made primitive, so both are read off the record.  A failed
-build is never kept.
+build is never kept.  The last item is the copy with primes and
+effective generators reversed (reordered), which the catalog-order
+check compares against; it keeps its own derived data the same way.
 
 Everything downstream is correct relative to this declared data: a
 truncated catalog (actual manifolds may carry infinitely many prime
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -183,6 +185,16 @@ class Geometry:
         """q(x, E) for the prime E called name."""
         row, den = self.prime_forms[name]
         return Fraction(dot(x.num, row), x.den * den)
+
+    @cached_property
+    def reordered(self) -> "Geometry":
+        """This geometry with its primes and effective generators listed in
+        reverse; its derived data is its own, built on first use."""
+        return replace(
+            self,
+            primes=self.primes[::-1],
+            effective_generators=self.effective_generators[::-1],
+        )
 
     @cached_property
     def support_projectors(self) -> dict[frozenset[str], SupportProjector]:
@@ -515,8 +527,11 @@ def is_pseudo_effective(geom: Geometry, d: DivClass) -> bool:
 
 
 def is_movable(geom: Geometry, d: DivClass) -> bool:
-    """Pseudo-effective and q-nonnegative against every declared prime."""
-    if not is_pseudo_effective(geom, d):
+    """Pseudo-effective and q-nonnegative against every declared prime:
+    membership of mov_cone in polyhedral mode."""
+    if geom.mode == "polyhedral" and d.dim == geom.rank:
+        return geom.mov_cone.contains(d.num)
+    if not is_pseudo_effective(geom, d):  # raises on a rank mismatch
         return False
     return all(dot(d.num, row) >= 0 for row, _ in geom.prime_forms.values())
 

@@ -12,14 +12,24 @@ form and the tests' oracle; the library's polygons are born canonical
 (okounkov reads them off the chamber walk in order), and minkowski_sum,
 scale and translate keep them so.  minkowski_sum takes canonical inputs
 and merges their edge sequences in O(n + m) exact operations.
+
+area, contains_polygon and contains_point run in one integer frame:
+_frame lifts every coordinate of their inputs to an integer pair (a, b)
+over one common denominator den and one square-free d, the value being
+(a + b*sqrt(d))/den.  Rational polygons are the frame with d = 0.  Each
+predicate is then exact integer products and one sign per test, and
+area builds a single Surd for its result.  Inputs over two different
+irrational discriminants raise DiscriminantMixError up front, as in
+minkowski_sum.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .surd import DiscriminantMixError, Surd
+from .surd import DiscriminantMixError, Surd, _make, _parts, _sign
 
 Point = tuple[Surd, Surd]
 
@@ -61,13 +71,13 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
 
 def area(vertices: Sequence[Point]) -> Surd:
     """Shoelace area; zero for degenerate polygons."""
-    if len(vertices) < 3:
-        return Surd(0)
-    total = Surd(0)
-    for i, (x0, y0) in enumerate(vertices):
-        x1, y1 = vertices[(i + 1) % len(vertices)]
-        total = total + (x0 * y1 - x1 * y0)
-    return abs(total) * Fraction(1, 2)
+    d, den, (pts,) = _frame(vertices)
+    a = b = 0  # a point or a segment sums to 0
+    for u, v in zip(pts, pts[1:] + pts[:1]):
+        da, db = _det(u, v, d)
+        a, b = a + da, b + db
+    s = _sign(a, b, d)
+    return _make(s * a, s * b, 2 * den * den, d)
 
 
 def _edges(vertices: Sequence[Point]) -> list[tuple[int, Surd, Surd]]:
@@ -86,10 +96,6 @@ def _edges(vertices: Sequence[Point]) -> list[tuple[int, Surd, Surd]]:
     return out
 
 
-def _discriminants(vertices: Sequence[Point]) -> set[int]:
-    return {c.d for v in vertices for c in v if c.d}
-
-
 def minkowski_sum(p: Sequence[Point], q: Sequence[Point]) -> list[Point]:
     """Exact Minkowski sum of two canonical convex polygons.
 
@@ -102,11 +108,7 @@ def minkowski_sum(p: Sequence[Point], q: Sequence[Point]) -> list[Point]:
     """
     if not p or not q:
         return []
-    ds = _discriminants(p) | _discriminants(q)
-    if len(ds) > 1:
-        raise DiscriminantMixError(
-            "cannot sum polygons over " + " and ".join(f"sqrt({d})" for d in sorted(ds))
-        )
+    _discriminant([_parts(c) for v in (*p, *q) for c in v])
     ep, eq = _edges(p), _edges(q)
     n, m = len(p), len(q)
     i = j = 0
@@ -143,34 +145,85 @@ def translate(vertices: Sequence[Point], dx, dy) -> list[Point]:
 
 
 def contains_point(vertices: Sequence[Point], pt: Point) -> bool:
-    pt = (_s(pt[0]), _s(pt[1]))
-    if not vertices:
-        return False
-    if len(vertices) == 1:
-        return vertices[0] == pt
-    if len(vertices) == 2:
-        a, b = vertices
-        if cross(a, b, pt).sign() != 0:
-            return False
-        ab = (b[0] - a[0], b[1] - a[1])
-        t = (pt[0] - a[0]) * ab[0] + (pt[1] - a[1]) * ab[1]
-        return t.sign() >= 0 and (t - (ab[0] * ab[0] + ab[1] * ab[1])).sign() <= 0
     return contains_polygon(vertices, [pt])
 
 
 def contains_polygon(outer: Sequence[Point], inner: Sequence[Point]) -> bool:
     """Convexity makes vertex containment sufficient.  The edge lines of a
     2-dimensional outer polygon are built once; each inner vertex then
-    costs one determinant sign per edge."""
+    costs one sign per edge.  Every test runs in the integer frame."""
+    d, _, (outer, inner) = _frame(outer, inner)
     if len(outer) < 3:
-        return all(contains_point(outer, v) for v in inner)
+        return all(_in_degenerate(outer, v, d) for v in inner)
+    # p is inside when e x p - e x v >= 0 for every edge e = w - v; that
+    # is _det(e, p) - _det(e, v), written out below with e x v built once
     lines = []
-    for (vx, vy), (wx, wy) in zip(outer, (*outer[1:], outer[0])):
-        ex, ey = wx - vx, wy - vy
-        lines.append((ex, ey, ex * vy - ey * vx))
-    for x, y in inner:
-        x, y = _s(x), _s(y)
-        for ex, ey, c in lines:
-            if (ex * y - ey * x - c).sign() < 0:
+    for v, w in zip(outer, outer[1:] + outer[:1]):
+        (exa, exb), (eya, eyb) = e = _vec(v, w)
+        lines.append((exa, exb, exb * d, eya, eyb, eyb * d, *_det(e, v, d)))
+    for (xa, xb), (ya, yb) in inner:
+        for exa, exb, exbd, eya, eyb, eybd, ca, cb in lines:
+            a = exa * ya + exbd * yb - eya * xa - eybd * xb - ca
+            b = exa * yb + exb * ya - eya * xb - eyb * xa - cb
+            if (_sign(a, b, d) if b else a) < 0:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the integer frame: a point is ((a, b), (a', b')) for the coordinates
+# ((a + b*sqrt(d))/den, (a' + b'*sqrt(d))/den)
+
+
+def _discriminant(coords) -> int:
+    """The one square-free d > 1 among the coordinates' parts, or 0."""
+    ds = {c[3] for c in coords if c[3]}
+    if len(ds) > 1:
+        raise DiscriminantMixError(
+            "cannot combine polygons over " + " and ".join(f"sqrt({d})" for d in sorted(ds))
+        )
+    return ds.pop() if ds else 0
+
+
+def _frame(*seqs: Sequence[Point]):
+    """(d, den, lifted): every point of every sequence as integer pairs over
+    one common denominator den and one discriminant d."""
+    parts = [_parts(c) or _parts(Surd(c)) for seq in seqs for v in seq for c in v]
+    d = _discriminant(parts)
+    den = math.lcm(*(c[2] for c in parts))
+    flat = [(an * (den // n), bn * (den // n)) for an, bn, n, _ in parts]
+    lifted, i = [], 0
+    for seq in seqs:
+        j = i + 2 * len(seq)
+        lifted.append(list(zip(flat[i:j:2], flat[i + 1:j:2])))
+        i = j
+    return d, den, lifted
+
+
+def _vec(v, w):
+    """w - v."""
+    return (w[0][0] - v[0][0], w[0][1] - v[0][1]), (w[1][0] - v[1][0], w[1][1] - v[1][1])
+
+
+def _det(u, v, d) -> tuple[int, int]:
+    """u_x v_y - u_y v_x."""
+    ((a, b), (c, e)), ((f, g), (h, k)) = u, v
+    return a * h + b * k * d - c * f - e * g * d, a * k + b * h - c * g - e * f
+
+
+def _dot(u, v, d) -> tuple[int, int]:
+    """u_x v_x + u_y v_y."""
+    ((a, b), (c, e)), ((f, g), (h, k)) = u, v
+    return a * f + b * g * d + c * h + e * k * d, a * g + b * f + c * k + e * h
+
+
+def _in_degenerate(vertices, p, d) -> bool:
+    """p lies in a polygon of 0, 1 or 2 vertices."""
+    if len(vertices) < 2:
+        return vertices == [p]
+    u, w = _vec(vertices[0], vertices[1]), _vec(vertices[0], p)
+    if any(_det(u, w, d)):
+        return False  # off the line
+    ta, tb = _dot(w, u, d)
+    la, lb = _dot(u, u, d)
+    return _sign(ta, tb, d) >= 0 and _sign(ta - la, tb - lb, d) <= 0

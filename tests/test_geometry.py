@@ -397,6 +397,7 @@ DERIVED = (
     "chambers",
     "prime_forms",
     "support_projectors",
+    "reordered",
 )
 
 

@@ -284,3 +284,100 @@ def test_contains_polygon():
     assert contains_polygon(outer, outer)
     # Everything contains the empty polygon.
     assert contains_polygon(outer, [])
+    # a segment or a point as the outer polygon
+    seg = [point(0, 0), point(2, 2)]
+    assert contains_polygon(seg, [point(1, 1), point(2, 2)])
+    assert not contains_polygon(seg, [point(1, 1), point(1, 0)])
+    assert contains_polygon([point(1, 1)], [point(1, 1)])
+    assert not contains_polygon([], [point(0, 0)])
+
+
+def test_predicates_mixed_discriminants_raise():
+    p = [point(0, 0), (Surd(0, 1, 2), Surd(0)), point(0, 1)]
+    q = [point(0, 0), (Surd(0, 1, 3), Surd(0)), point(0, 1)]
+    with pytest.raises(DiscriminantMixError):
+        contains_polygon(p, q)
+    with pytest.raises(DiscriminantMixError):
+        area([point(0, 0), (Surd(0, 1, 2), Surd(0)), (Surd(0), Surd(0, 1, 3))])
+    # the refusal is up front: it does not depend on which products a
+    # test would form, so a point against a point is refused too
+    with pytest.raises(DiscriminantMixError):
+        contains_point([(Surd(0, 1, 2), Surd(0))], (Surd(0), Surd(0, 1, 3)))
+    with pytest.raises(DiscriminantMixError):
+        contains_polygon(p, [(Surd(0), Surd(0, 1, 3))])
+    # one irrational extension plus rationals is fine
+    assert contains_polygon(p, [point(1, 0)]) and not contains_polygon(square(), p)
+    assert area(p) == Surd(0, F(1, 2), 2)
+
+
+def test_kernel_does_no_surd_arithmetic(monkeypatch):
+    r = Surd(1, 1, 2)  # 1 + sqrt(2)
+    trap = [point(0, 0), point(3, 0), point(2, 2), point(0, 2)]
+    wide = [(x * r, y * r) for x, y in trap]
+    inner = [point(1, 1), (r, Surd(1))]
+    seg = [point(0, 0), (r, r)]
+    half = (r * F(1, 2), r * F(1, 2))
+
+    def refuse(*_):
+        raise AssertionError("Surd arithmetic in the polygon kernel")
+
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"):
+        monkeypatch.setattr(Surd, op, refuse)
+    assert area(trap) == 5
+    assert area(wide) == Surd(15, 10, 2)  # 5 (1 + sqrt(2))^2
+    assert contains_polygon(trap, inner) and contains_polygon(wide, trap + inner)
+    assert not contains_polygon(trap, wide)
+    assert contains_point(seg, half) and not contains_point(seg, point(1, 0))
+
+
+# -- the former Surd-arithmetic predicates, kept as the kernel's oracle ---------
+
+
+def _surd_area(vertices):
+    if len(vertices) < 3:
+        return Surd(0)
+    total = Surd(0)
+    for i, (x0, y0) in enumerate(vertices):
+        x1, y1 = vertices[(i + 1) % len(vertices)]
+        total = total + (x0 * y1 - x1 * y0)
+    return abs(total) * F(1, 2)
+
+
+def _surd_contains_point(vertices, pt):
+    pt = point(*pt)
+    if not vertices:
+        return False
+    if len(vertices) == 1:
+        return vertices[0] == pt
+    if len(vertices) == 2:
+        a, b = vertices
+        if cross(a, b, pt).sign() != 0:
+            return False
+        ab = (b[0] - a[0], b[1] - a[1])
+        t = (pt[0] - a[0]) * ab[0] + (pt[1] - a[1]) * ab[1]
+        return t.sign() >= 0 and (t - (ab[0] * ab[0] + ab[1] * ab[1])).sign() <= 0
+    return _surd_contains_polygon(vertices, [pt])
+
+
+def _surd_contains_polygon(outer, inner):
+    if len(outer) < 3:
+        return all(_surd_contains_point(outer, v) for v in inner)
+    for x, y in inner:
+        for v, w in zip(outer, (*outer[1:], outer[0])):
+            if cross(v, w, (x, y)).sign() < 0:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("d", [0, 2, 3])
+def test_kernel_matches_surd_oracle_seeded(d):
+    rng = random.Random(211 + d)
+    for _ in range(200):
+        p, q = _random_canonical(rng, d), _random_canonical(rng, d)
+        assert area(p) == _surd_area(p)
+        assert contains_polygon(p, q) == _surd_contains_polygon(p, q)
+        assert contains_polygon(minkowski_sum(p, q), p) == _surd_contains_polygon(
+            minkowski_sum(p, q), p
+        )
+        for v in (*q, *p, (p[0][0] * F(1, 2), p[-1][1])):
+            assert contains_point(p, v) == _surd_contains_point(p, v)

@@ -1,5 +1,5 @@
 """Property tests: Surd field axioms, hashing and exact order, and the
-polygon2d Minkowski sum and containment against their oracles.
+polygon2d Minkowski sum, area and containment against their oracles.
 
 Runs are derandomized and keep no example database, so every run checks
 the same examples.
@@ -14,9 +14,21 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ihspoly.polygon2d import contains_polygon, convex_hull, minkowski_sum, translate  # noqa: E402
+from ihspoly.polygon2d import (  # noqa: E402
+    area,
+    contains_point,
+    contains_polygon,
+    convex_hull,
+    minkowski_sum,
+    translate,
+)
 from ihspoly.surd import DiscriminantMixError, Surd  # noqa: E402
-from test_polygon2d import _hull_of_pairwise_sums  # noqa: E402
+from test_polygon2d import (  # noqa: E402
+    _hull_of_pairwise_sums,
+    _surd_area,
+    _surd_contains_point,
+    _surd_contains_polygon,
+)
 
 exact = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -162,3 +174,17 @@ def test_minkowski_sum_and_containment_match_hull_oracles(pq):
         assert contains_polygon(outer, inner) == (convex_hull([*outer, *inner]) == list(outer))
     # p + q[0] is a subset of p + q
     assert contains_polygon(total, translate(p, *q[0]))
+
+
+@settings(exact, max_examples=150)
+@given(st.sampled_from((0, 2, 5)).flatmap(lambda d: st.tuples(polygons(d), polygons(d))))
+def test_integer_kernel_matches_surd_arithmetic(pq):
+    p, q = pq
+    assert area(p) == _surd_area(p) and area(q) == _surd_area(q)
+    total = minkowski_sum(p, q)
+    for outer, inner in ((p, q), (q, p), (total, p), (total, translate(p, *q[0]))):
+        assert contains_polygon(outer, inner) == _surd_contains_polygon(outer, inner)
+    # vertices, edge midpoints and the points just past them
+    mids = [((v[0] + w[0]) / 2, (v[1] + w[1]) / 2) for v, w in zip(p, (*p[1:], p[0]))]
+    for x in (*q, *mids, *((a + 1, b) for a, b in mids), (q[0][0], q[0][1] - 1)):
+        assert contains_point(p, x) == _surd_contains_point(p, x)
