@@ -25,9 +25,7 @@ over one denominator each, built from one inverse Gram matrix, and the
 images P_S(E) of every catalog prime come with them.  The chamber
 walk's slope along E on S is -P_S(E) and the Minkowski generator of S
 is P_S(E) made primitive, so both are read off the record.  A failed
-build is never kept.  The last item is the copy with primes and
-effective generators reversed (reordered), which the catalog-order
-check compares against; it keeps its own derived data the same way.
+build is never kept.
 
 Everything downstream is correct relative to this declared data: a
 truncated catalog (actual manifolds may carry infinitely many prime
@@ -42,7 +40,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -185,16 +183,6 @@ class Geometry:
         """q(x, E) for the prime E called name."""
         row, den = self.prime_forms[name]
         return Fraction(dot(x.num, row), x.den * den)
-
-    @cached_property
-    def reordered(self) -> "Geometry":
-        """This geometry with its primes and effective generators listed in
-        reverse; its derived data is its own, built on first use."""
-        return replace(
-            self,
-            primes=self.primes[::-1],
-            effective_generators=self.effective_generators[::-1],
-        )
 
     @cached_property
     def support_projectors(self) -> dict[frozenset[str], SupportProjector]:

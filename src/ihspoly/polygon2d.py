@@ -14,22 +14,21 @@ scale and translate keep them so.  minkowski_sum takes canonical inputs
 and merges their edge sequences in O(n + m) exact operations.
 
 area, contains_polygon and contains_point run in one integer frame:
-_frame lifts every coordinate of their inputs to an integer pair (a, b)
-over one common denominator den and one square-free d, the value being
-(a + b*sqrt(d))/den.  Rational polygons are the frame with d = 0.  Each
-predicate is then exact integer products and one sign per test, and
-area builds a single Surd for its result.  Inputs over two different
-irrational discriminants raise DiscriminantMixError up front, as in
-minkowski_sum.
+_frame lifts every coordinate of their inputs, through surd.to_frame,
+to an integer pair (a, b) over one common denominator den and one
+square-free d, the value being (a + b*sqrt(d))/den.  Rational polygons
+are the frame with d = 0.  Each predicate is then exact integer
+products and one sign per test, and area builds a single Surd for its
+result.  Inputs over two different irrational discriminants raise
+DiscriminantMixError up front, as in minkowski_sum.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .surd import DiscriminantMixError, Surd, _make, _parts, _sign
+from .surd import Surd, common_discriminant, frame_sign, from_frame, to_frame
 
 Point = tuple[Surd, Surd]
 
@@ -76,8 +75,8 @@ def area(vertices: Sequence[Point]) -> Surd:
     for u, v in zip(pts, pts[1:] + pts[:1]):
         da, db = _det(u, v, d)
         a, b = a + da, b + db
-    s = _sign(a, b, d)
-    return _make(s * a, s * b, 2 * den * den, d)
+    s = frame_sign(a, b, d)
+    return from_frame(s * a, s * b, 2 * den * den, d)
 
 
 def _edges(vertices: Sequence[Point]) -> list[tuple[int, Surd, Surd]]:
@@ -108,7 +107,7 @@ def minkowski_sum(p: Sequence[Point], q: Sequence[Point]) -> list[Point]:
     """
     if not p or not q:
         return []
-    _discriminant([_parts(c) for v in (*p, *q) for c in v])
+    common_discriminant((c for v in (*p, *q) for c in v), "sum polygons")
     ep, eq = _edges(p), _edges(q)
     n, m = len(p), len(q)
     i = j = 0
@@ -165,7 +164,7 @@ def contains_polygon(outer: Sequence[Point], inner: Sequence[Point]) -> bool:
         for exa, exb, exbd, eya, eyb, eybd, ca, cb in lines:
             a = exa * ya + exbd * yb - eya * xa - eybd * xb - ca
             b = exa * yb + exb * ya - eya * xb - eyb * xa - cb
-            if (_sign(a, b, d) if b else a) < 0:
+            if (frame_sign(a, b, d) if b else a) < 0:
                 return False
     return True
 
@@ -175,23 +174,10 @@ def contains_polygon(outer: Sequence[Point], inner: Sequence[Point]) -> bool:
 # ((a + b*sqrt(d))/den, (a' + b'*sqrt(d))/den)
 
 
-def _discriminant(coords) -> int:
-    """The one square-free d > 1 among the coordinates' parts, or 0."""
-    ds = {c[3] for c in coords if c[3]}
-    if len(ds) > 1:
-        raise DiscriminantMixError(
-            "cannot combine polygons over " + " and ".join(f"sqrt({d})" for d in sorted(ds))
-        )
-    return ds.pop() if ds else 0
-
-
 def _frame(*seqs: Sequence[Point]):
     """(d, den, lifted): every point of every sequence as integer pairs over
     one common denominator den and one discriminant d."""
-    parts = [_parts(c) or _parts(Surd(c)) for seq in seqs for v in seq for c in v]
-    d = _discriminant(parts)
-    den = math.lcm(*(c[2] for c in parts))
-    flat = [(an * (den // n), bn * (den // n)) for an, bn, n, _ in parts]
+    d, den, flat = to_frame((c for seq in seqs for v in seq for c in v), "combine polygons")
     lifted, i = [], 0
     for seq in seqs:
         j = i + 2 * len(seq)
@@ -226,4 +212,4 @@ def _in_degenerate(vertices, p, d) -> bool:
         return False  # off the line
     ta, tb = _dot(w, u, d)
     la, lb = _dot(u, u, d)
-    return _sign(ta, tb, d) >= 0 and _sign(ta - la, tb - lb, d) <= 0
+    return frame_sign(ta, tb, d) >= 0 and frame_sign(ta - la, tb - lb, d) <= 0

@@ -104,6 +104,49 @@ def _mix_error(d1: int, d2: int) -> DiscriminantMixError:
     return DiscriminantMixError(f"cannot combine sqrt({d1}) with sqrt({d2})")
 
 
+# -- the integer frame --------------------------------------------------------
+# Code that forms many products over values of one extension lifts them
+# once to integer pairs (a, b) over a shared denominator den, the value
+# being (a + b*sqrt(d))/den, and works on ints; these names are all it
+# needs of the representation.
+
+
+def common_discriminant(values, action: str = "combine") -> int:
+    """The one square-free d > 1 among the values' radicals, or 0 when all
+    are rational; two different ones raise DiscriminantMixError, worded
+    "cannot <action> over sqrt(d1) and sqrt(d2)"."""
+    return _one_discriminant({x._d for x in values if isinstance(x, Surd)}, action)
+
+
+def to_frame(values, action: str = "combine") -> tuple[int, int, list[tuple[int, int]]]:
+    """(d, den, pairs): every value (a Surd, int or Fraction) as its pair
+    (a, b) over one common denominator den > 0 and the values'
+    common_discriminant d."""
+    parts = [_parts(x) or _parts(Surd(x)) for x in values]
+    d = _one_discriminant({p[3] for p in parts}, action)
+    den = math.lcm(*(p[2] for p in parts))
+    return d, den, [(an * (den // n), bn * (den // n)) for an, bn, n, _ in parts]
+
+
+def _one_discriminant(ds: set[int], action: str) -> int:
+    ds.discard(0)
+    if len(ds) > 1:
+        raise DiscriminantMixError(
+            f"cannot {action} over " + " and ".join(f"sqrt({d})" for d in sorted(ds))
+        )
+    return ds.pop() if ds else 0
+
+
+def frame_sign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for a frame pair."""
+    return _sign(a, b, d)
+
+
+def from_frame(a: int, b: int, den: int, d: int) -> "Surd":
+    """The Surd (a + b*sqrt(d))/den of a frame pair; den != 0."""
+    return _make(a, b, den, d)
+
+
 class Surd:
     """(an + bn*sqrt(d)) / den in lowest terms; see the module docstring."""
 

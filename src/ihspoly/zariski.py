@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import ConsistencyError, DomainError
-from .geometry import Geometry, is_pseudo_effective
+from .geometry import Geometry, is_movable, is_pseudo_effective
 from .lattice import DivClass, dot
 
 
@@ -93,14 +93,10 @@ def positive_part(geom: Geometry, d: DivClass) -> DivClass:
 
 
 def null_set(geom: Geometry, p: DivClass) -> frozenset[str]:
-    """Primes orthogonal to a movable class, read off one pass over the
-    primes' form rows."""
-    if not is_pseudo_effective(geom, p):
+    """Primes orthogonal to a movable class."""
+    if not is_movable(geom, p):
         raise DomainError("null_set requires a movable class")
-    pairs = {name: dot(p.num, row) for name, (row, _) in geom.prime_forms.items()}
-    if min(pairs.values(), default=0) < 0:
-        raise DomainError("null_set requires a movable class")
-    return frozenset(name for name, v in pairs.items() if not v)
+    return frozenset(name for name, (row, _) in geom.prime_forms.items() if dot(p.num, row) == 0)
 
 
 def is_big(geom: Geometry, d: DivClass) -> bool:

@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from ihspoly import DiscriminantMixError, Surd, quadratic_roots, smallest_positive_root
-from ihspoly.surd import squarefree_decompose
+from ihspoly.surd import (
+    common_discriminant,
+    frame_sign,
+    from_frame,
+    squarefree_decompose,
+    to_frame,
+)
 
 
 # -- squarefree decomposition ------------------------------------------
@@ -381,3 +387,19 @@ def test_smallest_positive_root():
     assert smallest_positive_root(1, 0, 1) is None
     # Zero is not strictly positive.
     assert smallest_positive_root(1, 1, 0) is None
+
+
+def test_integer_frame_round_trips():
+    values = [Surd(Fraction(1, 2), Fraction(1, 3), 2), Surd(3), Surd(Fraction(-5, 4)), Surd(0, 1, 8)]
+    d, den, pairs = to_frame(values)
+    assert (d, den) == (2, 12)
+    assert [from_frame(a, b, den, d) for a, b in pairs] == values
+    assert [frame_sign(a, b, d) for a, b in pairs] == [x.sign() for x in values]
+    assert to_frame([]) == (0, 1, [])
+    assert to_frame([Fraction(2, 3), 1]) == (0, 3, [(2, 0), (3, 0)])
+    assert common_discriminant([Surd(1, 1, 5), 2, Surd(0, 3, 5)]) == 5
+    mixed = [Surd(0, 1, 2), Surd(0, 1, 3), Surd(0, 1, 2)]
+    with pytest.raises(DiscriminantMixError, match=r"^cannot add over sqrt\(2\) and sqrt\(3\)$"):
+        common_discriminant(mixed, "add")
+    with pytest.raises(DiscriminantMixError):
+        to_frame(mixed)
