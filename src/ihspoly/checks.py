@@ -17,8 +17,14 @@ from .errors import DomainError, IHSError
 from .geometry import Geometry, format_divisor, is_movable, is_pseudo_effective
 from .lattice import DivClass, linear_combination
 from .minkowski import _minkowski_decompose, chamber_generator, enumerate_chambers
-from .okounkov import _polygon, polygon_contains, polygon_minkowski_sum, polygon_scale
-from .polygon2d import contains_point, contains_polygon, translate
+from .okounkov import (
+    NOPolygon,
+    _polygon,
+    polygon_contains,
+    polygon_minkowski_sum,
+    polygon_scale,
+)
+from .polygon2d import contains_polygon, translate
 from .surd import Surd
 from .zariski import chamber_positive_part, decompose, volume_from_square
 
@@ -142,6 +148,32 @@ def _shared(fn):
     return shared
 
 
+def _translation_holds(base: NOPolygon, moved: NOPolygon) -> bool:
+    """The flag-translation identity between base, the polygon of (D, E),
+    and moved, that of (D + E, E).
+
+    The absolute polygon of D + E beyond t = 1 is exactly the polygon of
+    D shifted by (1, 0) (substitute t -> t - 1); left of t = 1 it may
+    grow, so equality is one-sided.  Translation keeps containment, so
+    both sides are compared in moved's normalized coordinates, where D's
+    shifted polygon sits at base.nu + 1 - moved.nu and absolute t >= 1
+    reads t >= 1 - moved.nu.
+    """
+    if moved.nu + moved.mu != Surd(base.nu) + base.mu + 1:
+        return False
+    shifted = translate(base.vertices, base.nu + 1 - moved.nu, 0)
+    if not contains_polygon(moved.vertices, shifted):
+        return False
+    right = [v for v in moved.vertices if v[0] >= 1 - moved.nu]
+    if not contains_polygon(shifted, right):
+        return False
+    if base.nu > 0:
+        # with E already in the negative support the whole normalized
+        # picture is unchanged
+        return moved.vertices == base.vertices and moved.nu == base.nu + 1 and moved.mu == base.mu
+    return True
+
+
 def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[CheckResult, ...]:
     """Run every structural check on `samples` seeded big classes.
 
@@ -208,31 +240,9 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
     for d in translated:
         for p in primes:
             def shift(d=d, p=p) -> bool:
-                # The absolute polygon of D + E beyond t = 1 is exactly the
-                # polygon of D shifted by (1, 0) (substitute t -> t - 1);
-                # left of t = 1 it may grow, so equality is one-sided.
                 base = shared_polygon(geom, d, p.name)
                 moved = polygon(geom, d + p.cls, p.name)  # used only here
-                if moved.nu + moved.mu != Surd(base.nu) + base.mu + 1:
-                    return False
-                shifted = translate(base.absolute_vertices(), 1, 0)
-                if not contains_polygon(moved.absolute_vertices(), shifted):
-                    return False
-                if not all(
-                    contains_point(shifted, v)
-                    for v in moved.absolute_vertices()
-                    if v[0] >= 1
-                ):
-                    return False
-                if base.nu > 0:
-                    # with E already in the negative support the whole
-                    # normalized picture is unchanged
-                    return (
-                        moved.vertices == base.vertices
-                        and moved.nu == base.nu + 1
-                        and moved.mu == base.mu
-                    )
-                return True
+                return _translation_holds(base, moved)
             translation.run(
                 lambda: f"translation by {p.name} broke for D={format_divisor(geom, d)}", shift
             )

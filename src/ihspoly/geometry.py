@@ -43,7 +43,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .errors import ConsistencyError, DomainError, GeometryError
@@ -163,13 +162,31 @@ class Geometry:
     @cached_property
     def chambers(self) -> tuple[frozenset[str], ...]:
         """All negative-definite subsets of the exceptional primes: the
-        empty set first, then by size and then by name."""
+        empty set first, then by size and then by name.
+
+        Every principal submatrix of a negative-definite matrix is
+        negative definite, so chambers are closed under taking subsets.
+        They grow one size at a time, and a candidate is tested only when
+        all its one-smaller subsets are chambers: the sets tested are the
+        nonempty chambers and the minimal non-chambers, not all 2^k - 1.
+        """
         exceptional = self.exceptional_primes
+        # index tuples into exceptional, increasing, so each set is met once
+        level: list[tuple[int, ...]] = [()]
         found: list[frozenset[str]] = [frozenset()]
-        for size in range(1, len(exceptional) + 1):
-            for combo in combinations(exceptional, size):
-                if self.lattice.is_negative_definite([p.cls for p in combo]):
-                    found.append(frozenset(p.name for p in combo))
+        while level:
+            known, grown = set(level), []
+            for base in level:
+                for j in range(base[-1] + 1 if base else 0, len(exceptional)):
+                    combo = base + (j,)
+                    # dropping j gives base; dropping any other index must
+                    # give a chamber too
+                    if all(combo[:i] + combo[i + 1:] in known for i in range(len(base))) and (
+                        self.lattice.is_negative_definite([exceptional[i].cls for i in combo])
+                    ):
+                        grown.append(combo)
+            found.extend(frozenset(exceptional[i].name for i in combo) for combo in grown)
+            level = grown
         found.sort(key=lambda s: (len(s), tuple(sorted(s))))
         return tuple(found)
 

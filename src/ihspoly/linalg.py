@@ -1,15 +1,17 @@
-"""Small exact-rational dense linear algebra.
+"""Small exact dense linear algebra.
 
-Everything here works over Fraction and is written for the tiny sizes
-this library meets (rank <= 6): plain Gaussian elimination for solves
-and inverses, reduced row echelon form for kernels, and symmetric
-congruence reduction for inertia.  No pivoting strategy beyond "find a
-usable entry" is needed when arithmetic is exact.
+Written for the tiny sizes this library meets (rank <= 6): plain
+Gaussian elimination over Fraction for solves and inverses, symmetric
+congruence reduction over Fraction for inertia, and a fraction-free
+reduced row echelon form on ints for kernels, which returns primitive
+integer vectors.  No pivoting strategy beyond "find a usable entry" is
+needed when arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Matrix = Sequence[Sequence[Fraction]]
@@ -46,13 +48,17 @@ def inverse(matrix: Matrix) -> list[list[Fraction]]:
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def kernel(rows: Matrix, n: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {x in Q^n : row . x = 0 for every row}, exactly.
+def kernel(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
+    """Primitive integer basis of {x in Q^n : row . x = 0 for every row}.
 
-    One basis vector per free column of the reduced row echelon form;
-    no rows means the whole space.
+    Fraction-free Gauss-Jordan elimination on ints: a row is updated by
+    integer cross-multiplication against the pivot row and then divided
+    by its content, so entries stay small and every pivot stays
+    positive.  One basis vector per free column: the primitive positive
+    multiple of the reduced row echelon vector with 1 in that column.
+    No rows means the whole space.
     """
-    a = [[Fraction(v) for v in row] for row in rows]
+    a = [list(row) for row in rows]
     pivots: list[int] = []
     for col in range(n):
         r = len(pivots)
@@ -60,22 +66,30 @@ def kernel(rows: Matrix, n: int) -> list[tuple[Fraction, ...]]:
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][col]
-        a[r] = [v / pivot for v in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [v - f * p for v, p in zip(a[i], a[r])]
+        top = a[r]
+        if top[col] < 0:
+            top = a[r] = [-v for v in top]
+        p = top[col]
+        for i, row in enumerate(a):
+            f = row[col]
+            if f and i != r:
+                row = [p * v - f * w for v, w in zip(row, top)]
+                g = gcd(*row)
+                a[i] = [v // g for v in row] if g > 1 else row
         pivots.append(col)
     basis = []
     for free in range(n):
         if free in pivots:
             continue
-        x = [Fraction(0)] * n
-        x[free] = Fraction(1)
+        # x[free] = m and x[col] = -a[i][free] * m / a[i][col] on pivot row i
+        m = lcm(*(a[i][col] for i, col in enumerate(pivots) if a[i][free]))
+        x = [0] * n
+        x[free] = m
         for i, col in enumerate(pivots):
-            x[col] = -a[i][free]
-        basis.append(tuple(x))
+            if a[i][free]:
+                x[col] = -a[i][free] * (m // a[i][col])
+        g = gcd(*x)
+        basis.append(tuple(v // g for v in x))
     return basis
 
 

@@ -2,15 +2,17 @@
 
 A cone is stored by its facet inequalities f . x >= 0 and the equations
 e . x = 0 of its linear span, each a primitive integer row, so sign
-tests on integer vectors stay in ints.  One routine, ``extreme_rays``,
-turns such a description into rays: every extreme ray of a pointed cone in
-Q^n is the one-dimensional kernel of the span equations together with
-n - 1 - rank(equations) facets that are tight on it.  The facets of a
-generated cone are the extreme rays of its dual inside the span, and
-membership, the largest step along a direction and extremality are
-then sign tests, a min-ratio and a rank test over the facets.  The
-subset count is exponential in the rank, which stays <= 6 here; every
-comparison is exact.
+tests on integer vectors stay in ints; rational input vectors are
+rescaled to integer rows on entry.  One routine, ``extreme_rays``,
+turns such a description into rays: every extreme ray of a pointed cone
+in Q^n is the one-dimensional kernel of the span equations together
+with n - 1 - rank(equations) facets that are tight on it, and
+``linalg.kernel`` returns that kernel fraction-free, as a primitive
+integer vector.  The facets of a generated cone are the extreme rays of
+its dual inside the span, and membership, the largest step along a
+direction and extremality are then sign tests, a min-ratio and a rank
+test over the facets.  The subset count is exponential in the rank,
+which stays <= 6 here; every comparison is exact.
 """
 
 from __future__ import annotations
@@ -25,6 +27,13 @@ from .linalg import kernel
 
 Vec = tuple[Fraction, ...]
 Row = tuple[int, ...]
+
+
+def _rows(vectors: Sequence[Vec]) -> list[Row]:
+    """Each vector as an integer row on its ray: positive rescaling keeps
+    every half-space and equation, and integer rows keep the kernel and
+    the sign tests in ints."""
+    return [DivClass(v).num for v in vectors]
 
 
 class InfeasibleError(Exception):
@@ -51,18 +60,17 @@ class Cone:
 
 def extreme_rays(facets: Sequence[Vec], equations: Sequence[Vec], n: int) -> list[Row]:
     """Primitive integer extreme rays, sorted, of a pointed cone in Q^n."""
+    equations = _rows(equations)
     size = len(kernel(equations, n)) - 1
     if size < 0:
         return []
-    # Positive rescaling keeps every half-space, and integer dot products
-    # make the sign tests cheap.
-    halfspaces = [DivClass(f).primitive().num for f in facets]
+    halfspaces = _rows(facets)
     found = set()
     for subset in combinations(halfspaces, size):
         ker = kernel([*subset, *equations], n)
         if len(ker) != 1:
             continue
-        ray = DivClass(ker[0]).primitive().num
+        ray = ker[0]
         values = [dot(f, ray) for f in halfspaces]
         if min(values, default=0) >= 0:
             found.add(ray)
@@ -77,7 +85,8 @@ def generated_cone(generators: Sequence[Vec], n: int) -> Cone:
     The facets are the extreme rays of the dual cone inside the span,
     which is pointed because the generators span it.
     """
-    equations = tuple(DivClass(e).primitive().num for e in kernel(generators, n))
+    generators = _rows(generators)
+    equations = tuple(kernel(generators, n))
     return Cone(tuple(extreme_rays(generators, equations, n)), equations)
 
 

@@ -42,7 +42,7 @@ from .polygon2d import area as hull_area
 from .polygon2d import minkowski_sum as hull_minkowski_sum
 from .polygon2d import scale as hull_scale
 from .polygon2d import translate as hull_translate
-from .surd import Surd, smallest_positive_root
+from .surd import Surd, frame_sign, smallest_positive_root, to_frame
 from .zariski import ZariskiDecomposition, decompose
 
 
@@ -205,15 +205,19 @@ def _trace(
 def _check_terminus(lat, base: DivClass, slope: DivClass, mu: Surd, big: bool) -> None:
     """Cross-check: at t = mu the positive part must reach the isotropic
     boundary (big start), confirming the facet threshold against the exact
-    quadratic q(base + t slope) = 0."""
+    quadratic q(base + t slope) = 0, decided as one integer identity."""
     if not big:
         return
-    value = (
-        Surd(lat.square(base))
-        + mu * (2 * lat.pair(base, slope))
-        + mu * mu * lat.square(slope)
-    )
-    if value != 0:
+    d, m, ((ma, mb),) = to_frame([mu])  # mu = (ma + mb sqrt(d)) / m
+    (rb, db), (rs, ds) = lat.form(base), lat.form(slope)
+    # q(base) = p/pd, q(base, slope) = c/cd and q(slope) = s/sd
+    p, pd = dot(base.num, rb), base.den * db
+    c, cd = dot(base.num, rs), base.den * ds
+    s, sd = dot(slope.num, rs), slope.den * ds
+    # m^2 pd cd sd q(base + mu slope) = a + b sqrt(d)
+    a = p * cd * sd * m * m + 2 * c * pd * sd * m * ma + s * pd * cd * (ma * ma + d * mb * mb)
+    b = 2 * mb * pd * (c * sd * m + s * cd * ma)
+    if frame_sign(a, b, d):
         raise ConsistencyError(
             "terminal cross-check failed: q(P(D - mu E)) != 0; "
             "the declared data is inconsistent"

@@ -3,6 +3,7 @@
 import json
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,16 @@ from ihspoly import (
     CheckResult,
     ConsistencyError,
     DomainError,
+    NOPolygon,
+    Surd,
     decompose,
+    polygon,
     run_checks,
     sample_big_classes,
 )
+from ihspoly.checks import _translation_holds
 from ihspoly.geometry import format_divisor, is_pseudo_effective
+from ihspoly.polygon2d import contains_point, contains_polygon, point, scale, translate
 
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
 
@@ -278,3 +284,72 @@ def test_shared_polygon_failure_reaches_every_check(hilb2_elliptic, monkeypatch)
     assert hit["polygon-area-identity"].failed == len(geom.primes)
     for r in hit.values():
         assert all(m.endswith(": forced polygon failure") for m in r.messages if label in m)
+
+
+@pytest.mark.parametrize("factor", [Fraction(1, 2), 2])
+def test_flag_translation_sees_a_doctored_translate(hilb2_elliptic, monkeypatch, factor):
+    # The polygon of D + E, scaled about the origin with nu and mu kept:
+    # shrunk, it no longer holds D's polygon shifted by (1, 0); grown,
+    # its part at t >= 1 leaves the shifted polygon.
+    from ihspoly import checks
+
+    geom = hilb2_elliptic
+    samples = set(sample_big_classes(geom, 4, seed=0))
+    real = checks._polygon
+
+    def doctored(g, d, prime, dec):
+        poly = real(g, d, prime, dec)
+        if g is not geom or d in samples:
+            return poly
+        return NOPolygon(tuple(scale(poly.vertices, factor)), poly.nu, poly.mu, poly.trace)
+
+    monkeypatch.setattr(checks, "_polygon", doctored)
+    translation = {r.name: r for r in run_checks(geom, 4, 0)}["flag-translation"]
+    assert translation.runs == 2 * len(geom.primes)
+    assert translation.failed == translation.runs
+
+
+def _absolute_translation_holds(base, moved):
+    """The flag-translation identity in absolute coordinates, one Surd
+    translate per polygon and one containment test per vertex."""
+    if moved.nu + moved.mu != Surd(base.nu) + base.mu + 1:
+        return False
+    shifted = translate(base.absolute_vertices(), 1, 0)
+    if not contains_polygon(moved.absolute_vertices(), shifted):
+        return False
+    if not all(contains_point(shifted, v) for v in moved.absolute_vertices() if v[0] >= 1):
+        return False
+    if base.nu > 0:
+        return moved.vertices == base.vertices and moved.nu == base.nu + 1 and moved.mu == base.mu
+    return True
+
+
+def test_translation_identity_matches_absolute_oracle_seeded(
+    hilb2, k3_elliptic, hilb2_elliptic, fano_round
+):
+    # Real pairs, and the polygon of D + E doctored: scaled about the
+    # origin, or with part of nu moved into mu so that the comparison
+    # sits elsewhere on the t-axis.
+    outcomes = Counter()
+    for geom in (hilb2, k3_elliptic, hilb2_elliptic, fano_round):
+        for d in sample_big_classes(geom, 4, seed=7):
+            for p in geom.primes:
+                base, moved = polygon(geom, d, p.name), polygon(geom, d + p.cls, p.name)
+                cases = [moved]
+                for f in (Fraction(1, 2), Fraction(9, 10), Fraction(11, 10), 2):
+                    cases.append(NOPolygon(tuple(scale(moved.vertices, f)), moved.nu, moved.mu))
+                for dn in (Fraction(-1, 2), Fraction(1, 3), 1):
+                    cases.append(NOPolygon(moved.vertices, moved.nu + dn, moved.mu - dn))
+                for case in cases:
+                    holds = _translation_holds(base, case)
+                    assert holds == _absolute_translation_holds(base, case), (geom.name, d, p.name)
+                    outcomes[holds, base.nu > 0] += 1
+    assert set(outcomes) == {(True, False), (False, False), (True, True), (False, True)}
+    # With moved.nu = 1/2, absolute t >= 1 starts at normalized t = 1/2:
+    # the vertex (1/2, 2) is tested, and it lies outside the translate.
+    base = NOPolygon(tuple(point(*v) for v in ((0, 0), (1, 0), (0, 1))), Fraction(0), Surd(1))
+    for top, holds in (((1, 4),), False), (((1, 2), (0, 2)), True):
+        verts = tuple(point(*v) for v in ((0, 0), (3, 0), *top))
+        moved = NOPolygon(tuple(scale(verts, Fraction(1, 2))), Fraction(1, 2), Surd(Fraction(3, 2)))
+        assert _translation_holds(base, moved) is holds
+        assert _absolute_translation_holds(base, moved) is holds

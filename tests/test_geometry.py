@@ -5,10 +5,13 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
 from ihspoly import (
+    BBFLattice,
     ConsistencyError,
     DivClass,
     DomainError,
@@ -392,6 +395,94 @@ def test_mov_cone_matches_is_movable_seeded(hilb2, k3_elliptic, hilb2_elliptic):
             assert is_movable(geom, d) == movable
             seen.add((movable, is_pseudo_effective(geom, d)))
         assert seen == {(True, True), (False, True), (False, False)}
+
+
+def pairwise_family(k):
+    """k exceptional (-2)-primes meeting pairwise once: the Gram matrix is
+    J - 3I, of signature (1, k - 1) for k >= 4, in the basis of the primes,
+    and Eff is generated by them.  Its chambers are the empty set, the
+    singletons and the pairs: every triple has the singular Gram matrix
+    J - 3I of size 3."""
+    names = [f"E{i}" for i in range(1, k + 1)]
+    units = [[int(i == j) for j in range(k)] for i in range(k)]
+    doc = {
+        "name": f"pairwise_{k}",
+        "half_dim": 1,
+        "fujiki": 1,
+        "basis": [n.lower() for n in names],
+        "gram": [[-2 if i == j else 1 for j in range(k)] for i in range(k)],
+        "mode": "polyhedral",
+        "primes": [{"name": n, "class": u, "exceptional": True} for n, u in zip(names, units)],
+        "effective_generators": units,
+    }
+    return parse_geometry(json.dumps(doc))
+
+
+def brute_force_chambers(geom):
+    """Every subset of the exceptional primes, tested one by one."""
+    exceptional = geom.exceptional_primes
+    found = [
+        frozenset(p.name for p in combo)
+        for size in range(len(exceptional) + 1)
+        for combo in combinations(exceptional, size)
+        if geom.lattice.is_negative_definite([p.cls for p in combo])
+    ]
+    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+@pytest.fixture
+def tested(monkeypatch):
+    """The size of every set is_negative_definite is asked about, in order."""
+    sizes = []
+    definite = BBFLattice.is_negative_definite
+
+    def counting(lattice, classes):
+        sizes.append(len(classes))
+        return definite(lattice, classes)
+
+    monkeypatch.setattr(BBFLattice, "is_negative_definite", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("k", [6, 10])
+def test_chambers_grow_from_chambers_only(tested, k):
+    geom = pairwise_family(k)
+    chambers = geom.chambers
+    assert len(chambers) == 1 + k + comb(k, 2)
+    # each singleton, pair and triple once; no set of 4 or more
+    assert len(tested) == k + comb(k, 2) + comb(k, 3)
+    assert sorted(set(tested)) == [1, 2, 3]
+    names = [p.name for p in geom.primes]
+    want = [frozenset(), *(frozenset({n}) for n in names)]
+    want += [frozenset(pair) for pair in combinations(names, 2)]
+    assert list(chambers) == sorted(want, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def test_pairwise_family_movable_rays():
+    # Mov is cut out of the orthant by sum(x) >= 3 x_i, and its extremal
+    # rays are the sums of three primes.
+    k = 6
+    rays = {r.num for r in pairwise_family(k).movable_rays}
+    assert rays == {tuple(int(i in c) for i in range(k)) for c in combinations(range(k), 3)}
+
+
+def test_chambers_skip_supersets_of_non_chambers(tested):
+    # {A, B} and {A, C} are chambers and {B, C} is not (q(B, C) = -4,
+    # q(C) = -6), so {A, B, C} is never tested.
+    primes = {"A": [0, 1, 0], "B": [0, 0, 1], "C": [1, 0, 2]}
+    geom = parse_doc(
+        basis=["h", "a", "b"],
+        gram=[[2, 0, 0], [0, -2, 0], [0, 0, -2]],
+        primes=[{"name": n, "class": c, "exceptional": True} for n, c in primes.items()],
+        effective_generators=list(primes.values()),
+    )
+    assert [sorted(s) for s in geom.chambers] == [[], ["A"], ["B"], ["C"], ["A", "B"], ["A", "C"]]
+    assert tested == [1, 1, 1, 2, 2, 2]
+
+
+def test_chambers_match_brute_force(hilb2, k3_elliptic, hilb2_elliptic):
+    for geom in (hilb2, k3_elliptic, hilb2_elliptic, pairwise_family(6)):
+        assert list(geom.chambers) == brute_force_chambers(geom)
 
 
 DERIVED = (

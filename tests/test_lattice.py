@@ -292,6 +292,77 @@ def test_kernel_matches_minor_rank_seeded():
             assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
 
 
+def _fraction_kernel(rows, n):
+    """Kernel basis by Fraction RREF: one vector per free column, with 1
+    in that column."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        pivot = a[r][col]
+        a[r] = [v / pivot for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [v - f * p for v, p in zip(a[i], a[r])]
+        pivots.append(col)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        x = [Fraction(0)] * n
+        x[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            x[col] = -a[i][free]
+        basis.append(x)
+    return basis
+
+
+def assert_kernel_matches_fraction_oracle(rows, n):
+    """kernel(rows, n) is, in order, the primitive integer vector of each
+    oracle vector, in ints, positive in the oracle vector's free column
+    (its last nonzero entry, equal to 1)."""
+    got, want = kernel(rows, n), _fraction_kernel(rows, n)
+    assert got == [tuple(oracle_primitive(y)) for y in want], (rows, n)
+    for x, y in zip(got, want):
+        assert type(x) is tuple and all(type(c) is int for c in x)
+        free = max(i for i, c in enumerate(y) if c)
+        assert y[free] == 1 and x[free] > 0
+
+
+def test_kernel_matches_fraction_oracle_seeded():
+    rng = random.Random(23)
+    ranks = set()
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, 7))]
+        assert_kernel_matches_fraction_oracle(rows, n)
+        ranks.add(n - len(kernel(rows, n)))
+    assert ranks == set(range(7))
+
+
+def test_kernel_builds_no_fraction_for_integer_rows(monkeypatch):
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 2) and made  # the counter sees constructions
+    made.clear()
+    rng = random.Random(29)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        kernel([[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, 7))], n)
+    assert made == []
+
+
 def test_inertia_matches_descartes_oracle_seeded():
     rng = random.Random(17)
     for _ in range(60):

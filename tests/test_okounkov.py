@@ -53,6 +53,7 @@ from ihspoly import (
 from ihspoly import okounkov
 from ihspoly.linalg import solve
 from ihspoly.polygon2d import contains_point, convex_hull, point
+from ihspoly.surd import quadratic_roots
 
 F = Fraction
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
@@ -404,6 +405,39 @@ def test_walk_slope_cache_matches_fresh_solve(hilb2, k3_elliptic, hilb2_elliptic
         with pytest.raises(ConsistencyError):
             fresh_copy.support_projector(frozenset({movable.name}))
         assert fresh_copy.support_projectors == kept
+
+
+def test_terminus_check_matches_surd_value_seeded(hilb2, hilb2_elliptic, fano_round):
+    # The integer identity raises exactly when q(base + mu slope), summed
+    # in Surd arithmetic, is nonzero: at the roots of the quadratic,
+    # rational or not, and off them.
+    rng = random.Random(151)
+    outcomes = Counter()
+    for geom in (hilb2, hilb2_elliptic, fano_round):
+        lat = geom.lattice
+        for _ in range(60):
+            base, slope = (
+                DivClass([F(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(lat.rank)])
+                for _ in range(2)
+            )
+            qb, qbs, qs = lat.square(base), lat.pair(base, slope), lat.square(slope)
+            if not (qb or qbs or qs):
+                continue
+            roots = quadratic_roots(qs, 2 * qbs, qb)
+            mus = [*roots, *(r + F(1, 3) for r in roots), Surd(F(rng.randint(0, 9), 4))]
+            if qs and qb * qs < 0:
+                # rational part q(base) + mu^2 q(slope) = 0, irrational 2 mu q(base, slope)
+                mus.append(Surd.sqrt(-qb / qs))
+            for mu in mus:
+                value = Surd(qb) + mu * (2 * qbs) + mu * mu * qs
+                if value != 0:
+                    with pytest.raises(ConsistencyError, match="terminal cross-check"):
+                        okounkov._check_terminus(lat, base, slope, mu, True)
+                else:
+                    okounkov._check_terminus(lat, base, slope, mu, True)
+                okounkov._check_terminus(lat, base, slope, mu, False)  # only big starts
+                outcomes[value == 0, mu.is_rational] += 1
+    assert set(outcomes) == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_walk_requires_big(hilb2):

@@ -1,5 +1,6 @@
-"""Property tests: Surd field axioms, hashing and exact order, and the
-polygon2d Minkowski sum, area and containment against their oracles.
+"""Property tests: Surd field axioms, hashing and exact order, the
+polygon2d Minkowski sum, area and containment, and the integer kernel of
+linalg, against their oracles.
 
 Runs are derandomized and keep no example database, so every run checks
 the same examples.
@@ -14,6 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from ihspoly.linalg import kernel  # noqa: E402
 from ihspoly.polygon2d import (  # noqa: E402
     area,
     contains_point,
@@ -23,6 +25,7 @@ from ihspoly.polygon2d import (  # noqa: E402
     translate,
 )
 from ihspoly.surd import DiscriminantMixError, Surd  # noqa: E402
+from test_lattice import assert_kernel_matches_fraction_oracle  # noqa: E402
 from test_polygon2d import (  # noqa: E402
     _hull_of_pairwise_sums,
     _surd_area,
@@ -188,3 +191,23 @@ def test_integer_kernel_matches_surd_arithmetic(pq):
     mids = [((v[0] + w[0]) / 2, (v[1] + w[1]) / 2) for v, w in zip(p, (*p[1:], p[0]))]
     for x in (*q, *mids, *((a + 1, b) for a, b in mids), (q[0][0], q[0][1] - 1)):
         assert contains_point(p, x) == _surd_contains_point(p, x)
+
+
+# -- the integer kernel -------------------------------------------------------
+
+
+@st.composite
+def systems(draw):
+    """(rows, n): 0-7 integer rows of length n in 1-6."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    return draw(st.lists(row, max_size=7)), n
+
+
+@exact
+@given(systems())
+def test_kernel_matches_fraction_rref(system):
+    rows, n = system
+    assert_kernel_matches_fraction_oracle(rows, n)
+    for x in kernel(rows, n):
+        assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
