@@ -9,10 +9,13 @@ in Q^n is the one-dimensional kernel of the span equations together
 with n - 1 - rank(equations) facets that are tight on it, and
 ``linalg.kernel`` returns that kernel fraction-free, as a primitive
 integer vector.  The facets of a generated cone are the extreme rays of
-its dual inside the span, and membership, the largest step along a
-direction and extremality are then sign tests, a min-ratio and a rank
-test over the facets.  The subset count is exponential in the rank,
-which stays <= 6 here; every comparison is exact.
+its dual inside the span, and membership and the largest step along a
+direction are then sign tests and a min-ratio over the facets.  The
+cones built here are Eff (generated_cone) and Mov (extreme_rays); the
+chamber closures and the polygon-cone generators are read off Mov's
+rays and the primes, with no cone computation of their own.  The
+subset count is exponential in the rank, which stays <= 6 here; every
+comparison is exact.
 """
 
 from __future__ import annotations
@@ -114,21 +117,3 @@ def max_step(cone: Cone, direction: Vec, start: Vec) -> Fraction:
         raise UnboundedError("the cone contains the whole ray")
     return best
 
-
-def prune_to_extremal(rays: Sequence[Vec]) -> list[Row]:
-    """Primitive integer representatives, sorted, of the extremal rays
-    among generators.
-
-    A generator is extremal when the facets tight on it, together with
-    the span equations, leave a one-dimensional kernel.
-    """
-    uniq = sorted({DivClass(r).primitive().num for r in rays if any(r)})
-    if not uniq:
-        return []
-    n = len(uniq[0])
-    cone = generated_cone(uniq, n)
-    return [
-        r
-        for r in uniq
-        if len(kernel([*(f for f in cone.facets if not dot(f, r)), *cone.equations], n)) == 1
-    ]

@@ -4,12 +4,16 @@ A chamber is a negative-definite set S of exceptional prime classes;
 the classes whose negative support is exactly S form the (possibly
 empty) locus Sigma_S, and the closure of Sigma_S is spanned by the
 extremal rays of Mov intersected with S-perp together with the primes
-in S.  For a flag prime E the Minkowski basis collects one distinguished
-generator per chamber not containing E -- the primitive class on the ray
-of E + sum x_i E_i orthogonal to every E_i in S -- plus the isotropic
-extremal rays of the movable cone.  Every big-and-movable class then
-decomposes as a nonnegative rational combination of basis elements by
-walking down the chambers, and the polygons add up along the way.
+in S.  That intersection is a face of Mov, and it meets span(S) only in
+0, so the closure's extremal rays are read off with no cone
+computation: the movable rays orthogonal to S and the primes of S,
+made primitive.  For a flag prime E the Minkowski basis collects one
+distinguished generator per chamber not containing E -- the primitive
+class on the ray of E + sum x_i E_i orthogonal to every E_i in S --
+plus the isotropic extremal rays of the movable cone.  Every
+big-and-movable class then decomposes as a nonnegative rational
+combination of basis elements by walking down the chambers, and the
+polygons add up along the way.
 
 The generator of S is P_S(E) made primitive, so it is read off the
 support's record (Geometry.support_projector), which holds P_S(E) for
@@ -29,7 +33,7 @@ from typing import Optional
 from .errors import ConsistencyError, DomainError
 from .geometry import Geometry
 from .lattice import DivClass, dot, linear_combination
-from .linprog import UnboundedError, max_step, prune_to_extremal
+from .linprog import UnboundedError, max_step
 from .zariski import ZariskiDecomposition, decompose, null_set
 
 
@@ -75,18 +79,20 @@ def isotropic_extremal_rays(geom: Geometry) -> tuple[DivClass, ...]:
 
 
 def chamber_closure_rays(geom: Geometry, chamber: frozenset[str]) -> tuple[DivClass, ...]:
-    """Extremal rays of the closure of Sigma_S.
+    """Extremal rays of the closure of Sigma_S, sorted by their integer
+    numerators.
 
-    The closure is spanned by Mov intersected with S-perp plus the
-    prime classes of S itself.  Mov lies in {pair(-, Q) >= 0} for every
-    prime Q, so Mov intersected with S-perp is the face of Mov spanned
-    by the movable rays orthogonal to every prime of S.
+    The closure is (Mov intersected with S-perp) + cone(S).  Mov lies in
+    {pair(-, Q) >= 0} for every prime Q, so Mov intersected with S-perp
+    is the face of Mov spanned by the movable rays orthogonal to every
+    prime of S.  S is negative definite, so span(S) meets S-perp only in
+    0: the closure is the direct sum of that face and the simplicial
+    cone(S), and its extremal rays are those of the two summands.
     """
-    primes = [geom.prime(name) for name in sorted(chamber)]
+    primes = [geom.prime(name) for name in chamber]
     rows = [geom.prime_forms[p.name][0] for p in primes]
-    rays = [r.num for r in movable_cone_rays(geom) if not any(dot(r.num, row) for row in rows)]
-    rays = prune_to_extremal(rays + [p.cls.num for p in primes])
-    return tuple(DivClass(r) for r in rays)
+    face = [r for r in movable_cone_rays(geom) if not any(dot(r.num, row) for row in rows)]
+    return tuple(sorted(face + [p.cls.primitive() for p in primes], key=lambda r: r.num))
 
 
 @dataclass(frozen=True)

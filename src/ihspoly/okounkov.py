@@ -36,7 +36,6 @@ from .errors import ConsistencyError, DomainError
 from .geometry import Geometry, Prime, is_pseudo_effective
 from .lattice import DivClass, dot
 from .linprog import InfeasibleError, UnboundedError, max_step
-from .minkowski import chamber_closure_rays, enumerate_chambers
 from .polygon2d import Point, contains_polygon
 from .polygon2d import area as hull_area
 from .polygon2d import minkowski_sum as hull_minkowski_sum
@@ -308,8 +307,9 @@ def polygon_scale(factor, p: NOPolygon) -> NOPolygon:
 
 
 def polygon_contains(outer: NOPolygon, inner: NOPolygon) -> bool:
-    """Containment in absolute coordinates (nu offsets applied)."""
-    return contains_polygon(outer.absolute_vertices(), inner.absolute_vertices())
+    """Containment in absolute coordinates (nu offsets applied), decided
+    in outer's normalized coordinates with one translate of inner."""
+    return contains_polygon(outer.vertices, hull_translate(inner.vertices, inner.nu - outer.nu, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +363,16 @@ def cone_generators(geom: Geometry, prime_name: str) -> tuple[ConePoint, ...]:
 
     For every extremal generator D_i of a chamber closure the points
     (D_i, 0, q(P(D_i), E)) and (D_i, 0, 0) are emitted, plus (E, 1, 0);
-    duplicates collapse after primitive rescaling.
+    duplicates collapse after primitive rescaling.  Those generators are
+    the movable rays and the exceptional primes: the empty chamber's
+    closure is Mov, every exceptional prime (q < 0) is a chamber of its
+    own, and each closure's rays are movable rays and primes of its
+    chamber.
     """
     if geom.mode != "polyhedral":
         raise DomainError("cone generators require polyhedral mode")
     prime = geom.prime(prime_name)
-    rays: list[DivClass] = []
-    for chamber in enumerate_chambers(geom):
-        for ray in chamber_closure_rays(geom, chamber):
-            if ray not in rays:
-                rays.append(ray)
+    rays = [*geom.movable_rays, *(p.cls.primitive() for p in geom.exceptional_primes)]
     points: list[ConePoint] = []
     for ray in rays:
         try:

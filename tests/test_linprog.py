@@ -1,7 +1,6 @@
 """The exact cone engine against hand-checked cases and an independent
 Caratheodory oracle."""
 
-import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -15,7 +14,6 @@ from ihspoly.linprog import (
     extreme_rays,
     generated_cone,
     max_step,
-    prune_to_extremal,
 )
 
 F = Fraction
@@ -165,48 +163,6 @@ def test_max_step_tight_against_oracle_seeded():
 # -- extremal rays and cuts --------------------------------------------------------
 
 
-def test_prune_to_extremal_drops_interior_ray():
-    rays = [vec(1, 0), vec(0, 1), vec(1, 1)]
-    assert rays_set(prune_to_extremal(rays)) == {(1, 0), (0, 1)}
-
-
-def test_prune_to_extremal_merges_scalings():
-    rays = [vec(2, 0), vec(3, 0), vec(F(1, 2), 0)]
-    assert prune_to_extremal(rays) == [(1, 0)]
-
-
-def test_prune_to_extremal_drops_zero():
-    assert prune_to_extremal([vec(0, 0), vec(1, 0)]) == [(1, 0)]
-
-
-def test_prune_to_extremal_3d_octant_face():
-    rays = [vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1), vec(1, 1, 1), vec(2, 1, 0)]
-    assert rays_set(prune_to_extremal(rays)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-
-
-def primitive(v):
-    """The primitive integer vector on the ray of v, by Fraction arithmetic."""
-    k = math.lcm(*(Fraction(c).denominator for c in v))
-    g = math.gcd(*(int(c * k) for c in v)) or 1
-    return tuple(int(c * k) // g for c in v)
-
-
-def test_prune_to_extremal_matches_caratheodory_oracle_seeded():
-    rng = random.Random(49)
-    dropped = 0
-    for _ in range(30):
-        # a positive first coordinate keeps the cone pointed
-        gens = [(F(rng.randint(1, 3)),) + random_vec(rng, -2, 2, 2) for _ in range(5)]
-        kept = prune_to_extremal(gens)
-        for g in gens:
-            p = primitive(g)
-            others = [h for h in gens if primitive(h) != p]
-            assert (p in kept) == (not oracle_in_cone(others, g)), (gens, g)
-        assert set(kept) <= {primitive(g) for g in gens}
-        dropped += len({primitive(g) for g in gens}) - len(kept)
-    assert dropped > 0
-
-
 def test_intersect_halfspace_cuts_orthant():
     assert rays_set(cut([(1, 0), (0, 1)], (1, -1))) == {(1, 0), (1, 1)}  # keep x >= y
 
@@ -262,7 +218,6 @@ def test_lower_dimensional_cone():
     assert not c.contains(vec(-1, 1, 0))
     assert max_step(c, vec(0, 0, 1), vec(1, 1, 0)) == 0  # leaves the span
     assert max_step(c, vec(1, 0, 0), vec(2, 1, 0)) == 2
-    assert prune_to_extremal([vec(1, 0, 0), vec(0, 1, 0), vec(1, 1, 0)]) == [(0, 1, 0), (1, 0, 0)]
 
 
 def test_non_pointed_cone():

@@ -35,6 +35,7 @@ triangle (0,0),(3,0),(0,2) is the quadrilateral
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +51,7 @@ from ihspoly import (
     enumerate_chambers,
     is_movable,
     isotropic_extremal_rays,
+    load_geometry,
     minkowski_basis,
     minkowski_decompose,
     movable_cone_rays,
@@ -57,11 +59,15 @@ from ihspoly import (
     polygon_minkowski_sum,
     polygon_scale,
 )
-from ihspoly.linalg import solve
-from ihspoly.linprog import UnboundedError, max_step
+from ihspoly.lattice import dot
+from ihspoly.linalg import kernel, solve
+from ihspoly.linprog import UnboundedError, generated_cone, max_step
 from ihspoly.polygon2d import point
+from test_geometry import pairwise_family
+from test_linprog import oracle_in_cone, vec
 
 F = Fraction
+GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
 
 
 def cls(*coords):
@@ -262,6 +268,87 @@ def test_chamber_closure_contains_chamber_primes(k3_elliptic, hilb2_elliptic):
             rays = chamber_closure_rays(geom, chamber)
             for name in chamber:
                 assert geom.prime(name).cls.primitive() in rays
+
+
+def _pruned_closure(candidates):
+    """The former closure routine, kept as the oracle: the primitive
+    candidates, sorted, that are extremal in cone(candidates).  A ray is
+    extremal when the facets tight on it, together with the span
+    equations, leave a one-dimensional kernel."""
+    uniq = sorted({DivClass(r).primitive().num for r in candidates if any(r)})
+    if not uniq:
+        return []
+    n = len(uniq[0])
+    cone = generated_cone(uniq, n)
+    return [
+        r
+        for r in uniq
+        if len(kernel([*(f for f in cone.facets if not dot(f, r)), *cone.equations], n)) == 1
+    ]
+
+
+def _closure_candidates(geom, chamber):
+    """The movable rays orthogonal to every prime of the chamber, and the
+    chamber's primes as declared."""
+    rows = [geom.prime_forms[name][0] for name in chamber]
+    face = [r.num for r in geom.movable_rays if not any(dot(r.num, row) for row in rows)]
+    return face + [geom.prime(name).cls.num for name in sorted(chamber)]
+
+
+def test_pruned_closure_oracle_drops_interior_ray():
+    rays = [vec(1, 0), vec(0, 1), vec(1, 1)]
+    assert set(_pruned_closure(rays)) == {(1, 0), (0, 1)}
+
+
+def test_pruned_closure_oracle_merges_scalings():
+    rays = [vec(2, 0), vec(3, 0), vec(F(1, 2), 0)]
+    assert _pruned_closure(rays) == [(1, 0)]
+
+
+def test_pruned_closure_oracle_drops_zero():
+    assert _pruned_closure([vec(0, 0), vec(1, 0)]) == [(1, 0)]
+
+
+def test_pruned_closure_oracle_3d_octant_face():
+    rays = [vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1), vec(1, 1, 1), vec(2, 1, 0)]
+    assert set(_pruned_closure(rays)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert _pruned_closure([vec(1, 0, 0), vec(0, 1, 0), vec(1, 1, 0)]) == [(0, 1, 0), (1, 0, 0)]
+
+
+def test_chamber_closure_rays_match_pruned_oracle(hilb2_elliptic):
+    # Ex = (0, 0, 0, 2) on the rank-4 model is not primitive.
+    assert cls(0, 0, 0, 1) in chamber_closure_rays(hilb2_elliptic, frozenset({"Ex"}))
+    # every bundled catalog (hilb2, k3_rank3, hilb2_k3 are polyhedral)
+    geoms = [load_geometry(path) for path in sorted(GEOM_DIR.glob("*.geom"))]
+    closures = 0
+    for geom in [g for g in geoms if g.mode == "polyhedral"] + [pairwise_family(6)]:
+        for chamber in enumerate_chambers(geom):
+            rays = chamber_closure_rays(geom, chamber)
+            assert [r.num for r in rays] == _pruned_closure(_closure_candidates(geom, chamber))
+            assert all(r.den == 1 for r in rays)
+            closures += 1
+    assert closures == 2 + 6 + 18 + 22
+
+
+def test_closure_rays_match_caratheodory_oracle_seeded(hilb2, k3_elliptic, hilb2_elliptic):
+    # No returned ray lies in the cone of the others, and every candidate,
+    # a rescaled candidate and a random nonnegative combination of them
+    # all lie in the cone of the returned rays.
+    rng = random.Random(49)
+    for geom in (hilb2, k3_elliptic, hilb2_elliptic):
+        for chamber in enumerate_chambers(geom):
+            rays = [r.coords for r in chamber_closure_rays(geom, chamber)]
+            for r in rays:
+                assert not oracle_in_cone([s for s in rays if s != r], r), (chamber, r)
+            candidates = [tuple(F(c) for c in v) for v in _closure_candidates(geom, chamber)]
+            for _ in range(3):
+                coeffs = [F(rng.randint(0, 3), rng.randint(1, 3)) for _ in candidates]
+                terms = list(zip(coeffs, candidates))
+                candidates.append(tuple(sum(k * v[i] for k, v in terms) for i in range(geom.rank)))
+            scale = F(rng.randint(1, 4), 3)
+            candidates.append(tuple(scale * c for c in candidates[0]))
+            for v in candidates:
+                assert oracle_in_cone(rays, v), (chamber, v)
 
 
 # -- minkowski bases -------------------------------------------------------------------

@@ -34,10 +34,12 @@ from ihspoly import (
     DomainError,
     NOPolygon,
     Surd,
+    chamber_closure_rays,
     chamber_walk,
     cone_contains,
     cone_generators,
     decompose,
+    enumerate_chambers,
     mu_threshold,
     parse_divisor,
     parse_geometry,
@@ -50,10 +52,12 @@ from ihspoly import (
     sample_big_classes,
     simplex_flag,
 )
-from ihspoly import okounkov
+from ihspoly import geometry, linalg, linprog, okounkov
+from ihspoly.lattice import BBFLattice
 from ihspoly.linalg import solve
-from ihspoly.polygon2d import contains_point, convex_hull, point
+from ihspoly.polygon2d import contains_point, contains_polygon, convex_hull, point
 from ihspoly.surd import quadratic_roots
+from test_geometry import pairwise_family
 
 F = Fraction
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
@@ -653,6 +657,24 @@ def test_polygon_contains_with_offsets(hilb2):
     base = polygon(hilb2, DivClass([1, 0]), "E")
     moved = polygon(hilb2, DivClass([1, 2]), "E")
     assert not polygon_contains(base, moved)
+    # Both offsets positive: the polygon of 2H + 3d (nu = 3/2) lies inside
+    # that of 3H + 2d (nu = 1), and that of 2H + d (nu = 1/2) leaves that
+    # of 2H + 2d (nu = 1).  Every pair agrees with the absolute vertices.
+    outer = polygon(hilb2, DivClass([3, 2]), "E")
+    inner = polygon(hilb2, DivClass([2, 3]), "E")
+    assert (outer.nu, inner.nu) == (1, F(3, 2))
+    assert polygon_contains(outer, inner)
+    outer, inner = polygon(hilb2, DivClass([2, 2]), "E"), polygon(hilb2, DivClass([2, 1]), "E")
+    assert not polygon_contains(outer, inner)
+    classes = [(1, 0), (2, 0), (1, 1), (1, 2), (2, 1), (2, 3), (3, 1), (3, 2), (2, 2)]
+    polys = [polygon(hilb2, DivClass(c), "E") for c in classes]
+    seen = Counter()
+    for a in polys:
+        for b in polys:
+            absolute = contains_polygon(a.absolute_vertices(), b.absolute_vertices())
+            assert polygon_contains(a, b) == absolute
+            seen[absolute, a.nu > 0 and b.nu > 0] += 1
+    assert len(seen) == 4
 
 
 # -- the polygon cone -----------------------------------------------------------------------
@@ -691,6 +713,64 @@ def test_cone_generators_primitive_and_membership_boundary(hilb2, k3_elliptic):
                 nu = decompose(geom, g.cls).coefficient(prime.name)
                 member = cone_contains(geom, prime.name, g.cls, g.t, g.y)
                 assert member == (g.t >= nu)
+
+
+def _cone_generators_from_closures(geom, prime_name):
+    """The polygon cone's generators as defined: (D, 0, q(P(D), E)) and
+    (D, 0, 0) for every ray D of every chamber closure, and (E, 1, 0),
+    each made primitive, listed once and sorted."""
+    def primitive(cls, t, y):
+        vec = DivClass(cls.coords + (t, y)).primitive().num
+        return ConePoint(DivClass(vec[:-2]), F(vec[-2]), F(vec[-1]))
+
+    rays = {r for chamber in enumerate_chambers(geom) for r in chamber_closure_rays(geom, chamber)}
+    points = {primitive(geom.prime(prime_name).cls, F(1), F(0))}
+    for ray in rays:
+        height = geom.prime_pair(decompose(geom, ray).positive, prime_name)
+        points |= {primitive(ray, F(0), height), primitive(ray, F(0), F(0))}
+    return tuple(sorted(points, key=lambda p: (p.cls.coords, p.t, p.y)))
+
+
+def test_cone_generators_match_chamber_closure_union(hilb2, k3_elliptic, hilb2_elliptic):
+    flags = 0
+    for geom in (hilb2, k3_elliptic, hilb2_elliptic):
+        for prime in geom.primes:
+            assert cone_generators(geom, prime.name) == _cone_generators_from_closures(
+                geom, prime.name
+            )
+            flags += 1
+    assert flags == 2 + 4 + 6
+
+
+def test_cone_generators_and_closures_do_no_cone_work(monkeypatch):
+    # Once Mov's rays are built, the closures and the generators are read
+    # off them and the primes: no kernel, and cone_generators does not
+    # even need the chamber list.
+    geom = pairwise_family(8)
+    assert len(geom.movable_rays) == 56
+    calls = Counter()
+
+    def counting_kernel(rows, n):
+        calls["kernel"] += 1
+        return linalg.kernel(rows, n)
+
+    definite = BBFLattice.is_negative_definite
+
+    def counting_definite(lattice, classes):
+        calls["is_negative_definite"] += 1
+        return definite(lattice, classes)
+
+    for module in (linprog, geometry):
+        monkeypatch.setattr(module, "kernel", counting_kernel)
+    monkeypatch.setattr(BBFLattice, "is_negative_definite", counting_definite)
+    for prime in geom.primes:
+        # rays through the flag have height 0, the 35 others q(r, E) = 3
+        assert len(cone_generators(geom, prime.name)) == 21 + 2 * 35 + 8 + 1
+    assert calls == Counter()
+    for chamber in enumerate_chambers(geom):
+        chamber_closure_rays(geom, chamber)
+    assert calls["kernel"] == 0
+    assert calls["is_negative_definite"] == 8 + 28 + 56  # the chamber list itself
 
 
 def test_cone_generators_round_mode_rejected(fano_round):

@@ -5,7 +5,9 @@ the standard library.  Its arithmetic is exact: the only floats are the
 display approximations and SVG coordinates in `report.py`, and the
 conversion `Surd.__float__` that produces them.  Data derived from a
 catalog is kept on the `Geometry` as cached properties, and only
-`geometry.py` fills them.
+`geometry.py` fills them.  A function has one module-level name, so a
+tracer that wraps module attributes counts its calls under that name
+alone.
 """
 
 import ast
@@ -97,3 +99,25 @@ def test_geometry_caches_written_only_in_geometry(path):
             assert not (
                 node.func.attr in ("update", "setdefault") and is_cache(node.func.value)
             ), f"{path.name}:{node.lineno} fills a cache"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_functions_have_one_module_level_name(path):
+    """No module binds a function it defines under a second name, as in
+    `frame_sign = _sign`: perfbench's tracer wraps every module attribute
+    bound to a function, so such an alias would count the helper's
+    internal calls under the public name."""
+    tree = _tree(path)
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            value = node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            value = node.value
+        else:
+            continue
+        values = value.elts if isinstance(value, (ast.Tuple, ast.List)) else [value]
+        for v in values:
+            assert not (isinstance(v, ast.Name) and v.id in defined), (
+                f"{path.name}:{node.lineno} binds {v.id} under a second name"
+            )
