@@ -21,11 +21,11 @@ a denominator, and one record per Zariski support met so far, keyed by
 the support's frozenset of names like every other chamber value.  The
 record (SupportProjector) is the chamber-local map P_S: P is linear on
 a chamber S, so P_S and the coefficients of N are two integer matrices
-over one denominator each, built from one inverse Gram matrix, and the
-images P_S(E) of every catalog prime come with them.  The chamber
-walk's slope along E on S is -P_S(E) and the Minkowski generator of S
-is P_S(E) made primitive, so both are read off the record.  A failed
-build is never kept.
+over one shared denominator, read off one fraction-free kernel of the
+support's Gram system, and the images P_S(E) of every catalog prime
+come with them.  The chamber walk's slope along E on S is -P_S(E) and
+the Minkowski generator of S is P_S(E) made primitive, so both are
+read off the record.  A failed build is never kept.
 
 Everything downstream is correct relative to this declared data: a
 truncated catalog (actual manifolds may carry infinitely many prime
@@ -43,11 +43,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import NamedTuple, Optional
 
 from .errors import ConsistencyError, DomainError, GeometryError
-from .lattice import BBFLattice, DivClass, dot, integer_rows
-from .linalg import SingularMatrixError, inertia, inverse, kernel
+from .lattice import BBFLattice, DivClass, dot
+from .linalg import inertia, kernel
 from .linprog import Cone, extreme_rays, generated_cone
 
 _NAME_RE = re.compile(r"^[^\W\d][\w'′]*$")
@@ -70,18 +71,18 @@ class Prime:
 
 class SupportProjector(NamedTuple):
     """The chamber-local linear map D -> P(D) on a Zariski support S, in
-    integers.
+    integers over one denominator.
 
     names are S's primes sorted.  For a class d the coefficient of
-    names[i] in N is coeff_rows[i] . d.num / (coeff_den * d.den), and
-    P_S(d) = d - sum x_i E_i is rows . d.num / (den * d.den).  P_S(d) is
-    orthogonal to every prime of S and P_S fixes S-perp.  images holds
-    P_S(E) for every catalog prime E, by name.
+    names[i] in N is coeff_rows[i] . d.num / (den * d.den), and
+    P_S(d) = d - sum x_i E_i is rows . d.num / (den * d.den); den is
+    positive but not always the least.  P_S(d) is orthogonal to every
+    prime of S and P_S fixes S-perp.  images holds P_S(E) for every
+    catalog prime E, by name.
     """
 
     names: tuple[str, ...]
     coeff_rows: tuple[tuple[int, ...], ...]
-    coeff_den: int
     rows: tuple[tuple[int, ...], ...]
     den: int
     images: dict[str, DivClass]
@@ -92,7 +93,7 @@ class SupportProjector(NamedTuple):
         return _apply(self.rows, self.den, d)
 
     def coefficients(self, d: DivClass) -> tuple[Fraction, ...]:
-        den = self.coeff_den * d.den
+        den = self.den * d.den
         return tuple(Fraction(dot(row, d.num), den) for row in self.coeff_rows)
 
 
@@ -215,32 +216,31 @@ class Geometry:
             return found
         names = tuple(sorted(support))
         classes = [self.prime(n).cls for n in names]
-        gram = self.lattice.sub_gram(classes)
-        if inertia(gram) != (0, len(names), 0):
+        if inertia(self.lattice.sub_gram(classes)) != (0, len(names), 0):
             raise ConsistencyError(
                 f"Gram matrix of {list(names)} is not negative definite; "
                 "the declared prime catalog is inconsistent"
             )
-        try:
-            inv = inverse(gram)
-        except SingularMatrixError as exc:  # unreachable after the inertia check
-            raise ConsistencyError(str(exc)) from exc
-        # x = inv . (q(d, E_i))_i with q(d, E_i) = d.num . row_i / (d.den * den_i)
-        forms = [self.prime_forms[n] for n in names]
-        coeffs = [
-            [sum(a * Fraction(row[c], den) for a, (row, den) in zip(inv_row, forms))
-             for c in range(self.rank)]
-            for inv_row in inv
-        ]
-        # P_S(d) = d - sum_i x_i E_i, as a matrix acting on d.num over d.den
-        coords = [cls.coords for cls in classes]
-        rows, den = integer_rows([
-            [int(r == c) - sum(e[r] * x[c] for e, x in zip(coords, coeffs))
-             for c in range(self.rank)]
+        # N_S(e_c) = sum_j y_j(c) E_j.num, where sum_j (E_j.num . row_i) y_j(c)
+        # = row_i[c] for the form row row_i of every prime of S (den_i
+        # cancels).  The Gram matrix is nonsingular, so the kernel's free
+        # columns are the last rank ones and the vector of column k + c is
+        # m_c * (y(c), e_c) with m_c > 0.
+        k = len(names)
+        forms = [self.prime_forms[n][0] for n in names]
+        basis = kernel([[dot(e.num, row) for e in classes] + [-v for v in row] for row in forms],
+                       k + self.rank)
+        den = lcm(*(x[k + c] for c, x in enumerate(basis)))
+        ys = [[v * (den // x[k + c]) for v in x[:k]] for c, x in enumerate(basis)]  # den * y(c)
+        # x_j = E_j.den * y_j, and P_S(e_c) = e_c - N_S(e_c)
+        coeff_rows = tuple(tuple(e.den * y[j] for y in ys) for j, e in enumerate(classes))
+        rows = tuple(
+            tuple(den * (r == c) - sum(e.num[r] * yj for e, yj in zip(classes, y))
+                  for c, y in enumerate(ys))
             for r in range(self.rank)
-        ])
+        )
         images = {p.name: _apply(rows, den, p.cls) for p in self.primes}
-        found = SupportProjector(names, *integer_rows(coeffs), rows, den, images)
+        found = SupportProjector(names, coeff_rows, rows, den, images)
         self.support_projectors[support] = found
         return found
 

@@ -1,11 +1,12 @@
-"""Small exact dense linear algebra.
+"""Small exact dense linear algebra: kernel and inertia.
 
-Written for the tiny sizes this library meets (rank <= 6): plain
-Gaussian elimination over Fraction for solves and inverses, symmetric
-congruence reduction over Fraction for inertia, and a fraction-free
-reduced row echelon form on ints for kernels, which returns primitive
-integer vectors.  No pivoting strategy beyond "find a usable entry" is
-needed when arithmetic is exact.
+Written for the tiny sizes this library meets (rank <= 6): a
+fraction-free reduced row echelon form on ints for kernels, which
+returns primitive integer vectors and is the library's one elimination
+for linear systems (a nonsingular system is solved as the kernel of its
+augmented rows), and symmetric congruence reduction over Fraction for
+inertia.  No pivoting strategy beyond "find a usable entry" is needed
+when arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -15,37 +16,6 @@ from math import gcd, lcm
 from typing import Sequence
 
 Matrix = Sequence[Sequence[Fraction]]
-
-
-class SingularMatrixError(ValueError):
-    """Square system without a unique solution."""
-
-
-def solve(matrix: Matrix, rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve matrix @ x = rhs exactly for square nonsingular matrix."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("shape mismatch")
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot_row is None:
-            raise SingularMatrixError("singular matrix")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot = a[col][col]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col] / pivot
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-    return [a[i][n] / a[i][i] for i in range(n)]
-
-
-def inverse(matrix: Matrix) -> list[list[Fraction]]:
-    """Exact inverse of a square nonsingular matrix, one solve per column."""
-    n = len(matrix)
-    cols = [solve(matrix, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def kernel(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
@@ -353,9 +354,12 @@ class ConePoint:
     y: Fraction
 
 
-def _primitive_cone_point(cls: DivClass, t: Fraction, y: Fraction) -> ConePoint:
-    vec = DivClass(cls.coords + (t, y)).primitive().num
-    return ConePoint(DivClass(vec[:-2]), Fraction(vec[-2]), Fraction(vec[-1]))
+def _primitive_cone_point(num: tuple[int, ...], t: int, y: Fraction) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of (num, t, y), for an
+    integer class num and an integer t."""
+    vec = (*(v * y.denominator for v in num), t * y.denominator, y.numerator)
+    g = gcd(*vec)
+    return tuple(v // g for v in vec)
 
 
 def cone_generators(geom: Geometry, prime_name: str) -> tuple[ConePoint, ...]:
@@ -367,30 +371,31 @@ def cone_generators(geom: Geometry, prime_name: str) -> tuple[ConePoint, ...]:
     the movable rays and the exceptional primes: the empty chamber's
     closure is Mov, every exceptional prime (q < 0) is a chamber of its
     own, and each closure's rays are movable rays and primes of its
-    chamber.
+    chamber.  A movable ray pairs nonnegatively with every prime, so its
+    Zariski support is empty and it is its own positive part: only the
+    exceptional primes are decomposed, which also checks that they are
+    pseudo-effective.
     """
     if geom.mode != "polyhedral":
         raise DomainError("cone generators require polyhedral mode")
     prime = geom.prime(prime_name)
-    rays = [*geom.movable_rays, *(p.cls.primitive() for p in geom.exceptional_primes)]
-    points: list[ConePoint] = []
-    for ray in rays:
+    heights = [(ray, geom.prime_pair(ray, prime_name)) for ray in geom.movable_rays]
+    for ray in (p.cls.primitive() for p in geom.exceptional_primes):
         try:
             pos = decompose(geom, ray).positive
         except DomainError as exc:
             raise ConsistencyError(
                 "chamber-closure ray is not pseudo-effective; catalog inconsistent"
             ) from exc
-        height = geom.prime_pair(pos, prime_name)
-        points.append(_primitive_cone_point(ray, Fraction(0), height))
-        points.append(_primitive_cone_point(ray, Fraction(0), Fraction(0)))
-    points.append(_primitive_cone_point(prime.cls, Fraction(1), Fraction(0)))
-    uniq: list[ConePoint] = []
-    for pt in points:
-        if pt not in uniq:
-            uniq.append(pt)
-    uniq.sort(key=lambda p: (p.cls.coords, p.t, p.y))
-    return tuple(uniq)
+        heights.append((ray, geom.prime_pair(pos, prime_name)))
+    zero = Fraction(0)
+    points = {_primitive_cone_point(ray.num, 0, h) for ray, h in heights}
+    points.update(_primitive_cone_point(ray.num, 0, zero) for ray, _ in heights)
+    points.add(_primitive_cone_point(prime.cls.num, prime.cls.den, zero))  # (E, 1, 0) times E.den
+    return tuple(
+        ConePoint(DivClass(vec[:-2]), Fraction(vec[-2]), Fraction(vec[-1]))
+        for vec in sorted(points)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ than patched over.
 
 P is linear on each chamber S, so it is one fixed rational projector
 P_S there: Geometry.support_projector builds it once per geometry as
-integer matrices, keyed by the support's frozenset of names, and a
-solve on S is then integer matrix-vector products with D's numerators.
+integer matrices over one denominator, from one fraction-free kernel of
+the support's Gram system, keyed by the support's frozenset of names,
+and applying it on S is integer matrix-vector products with D's
+numerators.
 The support and joining tests are signs of integer dot products with
 the primes' form rows, and a Fraction is built only for the
 coefficients a decomposition returns.
@@ -64,11 +66,11 @@ def decompose(geom: Geometry, d: DivClass) -> ZariskiDecomposition:
     )
     for _ in range(len(geom.primes) + 1):
         proj = geom.support_projector(support)
-        # coefficient numerators over proj.coeff_den * den, by name
+        # coefficient numerators over proj.den * den, by name
         xs = dict(zip(proj.names, (dot(row, num) for row in proj.coeff_rows)))
         for name, x in xs.items():
             if x < 0:
-                x = Fraction(x, proj.coeff_den * den)
+                x = Fraction(x, proj.den * den)
                 raise ConsistencyError(
                     f"negative coefficient {x} for prime {name!r}; "
                     "the declared prime catalog is inconsistent"
@@ -81,8 +83,7 @@ def decompose(geom: Geometry, d: DivClass) -> ZariskiDecomposition:
         ]
         if not joining:
             pos = DivClass._raw(positive, proj.den * den)
-            cden = proj.coeff_den * den
-            negative = tuple((n, Fraction(x, cden)) for n, x in xs.items() if x > 0)
+            negative = tuple((n, Fraction(x, proj.den * den)) for n, x in xs.items() if x > 0)
             return ZariskiDecomposition(pos, negative, d - pos)
         support = support.union(joining)
     raise ConsistencyError("Zariski support enlargement did not stabilize")

@@ -11,10 +11,36 @@ import pytest
 
 from ihspoly import BBFLattice, DivClass
 from ihspoly.lattice import linear_combination
-from ihspoly.linalg import SingularMatrixError, inertia, kernel, solve
+from ihspoly.linalg import inertia, kernel
 
 
 # -- independent oracles ---------------------------------------------------
+
+
+class SingularMatrixError(ValueError):
+    """Square system without a unique solution."""
+
+
+def solve(matrix, rhs):
+    """Solve matrix @ x = rhs exactly for a square nonsingular matrix, by
+    Gauss-Jordan elimination over Fraction; the oracle for the engine's
+    fraction-free kernel solves (support projectors, cone membership)."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix) or len(rhs) != n:
+        raise ValueError("shape mismatch")
+    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot_row is None:
+            raise SingularMatrixError("singular matrix")
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        pivot = a[col][col]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col] / pivot
+                for c in range(col, n + 1):
+                    a[r][c] -= f * a[col][c]
+    return [a[i][n] / a[i][i] for i in range(n)]
 
 
 def charpoly(matrix):
@@ -253,6 +279,9 @@ def test_pairing_with_fractional_gram_matches_fraction_oracle_seeded():
 
 
 # -- exact linear algebra helpers -------------------------------------------
+
+
+# solve is the test-local Fraction oracle above; these pin it down.
 
 
 def test_solve_exact():

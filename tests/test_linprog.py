@@ -7,7 +7,6 @@ from itertools import combinations
 
 import pytest
 
-from ihspoly.linalg import SingularMatrixError, solve
 from ihspoly.linprog import (
     InfeasibleError,
     UnboundedError,
@@ -15,6 +14,7 @@ from ihspoly.linprog import (
     generated_cone,
     max_step,
 )
+from test_lattice import SingularMatrixError, solve
 
 F = Fraction
 

@@ -60,10 +60,11 @@ from ihspoly import (
     polygon_scale,
 )
 from ihspoly.lattice import dot
-from ihspoly.linalg import kernel, solve
+from ihspoly.linalg import kernel
 from ihspoly.linprog import UnboundedError, generated_cone, max_step
 from ihspoly.polygon2d import point
 from test_geometry import pairwise_family
+from test_lattice import solve
 from test_linprog import oracle_in_cone, vec
 
 F = Fraction

@@ -54,10 +54,10 @@ from ihspoly import (
 )
 from ihspoly import geometry, linalg, linprog, okounkov
 from ihspoly.lattice import BBFLattice
-from ihspoly.linalg import solve
 from ihspoly.polygon2d import contains_point, contains_polygon, convex_hull, point
 from ihspoly.surd import quadratic_roots
 from test_geometry import pairwise_family
+from test_lattice import solve
 
 F = Fraction
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
@@ -744,15 +744,19 @@ def test_cone_generators_match_chamber_closure_union(hilb2, k3_elliptic, hilb2_e
 
 def test_cone_generators_and_closures_do_no_cone_work(monkeypatch):
     # Once Mov's rays are built, the closures and the generators are read
-    # off them and the primes: no kernel, and cone_generators does not
-    # even need the chamber list.
+    # off them and the primes: no cone kernel, and cone_generators does
+    # not even need the chamber list.  Its only kernels are the singleton
+    # records that the exceptional primes' decompositions build, at most
+    # one per prime, each one kernel call.
     geom = pairwise_family(8)
     assert len(geom.movable_rays) == 56
     calls = Counter()
 
-    def counting_kernel(rows, n):
-        calls["kernel"] += 1
-        return linalg.kernel(rows, n)
+    def counting_kernel(module):
+        def counted(rows, n):
+            calls[module.__name__, "kernel"] += 1
+            return linalg.kernel(rows, n)
+        return counted
 
     definite = BBFLattice.is_negative_definite
 
@@ -761,15 +765,18 @@ def test_cone_generators_and_closures_do_no_cone_work(monkeypatch):
         return definite(lattice, classes)
 
     for module in (linprog, geometry):
-        monkeypatch.setattr(module, "kernel", counting_kernel)
+        monkeypatch.setattr(module, "kernel", counting_kernel(module))
     monkeypatch.setattr(BBFLattice, "is_negative_definite", counting_definite)
     for prime in geom.primes:
         # rays through the flag have height 0, the 35 others q(r, E) = 3
         assert len(cone_generators(geom, prime.name)) == 21 + 2 * 35 + 8 + 1
-    assert calls == Counter()
+    singletons = {frozenset({p.name}) for p in geom.exceptional_primes}
+    assert set(geom.support_projectors) == singletons
+    assert calls == Counter({("ihspoly.geometry", "kernel"): len(singletons)})
     for chamber in enumerate_chambers(geom):
         chamber_closure_rays(geom, chamber)
-    assert calls["kernel"] == 0
+    assert calls[("ihspoly.linprog", "kernel")] == 0
+    assert calls[("ihspoly.geometry", "kernel")] == len(singletons)
     assert calls["is_negative_definite"] == 8 + 28 + 56  # the chamber list itself
 
 

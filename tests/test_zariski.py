@@ -32,6 +32,8 @@ from ihspoly import (
     ConsistencyError,
     DivClass,
     DomainError,
+    Geometry,
+    Prime,
     chamber_generator,
     chamber_walk,
     decompose,
@@ -46,9 +48,10 @@ from ihspoly import (
     volume,
 )
 from ihspoly.checks import sample_big_classes
-from ihspoly.linalg import solve
 from ihspoly.minkowski import enumerate_chambers
 from ihspoly.zariski import chamber_id, chamber_positive_part, divisorial_base_loci
+from test_geometry import pairwise_family
+from test_lattice import solve
 
 F = Fraction
 
@@ -405,15 +408,68 @@ def test_chamber_formula_matches_fresh_solve_seeded(name, request):
                 assert pos == d - negative
 
 
+def random_negative_supports(seed, count):
+    """Seeded catalogs of ranks 2-5 with a rational Gram matrix of
+    signature (1, rank - 1), 2-4 exceptional primes and one prime with
+    q >= 0, every class over a denominator of 1, 2 or 3, and distinct
+    primes pairing nonnegatively.  Their chambers are random
+    negative-definite supports.  They declare no effective cone, so they
+    serve only the support records."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rank = 2 + len(out) % 4
+        gram = [[F(0)] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                gram[i][j] = gram[j][i] = F(rng.randint(-4, 4), rng.choice((1, 1, 2)))
+        try:
+            lat = BBFLattice(gram, 1, 1)
+        except ValueError:
+            continue
+        primes = []
+        for _ in range(40):
+            cls = DivClass([F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(rank)])
+            q = lat.square(cls)
+            exceptional = sum(p.exceptional for p in primes)
+            full = exceptional == 4 if q < 0 else len(primes) > exceptional
+            if cls.is_zero or full:
+                continue
+            if all(lat.pair(cls, p.cls) >= 0 for p in primes):
+                primes.append(Prime(f"P{len(primes)}", cls, q < 0))
+        if sum(p.exceptional for p in primes) >= 2 and not all(p.exceptional for p in primes):
+            basis = tuple(f"b{i}" for i in range(rank))
+            out.append(Geometry(f"random_{len(out)}", lat, basis, tuple(primes), "polyhedral"))
+    return out
+
+
 @pytest.mark.parametrize(
-    "name", ["hilb2", "k3_elliptic", "hilb2_elliptic", "hilb2_elliptic_halved"]
+    "name",
+    ["hilb2", "k3_elliptic", "hilb2_elliptic", "hilb2_elliptic_halved", "pairwise_6", "random"],
 )
 def test_support_records_match_fresh_solve(name, request):
     """One record per chamber, against a fresh Fraction solve of the
-    support's Gram system: images[E] is P_S(E) for every (prime, chamber),
-    the chamber walk's slope on S is -P_S(E), and the Minkowski
-    generator of S is P_S(E) made primitive."""
-    geom = replace(request.getfixturevalue(name))
+    support's Gram system: the coefficients of N_S(E) and images[E] =
+    P_S(E) for every (prime, chamber), and the Minkowski generator of S is
+    P_S(E) made primitive; on the bundled catalogs the chamber walk's
+    slope on S is -P_S(E).  The pairwise (-2)-family and the random
+    supports hold big classes on Eff's facets (or declare no Eff), so
+    no walk runs on them."""
+    if name == "pairwise_6":
+        geoms = [pairwise_family(6)]
+    elif name == "random":
+        geoms = random_negative_supports(seed=41, count=60)
+        assert {g.rank for g in geoms} == {2, 3, 4, 5}
+        assert any(p.cls.den > 1 for g in geoms for p in g.primes)
+        assert any(v.denominator > 1 for g in geoms for row in g.lattice.gram for v in row)
+        assert max(len(ch) for g in geoms for ch in g.chambers) >= 3
+    else:
+        geoms = [replace(request.getfixturevalue(name))]
+    for geom in geoms:
+        _check_support_records(geom, walks=name not in ("pairwise_6", "random"))
+
+
+def _check_support_records(geom, walks):
     lat = geom.lattice
     assert geom.support_projectors == {}
     fresh = {}
@@ -424,6 +480,7 @@ def test_support_records_match_fresh_solve(name, request):
         assert set(record.images) == {p.name for p in geom.primes}
         for prime in geom.primes:
             xs = solve(lat.sub_gram(support), [lat.pair(prime.cls, c) for c in support])
+            assert record.coefficients(prime.cls) == tuple(xs)
             image = prime.cls
             for c, x in zip(support, xs):
                 image = image - c.scale(x)
@@ -438,23 +495,26 @@ def test_support_records_match_fresh_solve(name, request):
         assert geom.support_projector(chamber) is record
     # records are keyed by the chambers themselves
     assert set(geom.support_projectors) == set(geom.chambers)
-    walked = set()
-    for d in sample_big_classes(geom, 6, seed=4):
-        dec = decompose(geom, d)
-        for prime in geom.primes:
-            if dec.coefficient(prime.name):
-                continue
-            for seg in chamber_walk(geom, d, prime.name).segments:
-                assert seg.slope == -fresh[prime.name, seg.chamber]
-                walked.add((prime.name, seg.chamber))
-    assert len({chamber for _, chamber in walked}) > 1
-    # a failed build is not kept
+    if walks:
+        walked = set()
+        for d in sample_big_classes(geom, 6, seed=4):
+            dec = decompose(geom, d)
+            for prime in geom.primes:
+                if dec.coefficient(prime.name):
+                    continue
+                for seg in chamber_walk(geom, d, prime.name).segments:
+                    assert seg.slope == -fresh[prime.name, seg.chamber]
+                    walked.add((prime.name, seg.chamber))
+        assert len({chamber for _, chamber in walked}) > 1
+    # a failed build is not kept; the pairwise family has no movable
+    # prime, and any three of its primes have a singular Gram matrix
     kept = dict(geom.support_projectors)
-    movable = next(p for p in geom.primes if not p.exceptional)
-    flag = next(p for p in geom.primes if p is not movable)
+    movable = [p.name for p in geom.primes if not p.exceptional]
+    bad = frozenset(movable[:1] or [p.name for p in geom.primes[:3]])
+    flag = next(p for p in geom.primes if p.name not in bad)
     for build in (
-        lambda: geom.support_projector(frozenset({movable.name})),
-        lambda: chamber_generator(geom, frozenset({movable.name}), flag.name),
+        lambda: geom.support_projector(bad),
+        lambda: chamber_generator(geom, bad, flag.name),
     ):
         with pytest.raises(ConsistencyError, match="negative definite"):
             build()
