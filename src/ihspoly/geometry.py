@@ -21,11 +21,12 @@ a denominator, and one record per Zariski support met so far, keyed by
 the support's frozenset of names like every other chamber value.  The
 record (SupportProjector) is the chamber-local map P_S: P is linear on
 a chamber S, so P_S and the coefficients of N are two integer matrices
-over one shared denominator, read off one fraction-free kernel of the
-support's Gram system, and the images P_S(E) of every catalog prime
-come with them.  The chamber walk's slope along E on S is -P_S(E) and
-the Minkowski generator of S is P_S(E) made primitive, so both are
-read off the record.  A failed build is never kept.
+over one shared denominator, with the images P_S(E) of every catalog
+prime; each is one rank-one Schur update of the record of S less its
+last prime, whose one pairing also decides that S is negative definite.
+The chamber walk's slope along E on S is -P_S(E) and the Minkowski
+generator of S is P_S(E) made primitive, both read off the record.  A
+failed build is never kept.
 
 Everything downstream is correct relative to this declared data: a
 truncated catalog (actual manifolds may carry infinitely many prime
@@ -40,15 +41,17 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import chain
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .errors import ConsistencyError, DomainError, GeometryError
 from .lattice import BBFLattice, DivClass, dot
-from .linalg import inertia, kernel
+from .linalg import kernel
 from .linprog import Cone, extreme_rays, generated_cone
 
 _NAME_RE = re.compile(r"^[^\W\d][\w'′]*$")
@@ -88,9 +91,7 @@ class SupportProjector(NamedTuple):
     images: dict[str, DivClass]
 
     def positive(self, d: DivClass) -> DivClass:
-        if not self.names:  # the empty support: P is the identity
-            return d
-        return _apply(self.rows, self.den, d)
+        return _apply(self.rows, self.den, d) if self.names else d  # P is the identity on the empty support
 
     def coefficients(self, d: DivClass) -> tuple[Fraction, ...]:
         den = self.den * d.den
@@ -165,31 +166,18 @@ class Geometry:
         """All negative-definite subsets of the exceptional primes: the
         empty set first, then by size and then by name.
 
-        Every principal submatrix of a negative-definite matrix is
-        negative definite, so chambers are closed under taking subsets.
-        They grow one size at a time, and a candidate is tested only when
-        all its one-smaller subsets are chambers: the sets tested are the
-        nonempty chambers and the minimal non-chambers, not all 2^k - 1.
+        Each chamber grows from its record by one Schur step per later
+        exceptional prime, so the work is one pairing per (chamber, later
+        prime): output-sensitive, though the output can be 2^k for k
+        orthogonal (-2)-primes.  Every chamber's record is kept.
         """
-        exceptional = self.exceptional_primes
-        # index tuples into exceptional, increasing, so each set is met once
-        level: list[tuple[int, ...]] = [()]
-        found: list[frozenset[str]] = [frozenset()]
+        exceptional, found = self.exceptional_primes, []
+        level = [(0, self.support_projector(frozenset()))]
         while level:
-            known, grown = set(level), []
-            for base in level:
-                for j in range(base[-1] + 1 if base else 0, len(exceptional)):
-                    combo = base + (j,)
-                    # dropping j gives base; dropping any other index must
-                    # give a chamber too
-                    if all(combo[:i] + combo[i + 1:] in known for i in range(len(base))) and (
-                        self.lattice.is_negative_definite([exceptional[i].cls for i in combo])
-                    ):
-                        grown.append(combo)
-            found.extend(frozenset(exceptional[i].name for i in combo) for combo in grown)
-            level = grown
-        found.sort(key=lambda s: (len(s), tuple(sorted(s))))
-        return tuple(found)
+            found.extend(frozenset(record.names) for _, record in level)
+            level = [(j + 1, child) for start, record in level for j in range(start, len(exceptional))
+                     if (child := self._grow(record, exceptional[j])) is not None]
+        return tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
 
     @cached_property
     def prime_forms(self) -> dict[str, tuple[tuple[int, ...], int]]:
@@ -209,38 +197,49 @@ class Geometry:
         return {}
 
     def support_projector(self, support: frozenset[str]) -> SupportProjector:
-        """The record of the support of primes called support, built on
-        first use once its Gram matrix is checked to be negative definite."""
-        found = self.support_projectors.get(support)
-        if found is not None:
+        """The record of the support of primes called support, grown from
+        the empty support's in catalog order (the parents chambers uses);
+        a support that is not negative definite fails a step, not kept."""
+        record = self.support_projectors.get(support)
+        if record is None:
+            ordered = sorted(map(self.prime, support), key=self.primes.index)
+            unit = tuple(tuple(int(r == c) for c in range(self.rank)) for r in range(self.rank))
+            empty = SupportProjector((), (), unit, 1, {p.name: p.cls for p in self.primes})
+            record = self.support_projectors.setdefault(frozenset(), empty)
+            for prime in ordered:
+                record = self._grow(record, prime)
+                if record is None:
+                    raise ConsistencyError(f"Gram matrix of {sorted(support)} is not negative definite; "
+                                           "the declared prime catalog is inconsistent")
+        return record
+
+    def _grow(self, record: SupportProjector, prime: Prime) -> Optional[SupportProjector]:
+        """The kept record of S + E for the support S of record and the
+        prime E, else one rank-one update of record; None when S + E is
+        not negative definite: with v = P_S(E), that is when the Schur
+        complement s = q(v, E) = q(v, v) is not negative (Sylvester).
+        P_{S+E}(x) = P_S(x) - c(x) v, E's coefficient in N is c(x) =
+        q(P_S(x), E) / s and each x_j loses c(x) x_j(E); on the integer
+        rows each is z_i a - sigma row_i over -sigma den."""
+        support = frozenset((*record.names, prime.name))
+        if (found := self.support_projectors.get(support)) is not None:
             return found
-        names = tuple(sorted(support))
-        classes = [self.prime(n).cls for n in names]
-        if inertia(self.lattice.sub_gram(classes)) != (0, len(names), 0):
-            raise ConsistencyError(
-                f"Gram matrix of {list(names)} is not negative definite; "
-                "the declared prime catalog is inconsistent"
-            )
-        # N_S(e_c) = sum_j y_j(c) E_j.num, where sum_j (E_j.num . row_i) y_j(c)
-        # = row_i[c] for the form row row_i of every prime of S (den_i
-        # cancels).  The Gram matrix is nonsingular, so the kernel's free
-        # columns are the last rank ones and the vector of column k + c is
-        # m_c * (y(c), e_c) with m_c > 0.
-        k = len(names)
-        forms = [self.prime_forms[n][0] for n in names]
-        basis = kernel([[dot(e.num, row) for e in classes] + [-v for v in row] for row in forms],
-                       k + self.rank)
-        den = lcm(*(x[k + c] for c, x in enumerate(basis)))
-        ys = [[v * (den // x[k + c]) for v in x[:k]] for c, x in enumerate(basis)]  # den * y(c)
-        # x_j = E_j.den * y_j, and P_S(e_c) = e_c - N_S(e_c)
-        coeff_rows = tuple(tuple(e.den * y[j] for y in ys) for j, e in enumerate(classes))
-        rows = tuple(
-            tuple(den * (r == c) - sum(e.num[r] * yj for e, yj in zip(classes, y))
-                  for c, y in enumerate(ys))
-            for r in range(self.rank)
-        )
-        images = {p.name: _apply(rows, den, p.cls) for p in self.primes}
-        found = SupportProjector(names, coeff_rows, rows, den, images)
+        row_e, e, k = self.prime_forms[prime.name][0], prime.cls, len(record.names)
+        stacked = (*record.coeff_rows, *record.rows)
+        z = [dot(row, e.num) for row in stacked]
+        sigma = dot(z[k:], row_e)
+        if sigma >= 0:
+            return None
+        a = [dot(row_e, column) for column in zip(*record.rows)]
+        rows = [[zi * ac - sigma * v for ac, v in zip(a, row)] for zi, row in zip(z, stacked)]
+        at = bisect(record.names, prime.name)
+        rows.insert(at, [-e.den * record.den * ac for ac in a])
+        den = -sigma * record.den
+        g = gcd(den, *chain.from_iterable(rows))
+        rows, den = tuple(tuple(v // g for v in row) for row in rows), den // g
+        names = (*record.names[:at], prime.name, *record.names[at:])
+        images = {p.name: _apply(rows[k + 1:], den, p.cls) for p in self.primes}
+        found = SupportProjector(names, rows[:k + 1], rows[k + 1:], den, images)
         self.support_projectors[support] = found
         return found
 
@@ -383,6 +382,10 @@ def parse_geometry(text: str) -> Geometry:
     ample = _parse_vector(doc["ample"], rank, "ample")
     if lattice.square(ample) <= 0:
         raise GeometryError("ample class must have positive BBF square")
+    for p in primes:  # every prime lies in the round Eff
+        if (q := lattice.pair(p.cls, ample)) <= 0:
+            raise ConsistencyError(f"prime {p.name!r} pairs to {q} <= 0 with the ample class, "
+                                   "so it is not pseudo-effective")
     return Geometry(name, lattice, basis, tuple(primes), mode, (), ample)
 
 
@@ -518,17 +521,13 @@ def format_divisor(geom: Geometry, d: DivClass) -> str:
 # ---------------------------------------------------------------------------
 # cone predicates
 
-def _leading_sign_ok(geom: Geometry, d: DivClass) -> bool:
-    return geom.lattice.pair(d, geom.ample) >= 0
-
-
 def is_pseudo_effective(geom: Geometry, d: DivClass) -> bool:
     """Membership of the class in the declared pseudo-effective cone."""
     if d.dim != geom.rank:
         raise DomainError("class dimension does not match geometry rank")
     if geom.mode == "polyhedral":
         return geom.eff_cone.contains(d.num)  # den > 0 changes no sign
-    return geom.lattice.square(d) >= 0 and _leading_sign_ok(geom, d)
+    return geom.lattice.square(d) >= 0 and geom.lattice.pair(d, geom.ample) >= 0
 
 
 def is_movable(geom: Geometry, d: DivClass) -> bool:

@@ -238,18 +238,3 @@ class BBFLattice:
 
     def square(self, x: DivClass) -> Fraction:
         return self.pair(x, x)
-
-    def sub_gram(self, classes: Sequence[DivClass]) -> list[list[Fraction]]:
-        return [[self.pair(a, b) for b in classes] for a in classes]
-
-    def is_negative_definite(self, classes: Sequence[DivClass]) -> bool:
-        """Whether the span of the classes is q-negative-definite.
-
-        Linearly dependent families are never definite (the Gram matrix
-        picks up a kernel), matching the brute-force leading-minor test
-        (-1)^k det_k > 0 on independent families.
-        """
-        if not classes:
-            return True
-        g = self.sub_gram(classes)
-        return inertia(g) == (0, len(classes), 0)

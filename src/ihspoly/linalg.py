@@ -2,11 +2,11 @@
 
 Written for the tiny sizes this library meets (rank <= 6): a
 fraction-free reduced row echelon form on ints for kernels, which
-returns primitive integer vectors and is the library's one elimination
-for linear systems (a nonsingular system is solved as the kernel of its
-augmented rows), and symmetric congruence reduction over Fraction for
-inertia.  No pivoting strategy beyond "find a usable entry" is needed
-when arithmetic is exact.
+returns primitive integer vectors and serves the cone engine and Eff's
+pointedness test, and symmetric congruence reduction over Fraction for
+inertia, which serves the lattice's signature check.  No pivoting
+strategy beyond "find a usable entry" is needed when arithmetic is
+exact.
 """
 
 from __future__ import annotations

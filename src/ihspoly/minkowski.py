@@ -17,8 +17,8 @@ polygons add up along the way.
 
 The generator of S is P_S(E) made primitive, so it is read off the
 support's record (Geometry.support_projector), which holds P_S(E) for
-every catalog prime and is built from one integer kernel of S's Gram
-system; this module keeps no solve or cache of its own.  The
+every catalog prime and is one rank-one update of a smaller chamber's
+record; this module keeps no solve or cache of its own.  The
 walk's step tau along a generator is the largest one that keeps the
 leftover movable: one max_step over Mov (Geometry.mov_cone, Eff cut by
 the primes' form rows), so both the prime walls and the facets of Eff

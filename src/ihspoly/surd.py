@@ -28,6 +28,8 @@ import math
 from fractions import Fraction
 from typing import Union
 
+from .errors import DomainError
+
 RatLike = Union[int, Fraction]
 
 _ZERO = Fraction(0)
@@ -37,11 +39,17 @@ class DiscriminantMixError(ArithmeticError):
     """Arithmetic attempted between irrational surds over different d."""
 
 
+TRIAL_DIVISOR_LIMIT = 10**6  # squarefree_decompose divides by the p below it only
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n >= 0 as r*r*d with d square-free; return (r, d).
 
-    Trial division; inputs at desk scale are tiny.  A perfect square is
-    detected first via math.isqrt so the common case costs one isqrt.
+    Trial division by the p < TRIAL_DIVISOR_LIMIT.  A square cofactor,
+    tested by math.isqrt first and after each prime divides, ends the
+    search: a rank-2 discriminant is a fixed square-free part times a
+    square, so it costs a few divisions however large D is.  A cofactor
+    left at TRIAL_DIVISOR_LIMIT^2 or above raises DomainError.
     """
     if n < 0:
         raise ValueError("squarefree_decompose requires a non-negative integer")
@@ -52,7 +60,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         return root, 1
     r, d, m = 1, 1, n
     p = 2
-    while p * p <= m:
+    while p * p <= m and p < TRIAL_DIVISOR_LIMIT:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -61,7 +69,13 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             r *= p ** (e // 2)
             if e % 2:
                 d *= p
+            root = math.isqrt(m)
+            if root * root == m:
+                return r * root, d
         p += 1 if p == 2 else 2
+    if m >= TRIAL_DIVISOR_LIMIT**2:  # no p below the limit divides m, and m is no square
+        raise DomainError(f"the square-free part of {n} needs a prime factor of {m} "
+                          f"at or above TRIAL_DIVISOR_LIMIT = {TRIAL_DIVISOR_LIMIT}")
     return r, d * m
 
 

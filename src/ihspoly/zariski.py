@@ -16,9 +16,9 @@ than patched over.
 
 P is linear on each chamber S, so it is one fixed rational projector
 P_S there: Geometry.support_projector builds it once per geometry as
-integer matrices over one denominator, from one fraction-free kernel of
-the support's Gram system, keyed by the support's frozenset of names,
-and applying it on S is integer matrix-vector products with D's
+integer matrices over one denominator, by one rank-one Schur update of
+the record of S minus one prime, keyed by the support's frozenset of
+names, and applying it on S is integer matrix-vector products with D's
 numerators.
 The support and joining tests are signs of integer dot products with
 the primes' form rows, and a Fraction is built only for the

@@ -239,46 +239,46 @@ def test_run_checks_decomposes_each_class_once_across_layers(hilb2_elliptic, mon
 
 
 def test_run_checks_gram_solves_once_per_chamber(hilb2_elliptic, monkeypatch):
-    # Each support projector build solves its Gram system with one
-    # linalg.kernel call; the only other kernel call in geometry is the
-    # pointedness test of each geometry's Eff.  Count them on a copy whose
-    # derived data starts empty.
+    # Each support record is one passing Schur step from its parent's
+    # record, and a geometry takes each such step once; the empty
+    # support's record takes none.  The only kernel call in geometry is
+    # the pointedness test of each geometry's Eff.  Count them on a copy
+    # whose derived data starts empty.
     from ihspoly import geometry, linalg
 
     geom = replace(hilb2_elliptic)
     kernels = Counter()
-    built = []  # (geometry, support, kernel calls) of every projector build
+    built = []  # (geometry, support) of every passing Schur step
 
     def counting_kernel(rows, n):
         kernels["kernel"] += 1
         return linalg.kernel(rows, n)
 
-    real_projector = geometry.Geometry.support_projector
+    grow = geometry.Geometry._grow
 
-    def projector(self, support):
-        if support in self.support_projectors:
-            return real_projector(self, support)
-        before = kernels["kernel"]
-        found = real_projector(self, support)
-        built.append((self, support, kernels["kernel"] - before))
+    def step(self, record, prime):
+        support = frozenset((*record.names, prime.name))
+        held = support in self.support_projectors
+        found = grow(self, record, prime)
+        if found is not None and not held:
+            built.append((self, support))
         return found
 
     monkeypatch.setattr(geometry, "kernel", counting_kernel)
-    monkeypatch.setattr(geometry.Geometry, "support_projector", projector)
+    monkeypatch.setattr(geometry.Geometry, "_grow", step)
     first = run_checks(geom, 4, 0)
-    assert {calls for *_, calls in built} == {1}
-    own = [support for g, support, _ in built if g is geom]
-    assert len(own) == len(set(own)) == len(geom.support_projectors) > 1
+    own = [support for g, support in built if g is geom]
+    assert len(own) == len(set(own)) == len(geom.support_projectors) - 1 > 1
     assert set(own) <= set(geom.chambers)
     # the catalog-order check's reordered copy is a fresh geometry
-    copies = [support for g, support, _ in built if g is not geom]
+    copies = [support for g, support in built if g is not geom]
     assert len(copies) == len(set(copies)) and set(copies) <= set(own)
-    assert kernels["kernel"] == len(built) + 2  # and the two Eff cones
-    before = kernels["kernel"]
+    assert kernels["kernel"] == 2  # the two Eff cones
     built.clear()
     assert run_checks(geom, 4, 0) == first
-    assert not any(g is geom for g, *_ in built)
-    assert kernels["kernel"] - before == len(built) + 1 == len(copies) + 1
+    assert not any(g is geom for g, _ in built)
+    assert len(built) == len(copies)
+    assert kernels["kernel"] == 3
 
 
 def test_shared_polygon_failure_reaches_every_check(hilb2_elliptic, monkeypatch):

@@ -92,6 +92,13 @@ def test_polygon_round_surd_payload(capsys):
     assert payload["area"]["display"] == "1"
 
 
+def test_polygon_round_ten_digit_class(capsys):
+    code, payload = run_json(capsys, "polygon", FANO, "1000000007*A + 1000000009*B", "S")
+    assert code == 0
+    mu = payload["mu"]
+    assert (mu["a"], mu["b"], mu["d"]) == ("3000000023", "-1000000007", 3)
+
+
 def test_polygon_svg(capsys, tmp_path):
     target = tmp_path / "tri.svg"
     code, out, err = run(capsys, "polygon", HILB2, "H", "E", "--svg", str(target))
@@ -335,6 +342,16 @@ def test_cone_generators_round_exits_3(capsys):
     code, _, err = run(capsys, "cone-generators", FANO, "S")
     assert code == 3
     assert "polyhedral" in err
+
+
+def test_round_prime_off_eff_exits_3(capsys, tmp_path):
+    doc = json.loads(Path(FANO).read_text())
+    doc["primes"].append({"name": "T", "class": [-1, 0], "exceptional": False})  # q = 2
+    path = tmp_path / "off_eff.geom"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: prime 'T' pairs to -6 <= 0 with the ample class, so it is not pseudo-effective\n"
 
 
 def test_check_bad_sample_count_exits_3(capsys):

@@ -11,7 +11,6 @@ from math import comb
 import pytest
 
 from ihspoly import (
-    BBFLattice,
     ConsistencyError,
     DivClass,
     DomainError,
@@ -25,10 +24,11 @@ from ihspoly import (
     parse_geometry,
 )
 from ihspoly.checks import run_checks, sample_big_classes
-from ihspoly.geometry import format_rat
+from ihspoly.geometry import Geometry, format_rat
 from ihspoly.lattice import dot
 from ihspoly.linalg import kernel
 from ihspoly.minkowski import enumerate_chambers
+from test_lattice import negative_definite
 
 F = Fraction
 
@@ -228,6 +228,12 @@ def test_round_mode_validation():
     with pytest.raises(GeometryError, match="no exceptional primes"):
         parse_geometry(json.dumps(bad))
 
+    # every prime lies in the round Eff: q(T, ample) = -6
+    bad = dict(base)
+    bad["primes"] = [*base["primes"], {"name": "T", "class": [-1, 0], "exceptional": False}]
+    with pytest.raises(ConsistencyError, match="prime 'T' pairs to -6 <= 0 with the ample class"):
+        parse_geometry(json.dumps(bad))
+
 
 def test_rational_entries_as_strings():
     geom = parse_doc(gram=[["2", "0"], ["0", "-2"]],
@@ -419,28 +425,31 @@ def pairwise_family(k):
 
 
 def brute_force_chambers(geom):
-    """Every subset of the exceptional primes, tested one by one."""
+    """Every subset of the exceptional primes, tested one by one by the
+    inertia of its Gram matrix."""
     exceptional = geom.exceptional_primes
     found = [
         frozenset(p.name for p in combo)
         for size in range(len(exceptional) + 1)
         for combo in combinations(exceptional, size)
-        if geom.lattice.is_negative_definite([p.cls for p in combo])
+        if negative_definite(geom.lattice, [p.cls for p in combo])
     ]
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 @pytest.fixture
 def tested(monkeypatch):
-    """The size of every set is_negative_definite is asked about, in order."""
+    """The size of every set a Schur step is taken to, in order: the
+    records Geometry._grow is asked for and does not hold yet."""
     sizes = []
-    definite = BBFLattice.is_negative_definite
+    grow = Geometry._grow
 
-    def counting(lattice, classes):
-        sizes.append(len(classes))
-        return definite(lattice, classes)
+    def counting(geom, record, prime):
+        if frozenset((*record.names, prime.name)) not in geom.support_projectors:
+            sizes.append(len(record.names) + 1)
+        return grow(geom, record, prime)
 
-    monkeypatch.setattr(BBFLattice, "is_negative_definite", counting)
+    monkeypatch.setattr(Geometry, "_grow", counting)
     return sizes
 
 
@@ -466,9 +475,11 @@ def test_pairwise_family_movable_rays():
     assert rays == {tuple(int(i in c) for i in range(k)) for c in combinations(range(k), 3)}
 
 
-def test_chambers_skip_supersets_of_non_chambers(tested):
+def test_chambers_take_one_step_per_later_prime(tested):
     # {A, B} and {A, C} are chambers and {B, C} is not (q(B, C) = -4,
-    # q(C) = -6), so {A, B, C} is never tested.
+    # q(C) = -6).  Each chamber tries the primes after its last one:
+    # {B, C} grows no further, and {A, B, C} is one failing step from
+    # {A, B}.
     primes = {"A": [0, 1, 0], "B": [0, 0, 1], "C": [1, 0, 2]}
     geom = parse_doc(
         basis=["h", "a", "b"],
@@ -477,7 +488,7 @@ def test_chambers_skip_supersets_of_non_chambers(tested):
         effective_generators=list(primes.values()),
     )
     assert [sorted(s) for s in geom.chambers] == [[], ["A"], ["B"], ["C"], ["A", "B"], ["A", "C"]]
-    assert tested == [1, 1, 1, 2, 2, 2]
+    assert tested == [1, 1, 1, 2, 2, 2, 3]
 
 
 def test_chambers_match_brute_force(hilb2, k3_elliptic, hilb2_elliptic):

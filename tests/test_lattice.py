@@ -10,6 +10,8 @@ from itertools import combinations
 import pytest
 
 from ihspoly import BBFLattice, DivClass
+from ihspoly.errors import ConsistencyError
+from ihspoly.geometry import Geometry, Prime
 from ihspoly.lattice import linear_combination
 from ihspoly.linalg import inertia, kernel
 
@@ -24,7 +26,8 @@ class SingularMatrixError(ValueError):
 def solve(matrix, rhs):
     """Solve matrix @ x = rhs exactly for a square nonsingular matrix, by
     Gauss-Jordan elimination over Fraction; the oracle for the engine's
-    fraction-free kernel solves (support projectors, cone membership)."""
+    support records (their Schur steps) and its fraction-free kernel
+    solves (cone membership)."""
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("shape mismatch")
@@ -41,6 +44,35 @@ def solve(matrix, rhs):
                 for c in range(col, n + 1):
                     a[r][c] -= f * a[col][c]
     return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def sub_gram(lattice, classes):
+    """The Gram matrix of the classes under the lattice's pairing."""
+    return [[lattice.pair(a, b) for b in classes] for a in classes]
+
+
+def negative_definite(lattice, classes):
+    """Whether the span of the classes is q-negative-definite, by the
+    inertia of their Gram matrix: a linearly dependent family picks up a
+    kernel and is never definite.  The oracle for the engine's Schur
+    steps (Geometry.support_projector and Geometry.chambers)."""
+    return inertia(sub_gram(lattice, classes)) == (0, len(classes), 0)
+
+
+def projector_accepts(lattice, classes):
+    """Whether Geometry.support_projector builds the record of the
+    support made of the classes, as primes P0, P1, ... of a catalog
+    declaring no effective cone."""
+    primes = tuple(
+        Prime(f"P{i}", c, lattice.square(c) < 0) for i, c in enumerate(classes)
+    )
+    basis = tuple(f"b{i}" for i in range(lattice.rank))
+    geom = Geometry("support", lattice, basis, primes, "polyhedral")
+    try:
+        geom.support_projector(frozenset(p.name for p in primes))
+    except ConsistencyError:
+        return False
+    return True
 
 
 def charpoly(matrix):
@@ -472,7 +504,7 @@ def test_pairing_bilinear_seeded():
 
 def test_sub_gram():
     lat = hyperbolic()
-    g = lat.sub_gram([DivClass([0, 1]), DivClass([1, -1])])
+    g = sub_gram(lat, [DivClass([0, 1]), DivClass([1, -1])])
     assert g == [[-2, 2], [2, 0]]
 
 
@@ -485,8 +517,9 @@ def test_negative_definite_matches_minor_oracle_seeded():
         classes = [
             DivClass([rng.randint(-3, 3) for _ in range(3)]) for _ in range(k)
         ]
-        got = lat.is_negative_definite(classes)
-        g = lat.sub_gram(classes)
+        got = projector_accepts(lat, classes)
+        assert got == negative_definite(lat, classes)
+        g = sub_gram(lat, classes)
         # The minor test requires linear independence; detect dependence
         # via a zero row in the reduced echelon sense: inertia has a kernel.
         if inertia(g)[2] > 0:
@@ -501,8 +534,13 @@ def test_negative_definite_matches_minor_oracle_seeded():
 def test_negative_definite_degenerate_families():
     lat = hyperbolic()
     d = DivClass([0, 1])
-    assert lat.is_negative_definite([])
-    assert lat.is_negative_definite([d])
-    # A repeated class spans a line but the family is linearly dependent.
-    assert not lat.is_negative_definite([d, d])
-    assert not lat.is_negative_definite([DivClass([0, 0])])
+    for classes, definite in (
+        ([], True),
+        ([d], True),
+        # A repeated class spans a line but the family is linearly dependent.
+        ([d, d], False),
+        ([DivClass([0, 0])], False),
+        ([DivClass([1, 0])], False),  # q > 0
+        ([DivClass([1, 1])], False),  # q = 0
+    ):
+        assert projector_accepts(lat, classes) == negative_definite(lat, classes) == definite

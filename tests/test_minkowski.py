@@ -64,7 +64,7 @@ from ihspoly.linalg import kernel
 from ihspoly.linprog import UnboundedError, generated_cone, max_step
 from ihspoly.polygon2d import point
 from test_geometry import pairwise_family
-from test_lattice import solve
+from test_lattice import solve, sub_gram
 from test_linprog import oracle_in_cone, vec
 
 F = Fraction
@@ -181,7 +181,7 @@ def test_chamber_generator_cache_matches_fresh_solve(hilb2, k3_elliptic, hilb2_e
                         chamber_generator(fresh_copy, chamber, prime.name)
                     continue
                 support = [geom.prime(n).cls for n in sorted(chamber)]
-                xs = solve(lat.sub_gram(support), [-lat.pair(prime.cls, c) for c in support])
+                xs = solve(sub_gram(lat, support), [-lat.pair(prime.cls, c) for c in support])
                 assert all(x >= 0 for x in xs)
                 fresh = prime.cls
                 for c, x in zip(support, xs):

@@ -53,11 +53,10 @@ from ihspoly import (
     simplex_flag,
 )
 from ihspoly import geometry, linalg, linprog, okounkov
-from ihspoly.lattice import BBFLattice
 from ihspoly.polygon2d import contains_point, contains_polygon, convex_hull, point
 from ihspoly.surd import quadratic_roots
 from test_geometry import pairwise_family
-from test_lattice import solve
+from test_lattice import solve, sub_gram
 
 F = Fraction
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
@@ -100,6 +99,16 @@ def test_mu_threshold_proportional_isotropics():
     assert mu_threshold(geom, DivClass([2, 0]), "S") == 2
     # q(D) = 0 with q(D, S) > 0: no room at all.
     assert mu_threshold(geom, DivClass([0, 3]), "S") == 0
+
+
+def test_mu_threshold_ten_digit_round_class(fano_round):
+    # The discriminant is 3 (4 * 1000000007)^2; its square-free part is
+    # settled by the trial divisors 2 and 3.
+    d = DivClass([1000000007, 1000000009])
+    mu = mu_threshold(fano_round, d, "S")
+    assert mu == Surd(3000000023, -1000000007, 3)
+    lat, s = fano_round.lattice, fano_round.prime("S").cls
+    assert lat.square(d) - 2 * mu * lat.pair(d, s) + mu * mu * lat.square(s) == 0
 
 
 def test_mu_threshold_errors(hilb2):
@@ -383,7 +392,7 @@ def test_walk_slope_cache_matches_fresh_solve(hilb2, k3_elliptic, hilb2_elliptic
         for prime in fresh_copy.primes:
             for chamber in fresh_copy.chambers:
                 support = [geom.prime(n).cls for n in sorted(chamber)]
-                xs = solve(lat.sub_gram(support), [lat.pair(prime.cls, c) for c in support])
+                xs = solve(sub_gram(lat, support), [lat.pair(prime.cls, c) for c in support])
                 image = prime.cls
                 for c, x in zip(support, xs):
                     image = image - c.scale(x)
@@ -744,10 +753,10 @@ def test_cone_generators_match_chamber_closure_union(hilb2, k3_elliptic, hilb2_e
 
 def test_cone_generators_and_closures_do_no_cone_work(monkeypatch):
     # Once Mov's rays are built, the closures and the generators are read
-    # off them and the primes: no cone kernel, and cone_generators does
-    # not even need the chamber list.  Its only kernels are the singleton
-    # records that the exceptional primes' decompositions build, at most
-    # one per prime, each one kernel call.
+    # off them and the primes: no kernel at all, and cone_generators does
+    # not even need the chamber list.  Its only support work is the
+    # singleton records that the exceptional primes' decompositions
+    # build, one Schur step each from the empty support's record.
     geom = pairwise_family(8)
     assert len(geom.movable_rays) == 56
     calls = Counter()
@@ -758,26 +767,28 @@ def test_cone_generators_and_closures_do_no_cone_work(monkeypatch):
             return linalg.kernel(rows, n)
         return counted
 
-    definite = BBFLattice.is_negative_definite
+    grow = geometry.Geometry._grow
 
-    def counting_definite(lattice, classes):
-        calls["is_negative_definite"] += 1
-        return definite(lattice, classes)
+    def counting_step(geom, record, prime):  # a record not held yet is one Schur step
+        if frozenset((*record.names, prime.name)) not in geom.support_projectors:
+            calls["schur_step"] += 1
+        return grow(geom, record, prime)
 
     for module in (linprog, geometry):
         monkeypatch.setattr(module, "kernel", counting_kernel(module))
-    monkeypatch.setattr(BBFLattice, "is_negative_definite", counting_definite)
+    monkeypatch.setattr(geometry.Geometry, "_grow", counting_step)
     for prime in geom.primes:
         # rays through the flag have height 0, the 35 others q(r, E) = 3
         assert len(cone_generators(geom, prime.name)) == 21 + 2 * 35 + 8 + 1
     singletons = {frozenset({p.name}) for p in geom.exceptional_primes}
-    assert set(geom.support_projectors) == singletons
-    assert calls == Counter({("ihspoly.geometry", "kernel"): len(singletons)})
+    assert set(geom.support_projectors) == singletons | {frozenset()}
+    assert calls == Counter({"schur_step": len(singletons)})
     for chamber in enumerate_chambers(geom):
         chamber_closure_rays(geom, chamber)
-    assert calls[("ihspoly.linprog", "kernel")] == 0
-    assert calls[("ihspoly.geometry", "kernel")] == len(singletons)
-    assert calls["is_negative_definite"] == 8 + 28 + 56  # the chamber list itself
+    assert calls[("ihspoly.linprog", "kernel")] == calls[("ihspoly.geometry", "kernel")] == 0
+    # the chamber list itself: the pairs from the cached singletons, and
+    # the triples, which all fail
+    assert calls["schur_step"] == len(singletons) + 28 + 56
 
 
 def test_cone_generators_round_mode_rejected(fano_round):

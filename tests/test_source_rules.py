@@ -7,7 +7,9 @@ conversion `Surd.__float__` that produces them.  Data derived from a
 catalog is kept on the `Geometry` as cached properties, and only
 `geometry.py` fills them.  A function has one module-level name, so a
 tracer that wraps module attributes counts its calls under that name
-alone.
+alone.  Negative definiteness has one path, the Schur steps of the
+support records: `linalg.inertia` serves only the lattice's signature
+check.
 """
 
 import ast
@@ -121,3 +123,20 @@ def test_functions_have_one_module_level_name(path):
             assert not (isinstance(v, ast.Name) and v.id in defined), (
                 f"{path.name}:{node.lineno} binds {v.id} under a second name"
             )
+
+
+def test_inertia_serves_only_the_lattice():
+    """Outside linalg.py only lattice.py names `inertia`, so no second
+    negative-definiteness test sits beside the support records' Schur
+    steps."""
+
+    def names_inertia(tree) -> bool:
+        return any(
+            (isinstance(node, ast.Name) and node.id == "inertia")
+            or (isinstance(node, ast.Attribute) and node.attr == "inertia")
+            or (isinstance(node, ast.alias) and node.name == "inertia")
+            for node in ast.walk(tree)
+        )
+
+    users = {p.name for p in MODULES if p.name != "linalg.py" and names_inertia(_tree(p))}
+    assert users == {"lattice.py"}

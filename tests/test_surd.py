@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from ihspoly import DiscriminantMixError, Surd, quadratic_roots, smallest_positive_root
+from ihspoly import DiscriminantMixError, DomainError, Surd, quadratic_roots, smallest_positive_root
+from ihspoly import surd
 from ihspoly.surd import (
+    TRIAL_DIVISOR_LIMIT,
     common_discriminant,
     frame_sign,
     from_frame,
@@ -39,6 +41,32 @@ def test_squarefree_decompose_matches_brute_force():
 def test_squarefree_decompose_rejects_negative():
     with pytest.raises(ValueError):
         squarefree_decompose(-4)
+
+
+def test_squarefree_decompose_stops_at_a_square_cofactor(monkeypatch):
+    # The rank-2 discriminant of fano_lines at 1000000007*A + 1000000009*B
+    # is 3 (4 * 1000000007)^2 = 2^4 * 3 * 1000000007^2: once 2 and 3 are
+    # divided out the cofactor is a square, so those two trial divisors
+    # settle it.
+    n = 48000000672000002352
+    assert n == 2**4 * 3 * 1000000007**2
+    monkeypatch.setattr(surd, "TRIAL_DIVISOR_LIMIT", 4)  # tries 2 and 3 only
+    assert squarefree_decompose(n) == (4 * 1000000007, 3)
+
+
+def test_squarefree_decompose_settles_or_names_the_limit(monkeypatch):
+    # 1000003 and 1000033 are primes above the limit, so the cofactor
+    # 1000003 * 1000033^2 is not a square and has no divisor to try.
+    assert TRIAL_DIVISOR_LIMIT == 10**6
+    with pytest.raises(DomainError, match="TRIAL_DIVISOR_LIMIT = 1000000"):
+        squarefree_decompose(1000003 * 1000033**2)
+    monkeypatch.setattr(surd, "TRIAL_DIVISOR_LIMIT", 100)
+    with pytest.raises(DomainError, match="TRIAL_DIVISOR_LIMIT = 100"):
+        squarefree_decompose(2 * 101 * 103)  # cofactor 10403 >= 100^2
+    # a square cofactor, or one below the limit squared, is settled
+    assert squarefree_decompose(2 * 101**2) == (101, 2)
+    assert squarefree_decompose(2 * 101**2 * 103**2) == (101 * 103, 2)
+    assert squarefree_decompose(9973) == (1, 9973)  # a prime below 100^2
 
 
 def test_squarefree_part_is_squarefree():

@@ -51,7 +51,7 @@ from ihspoly.checks import sample_big_classes
 from ihspoly.minkowski import enumerate_chambers
 from ihspoly.zariski import chamber_id, chamber_positive_part, divisorial_base_loci
 from test_geometry import pairwise_family
-from test_lattice import solve
+from test_lattice import negative_definite, solve, sub_gram
 
 F = Fraction
 
@@ -144,7 +144,7 @@ def test_decomposition_invariants_seeded(hilb2, k3_elliptic, hilb2_elliptic):
                 assert lat.pair(dec.positive, prime.cls) == 0
             # The support Gram matrix is negative definite.
             support_classes = [geom.prime(n).cls for n, _ in dec.negative]
-            assert lat.is_negative_definite(support_classes)
+            assert negative_definite(lat, support_classes)
 
 
 def test_idempotence_seeded(hilb2, k3_elliptic):
@@ -353,7 +353,7 @@ def test_decomposition_properties_seeded(name, request):
             names = sorted(dec.support)
             if names:
                 support = [g.prime(n).cls for n in names]
-                assert leading_minors_negative_definite(lat.sub_gram(support))
+                assert leading_minors_negative_definite(sub_gram(lat, support))
 
 
 def halve_r1(geom):
@@ -392,7 +392,7 @@ def test_chamber_formula_matches_fresh_solve_seeded(name, request):
         for chamber in enumerate_chambers(g):
             names = sorted(chamber)
             support = [g.prime(n).cls for n in names]
-            gram = lat.sub_gram(support)
+            gram = sub_gram(lat, support)
             proj = g.support_projector(chamber)
             for d in classes:
                 pos, coeffs = chamber_positive_part(g, d, chamber)
@@ -462,7 +462,8 @@ def test_support_records_match_fresh_solve(name, request):
         assert {g.rank for g in geoms} == {2, 3, 4, 5}
         assert any(p.cls.den > 1 for g in geoms for p in g.primes)
         assert any(v.denominator > 1 for g in geoms for row in g.lattice.gram for v in row)
-        assert max(len(ch) for g in geoms for ch in g.chambers) >= 3
+        # on copies: the chamber list leaves its records on the geometry
+        assert max(len(ch) for g in geoms for ch in replace(g).chambers) >= 3
     else:
         geoms = [replace(request.getfixturevalue(name))]
     for geom in geoms:
@@ -479,7 +480,7 @@ def _check_support_records(geom, walks):
         assert record.names == tuple(sorted(chamber))
         assert set(record.images) == {p.name for p in geom.primes}
         for prime in geom.primes:
-            xs = solve(lat.sub_gram(support), [lat.pair(prime.cls, c) for c in support])
+            xs = solve(sub_gram(lat, support), [lat.pair(prime.cls, c) for c in support])
             assert record.coefficients(prime.cls) == tuple(xs)
             image = prime.cls
             for c, x in zip(support, xs):
@@ -519,6 +520,70 @@ def _check_support_records(geom, walks):
         with pytest.raises(ConsistencyError, match="negative definite"):
             build()
         assert geom.support_projectors == kept
+
+
+def test_support_projector_raises_exactly_when_not_negative_definite():
+    """Every subset of a random catalog's primes, asked for in a seeded
+    order: the record is built exactly when the inertia oracle calls the
+    support negative definite, a failure is not kept, and every kept
+    record is a chamber."""
+    rng = random.Random(43)
+    built = failed = 0
+    for geom in random_negative_supports(seed=47, count=24):
+        names = [p.name for p in geom.primes]
+        subsets = [
+            frozenset(n for i, n in enumerate(names) if mask >> i & 1)
+            for mask in range(1 << len(names))
+        ]
+        rng.shuffle(subsets)
+        for support in subsets:
+            definite = negative_definite(geom.lattice, [geom.prime(n).cls for n in sorted(support)])
+            if definite:
+                assert geom.support_projector(support).names == tuple(sorted(support))
+                built += 1
+            else:
+                with pytest.raises(ConsistencyError, match="not negative definite"):
+                    geom.support_projector(support)
+                assert support not in geom.support_projectors
+                failed += 1
+        assert set(geom.support_projectors) <= set(geom.chambers)
+        assert set(geom.chambers) == {
+            s for s in subsets
+            if all(geom.prime(n).exceptional for n in s)
+            and negative_definite(geom.lattice, [geom.prime(n).cls for n in s])
+        }
+    assert built > 100 and failed > 100
+
+
+@pytest.mark.parametrize("name", ["k3_elliptic", "hilb2_elliptic_halved", "pairwise_6", "random"])
+def test_support_records_equal_whichever_path_builds_them(name, request):
+    """Records asked of support_projector before the chamber list, in a
+    seeded order, equal by value the records the chamber list leaves on
+    a fresh copy: the same names and images, and the same P_S and
+    coefficients on the basis vectors and the primes (den is not
+    canonical)."""
+    if name == "pairwise_6":
+        geoms = [pairwise_family(6)]
+    elif name == "random":
+        geoms = random_negative_supports(seed=53, count=12)
+    else:
+        geoms = [request.getfixturevalue(name)]
+    rng = random.Random(59)
+    for geom in geoms:
+        early, late = replace(geom), replace(geom)
+        chambers = list(geom.chambers)
+        rng.shuffle(chambers)
+        asked = {chamber: early.support_projector(chamber) for chamber in chambers}
+        assert early.chambers == late.chambers == geom.chambers
+        probes = [DivClass([int(i == j) for j in range(geom.rank)]) for i in range(geom.rank)]
+        probes += [p.cls for p in geom.primes]
+        for chamber, record in asked.items():
+            assert early.support_projector(chamber) is record
+            other = late.support_projectors[chamber]
+            assert (record.names, record.images) == (other.names, other.images)
+            for d in probes:
+                assert record.positive(d) == other.positive(d)
+                assert record.coefficients(d) == other.coefficients(d)
 
 
 def test_decompose_rejects_degenerate_catalog():
