@@ -1,119 +1,87 @@
 """Exact divisorial geometry on irreducible holomorphic symplectic
 manifolds: Zariski chambers, polygons along prime divisors, volumes,
 and Minkowski bases, all over the rationals and single quadratic
-extensions."""
+extensions.
 
-from .checks import CheckResult, run_checks, sample_big_classes
-from .errors import ConsistencyError, DomainError, GeometryError, IHSError
-from .geometry import (
-    Geometry,
-    Prime,
-    format_divisor,
-    geometry_to_json,
-    is_movable,
-    is_pseudo_effective,
-    load_geometry,
-    parse_divisor,
-    parse_geometry,
-)
-from .lattice import BBFLattice, DivClass, Rat
-from .minkowski import (
-    BasisElement,
-    MinkowskiDecomposition,
-    chamber_closure_rays,
-    chamber_generator,
-    enumerate_chambers,
-    isotropic_extremal_rays,
-    minkowski_basis,
-    minkowski_decompose,
-    movable_cone_rays,
-)
-from .okounkov import (
-    BreakpointTrace,
-    ConePoint,
-    NOPolygon,
-    WalkSegment,
-    chamber_walk,
-    cone_contains,
-    cone_generators,
-    mu_threshold,
-    polygon,
-    polygon_area,
-    polygon_contains,
-    polygon_minkowski_sum,
-    polygon_scale,
-    simplex_flag,
-)
-from .surd import DiscriminantMixError, Surd, quadratic_roots, smallest_positive_root
-from .zariski import (
-    ZariskiDecomposition,
-    chamber_id,
-    decompose,
-    divisorial_base_loci,
-    is_big,
-    null_set,
-    positive_part,
-    restricted_volume,
-    volume,
-)
+Public names resolve on first use (PEP 562): `import ihspoly` loads no
+layer, and `ihspoly.polygon` imports `okounkov` and what it needs, and
+no more.  Each name is then bound on the package, so later lookups are
+plain attribute reads.  Likewise each `ihspoly` subcommand imports only
+the layers it runs.
+"""
+
+from importlib import import_module
+
+_LAYERS = {
+    "checks": ("CheckResult", "run_checks", "sample_big_classes"),
+    "errors": ("ConsistencyError", "DomainError", "GeometryError", "IHSError"),
+    "geometry": (
+        "Geometry",
+        "Prime",
+        "format_divisor",
+        "geometry_to_json",
+        "is_movable",
+        "is_pseudo_effective",
+        "load_geometry",
+        "parse_divisor",
+        "parse_geometry",
+    ),
+    "lattice": ("BBFLattice", "DivClass", "Rat"),
+    "minkowski": (
+        "BasisElement",
+        "MinkowskiDecomposition",
+        "chamber_closure_rays",
+        "chamber_generator",
+        "enumerate_chambers",
+        "isotropic_extremal_rays",
+        "minkowski_basis",
+        "minkowski_decompose",
+        "movable_cone_rays",
+    ),
+    "okounkov": (
+        "BreakpointTrace",
+        "ConePoint",
+        "NOPolygon",
+        "WalkSegment",
+        "chamber_walk",
+        "cone_contains",
+        "cone_generators",
+        "mu_threshold",
+        "polygon",
+        "polygon_area",
+        "polygon_contains",
+        "polygon_minkowski_sum",
+        "polygon_scale",
+        "simplex_flag",
+    ),
+    "surd": ("DiscriminantMixError", "Surd", "quadratic_roots", "smallest_positive_root"),
+    "zariski": (
+        "ZariskiDecomposition",
+        "chamber_id",
+        "decompose",
+        "divisorial_base_loci",
+        "is_big",
+        "null_set",
+        "positive_part",
+        "restricted_volume",
+        "volume",
+    ),
+}
+_HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BBFLattice",
-    "BasisElement",
-    "BreakpointTrace",
-    "CheckResult",
-    "ConePoint",
-    "ConsistencyError",
-    "DiscriminantMixError",
-    "DivClass",
-    "DomainError",
-    "Geometry",
-    "GeometryError",
-    "IHSError",
-    "MinkowskiDecomposition",
-    "NOPolygon",
-    "Prime",
-    "Rat",
-    "Surd",
-    "WalkSegment",
-    "ZariskiDecomposition",
-    "chamber_closure_rays",
-    "chamber_generator",
-    "chamber_id",
-    "chamber_walk",
-    "cone_contains",
-    "cone_generators",
-    "decompose",
-    "divisorial_base_loci",
-    "enumerate_chambers",
-    "format_divisor",
-    "geometry_to_json",
-    "is_big",
-    "is_movable",
-    "is_pseudo_effective",
-    "isotropic_extremal_rays",
-    "load_geometry",
-    "minkowski_basis",
-    "minkowski_decompose",
-    "movable_cone_rays",
-    "mu_threshold",
-    "null_set",
-    "parse_divisor",
-    "parse_geometry",
-    "polygon",
-    "polygon_area",
-    "polygon_contains",
-    "polygon_minkowski_sum",
-    "polygon_scale",
-    "positive_part",
-    "quadratic_roots",
-    "restricted_volume",
-    "run_checks",
-    "sample_big_classes",
-    "simplex_flag",
-    "smallest_positive_root",
-    "volume",
-    "__version__",
-]
+__all__ = [*sorted(_HOME), "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        layer = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{layer}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,6 +11,10 @@ the payload is printed as a single JSON object on stdout (errors
 included, as {"status": "error", ...}); it carries no timing or
 environment fields, so reruns on the same input are byte-identical.
 The default text output is rendered from the same payload.
+
+Each handler imports the layers it runs when it runs, so `decompose`
+and `volume` never load `okounkov`, `minkowski`, `checks` or `surd`;
+at module level this file binds only `errors`, `geometry` and `report`.
 """
 
 from __future__ import annotations
@@ -18,20 +22,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 
 from . import report
-from .checks import run_checks
 from .errors import ConsistencyError, DomainError, GeometryError
 from .geometry import Geometry, load_geometry, parse_divisor
-from .minkowski import (
-    chamber_closure_rays,
-    enumerate_chambers,
-    minkowski_basis,
-    minkowski_decompose,
-)
-from .okounkov import cone_generators, polygon
-from .zariski import decompose, restricted_volume, volume_from_square
 
 _PARSE, _DOMAIN, _CHECKS = 2, 3, 4
 
@@ -90,43 +84,51 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_decompose(geom: Geometry, args: argparse.Namespace) -> dict:
+    from .zariski import decompose
     d = parse_divisor(geom, args.divisor)
     return report.decomposition_json(geom, d, decompose(geom, d))
 
 
 def _cmd_polygon(geom: Geometry, args: argparse.Namespace) -> dict:
+    from .okounkov import polygon
     d = parse_divisor(geom, args.divisor)
     poly = polygon(geom, d, args.prime)
     payload = report.polygon_json(geom, d, args.prime, poly)
     if args.svg:
+        from pathlib import Path
         Path(args.svg).write_text(report.polygon_svg(geom, d, args.prime, poly))
         payload["svg"] = args.svg
     return payload
 
 
 def _cmd_volume(geom: Geometry, args: argparse.Namespace) -> dict:
+    from .zariski import decompose, volume_from_square
     d = parse_divisor(geom, args.divisor)
     q = geom.lattice.square(decompose(geom, d).positive)
     return report.volume_json(geom, d, volume_from_square(geom, q), q)
 
 
 def _cmd_restricted_volume(geom: Geometry, args: argparse.Namespace) -> dict:
+    from .zariski import restricted_volume
     d = parse_divisor(geom, args.divisor)
     value = restricted_volume(geom, d, args.prime)
     return report.restricted_volume_json(geom, d, args.prime, value)
 
 
 def _cmd_minkowski(geom: Geometry, args: argparse.Namespace) -> dict:
+    from .minkowski import minkowski_decompose
     d = parse_divisor(geom, args.divisor)
     mk = minkowski_decompose(geom, d, args.prime)
     return report.minkowski_json(geom, d, args.prime, mk)
 
 
 def _cmd_minkowski_basis(geom: Geometry, args: argparse.Namespace) -> dict:
+    from .minkowski import minkowski_basis
     return report.basis_json(geom, args.prime, minkowski_basis(geom, args.prime))
 
 
 def _cmd_chambers(geom: Geometry, args: argparse.Namespace) -> dict:
+    from .minkowski import chamber_closure_rays, enumerate_chambers
     chambers = enumerate_chambers(geom)
     closures = None
     if geom.mode == "polyhedral":
@@ -135,10 +137,12 @@ def _cmd_chambers(geom: Geometry, args: argparse.Namespace) -> dict:
 
 
 def _cmd_cone_generators(geom: Geometry, args: argparse.Namespace) -> dict:
+    from .okounkov import cone_generators
     return report.cone_json(geom, args.prime, cone_generators(geom, args.prime))
 
 
 def _cmd_check(geom: Geometry, args: argparse.Namespace) -> dict:
+    from .checks import run_checks
     if args.samples < 1:
         raise DomainError("--samples must be at least 1")
     results = run_checks(geom, samples=args.samples, seed=args.seed)

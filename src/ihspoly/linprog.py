@@ -14,8 +14,9 @@ direction are then sign tests and a min-ratio over the facets.  The
 cones built here are Eff (generated_cone) and Mov (extreme_rays); the
 chamber closures and the polygon-cone generators are read off Mov's
 rays and the primes, with no cone computation of their own.  The
-subset count is exponential in the rank, which stays <= 6 here; every
-comparison is exact.
+subset count grows exponentially with the rank, so ``extreme_rays``
+refuses, by a DomainError, a cone with more than
+EXTREME_RAY_SUBSET_LIMIT subsets to solve; every comparison is exact.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
+from .errors import DomainError
 from .lattice import DivClass, dot
 from .linalg import kernel
+
+EXTREME_RAY_SUBSET_LIMIT = 10**6  # extreme_rays solves at most this many facet subsets
 
 Vec = tuple[Fraction, ...]
 Row = tuple[int, ...]
@@ -62,12 +67,22 @@ class Cone:
 
 
 def extreme_rays(facets: Sequence[Vec], equations: Sequence[Vec], n: int) -> list[Row]:
-    """Primitive integer extreme rays, sorted, of a pointed cone in Q^n."""
+    """Primitive integer extreme rays, sorted, of a pointed cone in Q^n.
+
+    The equations are independent, as the span equations of a Cone are.
+    Each subset of n - 1 - len(equations) facets is one kernel solve;
+    more than EXTREME_RAY_SUBSET_LIMIT subsets raise DomainError before
+    the first.
+    """
     equations = _rows(equations)
-    size = len(kernel(equations, n)) - 1
+    size = n - 1 - len(equations)
     if size < 0:
         return []
     halfspaces = _rows(facets)
+    if (count := comb(len(halfspaces), size)) > EXTREME_RAY_SUBSET_LIMIT:
+        raise DomainError(f"the extreme rays of a cone with {len(halfspaces)} facets in "
+                          f"dimension {size + 1} need {count} facet subsets, more than "
+                          f"EXTREME_RAY_SUBSET_LIMIT = {EXTREME_RAY_SUBSET_LIMIT}")
     found = set()
     for subset in combinations(halfspaces, size):
         ker = kernel([*subset, *equations], n)

@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .checks import CheckResult
 from .geometry import Geometry, format_divisor, format_rat
 from .lattice import DivClass
-from .minkowski import BasisElement, MinkowskiDecomposition
-from .okounkov import BreakpointTrace, ConePoint, NOPolygon
-from .surd import Surd
-from .zariski import ZariskiDecomposition
+
+if TYPE_CHECKING:  # annotations only: rendering a payload loads no engine layer
+    from .checks import CheckResult
+    from .minkowski import BasisElement, MinkowskiDecomposition
+    from .okounkov import BreakpointTrace, ConePoint, NOPolygon
+    from .surd import Surd
+    from .zariski import ZariskiDecomposition
 
 
 def surd_json(value: Surd) -> dict:
@@ -38,7 +40,7 @@ def surd_json(value: Surd) -> dict:
 def surd_text(value: Surd | dict) -> str:
     """Text view of a Surd or of its `surd_json` payload: the display
     string, followed by a float approximation when irrational."""
-    if isinstance(value, Surd):
+    if not isinstance(value, dict):
         value = surd_json(value)
     if value["b"] == "0":
         return value["display"]

@@ -139,7 +139,7 @@ def test_volume_text(capsys):
 
 
 def test_volume_decomposes_once(capsys, monkeypatch):
-    from ihspoly import cli, zariski
+    from ihspoly import zariski
 
     calls = []
     real = zariski.decompose
@@ -148,8 +148,7 @@ def test_volume_decomposes_once(capsys, monkeypatch):
         calls.append(d)
         return real(geom, d)
 
-    monkeypatch.setattr(zariski, "decompose", counting)
-    monkeypatch.setattr(cli, "decompose", counting)
+    monkeypatch.setattr(zariski, "decompose", counting)  # the handler imports it per call
     code, payload = run_json(capsys, "volume", HILB2, "3*H - E")
     assert code == 0 and payload["volume"] == "300" and payload["q_positive"] == "10"
     assert len(calls) == 1
@@ -352,6 +351,18 @@ def test_round_prime_off_eff_exits_3(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(path))
     assert (code, out) == (3, "")
     assert err == "error: prime 'T' pairs to -6 <= 0 with the ample class, so it is not pseudo-effective\n"
+
+
+def test_over_the_subset_limit_exits_3(capsys, tmp_path):
+    from ihspoly import geometry_to_json
+    from test_geometry import elliptic_family
+
+    path = tmp_path / "elliptic_5.geom"
+    path.write_text(geometry_to_json(elliptic_family(5)))
+    code, payload = run_json(capsys, "cone-generators", str(path), "Sec")
+    assert (code, payload["status"]) == (3, "error")
+    assert payload["message"].endswith("need 8145060 facet subsets, more than "
+                                       "EXTREME_RAY_SUBSET_LIMIT = 1000000")
 
 
 def test_check_bad_sample_count_exits_3(capsys):

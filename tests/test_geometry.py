@@ -19,6 +19,7 @@ from ihspoly import (
     geometry_to_json,
     is_movable,
     is_pseudo_effective,
+    linprog,
     load_geometry,
     parse_divisor,
     parse_geometry,
@@ -469,10 +470,83 @@ def test_chambers_grow_from_chambers_only(tested, k):
 
 def test_pairwise_family_movable_rays():
     # Mov is cut out of the orthant by sum(x) >= 3 x_i, and its extremal
-    # rays are the sums of three primes.
-    k = 6
-    rays = {r.num for r in pairwise_family(k).movable_rays}
-    assert rays == {tuple(int(i in c) for i in range(k)) for c in combinations(range(k), 3)}
+    # rays are the sums of three primes; k = 8 solves C(16, 7) = 11,440
+    # facet subsets, inside EXTREME_RAY_SUBSET_LIMIT.
+    for k in (6, 8):
+        rays = {r.num for r in pairwise_family(k).movable_rays}
+        assert rays == {tuple(int(i in c) for i in range(k)) for c in combinations(range(k), 3)}
+
+
+def elliptic_family(k):
+    """Elliptic K3 with a section and k fibres of type I2, on U + A1^k:
+    basis f, s, c1..ck; primes the section Sec, the fibre components
+    A_j = c_j and B_j = f - c_j (all (-2)-classes) and the isotropic
+    fibre Fib."""
+    n = k + 2
+    gram = [[0] * n for _ in range(n)]
+    gram[0][1] = gram[1][0] = 1
+    for i in range(1, n):
+        gram[i][i] = -2
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    primes = [{"name": "Sec", "class": unit[1], "exceptional": True}]
+    for j in range(1, k + 1):
+        primes.append({"name": f"A{j}", "class": unit[j + 1], "exceptional": True})
+        primes.append({"name": f"B{j}", "class": [a - b for a, b in zip(unit[0], unit[j + 1])],
+                       "exceptional": True})
+    doc = {
+        "name": f"elliptic_{k}",
+        "half_dim": 1,
+        "fujiki": 1,
+        "basis": ["f", "s"] + [f"c{j}" for j in range(1, k + 1)],
+        "gram": gram,
+        "mode": "polyhedral",
+        "primes": [*primes, {"name": "Fib", "class": unit[0], "exceptional": False}],
+        "effective_generators": [p["class"] for p in primes],
+    }
+    return parse_geometry(json.dumps(doc))
+
+
+@pytest.fixture
+def subset_solves(monkeypatch):
+    """One entry per kernel solve in linprog."""
+    calls = []
+
+    def counting(rows, n):
+        calls.append(rows)
+        return kernel(rows, n)
+
+    monkeypatch.setattr(linprog, "kernel", counting)
+    return calls
+
+
+def test_movable_rays_refuse_over_the_subset_limit(subset_solves):
+    # Rank 7: Mov has 33 facets of Eff and 12 prime rows, and its rays
+    # would take C(45, 6) = 8,145,060 solves (the brute force ran 525 s).
+    assert linprog.EXTREME_RAY_SUBSET_LIMIT == 10**6
+    geom = elliptic_family(5)
+    assert len(geom.mov_cone.facets) == 45 and not geom.mov_cone.equations
+    subset_solves.clear()
+    with pytest.raises(DomainError, match="8145060 facet subsets.*EXTREME_RAY_SUBSET_LIMIT = 1000000"):
+        geom.movable_rays
+    assert subset_solves == []
+
+
+def test_subset_limit_is_inclusive(hilb2_elliptic, monkeypatch, subset_solves):
+    # hilb2_k3's Mov: 11 facets in dimension 4, so C(11, 3) = 165 subsets
+    want = hilb2_elliptic.movable_rays
+    monkeypatch.setattr(linprog, "EXTREME_RAY_SUBSET_LIMIT", 165)
+    geom = replace(hilb2_elliptic)
+    geom.mov_cone
+    subset_solves.clear()
+    assert geom.movable_rays == want
+    assert len(subset_solves) == 165
+    monkeypatch.setattr(linprog, "EXTREME_RAY_SUBSET_LIMIT", 164)
+    geom = replace(hilb2_elliptic)
+    geom.mov_cone
+    subset_solves.clear()
+    with pytest.raises(DomainError, match="165 facet subsets.*EXTREME_RAY_SUBSET_LIMIT = 164"):
+        geom.movable_rays
+    assert subset_solves == []
 
 
 def test_chambers_take_one_step_per_later_prime(tested):

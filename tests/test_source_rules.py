@@ -9,7 +9,8 @@ catalog is kept on the `Geometry` as cached properties, and only
 tracer that wraps module attributes counts its calls under that name
 alone.  Negative definiteness has one path, the Schur steps of the
 support records: `linalg.inertia` serves only the lattice's signature
-check.
+check.  The CLI and the renderer load no computation layer on import,
+so each subcommand loads only the layers its handler imports.
 """
 
 import ast
@@ -140,3 +141,38 @@ def test_inertia_serves_only_the_lattice():
 
     users = {p.name for p in MODULES if p.name != "linalg.py" and names_inertia(_tree(p))}
     assert users == {"lattice.py"}
+
+
+def _layers_bound(node, prune) -> set[str]:
+    """The ihspoly modules bound by relative imports under node, not
+    looking inside a node that prune accepts."""
+    if prune(node):
+        return set()
+    found = set()
+    if isinstance(node, ast.ImportFrom) and node.level:
+        found = {node.module} if node.module else {alias.name for alias in node.names}
+    for child in ast.iter_child_nodes(node):
+        found |= _layers_bound(child, prune)
+    return found
+
+
+def test_cli_binds_no_computation_layer_at_module_level():
+    """Outside its handlers, cli.py imports only the errors, the catalog
+    reader and the renderer; each handler imports the layers it runs."""
+    tree = _tree(SRC / "cli.py")
+
+    def in_function(node) -> bool:
+        return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+
+    assert _layers_bound(tree, in_function) == {"errors", "geometry", "report"}
+    assert {"zariski", "okounkov", "minkowski", "checks"} <= _layers_bound(tree, lambda node: False)
+
+
+def test_report_imports_only_geometry_and_lattice_at_runtime():
+    """Every other layer report.py names is for annotations only, under
+    `if TYPE_CHECKING:`."""
+
+    def type_checking(node) -> bool:
+        return isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+
+    assert _layers_bound(_tree(SRC / "report.py"), type_checking) == {"geometry", "lattice"}
