@@ -24,7 +24,7 @@ from .okounkov import (
     polygon_minkowski_sum,
     polygon_scale,
 )
-from .polygon2d import contains_polygon, translate
+from .polygon2d import contains_polygon, right_of, translate
 from .surd import Surd
 from .zariski import chamber_positive_part, decompose, volume_from_square
 
@@ -161,16 +161,15 @@ def _translation_holds(base: NOPolygon, moved: NOPolygon) -> bool:
     """
     if moved.nu + moved.mu != Surd(base.nu) + base.mu + 1:
         return False
-    shifted = translate(base.vertices, base.nu + 1 - moved.nu, 0)
-    if not contains_polygon(moved.vertices, shifted):
+    shifted = translate(base.frame, base.nu + 1 - moved.nu)
+    if not contains_polygon(moved.frame, shifted):
         return False
-    right = [v for v in moved.vertices if v[0] >= 1 - moved.nu]
-    if not contains_polygon(shifted, right):
+    if not contains_polygon(shifted, right_of(moved.frame, 1 - moved.nu)):
         return False
     if base.nu > 0:
         # with E already in the negative support the whole normalized
         # picture is unchanged
-        return moved.vertices == base.vertices and moved.nu == base.nu + 1 and moved.mu == base.mu
+        return moved.frame == base.frame and moved.nu == base.nu + 1
     return True
 
 
@@ -256,7 +255,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
             p12 = polygon(geom, d1 + d2, flag.name)
             # Each polygon lives in the extension of its own mu; two
             # different radicals cannot be compared exactly here.
-            if len({p.mu.d for p in (p1, p2, p12)} - {0}) > 1:
+            if len({p.frame.d for p in (p1, p2, p12)} - {0}) > 1:
                 return None
             return polygon_contains(p12, polygon_minkowski_sum(p1, p2))
         superadd.run(
@@ -284,9 +283,9 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
             again = shared_decompose(geom, pos)
             if again.negative or again.positive != pos:
                 return False
-            return shared_polygon(geom, pos, flag.name).vertices == shared_polygon(
+            return shared_polygon(geom, pos, flag.name).frame == shared_polygon(
                 geom, d, flag.name
-            ).vertices
+            ).frame
         idem.run(lambda: f"idempotence broke for D={format_divisor(geom, d)}", idempotent)
 
     reorder = _Recorder("catalog-order-invariance")
@@ -302,7 +301,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
                 return False
             pa = shared_polygon(geom, d, flag.name)
             pb = polygon(shuffled, d, flag.name)  # used only here
-            return pa.vertices == pb.vertices and pa.nu == pb.nu and pa.mu == pb.mu
+            return pa == pb
         reorder.run(
             lambda: f"catalog order changed results for D={format_divisor(geom, d)}", invariant
         )
@@ -329,7 +328,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
                 for coeff, element in mk.terms:
                     piece = polygon_scale(coeff, shared_polygon(geom, element.cls, flag.name))
                     total = polygon_minkowski_sum(total, piece)
-                return total.vertices == shared_polygon(geom, d, flag.name).vertices
+                return total.frame == shared_polygon(geom, d, flag.name).frame
             recon.run(lambda: f"reconstruction broke for D={format_divisor(geom, d)}", rebuild)
 
     walls = _Recorder("wall-continuity")

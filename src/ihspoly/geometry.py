@@ -200,13 +200,15 @@ class Geometry:
         """The record of the support of primes called support, grown from
         the empty support's in catalog order (the parents chambers uses);
         a support that is not negative definite fails a step, not kept."""
-        record = self.support_projectors.get(support)
+        records = self.support_projectors
+        record = records.get(support)
         if record is None:
-            ordered = sorted(map(self.prime, support), key=self.primes.index)
-            unit = tuple(tuple(int(r == c) for c in range(self.rank)) for r in range(self.rank))
-            empty = SupportProjector((), (), unit, 1, {p.name: p.cls for p in self.primes})
-            record = self.support_projectors.setdefault(frozenset(), empty)
-            for prime in ordered:
+            record = records.get(frozenset())
+            if record is None:
+                unit = tuple(tuple(int(r == c) for c in range(self.rank)) for r in range(self.rank))
+                record = records[frozenset()] = SupportProjector(
+                    (), (), unit, 1, {p.name: p.cls for p in self.primes})
+            for prime in sorted(map(self.prime, support), key=self.primes.index):
                 record = self._grow(record, prime)
                 if record is None:
                     raise ConsistencyError(f"Gram matrix of {sorted(support)} is not negative definite; "

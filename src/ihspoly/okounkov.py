@@ -14,36 +14,41 @@ affine function of t on each Boucksom-Zariski chamber S, with slope
 -P_S(E) read off the support's record (Geometry.support_projector);
 the walk tracks the chamber changes exactly.  The pseudo-effective
 threshold mu is a min-ratio over the facets of the declared effective
-cone in polyhedral mode and a quadratic surd in round mode, and the
-area always equals q(P(D))/2.
+cone in polyhedral mode.  In round mode it is the least positive root
+of q(D - tE) = 0, chosen by the signs of the pairings and built in
+integers from one square-free decomposition.  The area always equals
+q(P(D))/2.
 
 The height q(P(D - tE), E) is concave, so the walk yields the upper
 boundary already in order: the vertices are read off it in polygon2d's
 canonical form, (0, 0), (mu, 0), then the graph from t = mu back to
-t = 0, and no hull is taken.
-
-Everything here is exact: abscissae of interior breakpoints are
-rational, the terminal abscissa may live in one quadratic extension.
+t = 0, and no hull is taken.  Interior breakpoints are rational and
+mu lies in one quadratic field, so a polygon is born in polygon2d's
+integer frame, where sums, scaling and containment run; Surd values are
+built only for the trace and by NOPolygon's accessors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
 from .geometry import Geometry, Prime, is_pseudo_effective
 from .lattice import DivClass, dot
 from .linprog import InfeasibleError, UnboundedError, max_step
-from .polygon2d import Point, contains_polygon
-from .polygon2d import area as hull_area
-from .polygon2d import minkowski_sum as hull_minkowski_sum
-from .polygon2d import scale as hull_scale
-from .polygon2d import translate as hull_translate
-from .surd import Surd, frame_sign, smallest_positive_root, to_frame
+from .polygon2d import Frame, Point, canonical, contains_polygon, lift, points, translate, width
+from .polygon2d import area as frame_area
+from .polygon2d import minkowski_sum as frame_minkowski_sum
+from .polygon2d import scale as frame_scale
+from .surd import Surd, frame_sign, from_frame, squarefree_decompose
 from .zariski import ZariskiDecomposition, decompose
+
+# A threshold in the integer frame: (a, b, den, d) is (a + b*sqrt(d))/den
+# with den > 0, and d == 0 when b == 0.
+FrameValue = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -71,66 +76,102 @@ class BreakpointTrace:
         return tuple(seg.chamber for seg in self.segments)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NOPolygon:
     """Exact polygon with its normalization offset nu and width mu.
 
-    Vertices are counterclockwise from the lexicographic minimum, in
-    normalized coordinates (the E-offset nu is carried separately);
-    degenerate polygons keep 1 or 2 vertices.  This is polygon2d's
-    canonical form, which polygon_minkowski_sum relies on.
+    The vertices and mu live in one canonical polygon2d Frame, in
+    normalized coordinates (the E-offset nu is carried separately), so
+    equal polygons have equal fields.  NOPolygon(vertices, nu, mu) lifts
+    Surd or rational values, given in polygon2d's canonical order.
     """
 
-    vertices: tuple[Point, ...]
+    frame: Frame
     nu: Fraction
-    mu: Surd
     trace: Optional[BreakpointTrace] = field(default=None, compare=False, repr=False)
+
+    def __init__(self, vertices: Sequence[Point], nu, mu, trace: Optional[BreakpointTrace] = None):
+        self.__dict__.update(frame=lift(vertices, mu), nu=nu, trace=trace)
+
+    @classmethod
+    def _of(cls, frame: Frame, nu, trace: Optional[BreakpointTrace] = None) -> "NOPolygon":
+        """Trusted constructor from a canonical frame."""
+        out = object.__new__(cls)
+        out.__dict__.update(frame=frame, nu=nu, trace=trace)
+        return out
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        return points(self.frame)
+
+    @property
+    def mu(self) -> Surd:
+        return width(self.frame)
 
     @property
     def area(self) -> Surd:
-        return hull_area(self.vertices)
+        return frame_area(self.frame)
 
     def absolute_vertices(self) -> tuple[Point, ...]:
         """Vertices translated by (nu, 0) -- un-normalized coordinates."""
-        return tuple(hull_translate(self.vertices, self.nu, 0))
+        return points(translate(self.frame, self.nu))
 
 
 # ---------------------------------------------------------------------------
 # pseudo-effective threshold
 
 
-def _proportionality(d: DivClass, e: DivClass) -> Fraction:
-    ratio = d.ratio(e)
-    if ratio is None:
-        raise ConsistencyError("isotropic orthogonal classes not proportional")
-    return ratio
+def _threshold(geom: Geometry, d: DivClass, prime: Prime) -> FrameValue:
+    """mu_E(D) = sup { t >= 0 : D - tE pseudo-effective }, D psef.
 
-
-def _threshold(geom: Geometry, d: DivClass, prime: Prime) -> Surd:
-    """mu_E(D) = sup { t >= 0 : D - tE pseudo-effective }, D psef."""
+    In round mode mu is the least positive root of q(D - tE) =
+    q(D) - 2t q(D, E) + t^2 q(E).  Over one denominator that is
+    a t^2 - 2b t + c with c > 0, whose roots are (b +- r sqrt(s))/a for
+    the quarter discriminant b^2 - ac = r^2 s.  For a > 0 both roots have
+    b's sign, and for a < 0 only one is positive; either way mu is
+    (b - r sqrt(s))/a.  For a = 0 it is c/(2b).
+    """
+    e = prime.cls
     if geom.mode == "polyhedral":
         try:
-            e = prime.cls
-            return Surd(max_step(geom.eff_cone, e.num, d.num) * Fraction(e.den, d.den))
+            return _rational(max_step(geom.eff_cone, e.num, d.num) * Fraction(e.den, d.den))
         except InfeasibleError as exc:
             raise DomainError("class is not pseudo-effective in the declared cone") from exc
         except UnboundedError as exc:
             raise ConsistencyError(
                 "threshold unbounded: declared effective cone is not pointed"
             ) from exc
-    lat = geom.lattice
-    qd, qde, qe = lat.square(d), geom.prime_pair(d, prime.name), lat.square(prime.cls)
-    if qd == 0:
-        if qde > 0:
-            return Surd(0)
-        if qde < 0:
+    a, b, c = _quadratic(d, geom.lattice.form(d), e, geom.prime_forms[prime.name])
+    if c == 0:
+        if b > 0:
+            return 0, 0, 1, 0
+        if b < 0:
             raise ConsistencyError("negative pairing of pseudo-effective classes")
-        # both isotropic, orthogonal: proportional rays
-        return Surd(_proportionality(d, prime.cls))
-    root = smallest_positive_root(qe, -2 * qde, qd)
-    if root is None:
+        ratio = d.ratio(e)  # both isotropic and orthogonal: proportional rays
+        if ratio is None:
+            raise ConsistencyError("isotropic orthogonal classes not proportional")
+        return _rational(ratio)
+    g = gcd(a, b, c)
+    a, b, c = a // g, b // g, c // g
+    disc = b * b - a * c
+    if disc < 0 or b <= 0 <= a:
         raise ConsistencyError("threshold equation has no positive root")
-    return root
+    if not a:
+        return c, 0, 2 * b, 0
+    r, s = squarefree_decompose(disc)
+    num, rad, root = (b, -r, s) if s > 1 else (b - r * s, 0, 0)  # s = 1: a square, 0: a double root
+    k = 1 if a > 0 else -1
+    return k * num, k * rad, k * a, root
+
+
+def _rational(x: Fraction) -> FrameValue:
+    return x.numerator, 0, x.denominator, 0
+
+
+def _exceeds(mu: FrameValue, t: Fraction) -> bool:
+    """mu > t."""
+    a, b, den, d = mu
+    return frame_sign(a * t.denominator - t.numerator * den, b * t.denominator, d) > 0
 
 
 def mu_threshold(geom: Geometry, d: DivClass, prime_name: str) -> Surd:
@@ -138,7 +179,7 @@ def mu_threshold(geom: Geometry, d: DivClass, prime_name: str) -> Surd:
     prime = geom.prime(prime_name)
     if not is_pseudo_effective(geom, d):
         raise DomainError("mu threshold requires a pseudo-effective class")
-    return _threshold(geom, d, prime)
+    return from_frame(*_threshold(geom, d, prime))
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +188,9 @@ def mu_threshold(geom: Geometry, d: DivClass, prime_name: str) -> Surd:
 
 def _trace(
     geom: Geometry, d: DivClass, prime: Prime, dec: ZariskiDecomposition
-) -> BreakpointTrace:
-    """Piecewise-affine trace of t -> P(D - nu E - tE) on [0, mu], with
-    dec = decompose(geom, d) and nu = nu_E(D); D - nu E has support
+) -> tuple[BreakpointTrace, FrameValue]:
+    """Piecewise-affine trace of t -> P(D - nu E - tE) on [0, mu], and mu,
+    with dec = decompose(geom, d) and nu = nu_E(D); D - nu E has support
     dec.support - {E} and positive part dec.positive (uniqueness)."""
     lat = geom.lattice
     nu = dec.coefficient(prime.name)
@@ -189,39 +230,43 @@ def _trace(
                 t_next, joiners = hit, [q.name]
             elif hit == t_next:
                 joiners.append(q.name)
-        if t_next is not None and t_next == t and Surd(t) < mu:
+        if t_next is not None and t_next == t and _exceeds(mu, t):
             support = support.union(joiners)  # wall at the current abscissa
             continue
-        if t_next is None or t_next >= mu:
-            segments.append(WalkSegment(t, mu, support, base, slope))
+        if t_next is None or not _exceeds(mu, t_next):
             _check_terminus(lat, base, slope, mu, big)
-            return BreakpointTrace(tuple(segments), mu)
+            end = from_frame(*mu)
+            segments.append(WalkSegment(t, end, support, base, slope))
+            return BreakpointTrace(tuple(segments), end), mu
         segments.append(WalkSegment(t, Surd(t_next), support, base, slope))
         support = support.union(joiners)
         t = t_next
     raise ConsistencyError("chamber walk exceeded the iteration cap")
 
 
-def _check_terminus(lat, base: DivClass, slope: DivClass, mu: Surd, big: bool) -> None:
+def _check_terminus(lat, base: DivClass, slope: DivClass, mu: FrameValue, big: bool) -> None:
     """Cross-check: at t = mu the positive part must reach the isotropic
     boundary (big start), confirming the facet threshold against the exact
     quadratic q(base + t slope) = 0, decided as one integer identity."""
     if not big:
         return
-    d, m, ((ma, mb),) = to_frame([mu])  # mu = (ma + mb sqrt(d)) / m
-    (rb, db), (rs, ds) = lat.form(base), lat.form(slope)
-    # q(base) = p/pd, q(base, slope) = c/cd and q(slope) = s/sd
-    p, pd = dot(base.num, rb), base.den * db
-    c, cd = dot(base.num, rs), base.den * ds
-    s, sd = dot(slope.num, rs), slope.den * ds
-    # m^2 pd cd sd q(base + mu slope) = a + b sqrt(d)
-    a = p * cd * sd * m * m + 2 * c * pd * sd * m * ma + s * pd * cd * (ma * ma + d * mb * mb)
-    b = 2 * mb * pd * (c * sd * m + s * cd * ma)
-    if frame_sign(a, b, d):
+    ma, mb, m, d = mu  # mu = (ma + mb sqrt(d)) / m
+    a, b, c = _quadratic(base, lat.form(base), slope, lat.form(slope))
+    # m^2 (a mu^2 + 2b mu + c) = e + f sqrt(d)
+    e = a * (ma * ma + d * mb * mb) + 2 * b * m * ma + c * m * m
+    if frame_sign(e, 2 * mb * (a * ma + b * m), d):
         raise ConsistencyError(
             "terminal cross-check failed: q(P(D - mu E)) != 0; "
             "the declared data is inconsistent"
         )
+
+
+def _quadratic(x: DivClass, fx, y: DivClass, fy) -> tuple[int, int, int]:
+    """Integers (a, b, c) with q(x + t y) = (a t^2 + 2b t + c)/L for some
+    L > 0, given the forms fx = (rx, kx) and fy = (ry, ky) of x and y
+    (BBFLattice.form): q(y), q(x, y) and q(x) over L = x.den y.den kx ky."""
+    (rx, kx), (ry, ky) = fx, fy
+    return dot(y.num, ry) * x.den * kx, dot(x.num, ry) * y.den * kx, dot(x.num, rx) * y.den * ky
 
 
 def chamber_walk(geom: Geometry, d: DivClass, prime_name: str) -> BreakpointTrace:
@@ -234,7 +279,7 @@ def chamber_walk(geom: Geometry, d: DivClass, prime_name: str) -> BreakpointTrac
         raise DomainError(
             "flag prime must sit outside the negative support; strip nu first"
         )
-    return _trace(geom, d, prime, dec)
+    return _trace(geom, d, prime, dec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +298,14 @@ def polygon(geom: Geometry, d: DivClass, prime_name: str) -> NOPolygon:
 
 def _polygon(geom: Geometry, d: DivClass, prime: Prime, dec: ZariskiDecomposition) -> NOPolygon:
     """polygon, given the flag prime and dec = decompose(geom, d)."""
-    trace = _trace(geom, d, prime, dec)
+    trace, mu = _trace(geom, d, prime, dec)
     nu = dec.coefficient(prime.name)
-    return NOPolygon(_outline(geom, trace, prime.name), nu, trace.mu, trace)
+    return NOPolygon._of(_outline(geom, trace, prime.name, mu), nu, trace)
 
 
-def _outline(geom: Geometry, trace: BreakpointTrace, prime_name: str) -> tuple[Point, ...]:
-    """Canonical vertices of the region under the trace's height function
-    h(t) = q(P(D - tE), E) on [0, mu], read off in order.
+def _outline(geom: Geometry, trace: BreakpointTrace, prime_name: str, mu: FrameValue) -> Frame:
+    """The frame of the region under the trace's height function
+    h(t) = q(P(D - tE), E) on [0, mu], its vertices read off in order.
 
     h is concave and piecewise linear, so the counterclockwise boundary
     from the lexicographic minimum (0, 0) is (mu, 0) and then the graph
@@ -268,26 +313,31 @@ def _outline(geom: Geometry, trace: BreakpointTrace, prime_name: str) -> tuple[P
     equal slope q(slope, E) is not a vertex, and neither is a chain end
     at height 0, which coincides with (0, 0) or (mu, 0).  With mu = 0
     the region is the segment from (0, 0) to (0, h(0)), or the point
-    (0, 0); with h = 0 throughout it is the segment to (mu, 0).
+    (0, 0); with h = 0 throughout it is the segment to (mu, 0).  Each
+    coordinate is a FrameValue until one lcm puts them over den.
     """
-    zero = Surd(0)
     heights = [
         (geom.prime_pair(seg.base, prime_name), geom.prime_pair(seg.slope, prime_name))
         for seg in trace.segments
     ]
-    mu = trace.mu
-    start = (zero, Surd(heights[0][0]))
-    if not mu:
-        return ((zero, zero), start) if start[1] else ((zero, zero),)
-    c0, c1 = heights[-1]
-    chain = [(mu, Surd(c0) + mu * c1)]
-    for i in range(len(heights) - 1, 0, -1):
-        c0, c1 = heights[i]
-        if c1 != heights[i - 1][1]:
-            t = trace.segments[i].t_start
-            chain.append((Surd(t), Surd(c0 + t * c1)))
-    chain.append(start)
-    return ((zero, zero), (mu, zero), *(v for v in chain if v[1]))
+    zero = (0, 0, 1, 0)
+    verts, chain = [(zero, zero)], []
+    if mu[0] or mu[1]:
+        verts.append((mu, zero))
+        (n0, k0), (n1, k1) = (h.as_integer_ratio() for h in heights[-1])  # h(mu) = n0/k0 + mu n1/k1
+        ma, mb, m, d = mu
+        chain.append((mu, (n0 * k1 * m + n1 * k0 * ma, n1 * k0 * mb, k0 * k1 * m, d)))
+        for i in range(len(heights) - 1, 0, -1):
+            c0, c1 = heights[i]
+            if c1 != heights[i - 1][1]:
+                t = trace.segments[i].t_start
+                chain.append((_rational(t), _rational(c0 + t * c1)))
+    chain.append((zero, _rational(heights[0][0])))
+    verts += (v for v in chain if v[1][0] or v[1][1])
+    den = lcm(mu[2], *(c[2] for v in verts for c in v))
+    pts = [(xa * (den // xn), xb * (den // xn), ya * (den // yn), yb * (den // yn))
+           for (xa, xb, xn, _), (ya, yb, yn, _) in verts]
+    return canonical(mu[3], den, pts, (mu[0] * (den // mu[2]), mu[1] * (den // mu[2])))
 
 
 def polygon_area(poly: NOPolygon) -> Surd:
@@ -295,22 +345,20 @@ def polygon_area(poly: NOPolygon) -> Surd:
 
 
 def polygon_minkowski_sum(p: NOPolygon, q: NOPolygon) -> NOPolygon:
-    verts = tuple(hull_minkowski_sum(p.vertices, q.vertices))
-    return NOPolygon(verts, p.nu + q.nu, p.mu + q.mu, None)
+    return NOPolygon._of(frame_minkowski_sum(p.frame, q.frame), p.nu + q.nu)
 
 
 def polygon_scale(factor, p: NOPolygon) -> NOPolygon:
     f = Fraction(factor)
     if f < 0:
         raise DomainError("polygon scaling factor must be nonnegative")
-    verts = tuple(hull_scale(p.vertices, f))
-    return NOPolygon(verts, p.nu * f, p.mu * f, None)
+    return NOPolygon._of(frame_scale(p.frame, f), p.nu * f)
 
 
 def polygon_contains(outer: NOPolygon, inner: NOPolygon) -> bool:
     """Containment in absolute coordinates (nu offsets applied), decided
     in outer's normalized coordinates with one translate of inner."""
-    return contains_polygon(outer.vertices, hull_translate(inner.vertices, inner.nu - outer.nu, 0))
+    return contains_polygon(outer.frame, translate(inner.frame, inner.nu - outer.nu))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +382,7 @@ def cone_contains(geom: Geometry, prime_name: str, zeta: DivClass, t, y) -> bool
     nu = dec.coefficient(prime_name)
     if t < nu:
         return False
-    trace = _trace(geom, zeta, prime, dec)
+    trace, _ = _trace(geom, zeta, prime, dec)
     t_rel = t - nu
     if t_rel > trace.mu:
         return False
@@ -416,6 +464,5 @@ def simplex_flag(geom: Geometry, d: DivClass) -> tuple[DivClass, NOPolygon]:
     k = dec.positive.den
     flag = dec.positive.scale(k)
     # (0, 0), (1/k, 0), (0, kq) is already in canonical order
-    verts = ((Surd(0), Surd(0)), (Surd(Fraction(1, k)), Surd(0)), (Surd(0), Surd(k * q)))
-    poly = NOPolygon(verts, Fraction(0), Surd(Fraction(1, k)), None)
+    poly = NOPolygon(((0, 0), (Fraction(1, k), 0), (0, k * q)), Fraction(0), Fraction(1, k))
     return flag, poly

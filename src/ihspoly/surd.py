@@ -125,11 +125,18 @@ def _mix_error(d1: int, d2: int) -> DiscriminantMixError:
 # needs of the representation.
 
 
-def common_discriminant(values, action: str = "combine") -> int:
-    """The one square-free d > 1 among the values' radicals, or 0 when all
-    are rational; two different ones raise DiscriminantMixError, worded
-    "cannot <action> over sqrt(d1) and sqrt(d2)"."""
-    return _one_discriminant({x._d for x in values if isinstance(x, Surd)}, action)
+def common_discriminant(ds, action: str = "combine") -> int:
+    """The one square-free d > 1 among the discriminants ds, 0 standing
+    for a rational value, or 0 when all are; two different ones raise
+    DiscriminantMixError, worded "cannot <action> over sqrt(d1) and
+    sqrt(d2)"."""
+    ds = set(ds)
+    ds.discard(0)
+    if len(ds) > 1:
+        raise DiscriminantMixError(
+            f"cannot {action} over " + " and ".join(f"sqrt({d})" for d in sorted(ds))
+        )
+    return ds.pop() if ds else 0
 
 
 def to_frame(values, action: str = "combine") -> tuple[int, int, list[tuple[int, int]]]:
@@ -137,18 +144,9 @@ def to_frame(values, action: str = "combine") -> tuple[int, int, list[tuple[int,
     (a, b) over one common denominator den > 0 and the values'
     common_discriminant d."""
     parts = [_parts(x) or _parts(Surd(x)) for x in values]
-    d = _one_discriminant({p[3] for p in parts}, action)
+    d = common_discriminant((p[3] for p in parts), action)
     den = math.lcm(*(p[2] for p in parts))
     return d, den, [(an * (den // n), bn * (den // n)) for an, bn, n, _ in parts]
-
-
-def _one_discriminant(ds: set[int], action: str) -> int:
-    ds.discard(0)
-    if len(ds) > 1:
-        raise DiscriminantMixError(
-            f"cannot {action} over " + " and ".join(f"sqrt({d})" for d in sorted(ds))
-        )
-    return ds.pop() if ds else 0
 
 
 def frame_sign(a: int, b: int, d: int) -> int:
@@ -402,7 +400,11 @@ def _lt_mixed(x: Surd, y: Surd) -> bool:
 
 
 def _surd_gap_sign(r: Fraction, b1: Fraction, d1: int, b2: Fraction, d2: int) -> int:
-    """Exact sign of r + b1 sqrt(d1) + b2 sqrt(d2)."""
+    """Exact sign of r + b1 sqrt(d1) + b2 sqrt(d2).
+
+    Not polynomial in the input alone: each refinement halves both
+    enclosures, so the number of rounds grows with log(1/|value|).
+    """
     # Refine rational enclosures of each sqrt until the interval sum
     # excludes zero; terminates unless the value is exactly zero, which
     # we rule out first via the (squared) algebraic test.

@@ -35,8 +35,8 @@ from ihspoly import (
     sample_big_classes,
     volume,
 )
-from ihspoly.polygon2d import point
 from ihspoly.zariski import chamber_positive_part
+from test_polygon2d import point
 
 F = Fraction
 

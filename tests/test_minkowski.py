@@ -62,10 +62,10 @@ from ihspoly import (
 from ihspoly.lattice import dot
 from ihspoly.linalg import kernel
 from ihspoly.linprog import UnboundedError, generated_cone, max_step
-from ihspoly.polygon2d import point
 from test_geometry import pairwise_family
 from test_lattice import solve, sub_gram
 from test_linprog import oracle_in_cone, vec
+from test_polygon2d import point
 
 F = Fraction
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"

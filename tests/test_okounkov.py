@@ -19,6 +19,7 @@ trapezoid area (2 + sqrt(3))(2 - sqrt(3)) = 1 exactly.
 
 import json
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -40,6 +41,7 @@ from ihspoly import (
     cone_generators,
     decompose,
     enumerate_chambers,
+    is_pseudo_effective,
     mu_threshold,
     parse_divisor,
     parse_geometry,
@@ -53,10 +55,13 @@ from ihspoly import (
     simplex_flag,
 )
 from ihspoly import geometry, linalg, linprog, okounkov
-from ihspoly.polygon2d import contains_point, contains_polygon, convex_hull, point
-from ihspoly.surd import quadratic_roots
+from ihspoly.polygon2d import points
+from ihspoly.surd import quadratic_roots, smallest_positive_root, to_frame
 from test_geometry import pairwise_family
 from test_lattice import solve, sub_gram
+from test_polygon2d import _surd_contains_point as contains_point
+from test_polygon2d import _surd_contains_polygon as contains_polygon
+from test_polygon2d import convex_hull, point
 
 F = Fraction
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
@@ -116,6 +121,60 @@ def test_mu_threshold_errors(hilb2):
         mu_threshold(hilb2, DivClass([-1, 0]), "E")
     with pytest.raises(DomainError, match="unknown prime"):
         mu_threshold(hilb2, DivClass([1, 0]), "Q")
+
+
+ROUND3 = """{
+    "name": "round3", "half_dim": 1, "fujiki": 1,
+    "basis": ["h", "a", "b"], "gram": [[2, 0, 0], [0, -2, 0], [0, 0, -2]],
+    "mode": "round",
+    "primes": [
+        {"name": "H", "class": [1, 0, 0], "exceptional": false},
+        {"name": "T", "class": [2, 1, 1], "exceptional": false},
+        {"name": "L", "class": [1, 1, 0], "exceptional": false}
+    ],
+    "ample": [1, 0, 0]
+}"""
+
+
+def _oracle_mu(geom, d, e):
+    """The former threshold: the least positive root of q(D - tE) by
+    quadratic_roots, or the rule for isotropic D."""
+    lat = geom.lattice
+    qd, qde, qe = lat.square(d), lat.pair(d, e), lat.square(e)
+    if qd == 0:
+        return Surd(0) if qde > 0 else Surd(d.ratio(e))
+    return smallest_positive_root(qe, -2 * qde, qd)
+
+
+def test_threshold_matches_quadratic_root_oracle_seeded(fano_round):
+    # The integer threshold, chosen by the signs of the pairings, against
+    # the ordered roots: sqrt(3) on fano_lines, sqrt(5), sqrt(10) and
+    # rational roots over diag(2, -2, -2), the linear equation of the
+    # isotropic flags L and S, and both branches for isotropic D.
+    rng = random.Random(181)
+    seen = Counter()
+    for geom in (fano_round, parse_geometry(ROUND3), parse_geometry(PLANE)):
+        lat = geom.lattice
+        classes = [DivClass([rng.randint(-3, 9) for _ in range(lat.rank)]) for _ in range(60)]
+        classes += [DivClass(v) for v in ((5, 3, 4), (1, 1, 0), (2, 2, 0))[: 3 if lat.rank == 3 else 0]]
+        classes += [DivClass(v) for v in ((3, 0), (0, 2))[: 2 if geom.name == "plane" else 0]]
+        for d in filter(lambda d: is_pseudo_effective(geom, d), classes):
+            for prime in geom.primes:
+                e = prime.cls
+                mu = mu_threshold(geom, d, prime.name)
+                assert mu == _oracle_mu(geom, d, e), (geom.name, d, prime.name)
+                if lat.square(d) == 0:
+                    seen["q(D) = 0, mu = 0" if lat.pair(d, e) > 0 else "q(D) = 0, proportional"] += 1
+                    continue
+                assert lat.square(d) - 2 * mu * lat.pair(d, e) + mu * mu * lat.square(e) == 0
+                if not lat.square(e):
+                    seen["linear"] += 1
+                seen[f"sqrt({mu.d})" if mu.d else "rational"] += 1
+    assert {"sqrt(3)", "sqrt(5)", "sqrt(10)", "rational", "linear"} <= set(seen), seen
+    assert seen["q(D) = 0, mu = 0"] and seen["q(D) = 0, proportional"], seen
+    # a perfect-square discriminant with q(E) != 0: over diag(2, -2, -2),
+    # D = 6h + 3a + 4b along H has quarter discriminant 3^2 + 4^2 = 5^2
+    assert mu_threshold(parse_geometry(ROUND3), DivClass([6, 3, 4]), "H") == 1
 
 
 # -- frozen polygons ----------------------------------------------------------------
@@ -443,12 +502,14 @@ def test_terminus_check_matches_surd_value_seeded(hilb2, hilb2_elliptic, fano_ro
                 mus.append(Surd.sqrt(-qb / qs))
             for mu in mus:
                 value = Surd(qb) + mu * (2 * qbs) + mu * mu * qs
+                d, den, ((a, b),) = to_frame([mu])
+                framed = (a, b, den, d)
                 if value != 0:
                     with pytest.raises(ConsistencyError, match="terminal cross-check"):
-                        okounkov._check_terminus(lat, base, slope, mu, True)
+                        okounkov._check_terminus(lat, base, slope, framed, True)
                 else:
-                    okounkov._check_terminus(lat, base, slope, mu, True)
-                okounkov._check_terminus(lat, base, slope, mu, False)  # only big starts
+                    okounkov._check_terminus(lat, base, slope, framed, True)
+                okounkov._check_terminus(lat, base, slope, framed, False)  # only big starts
                 outcomes[value == 0, mu.is_rational] += 1
     assert set(outcomes) == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -510,6 +571,32 @@ def test_superadditivity_equality_case(hilb2):
     assert polygon_contains(summed, direct)
 
 
+def test_round_polygon_operations_lift_nothing(fano_round, monkeypatch):
+    # Polygons are born in the integer frame and stay there: 50 rounds of
+    # three polygons, a Minkowski sum and a containment test on fano_lines
+    # lift no value to the frame and order no roots.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("ihspoly.")]:
+        for name in ("to_frame", "quadratic_roots", "smallest_positive_root"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+    rng = random.Random(191)
+    for _ in range(50):
+        d1, d2 = (DivClass([rng.randint(1, 9), rng.randint(1, 9)]) for _ in range(2))
+        p1, p2, p12 = (polygon(fano_round, d, "S") for d in (d1, d2, d1 + d2))
+        assert polygon_contains(p12, polygon_minkowski_sum(p1, p2))
+    assert calls == Counter()
+    NOPolygon(p1.vertices, p1.nu, p1.mu)  # building from Surd points does lift
+    assert calls == Counter({"to_frame": 1})
+
+
 def test_polygon_vertices_are_canonical(hilb2, k3_elliptic, hilb2_elliptic, fano_round):
     # polygon_minkowski_sum's precondition: every vertex tuple it is given
     # or returns is a fixed point of convex_hull.
@@ -530,6 +617,7 @@ def test_polygon_vertices_are_canonical(hilb2, k3_elliptic, hilb2_elliptic, fano
             for poly in polys:
                 assert canonical(poly.vertices)
                 assert canonical(poly.absolute_vertices())
+                assert poly == NOPolygon(poly.vertices, poly.nu, poly.mu)  # a canonical frame
                 for f in (0, F(1, 3), 2):
                     assert canonical(polygon_scale(f, poly).vertices)
             for a in polys:
@@ -611,7 +699,7 @@ def test_outline_drops_joints_of_equal_slope(hilb2):
         (seg(0, 1, [3, 0], [-1, 0]), seg(1, 2, [3, 0], [-1, 0]), seg(2, mu, [5, 0], [-2, 0])),
         Surd(mu),
     )
-    verts = okounkov._outline(hilb2, trace, "E'")
+    verts = points(okounkov._outline(hilb2, trace, "E'", (5, 0, 2, 0)))
     assert verts == (point(0, 0), point(mu, 0), point(2, 2), point(0, 6))
     assert verts == _hull_of_trace(hilb2, trace, "E'")
 

@@ -1,24 +1,139 @@
-"""Exact convex 2D geometry: hulls, areas, sums, containment."""
+"""Exact convex 2D geometry in the integer frame, against Surd oracles.
+
+polygon2d works on Frames: integer vertices over one denominator and
+one square-free d.  The Surd-pair functions below are its oracle and
+are imported by the other test modules: point, cross and convex_hull,
+whose output defines the canonical polygon form, and the area,
+Minkowski sum, scale, translate and containment in Surd arithmetic.
+The tests reach the kernel through thin wrappers that lift Surd points
+into a frame and read the result back.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from ihspoly.polygon2d import (
-    area,
-    contains_point,
-    contains_polygon,
-    convex_hull,
-    cross,
-    minkowski_sum,
-    point,
-    scale,
-    translate,
-)
+from ihspoly import polygon2d
+from ihspoly.okounkov import NOPolygon, polygon_contains, polygon_minkowski_sum, polygon_scale
+from ihspoly.polygon2d import lift, points
 from ihspoly.surd import DiscriminantMixError, Surd
 
 F = Fraction
+
+
+# -- the Surd-pair oracle ------------------------------------------------------------
+
+
+def _s(x) -> Surd:
+    return x if isinstance(x, Surd) else Surd(x)
+
+
+def point(x, y):
+    return (_s(x), _s(y))
+
+
+def cross(o, a, b) -> Surd:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def convex_hull(pts):
+    """Counterclockwise hull starting at the lexicographic minimum: the
+    canonical form.  Collinear points are dropped; a segment or single
+    point comes back with 2 or 1 vertices."""
+    pts = sorted(set((_s(x), _s(y)) for x, y in pts))
+    if len(pts) <= 2:
+        return pts
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p).sign() <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p).sign() <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    return hull if len(hull) > 2 else sorted(set(hull))
+
+
+def _surd_area(vertices):
+    if len(vertices) < 3:
+        return Surd(0)
+    total = Surd(0)
+    for i, (x0, y0) in enumerate(vertices):
+        x1, y1 = vertices[(i + 1) % len(vertices)]
+        total = total + (x0 * y1 - x1 * y0)
+    return abs(total) * F(1, 2)
+
+
+def _hull_of_pairwise_sums(p, q):
+    """The Minkowski sum oracle: the hull of all n*m pairwise vertex sums."""
+    return convex_hull([(a[0] + b[0], a[1] + b[1]) for a in p for b in q])
+
+
+def _surd_scale(vertices, factor):
+    if not factor:
+        return [point(0, 0)] if vertices else []
+    return [(x * factor, y * factor) for x, y in vertices]
+
+
+def _surd_translate(vertices, dx, dy=0):
+    return [(x + dx, y + dy) for x, y in vertices]
+
+
+def _surd_contains_point(vertices, pt):
+    pt = point(*pt)
+    if not vertices:
+        return False
+    if len(vertices) == 1:
+        return vertices[0] == pt
+    if len(vertices) == 2:
+        a, b = vertices
+        if cross(a, b, pt).sign() != 0:
+            return False
+        ab = (b[0] - a[0], b[1] - a[1])
+        t = (pt[0] - a[0]) * ab[0] + (pt[1] - a[1]) * ab[1]
+        return t.sign() >= 0 and (t - (ab[0] * ab[0] + ab[1] * ab[1])).sign() <= 0
+    return _surd_contains_polygon(vertices, [pt])
+
+
+def _surd_contains_polygon(outer, inner):
+    if len(outer) < 3:
+        return all(_surd_contains_point(outer, v) for v in inner)
+    for x, y in inner:
+        for v, w in zip(outer, (*outer[1:], outer[0])):
+            if cross(v, w, (x, y)).sign() < 0:
+                return False
+    return True
+
+
+# -- the frame kernel, on Surd points --------------------------------------------------
+
+
+def area(vertices):
+    return polygon2d.area(lift(vertices, 0))
+
+
+def minkowski_sum(p, q):
+    return list(points(polygon2d.minkowski_sum(lift(p, 0), lift(q, 0))))
+
+
+def scale(vertices, factor):
+    return list(points(polygon2d.scale(lift(vertices, 0), F(factor))))
+
+
+def translate(vertices, dx):
+    return list(points(polygon2d.translate(lift(vertices, 0), F(dx))))
+
+
+def contains_polygon(outer, inner):
+    return polygon2d.contains_polygon(lift(outer, 0), lift(inner, 0))
+
+
+def contains_point(vertices, pt):
+    return contains_polygon(vertices, [pt])
 
 
 def square(side=1):
@@ -136,7 +251,7 @@ def test_minkowski_sum_triangle_segment():
 
 def test_minkowski_sum_with_point_translates():
     tri = [point(0, 0), point(1, 0), point(0, 1)]
-    assert minkowski_sum(tri, [point(2, 3)]) == convex_hull(translate(tri, 2, 3))
+    assert minkowski_sum(tri, [point(2, 3)]) == convex_hull(_surd_translate(tri, 2, 3))
 
 
 def test_minkowski_sum_empty():
@@ -155,12 +270,6 @@ def test_minkowski_area_superadditive_seeded():
         if not p or not q:
             continue
         assert not area(minkowski_sum(p, q)) < area(p) + area(q)
-
-
-def _hull_of_pairwise_sums(p, q):
-    """The former minkowski_sum, kept as the oracle: the hull of all
-    n*m pairwise vertex sums."""
-    return convex_hull([(a[0] + b[0], a[1] + b[1]) for a in p for b in q])
 
 
 def _random_canonical(rng, d):
@@ -243,7 +352,15 @@ def test_scale():
 
 
 def test_translate():
-    assert translate([point(1, 1)], -1, Surd(0, 1, 2)) == [(Surd(0), Surd(1, 1, 2))]
+    # a rational shift along the first axis; the width rides along
+    assert translate([point(1, 1)], -1) == [point(0, 1)]
+    r = Surd(1, 1, 2)
+    tri = [point(0, 0), (r, Surd(0)), (Surd(0), r)]
+    for dx in (F(1, 3), F(-5, 2), 0):
+        assert translate(tri, dx) == _surd_translate(tri, dx)
+    moved = polygon2d.translate(lift(tri, r), F(1, 2))
+    assert polygon2d.width(moved) == r
+    assert moved == lift(_surd_translate(tri, F(1, 2)), r)
 
 
 # -- containment -------------------------------------------------------------------------
@@ -278,7 +395,7 @@ def test_contains_point_surd_boundary():
 
 def test_contains_polygon():
     outer = square(3)
-    inner = translate(square(), 1, 1)
+    inner = _surd_translate(square(), 1, 1)
     assert contains_polygon(outer, inner)
     assert not contains_polygon(inner, outer)
     assert contains_polygon(outer, outer)
@@ -317,6 +434,8 @@ def test_kernel_does_no_surd_arithmetic(monkeypatch):
     inner = [point(1, 1), (r, Surd(1))]
     seg = [point(0, 0), (r, r)]
     half = (r * F(1, 2), r * F(1, 2))
+    summed, scaled = _hull_of_pairwise_sums(trap, wide), _surd_scale(wide, F(3, 2))
+    moved = _surd_translate(wide, F(-1, 3))
 
     def refuse(*_):
         raise AssertionError("Surd arithmetic in the polygon kernel")
@@ -328,45 +447,8 @@ def test_kernel_does_no_surd_arithmetic(monkeypatch):
     assert contains_polygon(trap, inner) and contains_polygon(wide, trap + inner)
     assert not contains_polygon(trap, wide)
     assert contains_point(seg, half) and not contains_point(seg, point(1, 0))
-
-
-# -- the former Surd-arithmetic predicates, kept as the kernel's oracle ---------
-
-
-def _surd_area(vertices):
-    if len(vertices) < 3:
-        return Surd(0)
-    total = Surd(0)
-    for i, (x0, y0) in enumerate(vertices):
-        x1, y1 = vertices[(i + 1) % len(vertices)]
-        total = total + (x0 * y1 - x1 * y0)
-    return abs(total) * F(1, 2)
-
-
-def _surd_contains_point(vertices, pt):
-    pt = point(*pt)
-    if not vertices:
-        return False
-    if len(vertices) == 1:
-        return vertices[0] == pt
-    if len(vertices) == 2:
-        a, b = vertices
-        if cross(a, b, pt).sign() != 0:
-            return False
-        ab = (b[0] - a[0], b[1] - a[1])
-        t = (pt[0] - a[0]) * ab[0] + (pt[1] - a[1]) * ab[1]
-        return t.sign() >= 0 and (t - (ab[0] * ab[0] + ab[1] * ab[1])).sign() <= 0
-    return _surd_contains_polygon(vertices, [pt])
-
-
-def _surd_contains_polygon(outer, inner):
-    if len(outer) < 3:
-        return all(_surd_contains_point(outer, v) for v in inner)
-    for x, y in inner:
-        for v, w in zip(outer, (*outer[1:], outer[0])):
-            if cross(v, w, (x, y)).sign() < 0:
-                return False
-    return True
+    assert minkowski_sum(trap, wide) == summed
+    assert scale(wide, F(3, 2)) == scaled and translate(wide, F(-1, 3)) == moved
 
 
 @pytest.mark.parametrize("d", [0, 2, 3])
@@ -381,3 +463,62 @@ def test_kernel_matches_surd_oracle_seeded(d):
         )
         for v in (*q, *p, (p[0][0] * F(1, 2), p[-1][1])):
             assert contains_point(p, v) == _surd_contains_point(p, v)
+
+
+# -- polygons with offset and width -------------------------------------------------------
+
+
+def _random_nopolygon(rng, d):
+    verts = _random_canonical(rng, d)
+    mu = max(x for x, _ in verts)
+    return NOPolygon(tuple(verts), F(rng.randint(0, 6), rng.choice((1, 2, 3))), mu)
+
+
+def _absolute(poly):
+    return _surd_translate(list(poly.vertices), poly.nu)
+
+
+@pytest.mark.parametrize("d", [0, 2, 3])
+def test_polygon_operations_match_surd_oracle_seeded(d):
+    # okounkov's polygon algebra on frames, against the Surd oracle on the
+    # vertices each accessor reads back
+    rng = random.Random(223 + d)
+    for _ in range(150):
+        p, q = _random_nopolygon(rng, d), _random_nopolygon(rng, d)
+        again = NOPolygon(p.vertices, p.nu, p.mu)
+        assert again == p and hash(again) == hash(p)
+        assert list(p.absolute_vertices()) == _absolute(p)
+        assert p.area == _surd_area(list(p.vertices))
+        total = polygon_minkowski_sum(p, q)
+        assert list(total.vertices) == _hull_of_pairwise_sums(p.vertices, q.vertices)
+        assert (total.nu, total.mu) == (p.nu + q.nu, p.mu + q.mu)
+        f = F(rng.randint(0, 5), rng.choice((1, 2, 3)))
+        scaled = polygon_scale(f, p)
+        assert list(scaled.vertices) == _surd_scale(list(p.vertices), f)
+        assert (scaled.nu, scaled.mu) == (p.nu * f, p.mu * f)
+        # every frame is canonical: equal to the one lifted from its values
+        for poly in (total, scaled):
+            assert poly == NOPolygon(poly.vertices, poly.nu, poly.mu)
+        for outer, inner in ((p, q), (q, p), (total, p), (total, q), (p, total), (p, scaled)):
+            expected = _surd_contains_polygon(_absolute(outer), _absolute(inner))
+            assert polygon_contains(outer, inner) == expected
+
+
+def test_cancelled_radicals_leave_a_rational_frame():
+    r = Surd(0, 1, 2)
+    p = NOPolygon(((r, Surd(1)),), F(0), r)
+    q = NOPolygon(((-r, Surd(1)),), F(0), -r)
+    total = polygon_minkowski_sum(p, q)
+    assert total == NOPolygon((point(0, 2),), F(0), 0) and total.frame.d == 0
+
+
+def test_polygon_operations_refuse_mixed_discriminants():
+    def wedge(d):
+        return NOPolygon((point(0, 0), (Surd(0, 1, d), Surd(0)), point(0, 1)), F(0), Surd(0, 1, d))
+
+    with pytest.raises(DiscriminantMixError, match=r"^cannot sum polygons over sqrt\(2\) and sqrt\(3\)$"):
+        polygon_minkowski_sum(wedge(2), wedge(3))
+    with pytest.raises(DiscriminantMixError, match=r"^cannot combine polygons over sqrt\(2\) and sqrt\(3\)$"):
+        polygon_contains(wedge(3), wedge(2))
+    with pytest.raises(DiscriminantMixError, match=r"^cannot combine polygons over sqrt\(2\) and sqrt\(3\)$"):
+        NOPolygon(wedge(2).vertices, F(0), Surd(0, 1, 3))

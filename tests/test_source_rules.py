@@ -10,7 +10,10 @@ tracer that wraps module attributes counts its calls under that name
 alone.  Negative definiteness has one path, the Schur steps of the
 support records: `linalg.inertia` serves only the lattice's signature
 check.  The CLI and the renderer load no computation layer on import,
-so each subcommand loads only the layers its handler imports.
+so each subcommand loads only the layers its handler imports.  Polygons
+have one representation, the integer frame: polygon2d keeps no Surd-pair
+hull, and okounkov chooses the threshold's root by sign, never by
+ordering roots.
 """
 
 import ast
@@ -176,3 +179,17 @@ def test_report_imports_only_geometry_and_lattice_at_runtime():
         return isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
 
     assert _layers_bound(_tree(SRC / "report.py"), type_checking) == {"geometry", "lattice"}
+
+
+def test_polygons_have_one_representation():
+    """polygon2d defines no convex_hull or cross, which are the tests'
+    canonical-form oracle, and okounkov names neither root finder."""
+    defined = {node.name for node in _tree(SRC / "polygon2d.py").body if hasattr(node, "name")}
+    assert not defined & {"convex_hull", "cross"}
+    named = set()
+    for node in ast.walk(_tree(SRC / "okounkov.py")):
+        if isinstance(node, ast.alias):
+            named.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            named.add(node.id if isinstance(node, ast.Name) else node.attr)
+    assert not named & {"quadratic_roots", "smallest_positive_root"}

@@ -425,9 +425,9 @@ def test_integer_frame_round_trips():
     assert [frame_sign(a, b, d) for a, b in pairs] == [x.sign() for x in values]
     assert to_frame([]) == (0, 1, [])
     assert to_frame([Fraction(2, 3), 1]) == (0, 3, [(2, 0), (3, 0)])
-    assert common_discriminant([Surd(1, 1, 5), 2, Surd(0, 3, 5)]) == 5
+    assert common_discriminant([Surd(1, 1, 5).d, 0, Surd(0, 3, 5).d]) == 5
     mixed = [Surd(0, 1, 2), Surd(0, 1, 3), Surd(0, 1, 2)]
     with pytest.raises(DiscriminantMixError, match=r"^cannot add over sqrt\(2\) and sqrt\(3\)$"):
-        common_discriminant(mixed, "add")
+        common_discriminant([x.d for x in mixed], "add")
     with pytest.raises(DiscriminantMixError):
         to_frame(mixed)
