@@ -253,8 +253,8 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
             p1 = shared_polygon(geom, d1, flag.name)
             p2 = shared_polygon(geom, d2, flag.name)
             p12 = polygon(geom, d1 + d2, flag.name)
-            # Each polygon lives in the extension of its own mu; two
-            # different radicals cannot be compared exactly here.
+            # Each polygon lives in the extension of its own mu; a sum
+            # cannot combine two different radicals (comparing them is exact).
             if len({p.frame.d for p in (p1, p2, p12)} - {0}) > 1:
                 return None
             return polygon_contains(p12, polygon_minkowski_sum(p1, p2))

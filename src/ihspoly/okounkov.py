@@ -135,8 +135,8 @@ def _threshold(geom: Geometry, d: DivClass, prime: Prime) -> FrameValue:
     if geom.mode == "polyhedral":
         try:
             return _rational(max_step(geom.eff_cone, e.num, d.num) * Fraction(e.den, d.den))
-        except InfeasibleError as exc:
-            raise DomainError("class is not pseudo-effective in the declared cone") from exc
+        except InfeasibleError as exc:  # D is psef, so only _trace's D - nu E gets here
+            raise ConsistencyError("normalized class left the declared effective cone") from exc
         except UnboundedError as exc:
             raise ConsistencyError(
                 "threshold unbounded: declared effective cone is not pointed"
@@ -196,10 +196,7 @@ def _trace(
     nu = dec.coefficient(prime.name)
     if nu:
         d = d - prime.cls.scale(nu)
-    try:
-        mu = _threshold(geom, d, prime)
-    except DomainError as exc:  # D is psef, so only a stripped class gets here
-        raise ConsistencyError("normalized class left the declared effective cone") from exc
+    mu = _threshold(geom, d, prime)
     big = lat.square(dec.positive) > 0
     forms = geom.prime_forms
     support = dec.support - {prime.name}
@@ -370,6 +367,9 @@ def cone_contains(geom: Geometry, prime_name: str, zeta: DivClass, t, y) -> bool
 
     The defining inequalities: nu_E(zeta) <= t <= mu_E(zeta) and
     0 <= y <= q(P(zeta - tE), E), evaluated in the quadratic extension.
+    t and y may each lie in a field other than mu's, or each other's:
+    Surd orders values over two radicals exactly, and the height at t
+    stays in t's field.
     """
     prime = geom.prime(prime_name)
     if not is_pseudo_effective(geom, zeta):

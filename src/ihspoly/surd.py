@@ -18,8 +18,13 @@ rational part, and b == 0 forces d == 0.  Arithmetic runs on the
 integer parts: int and Fraction operands are read as (n, 0, 1) and
 (numerator, 0, denominator) without building a Surd or a Fraction, and
 each result is reduced by one three-way gcd (its d is an operand's
-square-free d, or 0 when the radical part cancels).  The total order is
-decided exactly by a sign analysis of an^2 - bn^2*d, never by floats.
+square-free d, or 0 when the radical part cancels).
+
+The order is exact, with no floats: x < y is the sign of x - y.  In one
+extension that is one sign, of a + b*sqrt(d), from a^2 against b^2*d.
+Two radicals cannot be combined but can be compared: x - y = X + Y with
+X = a + b*sqrt(d1) and Y = c*sqrt(d2), and when X and Y differ in sign
+one squaring, X^2 - Y^2 in Q(sqrt(d1)), says which is larger.
 """
 
 from __future__ import annotations
@@ -104,7 +109,8 @@ def _make(an: int, bn: int, den: int, d: int) -> "Surd":
 
 
 def _sign(a: int, b: int, d: int) -> int:
-    """Exact sign of a + b*sqrt(d), d square-free > 1 whenever b != 0."""
+    """Exact sign of a + b*sqrt(d), d square-free > 1 whenever b != 0:
+    so b == 0 whenever d == 0, as a rational frame (d = 0) relies on."""
     if not b:
         return (a > 0) - (a < 0)
     if not a or (a > 0) == (b > 0):
@@ -112,6 +118,17 @@ def _sign(a: int, b: int, d: int) -> int:
     # Mixed signs: compare a^2 with b^2 d.  Equality is impossible
     # because d is square-free and > 1 here.
     return 1 if (a * a - b * b * d > 0) == (a > 0) else -1
+
+
+def _sign_two(a: int, b: int, d1: int, c: int, d2: int) -> int:
+    """Exact sign of X + Y, X = a + b*sqrt(d1) and Y = c*sqrt(d2), for
+    nonzero b and c and square-free d1 != d2 > 1, so X and Y are nonzero.
+    With opposite signs the larger |X| or |Y| wins, so the sign is
+    sign(X) * sign(X^2 - Y^2), and X^2 - Y^2 lies in Q(sqrt(d1))."""
+    x = _sign(a, b, d1)
+    if (x > 0) == (c > 0):
+        return x
+    return x * _sign(a * a + b * b * d1 - c * c * d2, 2 * a * b, d1)
 
 
 def _mix_error(d1: int, d2: int) -> DiscriminantMixError:
@@ -335,12 +352,9 @@ class Surd:
         if o is None:
             return NotImplemented
         an, bn, den, d = o
-        if bn and self._bn and d != self._d:
-            # Distinct discriminants still have a well-defined order:
-            # the sign of (a1-a2) + b1 sqrt(d1) - b2 sqrt(d2), decided
-            # exactly from rational enclosures of both radicals.
-            return -1 if _lt_mixed(self, other) else 1
         n = self._den
+        if bn and self._bn and d != self._d:
+            return _sign_two(self._an * den - an * n, self._bn * den, self._d, -bn * n, d)
         return _sign(self._an * den - an * n, self._bn * den - bn * n, self._d or d)
 
     def __lt__(self, other):
@@ -382,66 +396,6 @@ class Surd:
             return core if b > 0 else f"-{core}"
         joiner = "+" if b > 0 else "-"
         return f"{a}{joiner}{core}"
-
-
-def _lt_mixed(x: Surd, y: Surd) -> bool:
-    """Exact x < y for surds over different discriminants.
-
-    Used only by comparisons (never arithmetic): ordering across
-    extensions is well defined even though sums are not representable.
-    x - y = r + b1 sqrt(d1) - b2 sqrt(d2) with r rational, whose exact
-    sign comes from rational enclosures of both radicals.
-    """
-    # x < y  <=>  x - y < 0  <=>  b1 sqrt(d1) - b2 sqrt(d2) < -r
-    r = x.a - y.a
-    lhs_b1, lhs_d1 = x.b, x.d
-    lhs_b2, lhs_d2 = y.b, y.d
-    return _surd_gap_sign(r, lhs_b1, lhs_d1, -lhs_b2, lhs_d2) < 0
-
-
-def _surd_gap_sign(r: Fraction, b1: Fraction, d1: int, b2: Fraction, d2: int) -> int:
-    """Exact sign of r + b1 sqrt(d1) + b2 sqrt(d2).
-
-    Not polynomial in the input alone: each refinement halves both
-    enclosures, so the number of rounds grows with log(1/|value|).
-    """
-    # Refine rational enclosures of each sqrt until the interval sum
-    # excludes zero; terminates unless the value is exactly zero, which
-    # we rule out first via the (squared) algebraic test.
-    if _is_exact_zero(r, b1, d1, b2, d2):
-        return 0
-    lo1, hi1 = _sqrt_bounds(d1, 1)
-    lo2, hi2 = _sqrt_bounds(d2, 1)
-    prec = 1
-    while True:
-        lo = r + (b1 * lo1 if b1 >= 0 else b1 * hi1) + (b2 * lo2 if b2 >= 0 else b2 * hi2)
-        hi = r + (b1 * hi1 if b1 >= 0 else b1 * lo1) + (b2 * hi2 if b2 >= 0 else b2 * lo2)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        prec *= 2
-        lo1, hi1 = _sqrt_bounds(d1, prec)
-        lo2, hi2 = _sqrt_bounds(d2, prec)
-
-
-def _is_exact_zero(r, b1, d1, b2, d2) -> bool:
-    # r + b1 sqrt(d1) + b2 sqrt(d2) == 0 with d1 != d2 square-free:
-    # only possible when enough parts vanish to live in one extension.
-    if not b1:
-        return Surd(r, b2, d2) == 0 if (r or b2) else True
-    if not b2:
-        return Surd(r, b1, d1) == 0 if (r or b1) else True
-    # Both radicals present over distinct square-free d1 != d2 > 1:
-    # {1, sqrt(d1), sqrt(d2)} is linearly independent over Q.
-    return False
-
-
-def _sqrt_bounds(d: int, prec: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(d) <= hi with hi - lo <= 1/prec."""
-    scale = 4 * prec * prec
-    lo = math.isqrt(d * scale)
-    return Fraction(lo, 2 * prec), Fraction(lo + 1, 2 * prec)
 
 
 def quadratic_roots(a: RatLike, b: RatLike, c: RatLike) -> tuple[Surd, ...]:

@@ -54,7 +54,7 @@ from ihspoly import (
     sample_big_classes,
     simplex_flag,
 )
-from ihspoly import geometry, linalg, linprog, okounkov
+from ihspoly import cli, geometry, linalg, linprog, okounkov
 from ihspoly.polygon2d import points
 from ihspoly.surd import quadratic_roots, smallest_positive_root, to_frame
 from test_geometry import pairwise_family
@@ -175,6 +175,35 @@ def test_threshold_matches_quadratic_root_oracle_seeded(fano_round):
     # a perfect-square discriminant with q(E) != 0: over diag(2, -2, -2),
     # D = 6h + 3a + 4b along H has quarter discriminant 3^2 + 4^2 = 5^2
     assert mu_threshold(parse_geometry(ROUND3), DivClass([6, 3, 4]), "H") == 1
+
+
+def test_trial_divisor_refusal_keeps_its_name(tmp_path, capsys):
+    # Along H the quarter discriminant of this class is 1000033 * 1000037,
+    # two primes above TRIAL_DIVISOR_LIMIT: polygon refuses by that name,
+    # as mu_threshold does, and the CLI reports it with exit code 3.
+    geom = parse_geometry(ROUND3)
+    d = DivClass([1241442, 281986, 959455])
+    with pytest.raises(DomainError, match="TRIAL_DIVISOR_LIMIT"):
+        mu_threshold(geom, d, "H")
+    with pytest.raises(DomainError, match="TRIAL_DIVISOR_LIMIT"):
+        polygon(geom, d, "H")
+    path = tmp_path / "round3.geom"
+    path.write_text(ROUND3, encoding="utf-8")
+    argv = ["polygon", str(path), "1241442*h + 281986*a + 959455*b", "H", "--format", "machine"]
+    assert cli.main(argv) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["code"] == 3 and "TRIAL_DIVISOR_LIMIT" in payload["message"]
+
+
+def test_stripped_class_outside_eff_is_a_consistency_error(hilb2, monkeypatch):
+    # A polyhedral threshold whose LP is infeasible means that D - nu E
+    # left Eff although D is pseudo-effective: the catalog is at fault.
+    def infeasible(*args):
+        raise linprog.InfeasibleError("no step")
+
+    monkeypatch.setattr(okounkov, "max_step", infeasible)
+    with pytest.raises(ConsistencyError, match="normalized class left the declared effective cone"):
+        polygon(hilb2, DivClass([1, 0]), "E")
 
 
 # -- frozen polygons ----------------------------------------------------------------

@@ -13,7 +13,8 @@ check.  The CLI and the renderer load no computation layer on import,
 so each subcommand loads only the layers its handler imports.  Polygons
 have one representation, the integer frame: polygon2d keeps no Surd-pair
 hull, and okounkov chooses the threshold's root by sign, never by
-ordering roots.
+ordering roots.  No loop runs on a constant true test, and Surd orders
+two radicals in closed form, with no interval refinement.
 """
 
 import ast
@@ -193,3 +194,20 @@ def test_polygons_have_one_representation():
         elif isinstance(node, (ast.Name, ast.Attribute)):
             named.add(node.id if isinstance(node, ast.Name) else node.attr)
     assert not named & {"quadratic_roots", "smallest_positive_root"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unconditional_while(path):
+    """No loop runs until something inside it happens to break out: a
+    `while` tests a condition, never a constant true value."""
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.While):
+            constant = isinstance(node.test, ast.Constant) and bool(node.test.value)
+            assert not constant, f"{path.name}:{node.lineno} loops on a constant"
+
+
+def test_surd_orders_without_refinement():
+    """Surd orders two radicals by one squaring: surd.py defines none of
+    the interval-refinement helpers that once did it."""
+    defined = {node.name for node in _tree(SRC / "surd.py").body if hasattr(node, "name")}
+    assert not defined & {"_lt_mixed", "_surd_gap_sign", "_is_exact_zero", "_sqrt_bounds"}

@@ -1,5 +1,6 @@
 """Exact quadratic-extension arithmetic: identities, ordering, roots."""
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -254,6 +255,30 @@ def test_exact_ties_across_constructions():
     assert not Surd(0, 2, 2) / 2 < Surd(0, 1, 2)
     # Rational equal to a degenerate cross-discriminant compare
     assert not Surd(4, -2, 2) < Surd(4, -2, 2)
+
+
+@pytest.mark.parametrize("digits", [10, 50, 200, 1000])
+def test_cross_discriminant_order_at_tiny_gaps(digits):
+    # x = r + sqrt(2) against y = sqrt(3), r the floor and the ceiling
+    # of sqrt(3) - sqrt(2) at the given number of digits, so x - y is
+    # below 10^-digits in size and takes both signs; the negations swap
+    # them.  The Decimal oracle works at twice the digits and more.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2 * digits + 40
+        D = decimal.Decimal
+        scale = 10**digits
+        floor = int(((D(3).sqrt() - D(2).sqrt()) * scale).to_integral_value(decimal.ROUND_FLOOR))
+        signs = set()
+        for k in (floor, floor + 1):
+            r = Fraction(k, scale)
+            gap = D(k) / D(scale) + D(2).sqrt() - D(3).sqrt()
+            assert D(10) ** (-digits - 20) < abs(gap) < D(10) ** -digits
+            s = 1 if gap > 0 else -1
+            signs.add(s)
+            for x, y, sx in ((Surd(r, 1, 2), Surd(0, 1, 3), s), (Surd(-r, -1, 2), Surd(0, -1, 3), -s)):
+                assert (x < y, x <= y, x > y, x >= y) == (sx < 0, sx < 0, sx > 0, sx > 0)
+                assert (y < x, y <= x, y > x, y >= x) == (sx > 0, sx > 0, sx < 0, sx < 0)
+        assert signs == {-1, 1}
 
 
 def test_comparison_with_plain_numbers():
