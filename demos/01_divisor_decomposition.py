@@ -19,7 +19,7 @@ from ihspoly import (
     load_geometry,
     volume,
 )
-from ihspoly.geometry import format_divisor, format_rat
+from ihspoly.geometry import format_divisor
 
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
 
@@ -36,7 +36,7 @@ def show_decomposition(geom, d):
     print(f"positive = {format_divisor(geom, dec.positive)}")
     if dec.negative:
         terms = " + ".join(
-            f"{format_rat(c)} * {name}" for name, c in dec.negative
+            f"{c} * {name}" for name, c in dec.negative
         )
         print(f"negative = {terms}")
     else:
@@ -46,7 +46,7 @@ def show_decomposition(geom, d):
     lat = geom.lattice
     for prime in geom.primes:
         pairing = lat.pair(dec.positive, prime.cls)
-        print(f"  q(P, {prime.name}) = {format_rat(pairing)}")
+        print(f"  q(P, {prime.name}) = {pairing}")
     return dec
 
 
@@ -57,7 +57,7 @@ def main():
     print(f"basis:   {', '.join(hilb2.basis)}")
     print(f"primes:  " + ", ".join(
         f"{p.name} = {format_divisor(hilb2, p.cls)}"
-        f" (q = {format_rat(hilb2.lattice.square(p.cls))})"
+        f" (q = {hilb2.lattice.square(p.cls)})"
         for p in hilb2.primes
     ))
 
@@ -66,8 +66,8 @@ def main():
     dec = show_decomposition(hilb2, d)
     print(f"big?     {is_big(hilb2, d)}")
     q_p = hilb2.lattice.square(dec.positive)
-    print(f"volume   {format_rat(volume(hilb2, d))}"
-          f"  (= c * q(P)^n with q(P) = {format_rat(q_p)})")
+    print(f"volume   {volume(hilb2, d)}"
+          f"  (= c * q(P)^n with q(P) = {q_p})")
 
     banner("Decomposing the positive part changes nothing")
     again = decompose(hilb2, dec.positive)
@@ -78,7 +78,7 @@ def main():
     movable = DivClass([1, -1])
     print(f"{format_divisor(hilb2, movable)}: "
           f"psef {is_pseudo_effective(hilb2, movable)}, big {is_big(hilb2, movable)}"
-          f"  (q = {format_rat(hilb2.lattice.square(movable))})")
+          f"  (q = {hilb2.lattice.square(movable)})")
     outside = DivClass([-1, 0])
     print(f"{format_divisor(hilb2, outside)}: psef {is_pseudo_effective(hilb2, outside)}")
 
@@ -90,8 +90,8 @@ def main():
     d = DivClass([1, 1, 1])
     dec = show_decomposition(k3, d)
     q_p = k3.lattice.square(dec.positive)
-    print(f"q(P) = {format_rat(q_p)} > 0, so D is big "
-          f"and volume(D) = {format_rat(volume(k3, d))}")
+    print(f"q(P) = {q_p} > 0, so D is big "
+          f"and volume(D) = {volume(k3, d)}")
 
     banner("A boundary class that is entirely negative part")
     # Tilt far enough and the positive part collapses to zero.

@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 from ihspoly import DivClass, Surd, load_geometry, polygon, volume
-from ihspoly.geometry import format_divisor, format_rat
+from ihspoly.geometry import format_divisor
 from ihspoly.report import polygon_svg, surd_text
 
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
@@ -23,7 +23,7 @@ GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
 
 def show(value):
     """Exact display for either a rational or a quadratic surd."""
-    return surd_text(value) if isinstance(value, Surd) else format_rat(value)
+    return surd_text(value) if isinstance(value, Surd) else str(value)
 
 
 def banner(text):
@@ -43,7 +43,7 @@ def describe(geom, d, flag):
     trace = poly.trace
     if trace.interior_breakpoints:
         jumps = ", ".join(
-            f"t = {format_rat(b)}" for b in trace.interior_breakpoints
+            f"t = {b}" for b in trace.interior_breakpoints
         )
         chambers = " -> ".join(
             "{" + ", ".join(sorted(ch)) + "}" for ch in trace.chambers
@@ -64,7 +64,7 @@ def main():
     # The slice range ends at mu = 1/2 because H - t*E leaves the big cone
     # there; the vertical edge at t = 1/2 is the last positive-volume slice.
     print(f"  2 * area = {show(2 * tri.area)} = q(H) = "
-          f"{format_rat(lat.square(h))}")
+          f"{lat.square(h)}")
 
     banner("A trapezium: the slice crosses a wall")
     d = DivClass([3, -2])
@@ -74,8 +74,8 @@ def main():
     # the upper boundary.  Concavity of the top edge survives the bend.
     n, c = lat.half_dim, lat.fujiki
     chain = (2 * trap.area) ** n * c
-    print(f"  (2 * area)^{n} * {format_rat(c)} = {show(chain)} "
-          f"= volume = {format_rat(volume(hilb2, d))}")
+    print(f"  (2 * area)^{n} * {c} = {show(chain)} "
+          f"= volume = {volume(hilb2, d)}")
 
     banner("Rank-3 model: a sweep that starts on a wall")
     k3 = load_geometry(GEOM_DIR / "k3_rank3.geom")

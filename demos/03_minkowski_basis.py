@@ -23,7 +23,7 @@ from ihspoly import (
     polygon_minkowski_sum,
     polygon_scale,
 )
-from ihspoly.geometry import format_divisor, format_rat
+from ihspoly.geometry import format_divisor
 from ihspoly.report import surd_text
 
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
@@ -65,9 +65,9 @@ def main():
     dec = minkowski_decompose(k3, d, flag)
     print(f"D = {format_divisor(k3, d)}")
     for coeff, element in dec.terms:
-        print(f"  + {format_rat(coeff)} * ({format_divisor(k3, element.cls)})")
+        print(f"  + {coeff} * ({format_divisor(k3, element.cls)})")
     if dec.nu:
-        print(f"  + {format_rat(dec.nu)} * {flag}  (negative-part offset)")
+        print(f"  + {dec.nu} * {flag}  (negative-part offset)")
     rebuilt = dec.reconstruct(k3.lattice.rank)
     print(f"sum of terms = {format_divisor(k3, rebuilt)}")
 
@@ -77,7 +77,7 @@ def main():
     for coeff, element in dec.terms:
         piece = polygon_scale(coeff, polygon(k3, element.cls, flag))
         acc = piece if acc is None else polygon_minkowski_sum(acc, piece)
-        print(f"  {format_rat(coeff)} * polygon({format_divisor(k3, element.cls)}):"
+        print(f"  {coeff} * polygon({format_divisor(k3, element.cls)}):"
               f" {verts(piece)}")
     print(f"sum vertices:   {verts(acc)}")
     print(f"direct verts:   {verts(total)}")
@@ -89,7 +89,7 @@ def main():
     dec = minkowski_decompose(hilb2, d, "E")
     print(f"D = {format_divisor(hilb2, d)} along E")
     for coeff, element in dec.terms:
-        print(f"  + {format_rat(coeff)} * ({format_divisor(hilb2, element.cls)})"
+        print(f"  + {coeff} * ({format_divisor(hilb2, element.cls)})"
               f"  [{element.origin}]")
 
 

@@ -22,7 +22,7 @@ from ihspoly import (
     polygon,
     volume,
 )
-from ihspoly.geometry import format_divisor, format_rat
+from ihspoly.geometry import format_divisor
 from ihspoly.report import surd_text
 
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
@@ -66,11 +66,11 @@ def main():
         f"({surd_text(x)}, {surd_text(y)})" for x, y in poly.vertices
     ))
     print(f"area = {surd_text(poly.area)} "
-          f"(exactly q(D)/2 = {format_rat(lat.square(d))}/2)")
+          f"(exactly q(D)/2 = {lat.square(d)}/2)")
     n, c = lat.half_dim, lat.fujiki
     chain = (2 * poly.area) ** n * c
-    print(f"(2 * area)^{n} * {format_rat(c)} = {surd_text(chain)} "
-          f"= volume = {format_rat(volume(fano, d))}")
+    print(f"(2 * area)^{n} * {c} = {surd_text(chain)} "
+          f"= volume = {volume(fano, d)}")
 
     banner("What round mode refuses to do")
     # With no exceptional primes there is only the movable chamber ...

@@ -3,8 +3,10 @@
 Every identity asserted here is exact, so a check either holds on a
 sample or the catalog/engine is wrong; there are no tolerances.  The
 sampler draws big classes from the declared effective (or ample) cone
-with a seeded generator, and each check reports how many samples it
-ran against and which ones failed.
+with a seeded generator.  Each check is one predicate over its cases,
+and one runner counts the cases it ran against and labels the first
+few that failed.  The checks share each class's decomposition and its
+flag polygon for one run (see run_checks).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from .errors import DomainError, IHSError
 from .geometry import Geometry, format_divisor, is_movable, is_pseudo_effective
@@ -48,33 +51,27 @@ class CheckResult:
 _MAX_MESSAGES = 5
 
 
-class _Recorder:
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.runs = 0
-        self.failed = 0
-        self.messages: list[str] = []
-
-    def run(self, label, fn) -> None:
-        """Run one sample; fn returns None when the sample lies outside
-        the check's domain, which counts neither as a run nor a failure.
-        label() gives the failure message; it is called only for a
-        failed sample that is kept, before run returns."""
+def _check(name: str, cases, holds, says) -> CheckResult:
+    """Run holds(*case) on every case, in order.  holds returns None
+    for a case outside the check's domain, which counts neither as a
+    run nor a failure; an IHSError it raises is a failure.  says(*case)
+    labels a failure, and only the first _MAX_MESSAGES are labelled."""
+    runs = failed = 0
+    messages: list[str] = []
+    for case in cases:
         error = None
         try:
-            ok = fn()
+            ok = holds(*case)
         except IHSError as exc:
             ok, error = False, exc
         if ok is None:
-            return
-        self.runs += 1
+            continue
+        runs += 1
         if not ok:
-            self.failed += 1
-            if len(self.messages) < _MAX_MESSAGES:
-                self.messages.append(label() if error is None else f"{label()}: {error}")
-
-    def result(self) -> CheckResult:
-        return CheckResult(self.name, self.runs, self.failed, tuple(self.messages))
+            failed += 1
+            if len(messages) < _MAX_MESSAGES:
+                messages.append(says(*case) if error is None else f"{says(*case)}: {error}")
+    return CheckResult(name, runs, failed, tuple(messages))
 
 
 def sample_big_classes(geom: Geometry, count: int, seed: int = 0) -> list[DivClass]:
@@ -83,46 +80,38 @@ def sample_big_classes(geom: Geometry, count: int, seed: int = 0) -> list[DivCla
 
 
 def _sample_big_classes(geom: Geometry, count: int, seed: int, decomposed) -> list[DivClass]:
-    """sample_big_classes, decomposing candidates with decomposed(geom, d)."""
+    """sample_big_classes, decomposing candidates with decomposed(geom, d).
+    Each class is the first of at most 200 draws that is accepted."""
     rng = random.Random(seed)
     lat = geom.lattice
-    out: list[DivClass] = []
     if geom.mode == "polyhedral":
         gens = geom.effective_generators
-        while len(out) < count:
-            for _ in range(200):
-                coeffs = [
-                    Fraction(rng.randint(0, 6), rng.choice((1, 1, 1, 2)))
-                    for _ in gens
-                ]
-                cand = linear_combination(coeffs, gens, lat.rank)
-                if cand.is_zero:
-                    continue
-                if lat.square(decomposed(geom, cand).positive) > 0:
-                    out.append(cand)
-                    break
-            else:
-                raise DomainError("could not sample a big class from the catalog")
+
+        def draw() -> DivClass:
+            coeffs = [Fraction(rng.randint(0, 6), rng.choice((1, 1, 1, 2))) for _ in gens]
+            return linear_combination(coeffs, gens, lat.rank)
+
+        def accept(cand: DivClass) -> bool:
+            return not cand.is_zero and lat.square(decomposed(geom, cand).positive) > 0
     else:
         ample = geom.ample
-        units = [
-            DivClass([Fraction(1 if i == j else 0) for j in range(lat.rank)])
-            for i in range(lat.rank)
-        ]
-        while len(out) < count:
-            for _ in range(200):
-                cand = ample.scale(rng.randint(1, 4))
-                for u in units:
-                    cand = cand + u.scale(rng.randint(-2, 2))
-                if (
-                    is_pseudo_effective(geom, cand)
-                    and lat.square(cand) > 0
-                    and lat.pair(cand, ample) > 0
-                ):
-                    out.append(cand)
-                    break
-            else:
-                raise DomainError("could not sample a big class from the catalog")
+
+        def draw() -> DivClass:
+            k = rng.randint(1, 4)
+            return ample.scale(k) + DivClass([rng.randint(-2, 2) for _ in range(lat.rank)])
+
+        def accept(cand: DivClass) -> bool:
+            big = is_pseudo_effective(geom, cand) and lat.square(cand) > 0
+            return big and lat.pair(cand, ample) > 0
+    out: list[DivClass] = []
+    for _ in range(count):
+        for _ in range(200):
+            cand = draw()
+            if accept(cand):
+                out.append(cand)
+                break
+        else:
+            raise DomainError("could not sample a big class from the catalog")
     return out
 
 
@@ -176,15 +165,18 @@ def _translation_holds(base: NOPolygon, moved: NOPolygon) -> bool:
 def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[CheckResult, ...]:
     """Run every structural check on `samples` seeded big classes.
 
-    The checks share one decomposition per (geometry, class) and one
-    polygon per (geometry, class, flag) for this call only; nothing is
-    kept once it returns.  Every polygon, volume and Minkowski
-    decomposition takes the decomposition of its class from the shared
-    ones; a polygon reads that of D - nu E off that of D, so D - nu E
-    is never decomposed.  Polygons that only one check reads are built
-    outside the polygon share: flag-translation's D + E,
-    superadditivity's D1 + D2, area-identity's non-flag polygons of the
-    samples that flag-translation skips, and the reordered copy's.
+    Each check is an entry (name, cases, holds, says) that _check runs,
+    in the order listed.  The checks share one decomposition per
+    (geometry, class) and one polygon per (geometry, class, flag) for
+    this call only; nothing is kept once it returns.  Every polygon,
+    volume and Minkowski decomposition takes the decomposition of its
+    class from the shared ones; a polygon reads that of D - nu E off
+    that of D, so D - nu E is never decomposed.  Polygons that only one
+    check reads are built outside the polygon share: flag-translation's
+    D + E, superadditivity's D1 + D2, area-identity's non-flag polygons
+    of the samples that flag-translation skips, and the reordered
+    copy's.  The flag is the first non-exceptional prime, else the first
+    prime; a catalog with no prime gives the flag's checks no cases.
     """
     lat = geom.lattice
     shared_decompose = _shared(decompose)
@@ -194,179 +186,137 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
 
     shared_polygon = _shared(polygon)
     classes = _sample_big_classes(geom, samples, seed, shared_decompose)
-    n = geom.lattice.half_dim
-    c = geom.lattice.fujiki
     primes = geom.primes
-    flag_pool = [p for p in primes if not p.exceptional] or list(primes)
-    flag = flag_pool[0]
-
+    flag = next((p for p in primes if not p.exceptional), primes[0] if primes else None)
+    flagged = classes if flag else []  # the samples of the checks that read the flag
     translated = classes[: max(1, len(classes) // 2)]  # flag-translation's samples
-    area_id = _Recorder("polygon-area-identity")
-    for i, d in enumerate(classes):
-        qp = lat.square(shared_decompose(geom, d).positive)
-        for p in primes:
-            build = shared_polygon if p == flag or i < len(translated) else polygon
-            area_id.run(
-                lambda: f"2*area != q(P) for D={format_divisor(geom, d)}, E={p.name}",
-                lambda d=d, p=p, qp=qp, build=build: build(geom, d, p.name).area * 2 == qp,
-            )
-
-    vol_chain = _Recorder("volume-chain")
-    for d in classes:
-        def chain(d=d) -> bool:
-            qp = lat.square(shared_decompose(geom, d).positive)
-            v = volume_from_square(geom, qp)
-            a = shared_polygon(geom, d, flag.name).area
-            return a * 2 == qp and (a * 2) ** n * c == v and Surd(qp) ** n * c == v
-        vol_chain.run(lambda: f"volume chain broke for D={format_divisor(geom, d)}", chain)
-
-    structure = _Recorder("breakpoint-structure")
-    for d in classes:
-        def struct(d=d) -> bool:
-            tr = shared_polygon(geom, d, flag.name).trace
-            slopes = []
-            for prev, nxt in zip(tr.segments, tr.segments[1:]):
-                if not prev.chamber <= nxt.chamber:
-                    return False
-                if not isinstance(nxt.t_start, Fraction):
-                    return False
-            for seg in tr.segments:
-                slopes.append(lat.pair(seg.slope, flag.cls))
-            return all(a >= b for a, b in zip(slopes, slopes[1:]))
-        structure.run(lambda: f"trace structure broke for D={format_divisor(geom, d)}", struct)
-
-    translation = _Recorder("flag-translation")
-    for d in translated:
-        for p in primes:
-            def shift(d=d, p=p) -> bool:
-                base = shared_polygon(geom, d, p.name)
-                moved = polygon(geom, d + p.cls, p.name)  # used only here
-                return _translation_holds(base, moved)
-            translation.run(
-                lambda: f"translation by {p.name} broke for D={format_divisor(geom, d)}", shift
-            )
-
-    superadd = _Recorder("polygon-superadditivity")
-    logconc = _Recorder("volume-log-concavity")
-    for d1, d2 in zip(classes, classes[1:]):
-        def supa(d1=d1, d2=d2) -> bool | None:
-            p1 = shared_polygon(geom, d1, flag.name)
-            p2 = shared_polygon(geom, d2, flag.name)
-            p12 = polygon(geom, d1 + d2, flag.name)
-            # Each polygon lives in the extension of its own mu; a sum
-            # cannot combine two different radicals (comparing them is exact).
-            if len({p.frame.d for p in (p1, p2, p12)} - {0}) > 1:
-                return None
-            return polygon_contains(p12, polygon_minkowski_sum(p1, p2))
-        superadd.run(
-            lambda: f"superadditivity broke for {format_divisor(geom, d1)} "
-            f"and {format_divisor(geom, d2)}",
-            supa,
-        )
-
-        def logc(d1=d1, d2=d2) -> bool:
-            s1 = lat.square(shared_decompose(geom, d1).positive)
-            s2 = lat.square(shared_decompose(geom, d2).positive)
-            s12 = lat.square(shared_decompose(geom, d1 + d2).positive)
-            gap = s12 - s1 - s2
-            return gap >= 0 and gap * gap >= 4 * s1 * s2
-        logconc.run(
-            lambda: f"log-concavity broke for {format_divisor(geom, d1)} "
-            f"and {format_divisor(geom, d2)}",
-            logc,
-        )
-
-    idem = _Recorder("zariski-idempotence")
-    for d in classes:
-        def idempotent(d=d) -> bool:
-            pos = shared_decompose(geom, d).positive
-            again = shared_decompose(geom, pos)
-            if again.negative or again.positive != pos:
-                return False
-            return shared_polygon(geom, pos, flag.name).frame == shared_polygon(
-                geom, d, flag.name
-            ).frame
-        idem.run(lambda: f"idempotence broke for D={format_divisor(geom, d)}", idempotent)
-
-    reorder = _Recorder("catalog-order-invariance")
-    shuffled = replace(
-        geom,
-        primes=tuple(reversed(geom.primes)),
-        effective_generators=tuple(reversed(geom.effective_generators)),
+    shuffled = replace(  # catalog-order-invariance's copy
+        geom, primes=primes[::-1], effective_generators=geom.effective_generators[::-1]
     )
-    for d in classes[: max(1, len(classes) // 4)]:
-        def invariant(d=d) -> bool:
-            a, b = shared_decompose(geom, d), shared_decompose(shuffled, d)
-            if a.positive != b.positive or dict(a.negative) != dict(b.negative):
-                return False
-            pa = shared_polygon(geom, d, flag.name)
-            pb = polygon(shuffled, d, flag.name)  # used only here
-            return pa == pb
-        reorder.run(
-            lambda: f"catalog order changed results for D={format_divisor(geom, d)}", invariant
-        )
 
-    recon = _Recorder("minkowski-reconstruction")
-    if geom.mode == "polyhedral":
+    def square(d: DivClass) -> Fraction:
+        return lat.square(shared_decompose(geom, d).positive)
+
+    def area_cases():  # q(P(D)) is taken once per sample, before its primes
         for i, d in enumerate(classes):
-            def rebuild(d=d, full=(i < 5)) -> bool | None:
-                try:
-                    mk = _minkowski_decompose(geom, shared_decompose(geom, d), flag.name)
-                except DomainError:
-                    return None  # no chamber generator exists for the flag
-                pos = shared_decompose(geom, d).positive
-                if mk.reconstruct(lat.rank) != pos:
-                    return False
-                if any(coeff <= 0 for coeff, _ in mk.terms):
-                    return False
-                # Polygons add over the terms only when every generator
-                # is movable; an exceptional flag is its own generator on
-                # the empty chamber, and it is not movable.
-                if not full or not all(is_movable(geom, e.cls) for _, e in mk.terms):
-                    return True
-                total = polygon_scale(0, shared_polygon(geom, d, flag.name))
-                for coeff, element in mk.terms:
-                    piece = polygon_scale(coeff, shared_polygon(geom, element.cls, flag.name))
-                    total = polygon_minkowski_sum(total, piece)
-                return total.frame == shared_polygon(geom, d, flag.name).frame
-            recon.run(lambda: f"reconstruction broke for D={format_divisor(geom, d)}", rebuild)
+            qp = square(d)
+            for p in primes:
+                yield d, p, shared_polygon if p == flag or i < len(translated) else polygon, qp
 
-    walls = _Recorder("wall-continuity")
-    if geom.mode == "polyhedral":
-        chambers = enumerate_chambers(geom)
-        chamber_set = set(chambers)
-        for small in chambers:
-            for q in geom.exceptional_primes:
-                if q.name in small:
-                    continue
-                big_ch = small | {q.name}
-                if big_ch not in chamber_set:
-                    continue
-                outside = [p for p in primes if p.name not in big_ch]
-                if not outside:
-                    continue
-                def continuous(small=small, big_ch=big_ch, flag_name=outside[0].name) -> bool:
-                    wall = chamber_generator(geom, frozenset(big_ch), flag_name)
-                    for name in small:
-                        wall = wall + geom.prime(name).cls
-                    lo, _ = chamber_positive_part(geom, wall, small)
-                    hi, _ = chamber_positive_part(geom, wall, big_ch)
-                    return lo == hi
-                walls.run(
-                    lambda: f"wall between {sorted(small)} and {sorted(big_ch)} discontinuous",
-                    continuous,
-                )
+    def area_identity(d: DivClass, p, build, qp: Fraction) -> bool:
+        return build(geom, d, p.name).area * 2 == qp
 
-    results = [
-        area_id,
-        vol_chain,
-        structure,
-        translation,
-        superadd,
-        logconc,
-        idem,
-        reorder,
-        recon,
-        walls,
-    ]
-    return tuple(r.result() for r in results)
+    def volume_chain(d: DivClass) -> bool:
+        n, c = lat.half_dim, lat.fujiki
+        qp = square(d)
+        v = volume_from_square(geom, qp)
+        a = shared_polygon(geom, d, flag.name).area
+        return a * 2 == qp and (a * 2) ** n * c == v and Surd(qp) ** n * c == v
+
+    def structure(d: DivClass) -> bool:
+        segments = shared_polygon(geom, d, flag.name).trace.segments
+        for prev, nxt in zip(segments, segments[1:]):
+            if not prev.chamber <= nxt.chamber or not isinstance(nxt.t_start, Fraction):
+                return False
+        slopes = [lat.pair(seg.slope, flag.cls) for seg in segments]
+        return all(a >= b for a, b in zip(slopes, slopes[1:]))
+
+    def translation(d: DivClass, p) -> bool:
+        base = shared_polygon(geom, d, p.name)
+        return _translation_holds(base, polygon(geom, d + p.cls, p.name))  # used only here
+
+    def superadditive(d1: DivClass, d2: DivClass) -> bool | None:
+        p1 = shared_polygon(geom, d1, flag.name)
+        p2 = shared_polygon(geom, d2, flag.name)
+        p12 = polygon(geom, d1 + d2, flag.name)  # used only here
+        # Each polygon lives in the extension of its own mu; a sum
+        # cannot combine two different radicals (comparing them is exact).
+        if len({p.frame.d for p in (p1, p2, p12)} - {0}) > 1:
+            return None
+        return polygon_contains(p12, polygon_minkowski_sum(p1, p2))
+
+    def log_concave(d1: DivClass, d2: DivClass) -> bool:
+        s1, s2, s12 = square(d1), square(d2), square(d1 + d2)
+        gap = s12 - s1 - s2
+        return gap >= 0 and gap * gap >= 4 * s1 * s2
+
+    def idempotent(d: DivClass) -> bool:
+        pos = shared_decompose(geom, d).positive
+        again = shared_decompose(geom, pos)
+        if again.negative or again.positive != pos:
+            return False
+        kept = shared_polygon(geom, pos, flag.name).frame
+        return kept == shared_polygon(geom, d, flag.name).frame
+
+    def order_invariant(d: DivClass) -> bool:
+        a, b = shared_decompose(geom, d), shared_decompose(shuffled, d)
+        if a.positive != b.positive or dict(a.negative) != dict(b.negative):
+            return False
+        pa = shared_polygon(geom, d, flag.name)
+        return pa == polygon(shuffled, d, flag.name)  # used only here
+
+    def rebuilds(d: DivClass, full: bool) -> bool | None:
+        try:
+            mk = _minkowski_decompose(geom, shared_decompose(geom, d), flag.name)
+        except DomainError:
+            return None  # no chamber generator exists for the flag
+        if mk.reconstruct(lat.rank) != shared_decompose(geom, d).positive:
+            return False
+        if any(coeff <= 0 for coeff, _ in mk.terms):
+            return False
+        # Polygons add over the terms only when every generator is
+        # movable; an exceptional flag is its own generator on the empty
+        # chamber, and it is not movable.
+        if not full or not all(is_movable(geom, e.cls) for _, e in mk.terms):
+            return True
+        total = polygon_scale(0, shared_polygon(geom, d, flag.name))
+        for coeff, element in mk.terms:
+            piece = polygon_scale(coeff, shared_polygon(geom, element.cls, flag.name))
+            total = polygon_minkowski_sum(total, piece)
+        return total.frame == shared_polygon(geom, d, flag.name).frame
+
+    def continuous(small: frozenset[str], big: frozenset[str], flag_name: str) -> bool:
+        wall = chamber_generator(geom, big, flag_name)
+        for name in small:
+            wall = wall + geom.prime(name).cls
+        lo, _ = chamber_positive_part(geom, wall, small)
+        hi, _ = chamber_positive_part(geom, wall, big)
+        return lo == hi
+
+    of = partial(format_divisor, geom)
+    polyhedral = geom.mode == "polyhedral"
+    checks = (
+        ("polygon-area-identity", area_cases(), area_identity,
+         lambda d, p, *_: f"2*area != q(P) for D={of(d)}, E={p.name}"),
+        ("volume-chain", [(d,) for d in flagged], volume_chain,
+         lambda d: f"volume chain broke for D={of(d)}"),
+        ("breakpoint-structure", [(d,) for d in flagged], structure,
+         lambda d: f"trace structure broke for D={of(d)}"),
+        ("flag-translation", [(d, p) for d in translated for p in primes], translation,
+         lambda d, p: f"translation by {p.name} broke for D={of(d)}"),
+        ("polygon-superadditivity", zip(flagged, flagged[1:]), superadditive,
+         lambda d1, d2: f"superadditivity broke for {of(d1)} and {of(d2)}"),
+        ("volume-log-concavity", zip(classes, classes[1:]), log_concave,
+         lambda d1, d2: f"log-concavity broke for {of(d1)} and {of(d2)}"),
+        ("zariski-idempotence", [(d,) for d in flagged], idempotent,
+         lambda d: f"idempotence broke for D={of(d)}"),
+        ("catalog-order-invariance", [(d,) for d in flagged[: max(1, len(classes) // 4)]],
+         order_invariant, lambda d: f"catalog order changed results for D={of(d)}"),
+        ("minkowski-reconstruction", [(d, i < 5) for i, d in enumerate(flagged) if polyhedral],
+         rebuilds, lambda d, _: f"reconstruction broke for D={of(d)}"),
+        ("wall-continuity", _walls(geom) if polyhedral else (), continuous,
+         lambda small, big, _: f"wall between {sorted(small)} and {sorted(big)} discontinuous"),
+    )
+    return tuple(_check(*check) for check in checks)
+
+
+def _walls(geom: Geometry):
+    """wall-continuity's cases (S, S + E, first prime outside S + E) over
+    chambers S, S + E; a generator, enumerating chambers once it runs."""
+    chambers = enumerate_chambers(geom)
+    chamber_set = set(chambers)
+    for small in chambers:
+        for big in (small | {q.name} for q in geom.exceptional_primes if q.name not in small):
+            outside = [p.name for p in geom.primes if p.name not in big]
+            if big in chamber_set and outside:
+                yield small, big, outside[0]

@@ -271,10 +271,6 @@ def _fraction(text: str, where: str) -> Fraction:
         raise GeometryError(f"{where}: {text!r} has a zero denominator") from None
 
 
-def format_rat(x: Fraction) -> str:
-    return str(x)
-
-
 def _parse_vector(value, rank: int, where: str) -> DivClass:
     if not isinstance(value, list) or len(value) != rank:
         raise GeometryError(f"{where}: expected a vector of length {rank}")
@@ -405,14 +401,14 @@ def geometry_to_json(geom: Geometry) -> str:
     doc: dict = {
         "name": geom.name,
         "half_dim": geom.lattice.half_dim,
-        "fujiki": format_rat(geom.lattice.fujiki),
+        "fujiki": str(geom.lattice.fujiki),
         "basis": list(geom.basis),
-        "gram": [[format_rat(v) for v in row] for row in geom.lattice.gram],
+        "gram": [[str(v) for v in row] for row in geom.lattice.gram],
         "mode": geom.mode,
         "primes": [
             {
                 "name": p.name,
-                "class": [format_rat(c) for c in p.cls.coords],
+                "class": [str(c) for c in p.cls.coords],
                 "exceptional": p.exceptional,
             }
             for p in geom.primes
@@ -420,10 +416,10 @@ def geometry_to_json(geom: Geometry) -> str:
     }
     if geom.mode == "polyhedral":
         doc["effective_generators"] = [
-            [format_rat(c) for c in g.coords] for g in geom.effective_generators
+            [str(c) for c in g.coords] for g in geom.effective_generators
         ]
     else:
-        doc["ample"] = [format_rat(c) for c in geom.ample.coords]
+        doc["ample"] = [str(c) for c in geom.ample.coords]
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 

@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .geometry import Geometry, format_divisor, format_rat
+from .geometry import Geometry, format_divisor
 from .lattice import DivClass
 
 if TYPE_CHECKING:  # annotations only: rendering a payload loads no engine layer
@@ -30,8 +30,8 @@ if TYPE_CHECKING:  # annotations only: rendering a payload loads no engine layer
 def surd_json(value: Surd) -> dict:
     return {
         "display": str(value),
-        "a": format_rat(value.a),
-        "b": format_rat(value.b),
+        "a": str(value.a),
+        "b": str(value.b),
         "d": value.d,
         "float": float(value),
     }
@@ -53,7 +53,7 @@ def _point_json(pt: tuple[Surd, Surd]) -> dict:
 
 def divisor_json(geom: Geometry, d: DivClass) -> dict:
     return {
-        "coords": [format_rat(c) for c in d.coords],
+        "coords": [str(c) for c in d.coords],
         "display": format_divisor(geom, d),
     }
 
@@ -69,10 +69,10 @@ def decomposition_json(geom: Geometry, d: DivClass, dec: ZariskiDecomposition) -
         "class": divisor_json(geom, d),
         "positive": divisor_json(geom, dec.positive),
         "negative": [
-            {"prime": name, "coefficient": format_rat(coeff)}
+            {"prime": name, "coefficient": str(coeff)}
             for name, coeff in dec.negative
         ],
-        "q_positive": format_rat(q),
+        "q_positive": str(q),
         "big": q > 0,
     }
 
@@ -86,7 +86,7 @@ def _trace_rows(geom: Geometry, trace: BreakpointTrace) -> list[dict]:
     for seg in trace.segments:
         rows.append(
             {
-                "t_start": format_rat(seg.t_start),
+                "t_start": str(seg.t_start),
                 "t_end": surd_json(seg.t_end),
                 "chamber": sorted(seg.chamber),
                 "base": divisor_json(geom, seg.base),
@@ -103,14 +103,14 @@ def polygon_json(
         "geometry": geom.name,
         "class": divisor_json(geom, d),
         "flag": prime_name,
-        "nu": format_rat(poly.nu),
+        "nu": str(poly.nu),
         "mu": surd_json(poly.mu),
         "area": surd_json(poly.area),
         "vertices": [_point_json(p) for p in poly.vertices],
     }
     if poly.trace is not None:
         payload["breakpoints"] = [
-            format_rat(b) for b in poly.trace.interior_breakpoints
+            str(b) for b in poly.trace.interior_breakpoints
         ]
         payload["segments"] = _trace_rows(geom, poly.trace)
     return payload
@@ -124,8 +124,8 @@ def volume_json(geom: Geometry, d: DivClass, value: Fraction, q: Fraction) -> di
     return {
         "geometry": geom.name,
         "class": divisor_json(geom, d),
-        "q_positive": format_rat(q),
-        "volume": format_rat(value),
+        "q_positive": str(q),
+        "volume": str(value),
     }
 
 
@@ -136,7 +136,7 @@ def restricted_volume_json(
         "geometry": geom.name,
         "class": divisor_json(geom, d),
         "prime": prime_name,
-        "restricted_volume": format_rat(value),
+        "restricted_volume": str(value),
     }
 
 
@@ -167,9 +167,9 @@ def minkowski_json(
         "geometry": geom.name,
         "class": divisor_json(geom, d),
         "flag": flag_name,
-        "nu": format_rat(mk.nu),
+        "nu": str(mk.nu),
         "terms": [
-            {"coefficient": format_rat(coeff), **_element_json(geom, element)}
+            {"coefficient": str(coeff), **_element_json(geom, element)}
             for coeff, element in mk.terms
         ],
     }
@@ -200,8 +200,8 @@ def cone_json(geom: Geometry, prime_name: str, points: Sequence[ConePoint]) -> d
         "generators": [
             {
                 "class": divisor_json(geom, pt.cls),
-                "t": format_rat(pt.t),
-                "y": format_rat(pt.y),
+                "t": str(pt.t),
+                "y": str(pt.y),
             }
             for pt in points
         ],
@@ -418,7 +418,7 @@ def polygon_svg(geom: Geometry, d: DivClass, prime_name: str, poly: NOPolygon) -
         )
     out.append(
         f'  <text x="{pad:.0f}" y="{height - 10:.0f}" font-family="monospace"'
-        f' font-size="12">nu = {format_rat(poly.nu)}, mu = {poly.mu},'
+        f' font-size="12">nu = {poly.nu}, mu = {poly.mu},'
         f" area = {poly.area}</text>"
     )
     out.append("</svg>")

@@ -21,6 +21,7 @@ from ihspoly import (
 )
 from ihspoly.checks import _translation_holds
 from ihspoly.geometry import format_divisor, is_pseudo_effective
+from ihspoly.minkowski import enumerate_chambers
 from test_polygon2d import _surd_contains_point as contains_point
 from test_polygon2d import _surd_contains_polygon as contains_polygon
 from test_polygon2d import _surd_scale as scale
@@ -123,6 +124,67 @@ def test_superadditivity_skips_pairs_over_two_radicals(tmp_path, capsys, seed):
     assert all(c["failed"] == 0 for c in payload["checks"])
     runs = {c["name"]: c["runs"] for c in payload["checks"]}
     assert 0 < runs["polygon-superadditivity"] < samples - 1
+
+
+NO_PRIMES = {
+    "polyhedral": {
+        "name": "no-primes-polyhedral",
+        "mode": "polyhedral",
+        "half_dim": 1,
+        "fujiki": 1,
+        "basis": ["a", "b"],
+        "gram": [[0, 1], [1, 0]],
+        "primes": [],
+        "effective_generators": [[1, 0], [0, 1]],
+    },
+    "round": {
+        "name": "no-primes-round",
+        "mode": "round",
+        "half_dim": 1,
+        "fujiki": 1,
+        "basis": ["h", "a"],
+        "gram": [[2, 0], [0, -2]],
+        "primes": [],
+        "ample": [1, 0],
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(NO_PRIMES))
+def test_catalog_without_primes_skips_the_flag_checks(mode):
+    # No prime, no flag: every check but log-concavity has no cases.
+    from ihspoly import parse_geometry
+
+    geom = parse_geometry(json.dumps(NO_PRIMES[mode]))
+    results = run_checks(geom, samples=6, seed=0)
+    assert [r.name for r in results] == EXPECTED_CHECK_NAMES
+    for r in results:
+        if r.name == "volume-log-concavity":
+            assert (r.runs, r.failed, r.messages) == (5, 0, ())
+        else:
+            assert r.skipped and r.passed, r
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("mode", sorted(NO_PRIMES))
+def test_check_cli_without_primes_exits_0(tmp_path, capsys, mode, fmt):
+    from ihspoly.cli import main
+
+    path = tmp_path / "no-primes.geom"
+    path.write_text(json.dumps(NO_PRIMES[mode]))
+    code = main(["check", str(path), "--samples", "6", "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    if fmt == "machine":
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        runs = {c["name"]: c["runs"] for c in payload["checks"]}
+    else:
+        rows = [line.split() for line in out.splitlines() if line[:4] in ("PASS", "SKIP")]
+        assert {row[0] for row in rows if row[1] != "volume-log-concavity"} == {"SKIP"}
+        runs = {row[1]: int(row[2]) for row in rows}
+    assert list(runs) == EXPECTED_CHECK_NAMES
+    assert runs == {name: 5 if name == "volume-log-concavity" else 0 for name in runs}
 
 
 def test_run_checks_seed_changes_samples(hilb2):
@@ -317,6 +379,60 @@ def test_shared_polygon_failure_reaches_every_check(hilb2_elliptic, monkeypatch)
     assert hit["polygon-area-identity"].failed == len(geom.primes)
     for r in hit.values():
         assert all(m.endswith(": forced polygon failure") for m in r.messages if label in m)
+
+
+def test_log_concavity_failure_names_both_classes(hilb2_elliptic, monkeypatch):
+    # With the positive part of every D1 + D2 forced to 0, q(P(D1 + D2))
+    # falls below q(P(D1)) + q(P(D2)) and every pair fails.
+    from ihspoly import checks
+
+    geom = hilb2_elliptic
+    samples = sample_big_classes(geom, 4, seed=0)
+    pairs = list(zip(samples, samples[1:]))
+    sums = {a + b for a, b in pairs}
+    assert not sums & set(samples)
+    real = checks.decompose
+
+    def doctored(g, d):
+        dec = real(g, d)
+        return replace(dec, positive=g.zero()) if d in sums else dec
+
+    monkeypatch.setattr(checks, "decompose", doctored)
+    logc = {r.name: r for r in run_checks(geom, 4, 0)}["volume-log-concavity"]
+    assert (logc.runs, logc.failed) == (3, 3)
+    assert logc.messages == tuple(
+        f"log-concavity broke for {format_divisor(geom, a)} and {format_divisor(geom, b)}"
+        for a, b in pairs
+    )
+
+
+def test_wall_continuity_failure_names_both_chambers(hilb2_elliptic, monkeypatch):
+    # With the positive part on a chamber doctored to depend on the
+    # chamber's size, the two sides of every wall disagree.
+    from ihspoly import checks
+
+    geom = hilb2_elliptic
+    chambers = enumerate_chambers(geom)
+    walls = [
+        (small, small | {q.name})
+        for small in chambers
+        for q in geom.exceptional_primes
+        if q.name not in small
+        and small | {q.name} in chambers
+        and any(p.name not in small | {q.name} for p in geom.primes)
+    ]
+    real = checks.chamber_positive_part
+
+    def doctored(g, d, chamber):
+        positive, rest = real(g, d, chamber)
+        return positive.scale(len(chamber) + 1), rest
+
+    monkeypatch.setattr(checks, "chamber_positive_part", doctored)
+    wall = {r.name: r for r in run_checks(geom, 4, 0)}["wall-continuity"]
+    assert (wall.runs, wall.failed) == (len(walls), len(walls)) and len(walls) > 5
+    assert wall.messages == tuple(
+        f"wall between {sorted(small)} and {sorted(big)} discontinuous" for small, big in walls[:5]
+    )
 
 
 @pytest.mark.parametrize("factor", [Fraction(1, 2), 2])

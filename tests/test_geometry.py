@@ -25,7 +25,7 @@ from ihspoly import (
     parse_geometry,
 )
 from ihspoly.checks import run_checks, sample_big_classes
-from ihspoly.geometry import Geometry, format_rat
+from ihspoly.geometry import Geometry
 from ihspoly.lattice import dot
 from ihspoly.linalg import kernel
 from ihspoly.minkowski import enumerate_chambers
@@ -268,9 +268,11 @@ def test_serialized_field_order():
     assert doc["gram"][1] == ["0", "-2"]
 
 
-def test_format_rat():
-    assert format_rat(F(3)) == "3"
-    assert format_rat(F(-5, 2)) == "-5/2"
+def test_geometry_to_json_writes_rationals_as_str():
+    # A rational is written as str writes its Fraction.
+    doc = json.loads(geometry_to_json(parse_doc(effective_generators=[[0, 2], ["1/2", "-5/2"]])))
+    assert doc["fujiki"] == str(F(3)) == "3"
+    assert doc["effective_generators"][1] == [str(F(1, 2)), str(F(-5, 2))] == ["1/2", "-5/2"]
 
 
 # -- divisor expressions ---------------------------------------------------------

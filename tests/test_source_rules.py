@@ -14,7 +14,9 @@ so each subcommand loads only the layers its handler imports.  Polygons
 have one representation, the integer frame: polygon2d keeps no Surd-pair
 hull, and okounkov chooses the threshold's root by sign, never by
 ordering roots.  No loop runs on a constant true test, and Surd orders
-two radicals in closed form, with no interval refinement.
+two radicals in closed form, with no interval refinement.  The self-checks
+build their results in one runner, and no closure there binds a loop
+variable through a default argument.
 """
 
 import ast
@@ -211,3 +213,28 @@ def test_surd_orders_without_refinement():
     the interval-refinement helpers that once did it."""
     defined = {node.name for node in _tree(SRC / "surd.py").body if hasattr(node, "name")}
     assert not defined & {"_lt_mixed", "_surd_gap_sign", "_is_exact_zero", "_sqrt_bounds"}
+
+
+def test_checks_build_results_in_one_runner():
+    """checks.py calls CheckResult in one function, the runner, and no
+    nested function or lambda binds loop variables through default
+    arguments: each check is a predicate over its cases."""
+    tree = _tree(SRC / "checks.py")
+    callers = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "CheckResult"
+            ):
+                callers.add(getattr(top, "name", None))
+    assert callers == {"_check"}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if node is top or not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            assert not args.defaults and not any(args.kw_defaults), (
+                f"checks.py:{node.lineno} takes default arguments"
+            )
