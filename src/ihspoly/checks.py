@@ -12,9 +12,9 @@ flag polygon for one run (see run_checks).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .errors import DomainError, IHSError
 from .geometry import Geometry, format_divisor, is_movable, is_pseudo_effective
@@ -32,8 +32,7 @@ from .surd import Surd
 from .zariski import chamber_positive_part, decompose, volume_from_square
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     runs: int
     failed: int
@@ -190,9 +189,8 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
     flag = next((p for p in primes if not p.exceptional), primes[0] if primes else None)
     flagged = classes if flag else []  # the samples of the checks that read the flag
     translated = classes[: max(1, len(classes) // 2)]  # flag-translation's samples
-    shuffled = replace(  # catalog-order-invariance's copy
-        geom, primes=primes[::-1], effective_generators=geom.effective_generators[::-1]
-    )
+    shuffled = geom._replace(primes=primes[::-1],  # catalog-order-invariance's copy
+                             effective_generators=geom.effective_generators[::-1])
 
     def square(d: DivClass) -> Fraction:
         return lat.square(shared_decompose(geom, d).positive)

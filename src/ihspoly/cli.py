@@ -15,6 +15,7 @@ The default text output is rendered from the same payload.
 Each handler imports the layers it runs when it runs, so `decompose`
 and `volume` never load `okounkov`, `minkowski`, `checks` or `surd`;
 at module level this file binds only `errors`, `geometry` and `report`.
+No subcommand loads the dataclass module or `inspect`.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -50,7 +49,7 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .errors import ConsistencyError, DomainError, GeometryError
-from .lattice import BBFLattice, DivClass, dot
+from .lattice import BBFLattice, DivClass, _Frozen, dot
 from .linalg import kernel
 from .linprog import Cone, extreme_rays, generated_cone
 
@@ -63,8 +62,7 @@ _TOP_FIELDS_ROUND = {"name", "half_dim", "fujiki", "basis", "gram", "mode",
                      "primes", "ample"}
 
 
-@dataclass(frozen=True)
-class Prime:
+class Prime(NamedTuple):
     """A declared prime divisor: name, class, exceptionality flag."""
 
     name: str
@@ -103,20 +101,19 @@ def _apply(rows: tuple[tuple[int, ...], ...], den: int, d: DivClass) -> DivClass
     return DivClass._raw(tuple(dot(row, d.num) for row in rows), den * d.den)
 
 
-@dataclass(frozen=True)
-class Geometry:
-    name: str
-    lattice: BBFLattice
-    basis: tuple[str, ...]
-    primes: tuple[Prime, ...]
-    mode: str
-    effective_generators: tuple[DivClass, ...] = ()
-    ample: Optional[DivClass] = None
-    _by_name: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+class Geometry(_Frozen):
+    """A catalog; == and hash compare its seven declared fields, not its derived data."""
 
-    def __post_init__(self):
-        by_name = {p.name: p for p in self.primes}
-        object.__setattr__(self, "_by_name", by_name)
+    _fields = ("name", "lattice", "basis", "primes", "mode", "effective_generators", "ample")
+
+    def __init__(self, name: str, lattice: BBFLattice, basis: tuple[str, ...], primes: tuple[Prime, ...],
+                 mode: str, effective_generators: tuple[DivClass, ...] = (), ample: Optional[DivClass] = None):
+        self._fill(name=name, lattice=lattice, basis=basis, primes=primes, mode=mode, ample=ample,
+                   effective_generators=effective_generators, _by_name={p.name: p for p in primes})
+
+    def _replace(self, **changes) -> Geometry:
+        """A copy with the named fields changed, and none of the derived data."""
+        return Geometry(**{**dict(zip(self._fields, self._key())), **changes})
 
     @property
     def rank(self) -> int:
@@ -135,8 +132,7 @@ class Geometry:
     def zero(self) -> DivClass:
         return DivClass([0] * self.rank)
 
-    # Derived data, built on first use; dataclasses.replace copies start
-    # without it.
+    # Derived data, built on first use; _replace copies start without it.
 
     @cached_property
     def eff_cone(self) -> Cone:

@@ -15,7 +15,6 @@ and a Fraction is built only for the value it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -40,7 +39,41 @@ def dot(x: Sequence, y: Sequence):
     return sum(map(mul, x, y))
 
 
-class DivClass:
+class _Frozen:
+    """An immutable value: assignment and deletion raise AttributeError,
+    and _fill sets the fields once and returns the instance.  == and
+    hash compare the fields named in _fields, within one class."""
+
+    __slots__ = ()
+
+    def _fill(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):  # copy and pickle restore the fields through _fill
+        for part in state if isinstance(state, tuple) else (state,):
+            self._fill(**part or {})
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self._key()))})"
+
+
+class DivClass(_Frozen):
     """A rational divisor class: the coordinates num[i] / den in a fixed basis.
 
     num is a tuple of ints and den > 0 an int, kept canonical by
@@ -74,15 +107,6 @@ class DivClass:
         object.__setattr__(out, "num", num)
         object.__setattr__(out, "den", den)
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"DivClass is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"DivClass is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):
-        return DivClass._raw, (self.num, self.den)
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -169,8 +193,7 @@ def linear_combination(coeffs: Sequence[Fraction | int], classes: Sequence[DivCl
     return DivClass._raw(tuple(total), den)
 
 
-@dataclass(frozen=True)
-class BBFLattice:
+class BBFLattice(_Frozen):
     """Rational quadratic lattice of signature (1, rank-1).
 
     gram       -- symmetric Gram matrix of the BBF form in the chosen basis
@@ -178,15 +201,12 @@ class BBFLattice:
     half_dim   -- n, for a manifold of complex dimension 2n
     """
 
-    gram: tuple[tuple[Fraction, ...], ...]
-    fujiki: Fraction
-    half_dim: int
+    __slots__ = ("gram", "fujiki", "half_dim", "_gden", "_igram")
+    _fields = ("gram", "fujiki", "half_dim")
 
     def __init__(self, gram, fujiki, half_dim):
         rows = tuple(tuple(Fraction(v) for v in row) for row in gram)
-        object.__setattr__(self, "gram", rows)
-        object.__setattr__(self, "fujiki", Fraction(fujiki))
-        object.__setattr__(self, "half_dim", int(half_dim))
+        self._fill(gram=rows, fujiki=Fraction(fujiki), half_dim=int(half_dim))
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("gram matrix not square")
@@ -205,8 +225,7 @@ class BBFLattice:
             )
         # gram == igram / gden, so a pairing is one integer double sum.
         igram, gden = integer_rows(rows)
-        object.__setattr__(self, "_gden", gden)
-        object.__setattr__(self, "_igram", igram)
+        self._fill(_gden=gden, _igram=igram)
 
     @property
     def rank(self) -> int:

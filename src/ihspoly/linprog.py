@@ -21,11 +21,10 @@ EXTREME_RAY_SUBSET_LIMIT subsets to solve; every comparison is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError
 from .lattice import DivClass, dot
@@ -52,8 +51,7 @@ class UnboundedError(Exception):
     """The step along the direction is unbounded."""
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """The cone {x : f . x >= 0 for every facet, e . x = 0 for every equation},
     facets and equations as primitive integer rows."""
 

@@ -27,9 +27,8 @@ bound it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConsistencyError, DomainError
 from .geometry import Geometry
@@ -96,8 +95,7 @@ def chamber_closure_rays(geom: Geometry, chamber: frozenset[str]) -> tuple[DivCl
     return tuple(sorted(face + [p.cls.primitive() for p in primes], key=lambda r: r.num))
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     """One Minkowski basis member with its provenance."""
 
     cls: DivClass
@@ -130,8 +128,7 @@ def minkowski_basis(geom: Geometry, flag_name: str) -> tuple[BasisElement, ...]:
     return tuple(elements)
 
 
-@dataclass(frozen=True)
-class MinkowskiDecomposition:
+class MinkowskiDecomposition(NamedTuple):
     """P(D) = sum of coefficient * element.cls, plus the flag offset nu."""
 
     terms: tuple[tuple[Fraction, BasisElement], ...]

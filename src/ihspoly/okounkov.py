@@ -30,14 +30,13 @@ built only for the trace and by NOPolygon's accessors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
 from .geometry import Geometry, Prime, is_pseudo_effective
-from .lattice import DivClass, dot
+from .lattice import DivClass, _Frozen, dot
 from .linprog import InfeasibleError, UnboundedError, max_step
 from .polygon2d import Frame, Point, canonical, contains_polygon, lift, points, translate, width
 from .polygon2d import area as frame_area
@@ -51,8 +50,7 @@ from .zariski import ZariskiDecomposition, decompose
 FrameValue = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class WalkSegment:
+class WalkSegment(NamedTuple):
     """On [t_start, t_end] the positive part is base + t * slope."""
 
     t_start: Fraction
@@ -62,8 +60,7 @@ class WalkSegment:
     slope: DivClass
 
 
-@dataclass(frozen=True)
-class BreakpointTrace:
+class BreakpointTrace(NamedTuple):
     segments: tuple[WalkSegment, ...]
     mu: Surd
 
@@ -76,29 +73,26 @@ class BreakpointTrace:
         return tuple(seg.chamber for seg in self.segments)
 
 
-@dataclass(frozen=True, init=False)
-class NOPolygon:
+class NOPolygon(_Frozen):
     """Exact polygon with its normalization offset nu and width mu.
 
     The vertices and mu live in one canonical polygon2d Frame, in
     normalized coordinates (the E-offset nu is carried separately), so
-    equal polygons have equal fields.  NOPolygon(vertices, nu, mu) lifts
-    Surd or rational values, given in polygon2d's canonical order.
+    equal polygons have equal frame and nu; == and hash leave the trace
+    out.  NOPolygon(vertices, nu, mu) lifts Surd or rational values,
+    given in polygon2d's canonical order.
     """
 
-    frame: Frame
-    nu: Fraction
-    trace: Optional[BreakpointTrace] = field(default=None, compare=False, repr=False)
+    __slots__ = ("frame", "nu", "trace")
+    _fields = ("frame", "nu")
 
     def __init__(self, vertices: Sequence[Point], nu, mu, trace: Optional[BreakpointTrace] = None):
-        self.__dict__.update(frame=lift(vertices, mu), nu=nu, trace=trace)
+        self._fill(frame=lift(vertices, mu), nu=nu, trace=trace)
 
     @classmethod
     def _of(cls, frame: Frame, nu, trace: Optional[BreakpointTrace] = None) -> "NOPolygon":
         """Trusted constructor from a canonical frame."""
-        out = object.__new__(cls)
-        out.__dict__.update(frame=frame, nu=nu, trace=trace)
-        return out
+        return object.__new__(cls)._fill(frame=frame, nu=nu, trace=trace)
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -393,8 +387,7 @@ def cone_contains(geom: Geometry, prime_name: str, zeta: DivClass, t, y) -> bool
     raise ConsistencyError("trace segments do not cover [0, mu]")  # unreachable
 
 
-@dataclass(frozen=True)
-class ConePoint:
+class ConePoint(NamedTuple):
     """A rational generator (class, t, y) of the polygon cone."""
 
     cls: DivClass

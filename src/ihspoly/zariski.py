@@ -27,17 +27,15 @@ coefficients a decomposition returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ConsistencyError, DomainError
 from .geometry import Geometry, is_movable, is_pseudo_effective
 from .lattice import DivClass, dot
 
 
-@dataclass(frozen=True)
-class ZariskiDecomposition:
+class ZariskiDecomposition(NamedTuple):
     """positive + negative_part == the decomposed class, exactly."""
 
     positive: DivClass

@@ -2,7 +2,6 @@
 
 import json
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -312,7 +311,7 @@ def test_run_checks_gram_solves_once_per_chamber(hilb2_elliptic, monkeypatch):
     # whose derived data starts empty.
     from ihspoly import geometry, linalg
 
-    geom = replace(hilb2_elliptic)
+    geom = hilb2_elliptic._replace()
     kernels = Counter()
     built = []  # (geometry, support) of every passing Schur step
 
@@ -395,7 +394,7 @@ def test_log_concavity_failure_names_both_classes(hilb2_elliptic, monkeypatch):
 
     def doctored(g, d):
         dec = real(g, d)
-        return replace(dec, positive=g.zero()) if d in sums else dec
+        return dec._replace(positive=g.zero()) if d in sums else dec
 
     monkeypatch.setattr(checks, "decompose", doctored)
     logc = {r.name: r for r in run_checks(geom, 4, 0)}["volume-log-concavity"]
@@ -435,27 +434,149 @@ def test_wall_continuity_failure_names_both_chambers(hilb2_elliptic, monkeypatch
     )
 
 
+def _doctor_polygons(monkeypatch, geom, doctor, keep=()):
+    """Route checks._polygon through doctor(poly) for every polygon of
+    geom whose class is not in keep."""
+    from ihspoly import checks
+
+    real = checks._polygon
+
+    def doctored(g, d, prime, dec):
+        poly = real(g, d, prime, dec)
+        return poly if g is not geom or d in keep else doctor(poly)
+
+    monkeypatch.setattr(checks, "_polygon", doctored)
+
+
+def _result(geom, name: str, samples: int = 4):
+    """The result called name of run_checks(geom, samples, 0)."""
+    return {r.name: r for r in run_checks(geom, samples, 0)}[name]
+
+
+def _labels(geom, says, classes) -> tuple[str, ...]:
+    """says(D) for the first five classes D, each written over the basis."""
+    return tuple(says(format_divisor(geom, d)) for d in classes[:5])
+
+
+def _translation_labels(geom, samples) -> tuple[str, ...]:
+    """flag-translation's labels for its first five cases: each of the
+    first two samples against every prime."""
+    cases = [(d, p) for d in samples[:2] for p in geom.primes]
+    return tuple(f"translation by {p.name} broke for D={format_divisor(geom, d)}" for d, p in cases[:5])
+
+
 @pytest.mark.parametrize("factor", [Fraction(1, 2), 2])
 def test_flag_translation_sees_a_doctored_translate(hilb2_elliptic, monkeypatch, factor):
     # The polygon of D + E, scaled about the origin with nu and mu kept:
     # shrunk, it no longer holds D's polygon shifted by (1, 0); grown,
     # its part at t >= 1 leaves the shifted polygon.
+    geom = hilb2_elliptic
+    samples = sample_big_classes(geom, 4, seed=0)
+    _doctor_polygons(
+        monkeypatch, geom,
+        lambda poly: NOPolygon(tuple(scale(poly.vertices, factor)), poly.nu, poly.mu, poly.trace),
+        set(samples),
+    )
+    translation = _result(geom, "flag-translation")
+    assert translation.runs == 2 * len(geom.primes)
+    assert translation.failed == translation.runs
+    assert translation.messages == _translation_labels(geom, samples)
+
+
+def test_flag_translation_sees_a_doctored_width(hilb2_elliptic, monkeypatch):
+    # With the width mu of the polygon of D + E raised by 1 and its
+    # vertices kept, nu + mu of D + E is no longer that of D plus 1.
+    def doctor(poly):
+        frame = poly.frame
+        return NOPolygon._of(frame._replace(mu=(frame.mu[0] + frame.den, frame.mu[1])), poly.nu)
+
+    geom = hilb2_elliptic
+    samples = sample_big_classes(geom, 4, seed=0)
+    assert not {d + p.cls for d in samples for p in geom.primes} & set(samples)
+    _doctor_polygons(monkeypatch, geom, doctor, set(samples))
+    translation = _result(geom, "flag-translation")
+    assert (translation.runs, translation.failed) == (12, 12)
+    assert translation.messages == _translation_labels(geom, samples)
+
+
+def test_breakpoint_structure_failure_names_the_class(hilb2_elliptic, monkeypatch):
+    # A trace that ends in a segment starting at a Surd breaks the rule
+    # that interior breakpoints are rational, for every sample.
+    def doctor(poly):
+        segments = poly.trace.segments
+        last = segments[-1]._replace(t_start=Surd(segments[-1].t_start))
+        return NOPolygon._of(poly.frame, poly.nu, poly.trace._replace(segments=(*segments, last)))
+
+    geom = hilb2_elliptic
+    _doctor_polygons(monkeypatch, geom, doctor)
+    structure = _result(geom, "breakpoint-structure")
+    assert (structure.runs, structure.failed) == (4, 4)
+    assert structure.messages == _labels(
+        geom, "trace structure broke for D={}".format, sample_big_classes(geom, 4, seed=0))
+
+
+def test_idempotence_failure_names_the_class(hilb2_elliptic, monkeypatch):
+    # With the positive part of every P(D) doubled, decomposing P(D)
+    # again no longer gives P(D).
     from ihspoly import checks
 
     geom = hilb2_elliptic
-    samples = set(sample_big_classes(geom, 4, seed=0))
-    real = checks._polygon
+    samples = sample_big_classes(geom, 4, seed=0)
+    positives = {decompose(geom, d).positive for d in samples}
+    assert not positives & set(samples)
+    real = checks.decompose
 
-    def doctored(g, d, prime, dec):
-        poly = real(g, d, prime, dec)
-        if g is not geom or d in samples:
-            return poly
-        return NOPolygon(tuple(scale(poly.vertices, factor)), poly.nu, poly.mu, poly.trace)
+    def doctored(g, d):
+        dec = real(g, d)
+        return dec._replace(positive=dec.positive.scale(2)) if d in positives else dec
 
-    monkeypatch.setattr(checks, "_polygon", doctored)
-    translation = {r.name: r for r in run_checks(geom, 4, 0)}["flag-translation"]
-    assert translation.runs == 2 * len(geom.primes)
-    assert translation.failed == translation.runs
+    monkeypatch.setattr(checks, "decompose", doctored)
+    idem = _result(geom, "zariski-idempotence")
+    assert (idem.runs, idem.failed) == (4, 4)
+    assert idem.messages == _labels(geom, "idempotence broke for D={}".format, samples)
+
+
+def test_order_invariance_failure_names_the_class(hilb2_elliptic, monkeypatch):
+    # With every positive part on the reordered copy doubled, the copy
+    # disagrees with the catalog on the one sample the check takes.
+    from ihspoly import checks
+
+    geom = hilb2_elliptic
+    real = checks.decompose
+
+    def doctored(g, d):
+        dec = real(g, d)
+        return dec if g is geom else dec._replace(positive=dec.positive.scale(2))
+
+    monkeypatch.setattr(checks, "decompose", doctored)
+    order = _result(geom, "catalog-order-invariance")
+    assert (order.runs, order.failed) == (1, 1)
+    assert order.messages == _labels(
+        geom, "catalog order changed results for D={}".format, sample_big_classes(geom, 4, seed=0)[:1])
+
+
+@pytest.mark.parametrize(
+    "doctor",
+    [
+        lambda mk: mk._replace(terms=mk.terms[:-1]),
+        lambda mk: mk._replace(terms=(*mk.terms, (Fraction(0), mk.terms[0][1]))),
+    ],
+    ids=["sum-misses-P", "zero-coefficient"],
+)
+def test_minkowski_reconstruction_failure_names_the_class(hilb2_elliptic, monkeypatch, doctor):
+    # A decomposition with its last term dropped no longer sums to P(D);
+    # one with an extra zero term sums to P(D) with a coefficient <= 0.
+    # Only the first five samples also compare polygon sums, so the last
+    # three fail on the sum or the coefficient alone.
+    from ihspoly import checks
+
+    geom = hilb2_elliptic
+    real = checks._minkowski_decompose
+    monkeypatch.setattr(checks, "_minkowski_decompose", lambda *args: doctor(real(*args)))
+    rebuilt = _result(geom, "minkowski-reconstruction", 8)
+    assert (rebuilt.runs, rebuilt.failed) == (8, 8)
+    assert rebuilt.messages == _labels(
+        geom, "reconstruction broke for D={}".format, sample_big_classes(geom, 8, seed=0))
 
 
 def _absolute_translation_holds(base, moved):

@@ -3,7 +3,6 @@ expressions, and the declared-cone predicates."""
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -365,6 +364,23 @@ def test_pseudo_effective_round(fano_round):
     assert is_pseudo_effective(fano_round, DivClass([0, 0]))
 
 
+def test_movable_round(fano_round):
+    # Round mode: pseudo-effective, then q-nonnegative against S = (0, 1).
+    # (3, -1) has q = -4, so it is not pseudo-effective; the ample class
+    # (1, 1) pairs to 6 with S.  S lies in the closed positive cone, so
+    # every pseudo-effective class pairs nonnegatively with it.
+    assert fano_round.lattice.square(DivClass([3, -1])) == -4
+    assert is_movable(fano_round, DivClass([3, -1])) is False
+    assert fano_round.prime_pair(fano_round.ample, "S") == 6
+    assert is_movable(fano_round, fano_round.ample) is True
+    for x in range(-4, 5):
+        for y in range(-4, 5):
+            d = DivClass([x, y])
+            assert is_movable(fano_round, d) == is_pseudo_effective(fano_round, d)
+    with pytest.raises(DomainError, match="rank"):
+        is_movable(fano_round, DivClass([1, 0, 0]))
+
+
 def test_cone_predicate_dimension_check(hilb2):
     with pytest.raises(DomainError):
         is_pseudo_effective(hilb2, DivClass([1, 0, 0]))
@@ -381,7 +397,7 @@ def test_derived_cones_built_once_per_instance(hilb2):
     assert hilb2.movable_rays is hilb2.movable_rays
     assert hilb2.eff_cone is hilb2.eff_cone
     assert hilb2.mov_cone is hilb2.mov_cone
-    copy = replace(hilb2, primes=tuple(reversed(hilb2.primes)))
+    copy = hilb2._replace(primes=tuple(reversed(hilb2.primes)))
     assert "movable_rays" not in vars(copy) and "eff_cone" not in vars(copy)
     assert set(copy.movable_rays) == set(hilb2.movable_rays)
 
@@ -537,13 +553,13 @@ def test_subset_limit_is_inclusive(hilb2_elliptic, monkeypatch, subset_solves):
     # hilb2_k3's Mov: 11 facets in dimension 4, so C(11, 3) = 165 subsets
     want = hilb2_elliptic.movable_rays
     monkeypatch.setattr(linprog, "EXTREME_RAY_SUBSET_LIMIT", 165)
-    geom = replace(hilb2_elliptic)
+    geom = hilb2_elliptic._replace()
     geom.mov_cone
     subset_solves.clear()
     assert geom.movable_rays == want
     assert len(subset_solves) == 165
     monkeypatch.setattr(linprog, "EXTREME_RAY_SUBSET_LIMIT", 164)
-    geom = replace(hilb2_elliptic)
+    geom = hilb2_elliptic._replace()
     geom.mov_cone
     subset_solves.clear()
     with pytest.raises(DomainError, match="165 facet subsets.*EXTREME_RAY_SUBSET_LIMIT = 164"):
@@ -610,7 +626,7 @@ def test_support_projectors_are_chambers_after_checks(hilb2_elliptic):
         for v in perp:
             y = DivClass(v)
             assert proj.positive(y) == y and not any(proj.coefficients(y))
-    copy = replace(hilb2_elliptic)
+    copy = hilb2_elliptic._replace()
     assert not any(key in vars(copy) for key in DERIVED)
     assert copy.support_projectors == {}
 

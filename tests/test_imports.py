@@ -1,6 +1,6 @@
 """Import laziness: a CLI subcommand loads only the layers it runs, and
-the package's public names resolve on first use to their home
-modules' objects."""
+neither `dataclasses` nor `inspect`; the package's public names resolve
+on first use to their home modules' objects."""
 
 import json
 import os
@@ -15,21 +15,32 @@ import ihspoly
 
 ROOT = Path(__file__).resolve().parents[1]
 HILB2 = str(ROOT / "geometries" / "hilb2.geom")
+HILB2_K3 = str(ROOT / "geometries" / "hilb2_k3.geom")
 
-# prints the loaded ihspoly layers on stderr, as a JSON list
-SHOW = ("import json, sys; print(json.dumps([m.removeprefix('ihspoly.') for m in sys.modules "
-        "if m.startswith('ihspoly.')]), file=sys.stderr)")
-# `python -m ihspoly.cli ARGS`, then SHOW
-RUN_CLI = f"""import runpy
+
+def show(test: str) -> str:
+    """Code that prints, on stderr as a JSON list, the loaded modules m
+    for which test holds, ihspoly's without the package prefix."""
+    return ("import json, sys; print(json.dumps([m.removeprefix('ihspoly.') for m in sys.modules "
+            f"if {test}]), file=sys.stderr)")
+
+
+def run_cli(test: str) -> str:
+    """`python -m ihspoly.cli ARGS`, then show(test)."""
+    return f"""import runpy
 try:
     runpy.run_module("ihspoly.cli", run_name="__main__", alter_sys=True)
 finally:
-    {SHOW}"""
+    {show(test)}"""
+
+
+LAYERS = "m.startswith('ihspoly.')"  # the loaded ihspoly layers
+SHOW, RUN_CLI = show(LAYERS), run_cli(LAYERS)
 
 
 def loaded_after(code: str, *argv: str) -> tuple[set[str], str]:
-    """The ihspoly layers a fresh interpreter has loaded after running
-    code with argv, and its stdout."""
+    """The modules a fresh interpreter has loaded after running code
+    with argv, as code's show line prints them, and its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
     done = subprocess.run(
@@ -39,8 +50,8 @@ def loaded_after(code: str, *argv: str) -> tuple[set[str], str]:
     return set(json.loads(done.stderr.strip().splitlines()[-1])), done.stdout
 
 
-def cli_loads(*argv: str) -> set[str]:
-    loaded, out = loaded_after(RUN_CLI, *argv, "--format", "machine")
+def cli_loads(*argv: str, code: str = RUN_CLI) -> set[str]:
+    loaded, out = loaded_after(code, *argv, "--format", "machine")
     payload = json.loads(out)
     assert payload["status"] == "ok" and payload["command"] == argv[0]
     assert payload.get("passed", True)
@@ -65,6 +76,22 @@ def test_subcommand_loads_only_its_layers(argv, absent):
     loaded = cli_loads(*argv)
     assert {"report", "geometry", "zariski"} <= loaded
     assert not loaded & absent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", HILB2, "3*H - E"],
+        ["polygon", HILB2, "3*H - E", "E'"],
+        ["chambers", HILB2_K3],
+        ["cone-generators", HILB2, "E'"],
+    ],
+    ids=["decompose", "polygon", "chambers", "cone-generators"],
+)
+def test_subcommand_loads_neither_dataclasses_nor_inspect(argv):
+    # The records are NamedTuples and small classes: importing
+    # dataclasses would also load inspect, ast, dis and tokenize.
+    assert cli_loads(*argv, code=run_cli("m in ('dataclasses', 'inspect')")) == set()
 
 
 def test_check_loads_its_layers():

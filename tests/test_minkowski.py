@@ -33,7 +33,6 @@ triangle (0,0),(3,0),(0,2) is the quadrilateral
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,7 +171,7 @@ def test_chamber_generator_cache_matches_fresh_solve(hilb2, k3_elliptic, hilb2_e
     # solve of pair(E + sum x_i E_i, E_j) = 0 on every (prime, chamber).
     for geom in (hilb2, k3_elliptic, hilb2_elliptic):
         lat = geom.lattice
-        fresh_copy = replace(geom)
+        fresh_copy = geom._replace()
         assert fresh_copy.support_projectors == {}
         for prime in geom.primes:
             for chamber in geom.chambers:

@@ -21,7 +21,6 @@ import json
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -474,7 +473,7 @@ def test_walk_slope_cache_matches_fresh_solve(hilb2, k3_elliptic, hilb2_elliptic
     # against a fresh Fraction solve of the Gram system of S.
     for geom in (hilb2, k3_elliptic, hilb2_elliptic):
         lat = geom.lattice
-        fresh_copy = replace(geom)
+        fresh_copy = geom._replace()
         assert fresh_copy.support_projectors == {}
         fresh = {}
         for prime in fresh_copy.primes:

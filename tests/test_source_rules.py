@@ -16,7 +16,7 @@ hull, and okounkov chooses the threshold's root by sign, never by
 ordering roots.  No loop runs on a constant true test, and Surd orders
 two radicals in closed form, with no interval refinement.  The self-checks
 build their results in one runner, and no closure there binds a loop
-variable through a default argument.
+variable through a default argument.  No module imports `dataclasses`.
 """
 
 import ast
@@ -52,19 +52,27 @@ def test_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "surd.py", "report.py", "cli.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_imports_are_relative_or_stdlib(path):
+def _absolute_imports(path: Path):
+    """(line, module) for every absolute import in the module at path."""
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            yield from ((node.lineno, alias.name) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        for name in names:
-            assert name.split(".")[0] in sys.stdlib_module_names, (
-                f"{path.name}:{node.lineno} imports {name}"
-            )
+            yield node.lineno, node.module
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_relative_or_stdlib(path):
+    for line, name in _absolute_imports(path):
+        assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}:{line} imports {name}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    """Records are NamedTuples or small immutable classes: dataclasses
+    would load inspect, ast, dis and tokenize into every CLI child."""
+    for line, name in _absolute_imports(path):
+        assert name.split(".")[0] != "dataclasses", f"{path.name}:{line} imports {name}"
 
 
 @pytest.mark.parametrize(

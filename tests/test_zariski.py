@@ -21,7 +21,6 @@ s^2 = c^2 = -2, f^2 = f.c = s.c = 0):
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -298,7 +297,7 @@ def test_chamber_positive_part_rejects_bad_support(hilb2):
 
 
 def test_failed_support_is_not_cached(hilb2):
-    geom = replace(hilb2)
+    geom = hilb2._replace()
     for _ in range(2):
         with pytest.raises(ConsistencyError, match="negative definite"):
             chamber_positive_part(geom, DivClass([1, 0]), ["E", "E'"])
@@ -326,8 +325,7 @@ def test_decomposition_properties_seeded(name, request):
     """The defining properties of P + N on seeded big classes, on each
     catalog and on its reversed-order copy."""
     geom = request.getfixturevalue(name)
-    reversed_geom = replace(
-        geom,
+    reversed_geom = geom._replace(
         primes=tuple(reversed(geom.primes)),
         effective_generators=tuple(reversed(geom.effective_generators)),
     )
@@ -361,11 +359,10 @@ def halve_r1(geom):
     catalog with a fractional Gram matrix and a fractional prime class."""
     lat = geom.lattice
     half_lat = BBFLattice([[v / 2 for v in row] for row in lat.gram], lat.fujiki, lat.half_dim)
-    return replace(
-        geom,
+    return geom._replace(
         lattice=half_lat,
         primes=tuple(
-            replace(p, cls=p.cls.scale(F(1, 2))) if p.name == "R1" else p for p in geom.primes
+            p._replace(cls=p.cls.scale(F(1, 2))) if p.name == "R1" else p for p in geom.primes
         ),
     )
 
@@ -384,7 +381,7 @@ def test_chamber_formula_matches_fresh_solve_seeded(name, request):
     every chamber."""
     geom = request.getfixturevalue(name)
     lat = geom.lattice
-    for g in (geom, replace(geom, primes=tuple(reversed(geom.primes)))):
+    for g in (geom, geom._replace(primes=tuple(reversed(geom.primes)))):
         classes = sample_big_classes(g, 6, seed=9)
         # fractional classes, the primes themselves and the basis vectors
         classes += [d.scale(F(1, 3)) for d in classes[:2]] + [p.cls for p in g.primes]
@@ -463,9 +460,9 @@ def test_support_records_match_fresh_solve(name, request):
         assert any(p.cls.den > 1 for g in geoms for p in g.primes)
         assert any(v.denominator > 1 for g in geoms for row in g.lattice.gram for v in row)
         # on copies: the chamber list leaves its records on the geometry
-        assert max(len(ch) for g in geoms for ch in replace(g).chambers) >= 3
+        assert max(len(ch) for g in geoms for ch in g._replace().chambers) >= 3
     else:
-        geoms = [replace(request.getfixturevalue(name))]
+        geoms = [request.getfixturevalue(name)._replace()]
     for geom in geoms:
         _check_support_records(geom, walks=name not in ("pairwise_6", "random"))
 
@@ -570,7 +567,7 @@ def test_support_records_equal_whichever_path_builds_them(name, request):
         geoms = [request.getfixturevalue(name)]
     rng = random.Random(59)
     for geom in geoms:
-        early, late = replace(geom), replace(geom)
+        early, late = geom._replace(), geom._replace()
         chambers = list(geom.chambers)
         rng.shuffle(chambers)
         asked = {chamber: early.support_projector(chamber) for chamber in chambers}
