@@ -12,6 +12,15 @@ Two modes exist:
 * ``round`` -- Eff is the half of {q >= 0} containing a declared ample
   class; membership questions become sign conditions on q.
 
+Constructing a Geometry enforces the catalog invariants the engine
+relies on, so parse_geometry, _replace and a direct call share them,
+with the parser's exceptions and messages: each prime is flagged
+exceptional exactly when its square is negative, and a round catalog
+has no exceptional prime, an ample class of positive square, and only
+primes that pair positively with it (so each lies in the round Eff).
+With the lattice's signature (1, rank-1) (BBFLattice), a round prime
+and every pseudo-effective class lie in one closed positive cone.
+
 Data derived from the catalog is built on first use and kept on the
 geometry, bounded by the catalog's size: the facets of Eff, Mov as
 the cone cut out by Eff's facets and the primes' form rows (mov_cone)
@@ -102,12 +111,25 @@ def _apply(rows: tuple[tuple[int, ...], ...], den: int, d: DivClass) -> DivClass
 
 
 class Geometry(_Frozen):
-    """A catalog; == and hash compare its seven declared fields, not its derived data."""
+    """A catalog; == and hash compare its seven declared fields, not its derived data.
+    Construction refuses a catalog that breaks an invariant of the module docstring."""
 
     _fields = ("name", "lattice", "basis", "primes", "mode", "effective_generators", "ample")
 
     def __init__(self, name: str, lattice: BBFLattice, basis: tuple[str, ...], primes: tuple[Prime, ...],
                  mode: str, effective_generators: tuple[DivClass, ...] = (), ample: Optional[DivClass] = None):
+        for k, p in enumerate(primes):
+            if p.exceptional != ((square := lattice.square(p.cls)) < 0):
+                raise GeometryError(f"primes[{k}]: exceptional flag is {p.exceptional} but q = {square}")
+        if mode == "round":
+            if any(p.exceptional for p in primes):
+                raise GeometryError("round mode admits no exceptional primes")
+            if lattice.square(ample) <= 0:
+                raise GeometryError("ample class must have positive BBF square")
+            for p in primes:  # every prime lies in the round Eff
+                if (q := lattice.pair(p.cls, ample)) <= 0:
+                    raise ConsistencyError(f"prime {p.name!r} pairs to {q} <= 0 with the ample class, "
+                                           "so it is not pseudo-effective")
         self._fill(name=name, lattice=lattice, basis=basis, primes=primes, mode=mode, ample=ample,
                    effective_generators=effective_generators, _by_name={p.name: p for p in primes})
 
@@ -351,11 +373,6 @@ def parse_geometry(text: str) -> Geometry:
             raise GeometryError(f"{where}: prime class must be nonzero")
         if not isinstance(entry["exceptional"], bool):
             raise GeometryError(f"{where}: exceptional must be a boolean")
-        square = lattice.square(cls)
-        if entry["exceptional"] != (square < 0):
-            raise GeometryError(
-                f"{where}: exceptional flag is {entry['exceptional']} but q = {square}"
-            )
         primes.append(Prime(pname, cls, entry["exceptional"]))
 
     if mode == "polyhedral":
@@ -370,16 +387,7 @@ def parse_geometry(text: str) -> Geometry:
             raise GeometryError("effective generators must be nonzero")
         return Geometry(name, lattice, basis, tuple(primes), mode, gens, None)
 
-    # round mode
-    if any(p.exceptional for p in primes):
-        raise GeometryError("round mode admits no exceptional primes")
     ample = _parse_vector(doc["ample"], rank, "ample")
-    if lattice.square(ample) <= 0:
-        raise GeometryError("ample class must have positive BBF square")
-    for p in primes:  # every prime lies in the round Eff
-        if (q := lattice.pair(p.cls, ample)) <= 0:
-            raise ConsistencyError(f"prime {p.name!r} pairs to {q} <= 0 with the ample class, "
-                                   "so it is not pseudo-effective")
     return Geometry(name, lattice, basis, tuple(primes), mode, (), ample)
 
 
@@ -527,8 +535,6 @@ def is_pseudo_effective(geom: Geometry, d: DivClass) -> bool:
 def is_movable(geom: Geometry, d: DivClass) -> bool:
     """Pseudo-effective and q-nonnegative against every declared prime:
     membership of mov_cone in polyhedral mode."""
-    if geom.mode == "polyhedral" and d.dim == geom.rank:
-        return geom.mov_cone.contains(d.num)
     if not is_pseudo_effective(geom, d):  # raises on a rank mismatch
         return False
     return all(dot(d.num, row) >= 0 for row, _ in geom.prime_forms.values())

@@ -68,13 +68,11 @@ def inertia(sym: Matrix) -> tuple[int, int, int]:
 
     Symmetric congruence reduction: diagonalize with simultaneous
     row/column operations; Sylvester's law of inertia makes the
-    diagonal signs invariant.
+    diagonal signs invariant.  sym must be symmetric; BBFLattice, the
+    only caller, checks that first.
     """
     n = len(sym)
     m = [[Fraction(v) for v in row] for row in sym]
-    for i in range(n):
-        if any(m[i][j] != m[j][i] for j in range(i)):
-            raise ValueError("matrix not symmetric")
     plus = minus = zero = 0
     for i in range(n):
         if not m[i][i]:

@@ -172,6 +172,8 @@ def _minkowski_decompose(
     lat = geom.lattice
     m = dec.positive
     terms: list[tuple[Fraction, BasisElement]] = []
+    # The null set grows every round that does not end the walk: a prime
+    # wall joins it, and after a facet of Eff the next round ends.
     for _ in range(2 * (len(geom.primes) + lat.rank) + 4):
         if m.is_zero:
             return MinkowskiDecomposition(tuple(terms), nu)

@@ -15,9 +15,10 @@ affine function of t on each Boucksom-Zariski chamber S, with slope
 the walk tracks the chamber changes exactly.  The pseudo-effective
 threshold mu is a min-ratio over the facets of the declared effective
 cone in polyhedral mode.  In round mode it is the least positive root
-of q(D - tE) = 0, chosen by the signs of the pairings and built in
-integers from one square-free decomposition.  The area always equals
-q(P(D))/2.
+of q(D - tE) = 0: D and E lie in one closed positive cone (Geometry's
+invariants), which fixes the signs of the pairings and so the root,
+built in integers from one square-free decomposition.  The area always
+equals q(P(D))/2.
 
 The height q(P(D - tE), E) is concave, so the walk yields the upper
 boundary already in order: the vertices are read off it in polygon2d's
@@ -120,10 +121,13 @@ def _threshold(geom: Geometry, d: DivClass, prime: Prime) -> FrameValue:
 
     In round mode mu is the least positive root of q(D - tE) =
     q(D) - 2t q(D, E) + t^2 q(E).  Over one denominator that is
-    a t^2 - 2b t + c with c > 0, whose roots are (b +- r sqrt(s))/a for
-    the quarter discriminant b^2 - ac = r^2 s.  For a > 0 both roots have
-    b's sign, and for a < 0 only one is positive; either way mu is
-    (b - r sqrt(s))/a.  For a = 0 it is c/(2b).
+    a t^2 - 2b t + c.  D and E != 0 lie in the closed positive cone and
+    E is not exceptional (Geometry), so a, b, c >= 0.  For c = 0 mu is
+    0 when b > 0; else D is isotropic and orthogonal to E in that cone,
+    so a nonnegative multiple of E, and mu is that ratio.  For c > 0,
+    b > 0 and the quarter discriminant b^2 - ac = r^2 s is nonnegative
+    (reverse Cauchy-Schwarz), so for a > 0 both roots (b +- r sqrt(s))/a
+    are positive and mu is (b - r sqrt(s))/a; for a = 0 it is c/(2b).
     """
     e = prime.cls
     if geom.mode == "polyhedral":
@@ -137,25 +141,14 @@ def _threshold(geom: Geometry, d: DivClass, prime: Prime) -> FrameValue:
             ) from exc
     a, b, c = _quadratic(d, geom.lattice.form(d), e, geom.prime_forms[prime.name])
     if c == 0:
-        if b > 0:
-            return 0, 0, 1, 0
-        if b < 0:
-            raise ConsistencyError("negative pairing of pseudo-effective classes")
-        ratio = d.ratio(e)  # both isotropic and orthogonal: proportional rays
-        if ratio is None:
-            raise ConsistencyError("isotropic orthogonal classes not proportional")
-        return _rational(ratio)
+        return (0, 0, 1, 0) if b > 0 else _rational(d.ratio(e))
     g = gcd(a, b, c)
     a, b, c = a // g, b // g, c // g
-    disc = b * b - a * c
-    if disc < 0 or b <= 0 <= a:
-        raise ConsistencyError("threshold equation has no positive root")
     if not a:
         return c, 0, 2 * b, 0
-    r, s = squarefree_decompose(disc)
+    r, s = squarefree_decompose(b * b - a * c)
     num, rad, root = (b, -r, s) if s > 1 else (b - r * s, 0, 0)  # s = 1: a square, 0: a double root
-    k = 1 if a > 0 else -1
-    return k * num, k * rad, k * a, root
+    return num, rad, a, root
 
 
 def _rational(x: Fraction) -> FrameValue:
@@ -196,13 +189,15 @@ def _trace(
     support = dec.support - {prime.name}
     segments: list[WalkSegment] = []
     t = Fraction(0)
-    for _ in range(2 * len(geom.primes) + 4):
+    for _ in range(2 * len(geom.primes) + 4):  # the support grows every round that does not return
         proj = geom.support_projector(support)
         base, slope = proj.positive(d), -proj.images[prime.name]
         # Next wall: first prime outside the chamber whose pairing with
         # the affine positive part decreases through zero; the pairings
         # are c0 = base.num . row and c1 = slope.num . row over their
         # classes' denominators (the form's own denominator cancels).
+        # Each is >= 0 at t: P(D) has no joining prime, and at a wall
+        # P_{S+J} = P_S, so every hit is >= t.
         t_next: Optional[Fraction] = None
         joiners: list[str] = []
         for q in geom.primes:
@@ -213,10 +208,6 @@ def _trace(
             if c1 >= 0:
                 continue
             hit = Fraction(-dot(base.num, row) * slope.den, c1 * base.den)
-            if hit < t:
-                raise ConsistencyError(
-                    f"prime {q.name!r} pairs negatively inside a chamber"
-                )
             if t_next is None or hit < t_next:
                 t_next, joiners = hit, [q.name]
             elif hit == t_next:
@@ -380,11 +371,9 @@ def cone_contains(geom: Geometry, prime_name: str, zeta: DivClass, t, y) -> bool
     t_rel = t - nu
     if t_rel > trace.mu:
         return False
-    for seg in trace.segments:
-        if t_rel >= seg.t_start and t_rel <= seg.t_end:
-            c0, c1 = geom.prime_pair(seg.base, prime_name), geom.prime_pair(seg.slope, prime_name)
-            return y <= Surd(c0) + t_rel * c1
-    raise ConsistencyError("trace segments do not cover [0, mu]")  # unreachable
+    seg = next(seg for seg in trace.segments if t_rel <= seg.t_end)  # they tile [0, mu]
+    c0, c1 = geom.prime_pair(seg.base, prime_name), geom.prime_pair(seg.slope, prime_name)
+    return y <= Surd(c0) + t_rel * c1
 
 
 class ConePoint(NamedTuple):

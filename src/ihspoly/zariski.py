@@ -10,9 +10,12 @@ the exceptional primes pairing negatively with D, solve the Gram system
 for their coefficients (which simultaneously enforces orthogonality),
 and enlarge the support with any prime that still pairs negatively with
 the candidate positive part.  Supports only ever grow, so the loop ends
-after at most #catalog rounds; failures of negative definiteness or
-coefficient positivity are reported as catalog inconsistencies rather
-than patched over.
+after at most #catalog + 1 rounds.  A support that is not negative
+definite, or a negative coefficient, is reported as a catalog
+inconsistency rather than patched over.  Only two primes that pair
+negatively give a negative coefficient: otherwise minus the support's
+Gram matrix is an M-matrix, and each round's coefficients are the last
+round's plus a nonnegative correction.
 
 P is linear on each chamber S, so it is one fixed rational projector
 P_S there: Geometry.support_projector builds it once per geometry as
@@ -62,7 +65,7 @@ def decompose(geom: Geometry, d: DivClass) -> ZariskiDecomposition:
     support = frozenset(
         p.name for p in geom.exceptional_primes if dot(num, forms[p.name][0]) < 0
     )
-    for _ in range(len(geom.primes) + 1):
+    for _ in range(len(geom.primes) + 1):  # the support grows every round that does not return
         proj = geom.support_projector(support)
         # coefficient numerators over proj.den * den, by name
         xs = dict(zip(proj.names, (dot(row, num) for row in proj.coeff_rows)))

@@ -121,6 +121,19 @@ def test_polygon_svg(capsys, tmp_path):
     assert "nu = 0, mu = 1/2, area = 1" in svg
 
 
+def test_polygon_svg_of_a_point(capsys, tmp_path):
+    """The zero class has the point polygon {(0, 0)}: one vertex, one
+    marker, drawn as a degenerate two-point outline."""
+    target = tmp_path / "point.svg"
+    code, out, err = run(capsys, "polygon", HILB2, "0", "E", "--svg", str(target))
+    assert code == 0 and err == ""
+    assert "vertices        (0, 0)\n" in out
+    svg = target.read_text()
+    assert svg.count("<circle") == 1
+    assert '<polygon points="40.00,40.00 40.00,40.00"' in svg
+    assert "<title>(0, 0)</title>" in svg
+
+
 def test_polygon_svg_exact_surd_tooltips(capsys, tmp_path):
     target = tmp_path / "round.svg"
     code, payload = run_json(

@@ -24,7 +24,7 @@ from ihspoly import (
     parse_geometry,
 )
 from ihspoly.checks import run_checks, sample_big_classes
-from ihspoly.geometry import Geometry
+from ihspoly.geometry import Geometry, Prime
 from ihspoly.lattice import dot
 from ihspoly.linalg import kernel
 from ihspoly.minkowski import enumerate_chambers
@@ -139,6 +139,10 @@ def test_fujiki_validation():
         parse_doc(fujiki="-3/2")
     with pytest.raises(GeometryError, match="rational"):
         parse_doc(fujiki="three")
+    with pytest.raises(GeometryError, match="^fujiki: booleans are not rationals$"):
+        parse_doc(fujiki=True)
+    with pytest.raises(GeometryError, match="^fujiki: expected a rational, got list$"):
+        parse_doc(fujiki=[3])
     geom = parse_doc(fujiki="3/2")
     assert geom.lattice.fujiki == F(3, 2)
 
@@ -166,6 +170,8 @@ def test_gram_validation():
 
 
 def test_prime_validation():
+    with pytest.raises(GeometryError, match="^primes must be a list$"):
+        parse_doc(primes={"E": [0, 2]})
     with pytest.raises(GeometryError, match="name/class/exceptional"):
         parse_doc(primes=[{"name": "E", "class": [0, 2]}])
     with pytest.raises(GeometryError, match="duplicate name"):
@@ -233,6 +239,36 @@ def test_round_mode_validation():
     bad["primes"] = [*base["primes"], {"name": "T", "class": [-1, 0], "exceptional": False}]
     with pytest.raises(ConsistencyError, match="prime 'T' pairs to -6 <= 0 with the ample class"):
         parse_geometry(json.dumps(bad))
+
+
+def _rebuilt(how, geom, **changes):
+    """geom with the named fields changed, by _replace or by calling
+    Geometry with every field."""
+    if how == "_replace":
+        return geom._replace(**changes)
+    fields = {**dict(zip(Geometry._fields, geom._key())), **changes}
+    return Geometry(*(fields[name] for name in Geometry._fields))
+
+
+@pytest.mark.parametrize("how", ["Geometry", "_replace"])
+def test_geometry_enforces_the_catalog_invariants(how, fano_round):
+    """Building a Geometry refuses what the parser refuses, with the
+    parser's exception and message: a flag that disagrees with the sign
+    of q, an exceptional round prime, an ample class of square <= 0, and
+    a round prime that pairs to <= 0 with the ample class."""
+    toy = parse_doc()
+    flipped = Prime("E", DivClass([0, 2]), False)
+    with pytest.raises(GeometryError, match=r"^primes\[0\]: exceptional flag is False but q = -8$"):
+        _rebuilt(how, toy, primes=(flipped, toy.prime("E'")))
+    with pytest.raises(GeometryError, match="^round mode admits no exceptional primes$"):
+        _rebuilt(how, fano_round, primes=(Prime("N", DivClass([1, -1]), True),))  # q = -4
+    with pytest.raises(GeometryError, match="^ample class must have positive BBF square$"):
+        _rebuilt(how, fano_round, ample=DivClass([1, -1]))
+    off = Prime("T", DivClass([-1, 0]), False)
+    with pytest.raises(ConsistencyError, match="^prime 'T' pairs to -6 <= 0 with the ample class, "
+                                               "so it is not pseudo-effective$"):
+        _rebuilt(how, fano_round, primes=(*fano_round.primes, off))
+    assert _rebuilt(how, fano_round) == fano_round
 
 
 def test_rational_entries_as_strings():
@@ -315,6 +351,8 @@ def test_parse_divisor_errors(hilb2):
         parse_divisor(hilb2, "H d")
     with pytest.raises(GeometryError, match="cannot tokenize"):
         parse_divisor(hilb2, "H @ d")
+    with pytest.raises(GeometryError, match="^expected a term, got '\\*'$"):
+        parse_divisor(hilb2, "* H")
     with pytest.raises(GeometryError, match="divisor term: '1/0' has a zero denominator"):
         parse_divisor(hilb2, "1/0 H")
 
@@ -389,7 +427,7 @@ def test_cone_predicate_dimension_check(hilb2):
 def test_non_pointed_effective_cone_rejected():
     # Eff = the upper half-plane contains the line through (1, 0).
     geom = parse_doc(effective_generators=[[1, 0], [-1, 0], [0, 1]])
-    with pytest.raises(ConsistencyError, match="not pointed"):
+    with pytest.raises(ConsistencyError, match="^declared effective cone is not pointed$"):
         is_pseudo_effective(geom, DivClass([0, 1]))
 
 

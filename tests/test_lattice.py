@@ -12,7 +12,7 @@ import pytest
 from ihspoly import BBFLattice, DivClass
 from ihspoly.errors import ConsistencyError
 from ihspoly.geometry import Geometry, Prime
-from ihspoly.lattice import linear_combination
+from ihspoly.lattice import dot, linear_combination
 from ihspoly.linalg import inertia, kernel
 
 
@@ -486,6 +486,10 @@ def test_pairing_dimension_check():
     lat = hyperbolic()
     with pytest.raises(ValueError):
         lat.pair(DivClass([1, 0, 0]), DivClass([1, 0]))
+    with pytest.raises(ValueError, match="^class dimension does not match lattice rank$"):
+        lat.form(DivClass([1, 0, 0]))
+    with pytest.raises(ValueError, match="^dot product of vectors of different lengths$"):
+        dot((1, 0, 0), (1, 0))
 
 
 def test_pairing_bilinear_seeded():

@@ -1,0 +1,73 @@
+"""Seeded random catalogs (tests/families.py): every polygon-layer call
+either returns or raises an IHSError, never a traceback, on consistent
+and inconsistent catalogs alike.
+
+The outcome counts are asserted exactly; they change only when the
+engine's answers or refusals change on some catalog.
+"""
+
+import json
+import random
+from collections import Counter
+from fractions import Fraction
+
+from families import random_catalog, random_class
+from ihspoly import DivClass, IHSError, parse_geometry
+from ihspoly.minkowski import minkowski_decompose
+from ihspoly.okounkov import cone_contains, mu_threshold, polygon
+
+SEEDS = range(50)
+CALLS = {
+    "mu_threshold": lambda geom, d, name, t, y: mu_threshold(geom, d, name),
+    "polygon": lambda geom, d, name, t, y: polygon(geom, d, name),
+    "cone_contains": lambda geom, d, name, t, y: cone_contains(geom, name, d, t, y),
+    "minkowski_decompose": lambda geom, d, name, t, y: minkowski_decompose(geom, d, name),
+}
+
+
+def _outcome(call, *args) -> str:
+    try:
+        result = call(*args)
+    except IHSError as exc:
+        return type(exc).__name__
+    return str(result) if isinstance(result, bool) else "returned"
+
+
+def test_random_catalogs_return_or_refuse():
+    outcomes = Counter()
+    catalogs = Counter()
+    for rank in (2, 3):
+        for mode in ("polyhedral", "round"):
+            for seed in SEEDS:
+                rng = random.Random(f"{mode}-{rank}-{seed}")
+                doc = random_catalog(rng, rank, mode)
+                geom = parse_geometry(json.dumps(doc))
+                catalogs[mode, rank, len(geom.primes)] += 1
+                for _ in range(2):
+                    d = DivClass(random_class(rng, doc))
+                    t = Fraction(rng.randint(0, 4), rng.randint(1, 3))
+                    y = Fraction(rng.randint(0, 4), rng.randint(1, 3))
+                    for prime in geom.primes:
+                        for name, call in CALLS.items():
+                            outcomes[name, _outcome(call, geom, d, prime.name, t, y)] += 1
+    assert catalogs == {
+        ("polyhedral", 2, 1): 13, ("polyhedral", 2, 2): 25, ("polyhedral", 2, 3): 12,
+        ("polyhedral", 3, 1): 18, ("polyhedral", 3, 2): 15, ("polyhedral", 3, 3): 17,
+        ("round", 2, 1): 15, ("round", 2, 2): 21, ("round", 2, 3): 14,
+        ("round", 3, 1): 20, ("round", 3, 2): 20, ("round", 3, 3): 10,
+    }
+    assert outcomes == {
+        ("mu_threshold", "returned"): 507,
+        ("mu_threshold", "DomainError"): 123,
+        ("mu_threshold", "ConsistencyError"): 144,
+        ("polygon", "returned"): 307,
+        ("polygon", "DomainError"): 123,
+        ("polygon", "ConsistencyError"): 344,
+        ("cone_contains", "True"): 124,
+        ("cone_contains", "False"): 213,
+        ("cone_contains", "DomainError"): 123,
+        ("cone_contains", "ConsistencyError"): 314,
+        ("minkowski_decompose", "returned"): 48,
+        ("minkowski_decompose", "DomainError"): 448,
+        ("minkowski_decompose", "ConsistencyError"): 278,
+    }

@@ -17,9 +17,12 @@ ordering roots.  No loop runs on a constant true test, and Surd orders
 two radicals in closed form, with no interval refinement.  The self-checks
 build their results in one runner, and no closure there binds a loop
 variable through a default argument.  No module imports `dataclasses`.
+Every `ConsistencyError` the engine raises is pinned by a test that
+asserts its message, except the three loop caps no catalog can reach.
 """
 
 import ast
+import re
 import sys
 from functools import cached_property
 from pathlib import Path
@@ -30,6 +33,7 @@ from ihspoly.geometry import Geometry
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ihspoly"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(p for p in Path(__file__).resolve().parent.glob("*.py") if p.name != Path(__file__).name)
 CACHES = {name for name, v in vars(Geometry).items() if isinstance(v, cached_property)}
 
 
@@ -246,3 +250,62 @@ def test_checks_build_results_in_one_runner():
             assert not args.defaults and not any(args.kw_defaults), (
                 f"checks.py:{node.lineno} takes default arguments"
             )
+
+
+# Each cap is the exit of a loop whose support or null set grows every
+# round that does not end it, within the catalog: it is never reached.
+LOOP_EXITS = {
+    ("zariski.py", "Zariski support enlargement did not stabilize"),
+    ("okounkov.py", "chamber walk exceeded the iteration cap"),
+    ("minkowski.py", "minkowski decomposition exceeded the iteration cap"),
+}
+
+
+def _consistency_raises():
+    """(module, line, leading literal, follows a loop) for every
+    `raise ConsistencyError(...)` in src/; the leading literal is the
+    message's text before its first replacement field."""
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            for field in ("body", "orelse", "finalbody"):
+                stmts = getattr(node, field, None)
+                if not isinstance(stmts, list):
+                    continue
+                for i, stmt in enumerate(stmts):
+                    exc = stmt.exc if isinstance(stmt, ast.Raise) else None
+                    if not (isinstance(exc, ast.Call) and ast.unparse(exc.func) == "ConsistencyError"):
+                        continue
+                    message = exc.args[0] if exc.args else None
+                    if isinstance(message, ast.JoinedStr):
+                        message = message.values[0]
+                    literal = message.value if isinstance(message, ast.Constant) else ""
+                    yield path.name, stmt.lineno, literal, i > 0 and isinstance(stmts[i - 1], ast.For)
+
+
+def _test_strings() -> list[str]:
+    """Every string literal of the other test modules that is not a
+    docstring, with regex escapes undone and a leading ^ dropped."""
+    found = []
+    for path in TESTS:
+        tree = _tree(path)
+        bare = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in bare:
+                found.append(re.sub(r"\\(.)", r"\1", node.value).removeprefix("^"))
+    return found
+
+
+def test_every_consistency_error_is_asserted():
+    """A test asserts every catalog inconsistency the engine can report:
+    some test string starts with each message's leading literal.  The
+    loop caps are exempt, and each stays the statement after its loop."""
+    strings = _test_strings()
+    exits = set()
+    for module, line, literal, after_loop in _consistency_raises():
+        if (module, literal) in LOOP_EXITS:
+            assert after_loop, f"{module}:{line} is no longer its loop's exit"
+            exits.add((module, literal))
+            continue
+        assert literal.strip(), f"{module}:{line} raises a message with no leading literal"
+        assert any(s.startswith(literal) for s in strings), f"{module}:{line}: no test asserts {literal!r}"
+    assert exits == LOOP_EXITS

@@ -21,6 +21,7 @@ s^2 = c^2 = -2, f^2 = f.c = s.c = 0):
 
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -292,7 +293,9 @@ def test_chamber_formulas_agree_on_wall(hilb2):
 
 def test_chamber_positive_part_rejects_bad_support(hilb2):
     # q(E') = 0, so {E, E'} spans no negative definite sublattice.
-    with pytest.raises(ConsistencyError, match="negative definite"):
+    message = ("Gram matrix of ['E', \"E'\"] is not negative definite; "
+               "the declared prime catalog is inconsistent")
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
         chamber_positive_part(hilb2, DivClass([1, 0]), ["E", "E'"])
 
 
