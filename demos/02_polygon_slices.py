@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ihspoly import DivClass, Surd, load_geometry, polygon, volume
 from ihspoly.geometry import format_divisor
-from ihspoly.report import polygon_svg, surd_text
+from ihspoly.view import polygon_svg, surd_text
 
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
 

@@ -24,7 +24,7 @@ from ihspoly import (
     polygon_scale,
 )
 from ihspoly.geometry import format_divisor
-from ihspoly.report import surd_text
+from ihspoly.view import surd_text
 
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
 

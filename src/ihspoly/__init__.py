@@ -29,9 +29,11 @@ _LAYERS = {
     "lattice": ("BBFLattice", "DivClass", "Rat"),
     "minkowski": (
         "BasisElement",
+        "ConePoint",
         "MinkowskiDecomposition",
         "chamber_closure_rays",
         "chamber_generator",
+        "cone_generators",
         "enumerate_chambers",
         "isotropic_extremal_rays",
         "minkowski_basis",
@@ -40,12 +42,10 @@ _LAYERS = {
     ),
     "okounkov": (
         "BreakpointTrace",
-        "ConePoint",
         "NOPolygon",
         "WalkSegment",
         "chamber_walk",
         "cone_contains",
-        "cone_generators",
         "mu_threshold",
         "polygon",
         "polygon_area",

@@ -12,10 +12,11 @@ included, as {"status": "error", ...}); it carries no timing or
 environment fields, so reruns on the same input are byte-identical.
 The default text output is rendered from the same payload.
 
-Each handler imports the layers it runs when it runs, so `decompose`
-and `volume` never load `okounkov`, `minkowski`, `checks` or `surd`;
-at module level this file binds only `errors`, `geometry` and `report`.
-No subcommand loads the dataclass module or `inspect`.
+Each handler imports the layers it runs when it runs: `decompose` and
+`volume` load no `okounkov`, `minkowski`, `checks` or `surd`, and
+`cone-generators` no `okounkov`.  At module level this file binds only
+`errors`, `geometry` and `report`; only text output and --svg load
+`view`.  No subcommand loads the dataclass module or `inspect`.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def _cmd_polygon(geom: Geometry, args: argparse.Namespace) -> dict:
     payload = report.polygon_json(geom, d, args.prime, poly)
     if args.svg:
         from pathlib import Path
-        Path(args.svg).write_text(report.polygon_svg(geom, d, args.prime, poly))
+        from .view import polygon_svg
+        Path(args.svg).write_text(polygon_svg(geom, d, args.prime, poly))
         payload["svg"] = args.svg
     return payload
 
@@ -138,7 +140,7 @@ def _cmd_chambers(geom: Geometry, args: argparse.Namespace) -> dict:
 
 
 def _cmd_cone_generators(geom: Geometry, args: argparse.Namespace) -> dict:
-    from .okounkov import cone_generators
+    from .minkowski import cone_generators
     return report.cone_json(geom, args.prime, cone_generators(geom, args.prime))
 
 
@@ -185,7 +187,9 @@ def main(argv=None) -> int:
     if args.format == "machine":
         print(report.machine_ok(args.command, payload))
     else:
-        print(report.text(args.command, payload, time.perf_counter() - started))
+        elapsed = time.perf_counter() - started  # the command's time, not the view's import
+        from .view import text
+        print(text(args.command, payload, elapsed))
     return 0 if payload.get("passed", True) else _CHECKS
 
 

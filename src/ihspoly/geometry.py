@@ -124,6 +124,8 @@ class Geometry(_Frozen):
         if mode == "round":
             if any(p.exceptional for p in primes):
                 raise GeometryError("round mode admits no exceptional primes")
+            if ample is None:
+                raise GeometryError("round mode requires an ample class")
             if lattice.square(ample) <= 0:
                 raise GeometryError("ample class must have positive BBF square")
             for p in primes:  # every prime lies in the round Eff

@@ -137,7 +137,7 @@ def _threshold(geom: Geometry, d: DivClass, prime: Prime) -> FrameValue:
             raise ConsistencyError("normalized class left the declared effective cone") from exc
         except UnboundedError as exc:
             raise ConsistencyError(
-                "threshold unbounded: declared effective cone is not pointed"
+                f"threshold unbounded: flag prime {prime.name!r} lies outside the declared effective cone"
             ) from exc
     a, b, c = _quadratic(d, geom.lattice.form(d), e, geom.prime_forms[prime.name])
     if c == 0:
@@ -374,58 +374,6 @@ def cone_contains(geom: Geometry, prime_name: str, zeta: DivClass, t, y) -> bool
     seg = next(seg for seg in trace.segments if t_rel <= seg.t_end)  # they tile [0, mu]
     c0, c1 = geom.prime_pair(seg.base, prime_name), geom.prime_pair(seg.slope, prime_name)
     return y <= Surd(c0) + t_rel * c1
-
-
-class ConePoint(NamedTuple):
-    """A rational generator (class, t, y) of the polygon cone."""
-
-    cls: DivClass
-    t: Fraction
-    y: Fraction
-
-
-def _primitive_cone_point(num: tuple[int, ...], t: int, y: Fraction) -> tuple[int, ...]:
-    """The primitive integer vector on the ray of (num, t, y), for an
-    integer class num and an integer t."""
-    vec = (*(v * y.denominator for v in num), t * y.denominator, y.numerator)
-    g = gcd(*vec)
-    return tuple(v // g for v in vec)
-
-
-def cone_generators(geom: Geometry, prime_name: str) -> tuple[ConePoint, ...]:
-    """Rational generators of the polygon cone over the effective cone.
-
-    For every extremal generator D_i of a chamber closure the points
-    (D_i, 0, q(P(D_i), E)) and (D_i, 0, 0) are emitted, plus (E, 1, 0);
-    duplicates collapse after primitive rescaling.  Those generators are
-    the movable rays and the exceptional primes: the empty chamber's
-    closure is Mov, every exceptional prime (q < 0) is a chamber of its
-    own, and each closure's rays are movable rays and primes of its
-    chamber.  A movable ray pairs nonnegatively with every prime, so its
-    Zariski support is empty and it is its own positive part: only the
-    exceptional primes are decomposed, which also checks that they are
-    pseudo-effective.
-    """
-    if geom.mode != "polyhedral":
-        raise DomainError("cone generators require polyhedral mode")
-    prime = geom.prime(prime_name)
-    heights = [(ray, geom.prime_pair(ray, prime_name)) for ray in geom.movable_rays]
-    for ray in (p.cls.primitive() for p in geom.exceptional_primes):
-        try:
-            pos = decompose(geom, ray).positive
-        except DomainError as exc:
-            raise ConsistencyError(
-                "chamber-closure ray is not pseudo-effective; catalog inconsistent"
-            ) from exc
-        heights.append((ray, geom.prime_pair(pos, prime_name)))
-    zero = Fraction(0)
-    points = {_primitive_cone_point(ray.num, 0, h) for ray, h in heights}
-    points.update(_primitive_cone_point(ray.num, 0, zero) for ray, _ in heights)
-    points.add(_primitive_cone_point(prime.cls.num, prime.cls.den, zero))  # (E, 1, 0) times E.den
-    return tuple(
-        ConePoint(DivClass(vec[:-2]), Fraction(vec[-2]), Fraction(vec[-1]))
-        for vec in sorted(points)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,13 @@ def test_geometry_enforces_the_catalog_invariants(how, fano_round):
     assert _rebuilt(how, fano_round) == fano_round
 
 
+def test_round_geometry_needs_an_ample_class(hilb2):
+    """The parser requires an ample vector in round mode; a Geometry
+    built or copied into round mode without one is refused by name."""
+    with pytest.raises(GeometryError, match="^round mode requires an ample class$"):
+        hilb2._replace(mode="round", primes=())
+
+
 def test_rational_entries_as_strings():
     geom = parse_doc(gram=[["2", "0"], ["0", "-2"]],
                      primes=[{"name": "E", "class": ["0", "1/1"], "exceptional": True}],

@@ -1,6 +1,7 @@
-"""Import laziness: a CLI subcommand loads only the layers it runs, and
-neither `dataclasses` nor `inspect`; the package's public names resolve
-on first use to their home modules' objects."""
+"""Import laziness: a CLI subcommand loads only the layers it runs, the
+text view only for text output and SVG, and neither `dataclasses` nor
+`inspect`; the package's public names resolve on first use to their
+home modules' objects."""
 
 import json
 import os
@@ -58,24 +59,39 @@ def cli_loads(*argv: str, code: str = RUN_CLI) -> set[str]:
     return loaded
 
 
-ENGINE = {"okounkov", "minkowski", "checks", "polygon2d", "surd"}
+# what every subcommand loads: the catalog, the decomposition, the payloads
+PAYLOAD = {"errors", "lattice", "linalg", "linprog", "geometry", "zariski", "report"}
+POLYGON = {"okounkov", "polygon2d", "surd"}
 
 
 @pytest.mark.parametrize(
-    "argv, absent",
+    "argv, layers",
     [
-        (["decompose", HILB2, "3*H - E"], ENGINE),
-        (["volume", HILB2, "3*H - E"], ENGINE),
-        (["restricted-volume", HILB2, "3*H - E", "E'"], ENGINE),
-        (["polygon", HILB2, "3*H - E", "E'"], {"checks", "minkowski"}),
-        (["cone-generators", HILB2, "E'"], {"checks", "minkowski"}),
+        (["decompose", HILB2, "3*H - E"], PAYLOAD),
+        (["volume", HILB2, "3*H - E"], PAYLOAD),
+        (["restricted-volume", HILB2, "3*H - E", "E'"], PAYLOAD),
+        (["polygon", HILB2, "3*H - E", "E'"], PAYLOAD | POLYGON),
+        (["minkowski", HILB2, "3*H - E", "E'"], PAYLOAD | {"minkowski"}),
+        (["minkowski-basis", HILB2, "E'"], PAYLOAD | {"minkowski"}),
+        (["chambers", HILB2_K3], PAYLOAD | {"minkowski"}),
+        (["cone-generators", HILB2, "E'"], PAYLOAD | {"minkowski"}),
+        (["check", HILB2, "--samples", "2"], PAYLOAD | POLYGON | {"minkowski", "checks"}),
     ],
-    ids=["decompose", "volume", "restricted-volume", "polygon", "cone-generators"],
+    ids=["decompose", "volume", "restricted-volume", "polygon", "minkowski", "minkowski-basis",
+         "chambers", "cone-generators", "check"],
 )
-def test_subcommand_loads_only_its_layers(argv, absent):
-    loaded = cli_loads(*argv)
-    assert {"report", "geometry", "zariski"} <= loaded
-    assert not loaded & absent
+def test_subcommand_loads_only_its_layers(argv, layers):
+    # A machine run loads exactly the layers its handler runs, and never
+    # the text view: a child compiles every module it loads.
+    assert cli_loads(*argv) == layers
+
+
+def test_text_view_loads_only_for_text_and_svg(tmp_path):
+    loaded, out = loaded_after(RUN_CLI, "decompose", HILB2, "3*H - E")
+    assert loaded == PAYLOAD | {"view"} and out.startswith("geometry")
+    svg = tmp_path / "polygon.svg"
+    assert cli_loads("polygon", HILB2, "3*H - E", "E'", "--svg", str(svg)) == PAYLOAD | POLYGON | {"view"}
+    assert svg.read_text().startswith("<svg")
 
 
 @pytest.mark.parametrize(
@@ -92,10 +108,6 @@ def test_subcommand_loads_neither_dataclasses_nor_inspect(argv):
     # The records are NamedTuples and small classes: importing
     # dataclasses would also load inspect, ast, dis and tokenize.
     assert cli_loads(*argv, code=run_cli("m in ('dataclasses', 'inspect')")) == set()
-
-
-def test_check_loads_its_layers():
-    assert ENGINE <= cli_loads("check", HILB2, "--samples", "2")
 
 
 def test_package_import_loads_no_layer():

@@ -67,7 +67,7 @@ NEGATIVELY_PAIRED = catalog(
 CASES = {
     "okounkov-threshold-unbounded": (
         lambda: mu_threshold(FLIPPED_PRIME, DivClass([1, 0]), "E"),
-        "threshold unbounded: declared effective cone is not pointed",
+        "threshold unbounded: flag prime 'E' lies outside the declared effective cone",
     ),
     "okounkov-exceptional-prime-off-eff": (
         lambda: cone_generators(FLIPPED_PRIME, "E"),

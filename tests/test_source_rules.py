@@ -2,15 +2,16 @@
 
 The package has no runtime dependency: every import is relative or from
 the standard library.  Its arithmetic is exact: the only floats are the
-display approximations and SVG coordinates in `report.py`, and the
-conversion `Surd.__float__` that produces them.  Data derived from a
-catalog is kept on the `Geometry` as cached properties, and only
-`geometry.py` fills them.  A function has one module-level name, so a
-tracer that wraps module attributes counts its calls under that name
-alone.  Negative definiteness has one path, the Schur steps of the
+display approximations and SVG coordinates in `view.py`, the advisory
+"float" field of `report.surd_json`, and the conversion `Surd.__float__`
+that produces them.  Data derived from a catalog is kept on the
+`Geometry` as cached properties, and only `geometry.py` fills them.  A
+function has one module-level name, so a tracer that wraps module
+attributes counts its calls under that name alone.  Negative definiteness has one path, the Schur steps of the
 support records: `linalg.inertia` serves only the lattice's signature
 check.  The CLI and the renderer load no computation layer on import,
-so each subcommand loads only the layers its handler imports.  Polygons
+so each subcommand loads only the layers its handler imports, and the
+CLI loads the text view only where it renders text or SVG.  Polygons
 have one representation, the integer frame: polygon2d keeps no Surd-pair
 hull, and okounkov chooses the threshold's root by sign, never by
 ordering roots.  No loop runs on a constant true test, and Surd orders
@@ -41,19 +42,26 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _surd_float_nodes(tree: ast.Module) -> set[int]:
-    """Ids of the nodes inside `Surd.__float__`."""
+def _float_sources(tree: ast.Module) -> set[int]:
+    """Ids of the nodes inside `Surd.__float__` and inside the value of
+    `surd_json`'s advisory "float" field."""
     inside: set[int] = set()
-    for cls in tree.body:
-        if isinstance(cls, ast.ClassDef) and cls.name == "Surd":
-            for item in cls.body:
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef) and top.name == "Surd":
+            for item in top.body:
                 if isinstance(item, ast.FunctionDef) and item.name == "__float__":
                     inside |= {id(node) for node in ast.walk(item)}
+        elif isinstance(top, ast.FunctionDef) and top.name == "surd_json":
+            for node in ast.walk(top):
+                if isinstance(node, ast.Dict):
+                    for key, value in zip(node.keys, node.values):
+                        if isinstance(key, ast.Constant) and key.value == "float":
+                            inside |= {id(n) for n in ast.walk(value)}
     return inside
 
 
 def test_modules_found():
-    assert {p.name for p in MODULES} >= {"__init__.py", "surd.py", "report.py", "cli.py"}
+    assert {p.name for p in MODULES} >= {"__init__.py", "surd.py", "report.py", "view.py", "cli.py"}
 
 
 def _absolute_imports(path: Path):
@@ -80,11 +88,11 @@ def test_no_module_imports_dataclasses(path):
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "report.py"], ids=lambda p: p.name
+    "path", [p for p in MODULES if p.name != "view.py"], ids=lambda p: p.name
 )
 def test_no_floats_outside_display(path):
     tree = _tree(path)
-    exempt = _surd_float_nodes(tree)
+    exempt = _float_sources(tree)
     for node in ast.walk(tree):
         if id(node) in exempt:
             continue
@@ -176,14 +184,15 @@ def _layers_bound(node, prune) -> set[str]:
 
 def test_cli_binds_no_computation_layer_at_module_level():
     """Outside its handlers, cli.py imports only the errors, the catalog
-    reader and the renderer; each handler imports the layers it runs."""
+    reader and the payload builders; each handler imports the layers it
+    runs, and the text view is imported where text or SVG is rendered."""
     tree = _tree(SRC / "cli.py")
 
     def in_function(node) -> bool:
         return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
 
     assert _layers_bound(tree, in_function) == {"errors", "geometry", "report"}
-    assert {"zariski", "okounkov", "minkowski", "checks"} <= _layers_bound(tree, lambda node: False)
+    assert {"zariski", "okounkov", "minkowski", "checks", "view"} <= _layers_bound(tree, lambda node: False)
 
 
 def test_report_imports_only_geometry_and_lattice_at_runtime():
