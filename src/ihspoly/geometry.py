@@ -14,12 +14,15 @@ Two modes exist:
 
 Constructing a Geometry enforces the catalog invariants the engine
 relies on, so parse_geometry, _replace and a direct call share them,
-with the parser's exceptions and messages: each prime is flagged
-exceptional exactly when its square is negative, and a round catalog
-has no exceptional prime, an ample class of positive square, and only
-primes that pair positively with it (so each lies in the round Eff).
-With the lattice's signature (1, rank-1) (BBFLattice), a round prime
-and every pseudo-effective class lie in one closed positive cone.
+with the parser's exceptions and messages: each prime is nonzero and
+flagged exceptional exactly when its square is negative, and a round
+catalog has no exceptional prime, an ample class of positive square,
+and only primes that pair positively with it (so each lies in the round
+Eff).  With the lattice's signature (1, rank-1) (BBFLattice), a round
+prime and every pseudo-effective class lie in one closed positive cone,
+which gives round mode the rules (c) and (d) that building a polyhedral
+Eff checks by name: (c) every prime lies in Eff and (d) distinct primes
+pair nonnegatively, so an exceptional prime E has P(E) = 0.
 
 Data derived from the catalog is built on first use and kept on the
 geometry, bounded by the catalog's size: the facets of Eff, Mov as
@@ -53,7 +56,7 @@ import re
 from bisect import bisect
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd
 from typing import NamedTuple, Optional
 
@@ -119,6 +122,8 @@ class Geometry(_Frozen):
     def __init__(self, name: str, lattice: BBFLattice, basis: tuple[str, ...], primes: tuple[Prime, ...],
                  mode: str, effective_generators: tuple[DivClass, ...] = (), ample: Optional[DivClass] = None):
         for k, p in enumerate(primes):
+            if p.cls.is_zero:
+                raise GeometryError(f"primes[{k}]: prime class must be nonzero")
             if p.exceptional != ((square := lattice.square(p.cls)) < 0):
                 raise GeometryError(f"primes[{k}]: exceptional flag is {p.exceptional} but q = {square}")
         if mode == "round":
@@ -161,10 +166,20 @@ class Geometry(_Frozen):
     @cached_property
     def eff_cone(self) -> Cone:
         """Facets and span equations of the declared effective cone
-        (polyhedral mode)."""
+        (polyhedral mode); building them checks pointedness, (c) and (d)."""
         cone = generated_cone([g.num for g in self.effective_generators], self.rank)
         if kernel([*cone.facets, *cone.equations], self.rank):
             raise ConsistencyError("declared effective cone is not pointed")
+        for p in self.primes:  # (c) and (d) here, not at construction: chamber code takes any signs
+            if not cone.contains(p.cls.num):
+                raise ConsistencyError(f"declared effective cone misses prime {p.name!r}; "
+                                       "every prime must be pseudo-effective")
+        forms = self.prime_forms
+        for p, other in combinations(self.primes, 2):
+            if dot(p.cls.num, forms[other.name][0]) < 0:
+                raise ConsistencyError(f"distinct primes {p.name!r} and {other.name!r} pair to "
+                                       f"{self.prime_pair(p.cls, other.name)} < 0; "
+                                       "distinct primes must pair nonnegatively")
         return cone
 
     @cached_property
@@ -371,8 +386,6 @@ def parse_geometry(text: str) -> Geometry:
             raise GeometryError(f"{where}: duplicate name {pname!r}")
         seen.add(pname)
         cls = _parse_vector(entry["class"], rank, f"{where}.class")
-        if cls.is_zero:
-            raise GeometryError(f"{where}: prime class must be nonzero")
         if not isinstance(entry["exceptional"], bool):
             raise GeometryError(f"{where}: exceptional must be a boolean")
         primes.append(Prime(pname, cls, entry["exceptional"]))

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 from .errors import ConsistencyError, DomainError
 from .geometry import Geometry
 from .lattice import DivClass, dot, linear_combination
-from .linprog import UnboundedError, max_step
+from .linprog import max_step
 from .zariski import ZariskiDecomposition, decompose, null_set
 
 
@@ -122,25 +122,18 @@ def cone_generators(geom: Geometry, prime_name: str) -> tuple[ConePoint, ...]:
     closure is Mov, every exceptional prime (q < 0) is a chamber of its
     own, and each closure's rays are movable rays and primes of its
     chamber.  A movable ray pairs nonnegatively with every prime, so its
-    Zariski support is empty and it is its own positive part: only the
-    exceptional primes are decomposed, which also checks that they are
-    pseudo-effective.
+    Zariski support is empty and it is its own positive part.  Building
+    Mov builds Eff, which checks rules (c) and (d): an exceptional prime
+    E is pseudo-effective and pairs negatively with no other prime, so
+    its support is {E} and P(E) = 0.  Nothing is decomposed.
     """
     if geom.mode != "polyhedral":
         raise DomainError("cone generators require polyhedral mode")
     prime = geom.prime(prime_name)
-    heights = [(ray, geom.prime_pair(ray, prime_name)) for ray in geom.movable_rays]
-    for ray in (p.cls.primitive() for p in geom.exceptional_primes):
-        try:
-            pos = decompose(geom, ray).positive
-        except DomainError as exc:
-            raise ConsistencyError(
-                "chamber-closure ray is not pseudo-effective; catalog inconsistent"
-            ) from exc
-        heights.append((ray, geom.prime_pair(pos, prime_name)))
-    zero = Fraction(0)
-    points = {_primitive_cone_point(ray.num, 0, h) for ray, h in heights}
-    points.update(_primitive_cone_point(ray.num, 0, zero) for ray, _ in heights)
+    movable, zero = geom.movable_rays, Fraction(0)
+    points = {_primitive_cone_point(ray.num, 0, geom.prime_pair(ray, prime_name)) for ray in movable}
+    rays = (*movable, *(p.cls.primitive() for p in geom.exceptional_primes))
+    points.update(_primitive_cone_point(ray.num, 0, zero) for ray in rays)
     points.add(_primitive_cone_point(prime.cls.num, prime.cls.den, zero))  # (E, 1, 0) times E.den
     return tuple(
         ConePoint(DivClass(vec[:-2]), Fraction(vec[-2]), Fraction(vec[-1]))
@@ -240,10 +233,8 @@ def _minkowski_decompose(
                 "no chamber generator exists for it"
             )
         gen = chamber_generator(geom, sigma, flag_name)
-        try:
-            tau = max_step(geom.mov_cone, gen.num, m.num) * Fraction(gen.den, m.den)
-        except UnboundedError as exc:
-            raise ConsistencyError("no wall bounds the chamber generator direction") from exc
+        # bounded: by rules (c) and (d) gen is a nonzero class of the pointed Eff
+        tau = max_step(geom.mov_cone, gen.num, m.num) * Fraction(gen.den, m.den)
         if tau <= 0:
             raise ConsistencyError(
                 "chamber generator cannot be subtracted; catalog inconsistent"

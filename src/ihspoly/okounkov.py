@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import ConsistencyError, DomainError
 from .geometry import Geometry, Prime, is_pseudo_effective
 from .lattice import DivClass, _Frozen, dot
-from .linprog import InfeasibleError, UnboundedError, max_step
+from .linprog import InfeasibleError, max_step
 from .polygon2d import Frame, Point, canonical, contains_polygon, lift, points, translate, width
 from .polygon2d import area as frame_area
 from .polygon2d import minkowski_sum as frame_minkowski_sum
@@ -119,10 +119,12 @@ class NOPolygon(_Frozen):
 def _threshold(geom: Geometry, d: DivClass, prime: Prime) -> FrameValue:
     """mu_E(D) = sup { t >= 0 : D - tE pseudo-effective }, D psef.
 
-    In round mode mu is the least positive root of q(D - tE) =
-    q(D) - 2t q(D, E) + t^2 q(E).  Over one denominator that is
-    a t^2 - 2b t + c.  D and E != 0 lie in the closed positive cone and
-    E is not exceptional (Geometry), so a, b, c >= 0.  For c = 0 mu is
+    In polyhedral mode mu is a max_step over Eff, bounded as E != 0 lies
+    in the pointed Eff (rule (c), Geometry).  In round mode mu is the
+    least positive root of q(D - tE) = q(D) - 2t q(D, E) + t^2 q(E).
+    Over one denominator that is a t^2 - 2b t + c.  D and E != 0 lie in
+    the closed positive cone and E is not exceptional (Geometry), so
+    a, b, c >= 0.  For c = 0 mu is
     0 when b > 0; else D is isotropic and orthogonal to E in that cone,
     so a nonnegative multiple of E, and mu is that ratio.  For c > 0,
     b > 0 and the quarter discriminant b^2 - ac = r^2 s is nonnegative
@@ -135,10 +137,6 @@ def _threshold(geom: Geometry, d: DivClass, prime: Prime) -> FrameValue:
             return _rational(max_step(geom.eff_cone, e.num, d.num) * Fraction(e.den, d.den))
         except InfeasibleError as exc:  # D is psef, so only _trace's D - nu E gets here
             raise ConsistencyError("normalized class left the declared effective cone") from exc
-        except UnboundedError as exc:
-            raise ConsistencyError(
-                f"threshold unbounded: flag prime {prime.name!r} lies outside the declared effective cone"
-            ) from exc
     a, b, c = _quadratic(d, geom.lattice.form(d), e, geom.prime_forms[prime.name])
     if c == 0:
         return (0, 0, 1, 0) if b > 0 else _rational(d.ratio(e))

@@ -11,11 +11,11 @@ for their coefficients (which simultaneously enforces orthogonality),
 and enlarge the support with any prime that still pairs negatively with
 the candidate positive part.  Supports only ever grow, so the loop ends
 after at most #catalog + 1 rounds.  A support that is not negative
-definite, or a negative coefficient, is reported as a catalog
-inconsistency rather than patched over.  Only two primes that pair
-negatively give a negative coefficient: otherwise minus the support's
-Gram matrix is an M-matrix, and each round's coefficients are the last
-round's plus a nonnegative correction.
+definite is reported as a catalog inconsistency rather than patched
+over.  Building Eff checks that distinct primes pair nonnegatively
+(Geometry's rule (d)), so minus the support's Gram matrix is an
+M-matrix and each round adds a nonnegative correction to the last
+round's coefficients: none is negative.
 
 P is linear on each chamber S, so it is one fixed rational projector
 P_S there: Geometry.support_projector builds it once per geometry as
@@ -67,15 +67,6 @@ def decompose(geom: Geometry, d: DivClass) -> ZariskiDecomposition:
     )
     for _ in range(len(geom.primes) + 1):  # the support grows every round that does not return
         proj = geom.support_projector(support)
-        # coefficient numerators over proj.den * den, by name
-        xs = dict(zip(proj.names, (dot(row, num) for row in proj.coeff_rows)))
-        for name, x in xs.items():
-            if x < 0:
-                x = Fraction(x, proj.den * den)
-                raise ConsistencyError(
-                    f"negative coefficient {x} for prime {name!r}; "
-                    "the declared prime catalog is inconsistent"
-                )
         # over proj.den * den; the empty support's projector is the identity
         positive = tuple(dot(row, num) for row in proj.rows) if support else num
         joining = [
@@ -84,7 +75,8 @@ def decompose(geom: Geometry, d: DivClass) -> ZariskiDecomposition:
         ]
         if not joining:
             pos = DivClass._raw(positive, proj.den * den)
-            negative = tuple((n, Fraction(x, proj.den * den)) for n, x in xs.items() if x > 0)
+            xs = (dot(row, num) for row in proj.coeff_rows)  # coefficient numerators, in name order
+            negative = tuple((n, Fraction(x, proj.den * den)) for n, x in zip(proj.names, xs) if x > 0)
             return ZariskiDecomposition(pos, negative, d - pos)
         support = support.union(joining)
     raise ConsistencyError("Zariski support enlargement did not stabilize")

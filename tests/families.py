@@ -11,7 +11,8 @@ primes may pair negatively with each other, Eff may miss a prime or fail
 to be pointed, and Mov may hold classes of negative square, so the
 family mixes consistent and inconsistent catalogs.  Entries stay in
 [-2, 2] and catalogs hold one to three primes, so every call on one is
-cheap.
+cheap.  A draw that finds no ample class in 100 tries fails with an
+AssertionError, as one that finds no nonzero vector does.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ def _vector(rng: random.Random, rank: int) -> list[int]:
         if any(v):
             return v
     raise AssertionError("no nonzero vector drawn")
+
+
+def _ample(rng: random.Random, gram: list[list[int]]) -> list[int]:
+    """A random vector of positive square, from at most 100 draws."""
+    for _ in range(100):
+        v = _vector(rng, len(gram))
+        if _pair(gram, v, v) > 0:
+            return v
+    raise AssertionError("no ample class drawn")
 
 
 def _gram(rng: random.Random, rank: int) -> list[list[int]]:
@@ -56,8 +66,7 @@ def random_catalog(rng: random.Random, rank: int, mode: str) -> dict:
         extra = [_vector(rng, rank) for _ in range(rng.randint(1, 2))]
         doc["effective_generators"] = classes + extra
     else:
-        ample = next(v for v in (_vector(rng, rank) for _ in range(100)) if _pair(gram, v, v) > 0)
-        doc["ample"] = ample
+        doc["ample"] = ample = _ample(rng, gram)
         count = rng.randint(1, 3)
         for _ in range(50 * count):
             v = _vector(rng, rank)

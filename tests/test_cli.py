@@ -384,10 +384,24 @@ def test_check_bad_sample_count_exits_3(capsys):
     assert "--samples" in err
 
 
+# Breaks only rule (e) of the catalog rules: the big movable ray H of
+# Eff = cone(H, H + d) lies on a facet of Eff.  Nothing refuses it before
+# sampling, so the self-checks must report it.
+BIG_ON_A_FACET = {
+    "name": "big_on_a_facet",
+    "mode": "polyhedral",
+    "half_dim": 2,
+    "fujiki": 3,
+    "basis": ["H", "d"],
+    "gram": [[2, 0], [0, -2]],
+    "primes": [{"name": "E", "class": [1, 1], "exceptional": False}],
+    "effective_generators": [[1, 0], [1, 1]],
+}
+
+
 def test_check_failures_exit_4(capsys, tmp_path):
     # A catalog whose declared effective cone is smaller than the span
-    # of its own primes: thresholds collapse and the area identity
-    # breaks, which the self-checks must report.
+    # of its own primes is refused by name before any sample is drawn.
     doc = {
         "name": "pinched",
         "mode": "polyhedral",
@@ -404,36 +418,42 @@ def test_check_failures_exit_4(capsys, tmp_path):
     path = tmp_path / "pinched.geom"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "check", str(path), "--samples", "4")
+    assert (code, out) == (3, "")
+    assert err == "error: declared effective cone misses prime 'E'; every prime must be pseudo-effective\n"
+    # A catalog that passes every rule checked so far and still breaks
+    # the engine's identities fails the self-checks.
+    path = tmp_path / "big_on_a_facet.geom"
+    path.write_text(json.dumps(BIG_ON_A_FACET))
+    code, out, err = run(capsys, "check", str(path), "--samples", "4")
     assert code == 4 and err == ""
     broke = "terminal cross-check failed: q(P(D - mu E)) != 0; the declared data is inconsistent"
-    area = [("3*H", "E"), ("3*H", "E'"), ("3*H", "E"), ("3*H", "E'"), ("2*H", "E")]
-    classes = ["3*H", "3*H", "2*H", "3*H"]
-    translated = ["E", "E'", "E", "E'"]
-    pairs = [("3*H", "3*H"), ("3*H", "2*H"), ("2*H", "3*H")]
+    zero_step = "chamber generator cannot be subtracted; catalog inconsistent"
+    classes = ["6*H + 3*d", "6*H + 3*d", "8*H + 4*d", "8*H + 6*d"]
+    pairs = [("6*H + 3*d", "6*H + 3*d"), ("6*H + 3*d", "8*H + 4*d"), ("8*H + 4*d", "8*H + 6*d")]
     expected = [
-        "geometry        pinched",
-        "FAIL   polygon-area-identity        8 run(s), 8 failed",
-        *(f"       - 2*area != q(P) for D={d}, E={e}: {broke}" for d, e in area),
+        "geometry        big_on_a_facet",
+        "FAIL   polygon-area-identity        4 run(s), 4 failed",
+        *(f"       - 2*area != q(P) for D={d}, E=E: {broke}" for d in classes),
         "FAIL   volume-chain                 4 run(s), 4 failed",
         *(f"       - volume chain broke for D={d}: {broke}" for d in classes),
         "FAIL   breakpoint-structure         4 run(s), 4 failed",
         *(f"       - trace structure broke for D={d}: {broke}" for d in classes),
-        "FAIL   flag-translation             4 run(s), 4 failed",
-        *(f"       - translation by {e} broke for D=3*H: {broke}" for e in translated),
+        "FAIL   flag-translation             2 run(s), 2 failed",
+        *(f"       - translation by E broke for D=6*H + 3*d: {broke}" for _ in range(2)),
         "FAIL   polygon-superadditivity      3 run(s), 3 failed",
         *(f"       - superadditivity broke for {a} and {b}: {broke}" for a, b in pairs),
         "PASS   volume-log-concavity         3 run(s), 0 failed",
         "FAIL   zariski-idempotence          4 run(s), 4 failed",
         *(f"       - idempotence broke for D={d}: {broke}" for d in classes),
         "FAIL   catalog-order-invariance     1 run(s), 1 failed",
-        f"       - catalog order changed results for D=3*H: {broke}",
+        f"       - catalog order changed results for D=6*H + 3*d: {broke}",
         "FAIL   minkowski-reconstruction     4 run(s), 4 failed",
-        *(f"       - reconstruction broke for D={d}: {broke}" for d in classes),
-        "PASS   wall-continuity              1 run(s), 0 failed",
+        *(f"       - reconstruction broke for D={d}: {zero_step}" for d in classes),
+        "SKIP   wall-continuity              0 run(s), 0 failed",
     ]
     *body, result, end = out.split("\n")
     assert body == expected and end == ""
-    assert re.fullmatch(r"result          32 failure\(s\) in \d+\.\d\ds", result)
+    assert re.fullmatch(r"result          26 failure\(s\) in \d+\.\d\ds", result)
 
 
 def test_check_failures_machine_reports_failed(capsys, tmp_path):
@@ -442,13 +462,17 @@ def test_check_failures_machine_reports_failed(capsys, tmp_path):
     doc["effective_generators"] = [[1, 0]]
     path = tmp_path / "pinched.geom"
     path.write_text(json.dumps(doc))
-    code, out, err = run(
-        capsys, "check", str(path), "--samples", "4", "--format", "machine"
-    )
-    assert code == 4 and err == ""
-    payload = json.loads(out)
+    code, payload = run_json(capsys, "check", str(path), "--samples", "4")
+    assert code == 3
+    assert payload == {"status": "error", "code": 3, "message": "declared effective cone misses prime 'E'; "
+                                                                "every prime must be pseudo-effective"}
+    path = tmp_path / "big_on_a_facet.geom"
+    path.write_text(json.dumps(BIG_ON_A_FACET))
+    code, payload = run_json(capsys, "check", str(path), "--samples", "4")
+    assert code == 4
     assert payload["passed"] is False
-    assert any(c["failed"] > 0 and c["messages"] for c in payload["checks"])
+    failed = [c["name"] for c in payload["checks"] if c["failed"] > 0 and c["messages"]]
+    assert len(failed) == 8 and "volume-log-concavity" not in failed and "wall-continuity" not in failed
 
 
 def test_missing_command_exits_2(capsys):

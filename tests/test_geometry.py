@@ -182,7 +182,7 @@ def test_prime_validation():
     # Prime names may not shadow basis names either.
     with pytest.raises(GeometryError, match="duplicate name"):
         parse_doc(primes=[{"name": "H", "class": [0, 2], "exceptional": True}])
-    with pytest.raises(GeometryError, match="nonzero"):
+    with pytest.raises(GeometryError, match=r"^primes\[0\]: prime class must be nonzero$"):
         parse_doc(primes=[{"name": "E", "class": [0, 0], "exceptional": True}])
     with pytest.raises(GeometryError, match="boolean"):
         parse_doc(primes=[{"name": "E", "class": [0, 2], "exceptional": 1}])
@@ -253,10 +253,14 @@ def _rebuilt(how, geom, **changes):
 @pytest.mark.parametrize("how", ["Geometry", "_replace"])
 def test_geometry_enforces_the_catalog_invariants(how, fano_round):
     """Building a Geometry refuses what the parser refuses, with the
-    parser's exception and message: a flag that disagrees with the sign
-    of q, an exceptional round prime, an ample class of square <= 0, and
-    a round prime that pairs to <= 0 with the ample class."""
+    parser's exception and message: a zero prime, a flag that disagrees
+    with the sign of q, an exceptional round prime, an ample class of
+    square <= 0, and a round prime that pairs to <= 0 with the ample
+    class."""
     toy = parse_doc()
+    zero = Prime("Z", DivClass([0, 0]), False)
+    with pytest.raises(GeometryError, match=r"^primes\[2\]: prime class must be nonzero$"):
+        _rebuilt(how, toy, primes=(*toy.primes, zero))
     flipped = Prime("E", DivClass([0, 2]), False)
     with pytest.raises(GeometryError, match=r"^primes\[0\]: exceptional flag is False but q = -8$"):
         _rebuilt(how, toy, primes=(flipped, toy.prime("E'")))

@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 
 from ihspoly import BBFLattice, DivClass
-from ihspoly.errors import ConsistencyError
+from ihspoly.errors import ConsistencyError, GeometryError
 from ihspoly.geometry import Geometry, Prime
 from ihspoly.lattice import dot, linear_combination
 from ihspoly.linalg import inertia, kernel
@@ -543,8 +543,12 @@ def test_negative_definite_degenerate_families():
         ([d], True),
         # A repeated class spans a line but the family is linearly dependent.
         ([d, d], False),
-        ([DivClass([0, 0])], False),
         ([DivClass([1, 0])], False),  # q > 0
         ([DivClass([1, 1])], False),  # q = 0
     ):
         assert projector_accepts(lat, classes) == negative_definite(lat, classes) == definite
+    # A zero class is never definite, and Geometry refuses it as a prime
+    # before any Schur step.
+    assert not negative_definite(lat, [DivClass([0, 0])])
+    with pytest.raises(GeometryError, match=r"^primes\[0\]: prime class must be nonzero$"):
+        projector_accepts(lat, [DivClass([0, 0])])

@@ -870,9 +870,8 @@ def test_cone_generators_match_chamber_closure_union(hilb2, k3_elliptic, hilb2_e
 def test_cone_generators_and_closures_do_no_cone_work(monkeypatch):
     # Once Mov's rays are built, the closures and the generators are read
     # off them and the primes: no kernel at all, and cone_generators does
-    # not even need the chamber list.  Its only support work is the
-    # singleton records that the exceptional primes' decompositions
-    # build, one Schur step each from the empty support's record.
+    # not even need the chamber list or any support record: an
+    # exceptional prime is its own negative part (rules (c) and (d)).
     geom = pairwise_family(8)
     assert len(geom.movable_rays) == 56
     calls = Counter()
@@ -896,15 +895,14 @@ def test_cone_generators_and_closures_do_no_cone_work(monkeypatch):
     for prime in geom.primes:
         # rays through the flag have height 0, the 35 others q(r, E) = 3
         assert len(cone_generators(geom, prime.name)) == 21 + 2 * 35 + 8 + 1
-    singletons = {frozenset({p.name}) for p in geom.exceptional_primes}
-    assert set(geom.support_projectors) == singletons | {frozenset()}
-    assert calls == Counter({"schur_step": len(singletons)})
+    assert geom.support_projectors == {}
+    assert calls == Counter()
     for chamber in enumerate_chambers(geom):
         chamber_closure_rays(geom, chamber)
     assert calls[("ihspoly.linprog", "kernel")] == calls[("ihspoly.geometry", "kernel")] == 0
-    # the chamber list itself: the pairs from the cached singletons, and
-    # the triples, which all fail
-    assert calls["schur_step"] == len(singletons) + 28 + 56
+    # the chamber list itself: the 8 singletons, the 28 pairs and the 56
+    # triples, which all fail
+    assert calls["schur_step"] == 8 + 28 + 56
 
 
 def test_cone_generators_round_mode_rejected(fano_round):

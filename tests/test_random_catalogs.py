@@ -1,6 +1,7 @@
-"""Seeded random catalogs (tests/families.py): every polygon-layer call
-either returns or raises an IHSError, never a traceback, on consistent
-and inconsistent catalogs alike.
+"""Seeded random catalogs (tests/families.py) of ranks 2-4: every
+polygon-layer and Minkowski-layer call either returns or raises an
+IHSError, never a traceback, on consistent and inconsistent catalogs
+alike.
 
 The outcome counts are asserted exactly; they change only when the
 engine's answers or refusals change on some catalog.
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from families import random_catalog, random_class
 from ihspoly import DivClass, IHSError, parse_geometry
-from ihspoly.minkowski import minkowski_decompose
+from ihspoly.minkowski import cone_generators, minkowski_basis, minkowski_decompose
 from ihspoly.okounkov import cone_contains, mu_threshold, polygon
 
 SEEDS = range(50)
@@ -22,6 +23,8 @@ CALLS = {
     "polygon": lambda geom, d, name, t, y: polygon(geom, d, name),
     "cone_contains": lambda geom, d, name, t, y: cone_contains(geom, name, d, t, y),
     "minkowski_decompose": lambda geom, d, name, t, y: minkowski_decompose(geom, d, name),
+    "cone_generators": lambda geom, d, name, t, y: cone_generators(geom, name),
+    "minkowski_basis": lambda geom, d, name, t, y: minkowski_basis(geom, name),
 }
 
 
@@ -36,7 +39,7 @@ def _outcome(call, *args) -> str:
 def test_random_catalogs_return_or_refuse():
     outcomes = Counter()
     catalogs = Counter()
-    for rank in (2, 3):
+    for rank in (2, 3, 4):
         for mode in ("polyhedral", "round"):
             for seed in SEEDS:
                 rng = random.Random(f"{mode}-{rank}-{seed}")
@@ -53,21 +56,29 @@ def test_random_catalogs_return_or_refuse():
     assert catalogs == {
         ("polyhedral", 2, 1): 13, ("polyhedral", 2, 2): 25, ("polyhedral", 2, 3): 12,
         ("polyhedral", 3, 1): 18, ("polyhedral", 3, 2): 15, ("polyhedral", 3, 3): 17,
+        ("polyhedral", 4, 1): 16, ("polyhedral", 4, 2): 18, ("polyhedral", 4, 3): 16,
         ("round", 2, 1): 15, ("round", 2, 2): 21, ("round", 2, 3): 14,
         ("round", 3, 1): 20, ("round", 3, 2): 20, ("round", 3, 3): 10,
+        ("round", 4, 1): 24, ("round", 4, 2): 13, ("round", 4, 3): 13,
     }
     assert outcomes == {
-        ("mu_threshold", "returned"): 507,
-        ("mu_threshold", "DomainError"): 123,
-        ("mu_threshold", "ConsistencyError"): 144,
-        ("polygon", "returned"): 307,
-        ("polygon", "DomainError"): 123,
-        ("polygon", "ConsistencyError"): 344,
-        ("cone_contains", "True"): 124,
-        ("cone_contains", "False"): 213,
-        ("cone_contains", "DomainError"): 123,
-        ("cone_contains", "ConsistencyError"): 314,
-        ("minkowski_decompose", "returned"): 48,
-        ("minkowski_decompose", "DomainError"): 448,
-        ("minkowski_decompose", "ConsistencyError"): 278,
+        ("mu_threshold", "returned"): 558,
+        ("mu_threshold", "DomainError"): 194,
+        ("mu_threshold", "ConsistencyError"): 400,
+        ("polygon", "returned"): 418,
+        ("polygon", "DomainError"): 194,
+        ("polygon", "ConsistencyError"): 540,
+        ("cone_contains", "True"): 170,
+        ("cone_contains", "False"): 286,
+        ("cone_contains", "DomainError"): 194,
+        ("cone_contains", "ConsistencyError"): 502,
+        ("minkowski_decompose", "returned"): 51,
+        ("minkowski_decompose", "DomainError"): 633,
+        ("minkowski_decompose", "ConsistencyError"): 468,
+        ("cone_generators", "returned"): 196,
+        ("cone_generators", "DomainError"): 556,
+        ("cone_generators", "ConsistencyError"): 400,
+        ("minkowski_basis", "returned"): 196,
+        ("minkowski_basis", "DomainError"): 556,
+        ("minkowski_basis", "ConsistencyError"): 400,
     }

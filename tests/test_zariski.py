@@ -589,7 +589,8 @@ def test_support_records_equal_whichever_path_builds_them(name, request):
 def test_decompose_rejects_degenerate_catalog():
     # Two exceptional primes on the same ray: their Gram matrix is
     # singular, so the decomposition must refuse the catalog rather
-    # than invent coefficients.
+    # than invent coefficients.  They pair to q(2d, 4d) = -16, so rule
+    # (d) refuses it when Eff is built, before any support is grown.
     doc = {
         "name": "degenerate",
         "half_dim": 1,
@@ -604,7 +605,8 @@ def test_decompose_rejects_degenerate_catalog():
         "effective_generators": [[0, 1], [1, -1]],
     }
     geom = parse_geometry(json.dumps(doc))
-    with pytest.raises(ConsistencyError, match="negative definite"):
+    with pytest.raises(ConsistencyError, match="^distinct primes 'E' and 'EE' pair to -16 < 0; "
+                                               "distinct primes must pair nonnegatively$"):
         decompose(geom, DivClass([0, 1]))
 
 
