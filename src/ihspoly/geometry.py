@@ -37,8 +37,12 @@ over one shared denominator, with the images P_S(E) of every catalog
 prime; each is one rank-one Schur update of the record of S less its
 last prime, whose one pairing also decides that S is negative definite.
 The chamber walk's slope along E on S is -P_S(E) and the Minkowski
-generator of S is P_S(E) made primitive, both read off the record.  A
-failed build is never kept.
+generator of S is P_S(E) made primitive, both read off the record.
+One more store (answers, filled by Geometry.kept) holds the Minkowski
+layer's answers once asked for, keyed by a kind and a flag prime's
+name or a chamber's frozenset of names: each chamber's closure rays,
+each flag's Minkowski basis and polygon-cone generators, and the
+isotropic movable rays.  A failed build is never kept.
 
 Everything downstream is correct relative to this declared data: a
 truncated catalog (actual manifolds may carry infinitely many prime
@@ -278,6 +282,22 @@ class Geometry(_Frozen):
         images = {p.name: _apply(rows[k + 1:], den, p.cls) for p in self.primes}
         found = SupportProjector(names, rows[:k + 1], rows[k + 1:], den, images)
         self.support_projectors[support] = found
+        return found
+
+    @cached_property
+    def answers(self) -> dict[tuple[str, object], object]:
+        """The per-flag and per-chamber answers asked for so far, keyed by
+        (kind, argument); kept fills it."""
+        return {}
+
+    def kept(self, kind: str, argument, build):
+        """The answer of this kind for argument: build(self, argument) on
+        first use, kept under (kind, argument).  A build that raises keeps
+        nothing, so the next call raises again."""
+        answers, key = self.answers, (kind, argument)
+        found = answers.get(key)
+        if found is None:
+            found = answers[key] = build(self, argument)
         return found
 
 

@@ -18,8 +18,10 @@ polygons add up along the way.
 The generator of S is P_S(E) made primitive, so it is read off the
 support's record (Geometry.support_projector), which holds P_S(E) for
 every catalog prime and is one rank-one update of a smaller chamber's
-record; this module keeps no solve or cache of its own.  The
-walk's step tau along a generator is the largest one that keeps the
+record.  A chamber's closure, a flag's basis and cone generators, and
+the isotropic rays are built here once per catalog and kept on the
+geometry by Geometry.kept; this module writes no store of its own.
+The walk's step tau along a generator is the largest one that keeps the
 leftover movable: one max_step over Mov (Geometry.mov_cone, Eff cut by
 the primes' form rows), so both the prime walls and the facets of Eff
 bound it.  The global polygon cone's generators are the closures' rays.
@@ -51,19 +53,17 @@ def chamber_generator(geom: Geometry, chamber: frozenset[str], flag_name: str) -
     """Primitive generator of the ray of the flag pushed into S-perp.
 
     The ray of E + sum x_i E_i with pair(-, E_j) = 0 for all E_j in S,
-    i.e. of P_S(E); the x_i must come out nonnegative or the catalog is
-    contradictory.
+    i.e. of P_S(E).  The x_i are nonnegative: Eff is built first in
+    polyhedral mode, so rule (d) holds (round mode has it by
+    construction), and then -Gram_S is a nonsingular M-matrix whose
+    inverse maps the nonnegative q(E, E_j) to x.
     """
     flag = geom.prime(flag_name)
     if flag.name in chamber:
         raise DomainError("flag prime cannot lie in the chamber it generates against")
-    proj = geom.support_projector(chamber)
-    # x_i = -(coefficient of E_i in N_S(E)), over a positive denominator
-    if any(dot(row, flag.cls.num) > 0 for row in proj.coeff_rows):
-        raise ConsistencyError(
-            "chamber generator acquired a negative correction coefficient"
-        )
-    return proj.images[flag_name].primitive()
+    if geom.mode == "polyhedral":
+        geom.eff_cone  # checks rules (c) and (d) before any chamber record is built
+    return geom.support_projector(chamber).images[flag_name].primitive()
 
 
 def movable_cone_rays(geom: Geometry) -> tuple[DivClass, ...]:
@@ -75,13 +75,17 @@ def movable_cone_rays(geom: Geometry) -> tuple[DivClass, ...]:
 
 def isotropic_extremal_rays(geom: Geometry) -> tuple[DivClass, ...]:
     """The movable extremal rays sitting on the isotropic boundary q = 0."""
+    return geom.kept("isotropic", (), _isotropic_extremal_rays)
+
+
+def _isotropic_extremal_rays(geom: Geometry, _) -> tuple[DivClass, ...]:
     lat = geom.lattice
     return tuple(r for r in movable_cone_rays(geom) if lat.square(r) == 0)
 
 
 def chamber_closure_rays(geom: Geometry, chamber: frozenset[str]) -> tuple[DivClass, ...]:
     """Extremal rays of the closure of Sigma_S, sorted by their integer
-    numerators.
+    numerators; the chamber may be given as any iterable of its prime names.
 
     The closure is (Mov intersected with S-perp) + cone(S).  Mov lies in
     {pair(-, Q) >= 0} for every prime Q, so Mov intersected with S-perp
@@ -90,6 +94,10 @@ def chamber_closure_rays(geom: Geometry, chamber: frozenset[str]) -> tuple[DivCl
     0: the closure is the direct sum of that face and the simplicial
     cone(S), and its extremal rays are those of the two summands.
     """
+    return geom.kept("closure", frozenset(chamber), _chamber_closure_rays)
+
+
+def _chamber_closure_rays(geom: Geometry, chamber: frozenset[str]) -> tuple[DivClass, ...]:
     primes = [geom.prime(name) for name in chamber]
     rows = [geom.prime_forms[p.name][0] for p in primes]
     face = [r for r in movable_cone_rays(geom) if not any(dot(r.num, row) for row in rows)]
@@ -127,6 +135,10 @@ def cone_generators(geom: Geometry, prime_name: str) -> tuple[ConePoint, ...]:
     E is pseudo-effective and pairs negatively with no other prime, so
     its support is {E} and P(E) = 0.  Nothing is decomposed.
     """
+    return geom.kept("cone", prime_name, _cone_generators)
+
+
+def _cone_generators(geom: Geometry, prime_name: str) -> tuple[ConePoint, ...]:
     if geom.mode != "polyhedral":
         raise DomainError("cone generators require polyhedral mode")
     prime = geom.prime(prime_name)
@@ -155,9 +167,14 @@ def minkowski_basis(geom: Geometry, flag_name: str) -> tuple[BasisElement, ...]:
 
     Coinciding classes are listed once, keeping the first provenance.
     """
+    return geom.kept("basis", flag_name, _minkowski_basis)
+
+
+def _minkowski_basis(geom: Geometry, flag_name: str) -> tuple[BasisElement, ...]:
     if geom.mode != "polyhedral":
         raise DomainError("minkowski basis requires polyhedral mode")
     flag = geom.prime(flag_name)
+    geom.eff_cone  # rules (c) and (d) name a bad catalog before the chambers are walked
     elements: list[BasisElement] = []
     seen: list[DivClass] = []
     for chamber in enumerate_chambers(geom):

@@ -7,9 +7,11 @@ flagged exceptional exactly when its square is negative.  A polyhedral
 catalog declares Eff as the cone of its primes and one or two further
 classes; a round catalog declares an ample class of positive square and
 only primes in its half of the positive cone.  Nothing else is arranged:
-primes may pair negatively with each other, Eff may miss a prime or fail
-to be pointed, and Mov may hold classes of negative square, so the
-family mixes consistent and inconsistent catalogs.  Entries stay in
+primes may pair negatively with each other, Eff may fail to be pointed,
+and Mov may hold classes of negative square, so the family mixes
+consistent and inconsistent catalogs.  Every polyhedral prime is an Eff
+generator, so no draw breaks rule (c) (every prime lies in Eff);
+outside_eff_catalog adds a prime that does.  Entries stay in
 [-2, 2] and catalogs hold one to three primes, so every call on one is
 cheap.  A draw that finds no ample class in 100 tries fails with an
 AssertionError, as one that finds no nonzero vector does.
@@ -79,6 +81,18 @@ def random_catalog(rng: random.Random, rank: int, mode: str) -> dict:
         {"name": f"P{i}", "class": c, "exceptional": _pair(gram, c, c) < 0}
         for i, c in enumerate(classes, 1)
     ]
+    return doc
+
+
+def outside_eff_catalog(rng: random.Random, rank: int) -> dict:
+    """A polyhedral random_catalog document plus one prime, Q, on the ray
+    opposite a declared effective generator.  When the declared Eff is
+    pointed, Q lies outside it and every earlier prime is one of its
+    generators, so the catalog breaks rule (c) at Q first.  The draws of
+    random_catalog come first and are unchanged."""
+    doc = random_catalog(rng, rank, "polyhedral")
+    q = [-c for c in rng.choice(doc["effective_generators"])]
+    doc["primes"].append({"name": "Q", "class": q, "exceptional": _pair(doc["gram"], q, q) < 0})
     return doc
 
 

@@ -4,6 +4,7 @@ expressions, and the declared-cone predicates."""
 import json
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -637,14 +638,7 @@ def test_chambers_match_brute_force(hilb2, k3_elliptic, hilb2_elliptic):
         assert list(geom.chambers) == brute_force_chambers(geom)
 
 
-DERIVED = (
-    "eff_cone",
-    "mov_cone",
-    "movable_rays",
-    "chambers",
-    "prime_forms",
-    "support_projectors",
-)
+DERIVED = {name for name, v in vars(Geometry).items() if isinstance(v, cached_property)}
 
 
 def test_support_projectors_are_chambers_after_checks(hilb2_elliptic):
@@ -675,7 +669,10 @@ def test_support_projectors_are_chambers_after_checks(hilb2_elliptic):
         for v in perp:
             y = DivClass(v)
             assert proj.positive(y) == y and not any(proj.coefficients(y))
+    for key in DERIVED:
+        getattr(hilb2_elliptic, key)
     copy = hilb2_elliptic._replace()
+    assert DERIVED >= {"eff_cone", "support_projectors", "answers"}
     assert not any(key in vars(copy) for key in DERIVED)
     assert copy.support_projectors == {}
 

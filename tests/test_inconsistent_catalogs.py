@@ -18,6 +18,7 @@ import pytest
 from ihspoly import (
     ConsistencyError,
     DivClass,
+    chamber_generator,
     cone_generators,
     decompose,
     minkowski_basis,
@@ -66,6 +67,7 @@ NEGATIVELY_PAIRED = catalog(
 )
 
 RULE_C = "declared effective cone misses prime 'E'; every prime must be pseudo-effective"
+RULE_D_CROSSED = "distinct primes 'E' and 'F' pair to -2 < 0; distinct primes must pair nonnegatively"
 
 CASES = {
     "rule-c-threshold": (lambda: mu_threshold(FLIPPED_PRIME, DivClass([1, 0]), "E"), RULE_C),
@@ -77,11 +79,10 @@ CASES = {
         lambda: decompose(NEGATIVELY_PAIRED, DivClass([1, 1, 2])),
         "distinct primes 'E1' and 'E2' pair to -2 < 0; distinct primes must pair nonnegatively",
     ),
-    # The chambers are enumerated before Eff is built, so rule (d) is not
-    # yet checked when the generator's sign test refuses.
-    "minkowski-negative-correction": (
-        lambda: minkowski_basis(CROSSED_PRIMES, "E"),
-        "chamber generator acquired a negative correction coefficient",
+    # Both build Eff before any chamber record, so rule (d) names the pair.
+    "rule-d-minkowski-basis": (lambda: minkowski_basis(CROSSED_PRIMES, "E"), RULE_D_CROSSED),
+    "rule-d-chamber-generator": (
+        lambda: chamber_generator(CROSSED_PRIMES, frozenset(["F"]), "E"), RULE_D_CROSSED,
     ),
     "minkowski-isotropic-not-a-ray": (
         lambda: minkowski_decompose(NEGATIVE_MOVABLE_RAY, DivClass([1, 1]), "E"),

@@ -46,6 +46,7 @@ from ihspoly import (
     MinkowskiDecomposition,
     chamber_closure_rays,
     chamber_generator,
+    cone_generators,
     decompose,
     enumerate_chambers,
     is_movable,
@@ -62,6 +63,7 @@ from ihspoly.lattice import dot
 from ihspoly.linalg import kernel
 from ihspoly.linprog import UnboundedError, generated_cone, max_step
 from test_geometry import pairwise_family
+from test_inconsistent_catalogs import CROSSED_PRIMES
 from test_lattice import solve, sub_gram
 from test_linprog import oracle_in_cone, vec
 from test_polygon2d import point
@@ -401,6 +403,66 @@ def test_minkowski_basis_classes_distinct(hilb2, k3_elliptic, hilb2_elliptic):
 def test_minkowski_basis_round_rejected(fano_round):
     with pytest.raises(DomainError, match="polyhedral"):
         minkowski_basis(fano_round, "S")
+
+
+# -- answers kept on the geometry ------------------------------------------------------
+
+
+def _answer_calls(geom, flags):
+    """One call per kept answer: the isotropic rays, every chamber's
+    closure, and each flag's basis and cone generators."""
+    calls = {("isotropic", ()): lambda: isotropic_extremal_rays(geom)}
+    for chamber in enumerate_chambers(geom):
+        calls["closure", chamber] = lambda c=chamber: chamber_closure_rays(geom, c)
+    for flag in flags:
+        calls["basis", flag] = lambda f=flag: minkowski_basis(geom, f)
+        calls["cone", flag] = lambda f=flag: cone_generators(geom, f)
+    return calls
+
+
+def test_answers_are_built_once_per_catalog(hilb2_elliptic):
+    geom = hilb2_elliptic._replace()
+    calls = _answer_calls(geom, [p.name for p in geom.primes])
+    first = {key: call() for key, call in calls.items()}
+    assert set(geom.answers) == set(calls)
+    for key, call in calls.items():
+        assert call() is first[key] is geom.answers[key]
+    fresh = hilb2_elliptic._replace()
+    assert fresh.answers == {}
+    assert {key: call() for key, call in _answer_calls(fresh, [p.name for p in fresh.primes]).items()} == first
+
+
+@pytest.mark.parametrize("case", ["round", "unknown-prime", "rule-d"])
+def test_refused_answers_are_not_kept(case, fano_round, hilb2):
+    if case == "round":
+        geom, error, match, flag = fano_round._replace(), DomainError, "polyhedral", "S"
+    elif case == "unknown-prime":
+        geom, error, match, flag = hilb2._replace(), DomainError, "unknown prime divisor 'X'", "X"
+    else:
+        geom, error, match, flag = CROSSED_PRIMES._replace(), ConsistencyError, "distinct primes", "E"
+    calls = [
+        lambda: chamber_closure_rays(geom, [flag]),
+        lambda: minkowski_basis(geom, flag),
+        lambda: cone_generators(geom, flag),
+    ]
+    if case != "unknown-prime":  # the isotropic rays take no prime
+        calls.append(lambda: isotropic_extremal_rays(geom))
+    for call in calls:
+        for _ in range(2):  # refused again: the first refusal kept nothing
+            with pytest.raises(error, match=match):
+                call()
+    assert geom.answers == {}
+
+
+def test_closure_is_kept_by_the_chambers_names(hilb2_elliptic):
+    geom = hilb2_elliptic._replace()
+    chamber = frozenset({"R0", "R2", "W"})
+    assert chamber in geom.chambers
+    rays = chamber_closure_rays(geom, sorted(chamber))
+    assert chamber_closure_rays(geom, chamber) is rays
+    assert chamber_closure_rays(geom, ["W", "R2", "R0"]) is rays
+    assert list(geom.answers) == [("closure", chamber)]
+    assert rays == chamber_closure_rays(hilb2_elliptic._replace(), chamber)
 
 
 # -- minkowski decompositions ----------------------------------------------------------

@@ -1,7 +1,8 @@
 """Seeded random catalogs (tests/families.py) of ranks 2-4: every
 polygon-layer and Minkowski-layer call either returns or raises an
 IHSError, never a traceback, on consistent and inconsistent catalogs
-alike.
+alike, and every call on a catalog with a prime outside Eff is refused
+by name.
 
 The outcome counts are asserted exactly; they change only when the
 engine's answers or refusals change on some catalog.
@@ -12,7 +13,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from families import random_catalog, random_class
+from families import outside_eff_catalog, random_catalog, random_class
 from ihspoly import DivClass, IHSError, parse_geometry
 from ihspoly.minkowski import cone_generators, minkowski_basis, minkowski_decompose
 from ihspoly.okounkov import cone_contains, mu_threshold, polygon
@@ -81,4 +82,30 @@ def test_random_catalogs_return_or_refuse():
         ("minkowski_basis", "returned"): 196,
         ("minkowski_basis", "DomainError"): 556,
         ("minkowski_basis", "ConsistencyError"): 400,
+    }
+
+
+def test_prime_outside_eff_is_refused_by_every_call():
+    outcomes = Counter()
+    for rank in (2, 3, 4):
+        for seed in SEEDS:
+            rng = random.Random(f"outside-eff-{rank}-{seed}")
+            doc = outside_eff_catalog(rng, rank)
+            geom = parse_geometry(json.dumps(doc))
+            d = DivClass(random_class(rng, doc))
+            t = Fraction(rng.randint(0, 4), rng.randint(1, 3))
+            y = Fraction(rng.randint(0, 4), rng.randint(1, 3))
+            for prime in geom.primes:
+                for name, call in CALLS.items():
+                    try:
+                        call(geom, d, prime.name, t, y)
+                    except IHSError as exc:
+                        outcomes[name, str(exc)] += 1
+                    else:
+                        outcomes[name, "returned"] += 1
+    rule_c = "declared effective cone misses prime 'Q'; every prime must be pseudo-effective"
+    not_pointed = "declared effective cone is not pointed"
+    assert outcomes == {
+        **{(name, rule_c): 317 for name in CALLS},
+        **{(name, not_pointed): 110 for name in CALLS},
     }
