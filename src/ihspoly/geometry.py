@@ -33,16 +33,15 @@ a denominator, and one record per Zariski support met so far, keyed by
 the support's frozenset of names like every other chamber value.  The
 record (SupportProjector) is the chamber-local map P_S: P is linear on
 a chamber S, so P_S and the coefficients of N are two integer matrices
-over one shared denominator, with the images P_S(E) of every catalog
-prime; each is one rank-one Schur update of the record of S less its
-last prime, whose one pairing also decides that S is negative definite.
-The chamber walk's slope along E on S is -P_S(E) and the Minkowski
-generator of S is P_S(E) made primitive, both read off the record.
-One more store (answers, filled by Geometry.kept) holds the Minkowski
-layer's answers once asked for, keyed by a kind and a flag prime's
-name or a chamber's frozenset of names: each chamber's closure rays,
+over one shared denominator; each is one rank-one Schur update of the
+record of S less its last prime, whose one pairing also decides that
+S is negative definite; the chamber list stops at CHAMBER_LIMIT.
+One more store (answers, filled by Geometry.kept) holds the upper
+layers' answers once asked for, keyed by a kind and a flag prime's
+name, a chamber's frozenset of names or both: each chamber walk's
+entry for a support and flag (okounkov), each chamber's closure rays,
 each flag's Minkowski basis and polygon-cone generators, and the
-isotropic movable rays.  A failed build is never kept.
+isotropic movable rays (minkowski).  A failed build is never kept.
 
 Everything downstream is correct relative to this declared data: a
 truncated catalog (actual manifolds may carry infinitely many prime
@@ -69,6 +68,7 @@ from .lattice import BBFLattice, DivClass, _Frozen, dot
 from .linalg import kernel
 from .linprog import Cone, extreme_rays, generated_cone
 
+CHAMBER_LIMIT = 10**4  # Geometry.chambers refuses an enumeration past this many chambers
 _NAME_RE = re.compile(r"^[^\W\d][\w'′]*$")
 _NUMBER_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -94,27 +94,22 @@ class SupportProjector(NamedTuple):
     names[i] in N is coeff_rows[i] . d.num / (den * d.den), and
     P_S(d) = d - sum x_i E_i is rows . d.num / (den * d.den); den is
     positive but not always the least.  P_S(d) is orthogonal to every
-    prime of S and P_S fixes S-perp.  images holds P_S(E) for every
-    catalog prime E, by name.
+    prime of S and P_S fixes S-perp.
     """
 
     names: tuple[str, ...]
     coeff_rows: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, ...], ...]
     den: int
-    images: dict[str, DivClass]
 
     def positive(self, d: DivClass) -> DivClass:
-        return _apply(self.rows, self.den, d) if self.names else d  # P is the identity on the empty support
+        if not self.names:  # P is the identity on the empty support
+            return d
+        return DivClass._raw(tuple(dot(row, d.num) for row in self.rows), self.den * d.den)
 
     def coefficients(self, d: DivClass) -> tuple[Fraction, ...]:
         den = self.den * d.den
         return tuple(Fraction(dot(row, d.num), den) for row in self.coeff_rows)
-
-
-def _apply(rows: tuple[tuple[int, ...], ...], den: int, d: DivClass) -> DivClass:
-    """(rows . d.num) / (den * d.den) as a class."""
-    return DivClass._raw(tuple(dot(row, d.num) for row in rows), den * d.den)
 
 
 class Geometry(_Frozen):
@@ -208,14 +203,22 @@ class Geometry(_Frozen):
         Each chamber grows from its record by one Schur step per later
         exceptional prime, so the work is one pairing per (chamber, later
         prime): output-sensitive, though the output can be 2^k for k
-        orthogonal (-2)-primes.  Every chamber's record is kept.
+        orthogonal (-2)-primes, so a chamber past CHAMBER_LIMIT raises
+        DomainError.  Every chamber's record is kept.
         """
         exceptional, found = self.exceptional_primes, []
         level = [(0, self.support_projector(frozenset()))]
         while level:
             found.extend(frozenset(record.names) for _, record in level)
-            level = [(j + 1, child) for start, record in level for j in range(start, len(exceptional))
-                     if (child := self._grow(record, exceptional[j])) is not None]
+            children = []
+            for start, record in level:
+                for j in range(start, len(exceptional)):
+                    if (child := self._grow(record, exceptional[j])) is not None:
+                        if len(found) + len(children) == CHAMBER_LIMIT:
+                            raise DomainError(f"more than CHAMBER_LIMIT = {CHAMBER_LIMIT} chambers; the "
+                                              f"enumeration stopped at supports of {len(child.names)} primes")
+                        children.append((j + 1, child))
+            level = children
         return tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
 
     @cached_property
@@ -245,8 +248,7 @@ class Geometry(_Frozen):
             record = records.get(frozenset())
             if record is None:
                 unit = tuple(tuple(int(r == c) for c in range(self.rank)) for r in range(self.rank))
-                record = records[frozenset()] = SupportProjector(
-                    (), (), unit, 1, {p.name: p.cls for p in self.primes})
+                record = records[frozenset()] = SupportProjector((), (), unit, 1)
             for prime in sorted(map(self.prime, support), key=self.primes.index):
                 record = self._grow(record, prime)
                 if record is None:
@@ -279,8 +281,7 @@ class Geometry(_Frozen):
         g = gcd(den, *chain.from_iterable(rows))
         rows, den = tuple(tuple(v // g for v in row) for row in rows), den // g
         names = (*record.names[:at], prime.name, *record.names[at:])
-        images = {p.name: _apply(rows[k + 1:], den, p.cls) for p in self.primes}
-        found = SupportProjector(names, rows[:k + 1], rows[k + 1:], den, images)
+        found = SupportProjector(names, rows[:k + 1], rows[k + 1:], den)
         self.support_projectors[support] = found
         return found
 

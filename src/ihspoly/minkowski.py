@@ -15,12 +15,13 @@ big-and-movable class then decomposes as a nonnegative rational
 combination of basis elements by walking down the chambers, and the
 polygons add up along the way.
 
-The generator of S is P_S(E) made primitive, so it is read off the
-support's record (Geometry.support_projector), which holds P_S(E) for
-every catalog prime and is one rank-one update of a smaller chamber's
-record.  A chamber's closure, a flag's basis and cone generators, and
-the isotropic rays are built here once per catalog and kept on the
-geometry by Geometry.kept; this module writes no store of its own.
+The generator of S is P_S(E) made primitive, one product with the
+rows of the support's record (Geometry.support_projector), which is
+one rank-one update of a smaller chamber's record.  A chamber's
+closure, a flag's basis and cone generators, and the isotropic rays
+are built here once per catalog and kept on the geometry by
+Geometry.kept; this module writes no store of its own, and a set of
+primes that is no chamber has no closure.
 The walk's step tau along a generator is the largest one that keeps the
 leftover movable: one max_step over Mov (Geometry.mov_cone, Eff cut by
 the primes' form rows), so both the prime walls and the facets of Eff
@@ -53,17 +54,18 @@ def chamber_generator(geom: Geometry, chamber: frozenset[str], flag_name: str) -
     """Primitive generator of the ray of the flag pushed into S-perp.
 
     The ray of E + sum x_i E_i with pair(-, E_j) = 0 for all E_j in S,
-    i.e. of P_S(E).  The x_i are nonnegative: Eff is built first in
-    polyhedral mode, so rule (d) holds (round mode has it by
-    construction), and then -Gram_S is a nonsingular M-matrix whose
-    inverse maps the nonnegative q(E, E_j) to x.
+    i.e. of P_S(E), one product with the rows of the support's record.
+    The x_i are nonnegative: Eff is built first in polyhedral mode, so
+    rule (d) holds (round mode has it by construction), and then -Gram_S
+    is a nonsingular M-matrix whose inverse maps the nonnegative q(E, E_j)
+    to x.
     """
     flag = geom.prime(flag_name)
     if flag.name in chamber:
         raise DomainError("flag prime cannot lie in the chamber it generates against")
     if geom.mode == "polyhedral":
         geom.eff_cone  # checks rules (c) and (d) before any chamber record is built
-    return geom.support_projector(chamber).images[flag_name].primitive()
+    return geom.support_projector(chamber).positive(flag.cls).primitive()
 
 
 def movable_cone_rays(geom: Geometry) -> tuple[DivClass, ...]:
@@ -92,15 +94,25 @@ def chamber_closure_rays(geom: Geometry, chamber: frozenset[str]) -> tuple[DivCl
     is the face of Mov spanned by the movable rays orthogonal to every
     prime of S.  S is negative definite, so span(S) meets S-perp only in
     0: the closure is the direct sum of that face and the simplicial
-    cone(S), and its extremal rays are those of the two summands.
+    cone(S), and its extremal rays are those of the two summands.  A set
+    that holds a non-exceptional prime, or whose support record fails
+    its Schur step (not negative definite), is no chamber: DomainError.
     """
     return geom.kept("closure", frozenset(chamber), _chamber_closure_rays)
 
 
 def _chamber_closure_rays(geom: Geometry, chamber: frozenset[str]) -> tuple[DivClass, ...]:
     primes = [geom.prime(name) for name in chamber]
+    movable = movable_cone_rays(geom)  # refuses round mode, and builds Eff before any record
+    if not all(p.exceptional for p in primes):
+        raise DomainError(f"{sorted(chamber)} is not a chamber: it holds a non-exceptional prime")
+    try:
+        geom.support_projector(chamber)  # its Schur steps decide negative definiteness
+    except ConsistencyError:
+        raise DomainError(f"{sorted(chamber)} is not a chamber: its Gram matrix is not "
+                          "negative definite") from None
     rows = [geom.prime_forms[p.name][0] for p in primes]
-    face = [r for r in movable_cone_rays(geom) if not any(dot(r.num, row) for row in rows)]
+    face = [r for r in movable if not any(dot(r.num, row) for row in rows)]
     return tuple(sorted(face + [p.cls.primitive() for p in primes], key=lambda r: r.num))
 
 
@@ -176,17 +188,17 @@ def _minkowski_basis(geom: Geometry, flag_name: str) -> tuple[BasisElement, ...]
     flag = geom.prime(flag_name)
     geom.eff_cone  # rules (c) and (d) name a bad catalog before the chambers are walked
     elements: list[BasisElement] = []
-    seen: list[DivClass] = []
+    seen: set[DivClass] = set()
     for chamber in enumerate_chambers(geom):
         if flag.name in chamber:
             continue
         cls = chamber_generator(geom, chamber, flag_name)
         if cls not in seen:
-            seen.append(cls)
+            seen.add(cls)
             elements.append(BasisElement(cls, "chamber", chamber))
     for ray in isotropic_extremal_rays(geom):
         if ray not in seen:
-            seen.append(ray)
+            seen.add(ray)
             elements.append(BasisElement(ray, "isotropic", None))
     return tuple(elements)
 

@@ -11,8 +11,11 @@ P(D) + (N(D) - nu E) is its own decomposition: nu comes off N(D), and
 D is decomposed once per polygon, cone probe or walk.  Its upper
 boundary is piecewise linear because the positive part P(D - tE) is an
 affine function of t on each Boucksom-Zariski chamber S, with slope
--P_S(E) read off the support's record (Geometry.support_projector);
-the walk tracks the chamber changes exactly.  The pseudo-effective
+-P_S(E) read off the walk entry of (S, E), kept once per geometry
+(Geometry.kept) with the slope's form and the walls that can end the
+segment: the primes outside S + E that pair negatively with the slope.
+A round takes one integer dot per wall, and the walk tracks the
+chamber changes exactly.  The pseudo-effective
 threshold mu is a min-ratio over the facets of the declared effective
 cone in polyhedral mode.  In round mode it is the least positive root
 of q(D - tE) = 0: D and E lie in one closed positive cone (Geometry's
@@ -171,67 +174,73 @@ def mu_threshold(geom: Geometry, d: DivClass, prime_name: str) -> Surd:
 # chamber walk
 
 
+def _walk_entry(geom: Geometry, key: tuple[frozenset[str], str]):
+    """What a walk along the flag E reads on the support S, for key =
+    (S, E's name), kept by Geometry.kept under ("walk", key): the slope
+    -P_S(E), its form (row, den), and the walls (name, row, c1) of the
+    primes outside S + E with c1 = slope.num . row < 0."""
+    support, name = key
+    slope, forms = -geom.support_projector(support).positive(geom.prime(name).cls), geom.prime_forms
+    walls = tuple((q.name, row, c1) for q in geom.primes if q.name not in support and q.name != name
+                  and (c1 := dot(slope.num, row := forms[q.name][0])) < 0)
+    return slope, geom.lattice.form(slope), walls
+
+
 def _trace(
     geom: Geometry, d: DivClass, prime: Prime, dec: ZariskiDecomposition
 ) -> tuple[BreakpointTrace, FrameValue]:
     """Piecewise-affine trace of t -> P(D - nu E - tE) on [0, mu], and mu,
     with dec = decompose(geom, d) and nu = nu_E(D); D - nu E has support
-    dec.support - {E} and positive part dec.positive (uniqueness)."""
+    dec.support - {E} and positive part dec.positive (uniqueness), which
+    is the first segment's base."""
     lat = geom.lattice
     nu = dec.coefficient(prime.name)
     if nu:
         d = d - prime.cls.scale(nu)
     mu = _threshold(geom, d, prime)
-    big = lat.square(dec.positive) > 0
-    forms = geom.prime_forms
+    base = positive = dec.positive
+    form = lat.form(positive)
+    big = dot(positive.num, form[0]) > 0
     support = dec.support - {prime.name}
     segments: list[WalkSegment] = []
     t = Fraction(0)
     for _ in range(2 * len(geom.primes) + 4):  # the support grows every round that does not return
-        proj = geom.support_projector(support)
-        base, slope = proj.positive(d), -proj.images[prime.name]
-        # Next wall: first prime outside the chamber whose pairing with
-        # the affine positive part decreases through zero; the pairings
-        # are c0 = base.num . row and c1 = slope.num . row over their
-        # classes' denominators (the form's own denominator cancels).
-        # Each is >= 0 at t: P(D) has no joining prime, and at a wall
-        # P_{S+J} = P_S, so every hit is >= t.
-        t_next: Optional[Fraction] = None
+        slope, slope_form, walls = geom.kept("walk", (support, prime.name), _walk_entry)
+        # Next wall: the least hit of a wall, where its pairing with
+        # base + t slope, decreasing as c1 < 0, reaches zero: at b / -c1
+        # times slope.den / base.den with b = base.num . row (the form's
+        # own denominator cancels).  Every hit is >= t: P(D) has no
+        # joining prime, and at a wall P_{S+J} = P_S.
+        best_b = best_c1 = 0
         joiners: list[str] = []
-        for q in geom.primes:
-            if q.name in support or q.name == prime.name:
-                continue
-            row = forms[q.name][0]
-            c1 = dot(slope.num, row)
-            if c1 >= 0:
-                continue
-            hit = Fraction(-dot(base.num, row) * slope.den, c1 * base.den)
-            if t_next is None or hit < t_next:
-                t_next, joiners = hit, [q.name]
-            elif hit == t_next:
-                joiners.append(q.name)
-        if t_next is not None and t_next == t and _exceeds(mu, t):
-            support = support.union(joiners)  # wall at the current abscissa
-            continue
+        for name, row, c1 in walls:
+            b = dot(base.num, row)
+            if not joiners or b * best_c1 > best_b * c1:  # b / -c1 < best_b / -best_c1
+                best_b, best_c1, joiners = b, c1, [name]
+            elif b * best_c1 == best_b * c1:
+                joiners.append(name)
+        t_next = Fraction(best_b * slope.den, -best_c1 * base.den) if joiners else None
         if t_next is None or not _exceeds(mu, t_next):
-            _check_terminus(lat, base, slope, mu, big)
+            if big:
+                _check_terminus(base, form if base is positive else lat.form(base), slope, slope_form, mu)
             end = from_frame(*mu)
             segments.append(WalkSegment(t, end, support, base, slope))
             return BreakpointTrace(tuple(segments), end), mu
-        segments.append(WalkSegment(t, Surd(t_next), support, base, slope))
+        if t_next != t:  # else a wall at the current abscissa: only the support grows
+            segments.append(WalkSegment(t, Surd(t_next), support, base, slope))
+            t = t_next
         support = support.union(joiners)
-        t = t_next
+        base = geom.support_projector(support).positive(d)
     raise ConsistencyError("chamber walk exceeded the iteration cap")
 
 
-def _check_terminus(lat, base: DivClass, slope: DivClass, mu: FrameValue, big: bool) -> None:
-    """Cross-check: at t = mu the positive part must reach the isotropic
-    boundary (big start), confirming the facet threshold against the exact
-    quadratic q(base + t slope) = 0, decided as one integer identity."""
-    if not big:
-        return
+def _check_terminus(base: DivClass, base_form, slope: DivClass, slope_form, mu: FrameValue) -> None:
+    """Cross-check of a big start: at t = mu the positive part must reach
+    the isotropic boundary, confirming the facet threshold against the
+    exact quadratic q(base + t slope) = 0, decided as one integer
+    identity; base_form and slope_form are the classes' forms."""
     ma, mb, m, d = mu  # mu = (ma + mb sqrt(d)) / m
-    a, b, c = _quadratic(base, lat.form(base), slope, lat.form(slope))
+    a, b, c = _quadratic(base, base_form, slope, slope_form)
     # m^2 (a mu^2 + 2b mu + c) = e + f sqrt(d)
     e = a * (ma * ma + d * mb * mb) + 2 * b * m * ma + c * m * m
     if frame_sign(e, 2 * mb * (a * ma + b * m), d):

@@ -378,6 +378,16 @@ def test_over_the_subset_limit_exits_3(capsys, tmp_path):
                                        "EXTREME_RAY_SUBSET_LIMIT = 1000000")
 
 
+def test_over_the_chamber_limit_exits_3(capsys, monkeypatch):
+    from ihspoly import geometry
+
+    monkeypatch.setattr(geometry, "CHAMBER_LIMIT", 10)  # hilb2_k3 has 18 chambers
+    code, payload = run_json(capsys, "chambers", RANK4)
+    assert (code, payload["status"]) == (3, "error")
+    assert payload["message"] == ("more than CHAMBER_LIMIT = 10 chambers; "
+                                  "the enumeration stopped at supports of 2 primes")
+
+
 def test_check_bad_sample_count_exits_3(capsys):
     code, _, err = run(capsys, "check", HILB2, "--samples", "0")
     assert code == 3

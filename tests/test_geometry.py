@@ -24,6 +24,7 @@ from ihspoly import (
     parse_divisor,
     parse_geometry,
 )
+from ihspoly import geometry
 from ihspoly.checks import run_checks, sample_big_classes
 from ihspoly.geometry import Geometry, Prime
 from ihspoly.lattice import dot
@@ -572,6 +573,70 @@ def elliptic_family(k):
         "effective_generators": [p["class"] for p in primes],
     }
     return parse_geometry(json.dumps(doc))
+
+
+def orthogonal_family(k):
+    """k pairwise orthogonal exceptional (-2)-primes E1..Ek and the
+    movable prime H on the lattice <2> + <-2>^k, Eff generated by the
+    primes: every subset of the E_i is a chamber, so there are 2^k."""
+    n = k + 1
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    primes = [{"name": "H", "class": unit[0], "exceptional": False}]
+    primes += [{"name": f"E{i}", "class": unit[i], "exceptional": True} for i in range(1, n)]
+    doc = {
+        "name": f"orthogonal_{k}",
+        "half_dim": 1,
+        "fujiki": 1,
+        "basis": ["h"] + [f"e{i}" for i in range(1, n)],
+        "gram": [[(2 if i == 0 else -2) * (i == j) for j in range(n)] for i in range(n)],
+        "mode": "polyhedral",
+        "primes": primes,
+        "effective_generators": unit,
+    }
+    return parse_geometry(json.dumps(doc))
+
+
+@pytest.mark.parametrize("family, k, count", [("elliptic", 3, 54), ("orthogonal", 8, 256)])
+def test_chambers_build_no_walk_entry(family, k, count, monkeypatch):
+    """Enumerating chambers grows support records only: no walk entry is
+    built and no P_S(E) is computed, not even for a flag of the catalog."""
+    products = []
+    positive = geometry.SupportProjector.positive
+
+    def counting(record, d):
+        products.append(d)
+        return positive(record, d)
+
+    monkeypatch.setattr(geometry.SupportProjector, "positive", counting)
+    geom = elliptic_family(k) if family == "elliptic" else orthogonal_family(k)
+    assert len(geom.chambers) == count
+    assert list(geom.chambers) == brute_force_chambers(geom)
+    assert geom.answers == {} and products == []
+    assert set(geom.support_projectors) == set(geom.chambers)
+
+
+def test_chambers_refuse_past_the_chamber_limit(monkeypatch, tested):
+    """Past CHAMBER_LIMIT the enumeration raises DomainError at the first
+    chamber beyond it, and caches no chamber list; at the limit it
+    answers.  Every family the tests enumerate is far below the limit."""
+    assert geometry.CHAMBER_LIMIT == 10**4
+    want = elliptic_family(2).chambers
+    assert len(want) == 18
+    monkeypatch.setattr(geometry, "CHAMBER_LIMIT", 18)
+    assert elliptic_family(2).chambers == want
+    # 1 + 5 + 8 + 4 chambers by size: the 11th is the fifth pair
+    monkeypatch.setattr(geometry, "CHAMBER_LIMIT", 10)
+    geom = elliptic_family(2)
+    tested.clear()
+    for _ in range(2):  # refused again: nothing was cached
+        with pytest.raises(DomainError) as refusal:
+            geom.chambers
+        assert str(refusal.value) == ("more than CHAMBER_LIMIT = 10 chambers; "
+                                      "the enumeration stopped at supports of 2 primes")
+        assert "chambers" not in vars(geom)
+    # the empty support, 5 singletons and 5 pairs; no step to a triple
+    assert len(geom.support_projectors) == 11
+    assert max(tested) == 2
 
 
 @pytest.fixture

@@ -432,6 +432,26 @@ def test_answers_are_built_once_per_catalog(hilb2_elliptic):
     assert {key: call() for key, call in _answer_calls(fresh, [p.name for p in fresh.primes]).items()} == first
 
 
+def test_closure_of_a_set_that_is_no_chamber_is_refused(k3_elliptic):
+    # {A1, A2} has the singular Gram matrix [[-2, 2], [2, -2]], and Fib is
+    # movable: neither is a chamber, so neither has a closure.  Each is
+    # refused by name on every call, and nothing is kept.
+    geom = k3_elliptic._replace()
+    refusals = {
+        ("A1", "A2"): "['A1', 'A2'] is not a chamber: its Gram matrix is not negative definite",
+        ("Fib",): "['Fib'] is not a chamber: it holds a non-exceptional prime",
+        ("Fib", "Sec"): "['Fib', 'Sec'] is not a chamber: it holds a non-exceptional prime",
+    }
+    for names, message in refusals.items():
+        for _ in range(2):
+            with pytest.raises(DomainError) as refusal:
+                chamber_closure_rays(geom, list(names))
+            assert str(refusal.value) == message
+    assert geom.answers == {}
+    assert set(geom.support_projectors) <= set(geom.chambers)
+    assert chamber_closure_rays(geom, ["A1"]) == chamber_closure_rays(k3_elliptic, ["A1"])
+
+
 @pytest.mark.parametrize("case", ["round", "unknown-prime", "rule-d"])
 def test_refused_answers_are_not_kept(case, fano_round, hilb2):
     if case == "round":

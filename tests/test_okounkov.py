@@ -469,8 +469,8 @@ def test_walk_chambers_nest(hilb2, k3_elliptic, hilb2_elliptic):
 
 
 def test_walk_slope_cache_matches_fresh_solve(hilb2, k3_elliptic, hilb2_elliptic):
-    # The walk slope on support S is -P_S(E), read off the support's record;
-    # against a fresh Fraction solve of the Gram system of S.
+    # The walk slope on support S is -P_S(E), read off the walk entry of
+    # (S, E); against a fresh Fraction solve of the Gram system of S.
     for geom in (hilb2, k3_elliptic, hilb2_elliptic):
         lat = geom.lattice
         fresh_copy = geom._replace()
@@ -483,9 +483,9 @@ def test_walk_slope_cache_matches_fresh_solve(hilb2, k3_elliptic, hilb2_elliptic
                 image = prime.cls
                 for c, x in zip(support, xs):
                     image = image - c.scale(x)
-                record = fresh_copy.support_projector(chamber)
-                assert record.images[prime.name] == image
-                assert fresh_copy.support_projector(chamber) is record
+                entry = fresh_copy.kept("walk", (chamber, prime.name), okounkov._walk_entry)
+                assert entry[0] == -image
+                assert fresh_copy.kept("walk", (chamber, prime.name), okounkov._walk_entry) is entry
                 fresh[prime.name, chamber] = -image
         assert set(fresh_copy.support_projectors) == set(geom.chambers)
         # the walk takes its slopes from those records
@@ -505,6 +505,113 @@ def test_walk_slope_cache_matches_fresh_solve(hilb2, k3_elliptic, hilb2_elliptic
         with pytest.raises(ConsistencyError):
             fresh_copy.support_projector(frozenset({movable.name}))
         assert fresh_copy.support_projectors == kept
+
+
+def test_walk_entries_match_a_scan_of_the_primes(hilb2, k3_elliptic, hilb2_elliptic, fano_round):
+    # Every (chamber, flag) entry against the Fraction pairing: the slope's
+    # form is its own, and the walls are exactly the primes outside S + E
+    # that pair negatively with the slope, in catalog order, each with its
+    # form row and the numerator of that pairing.
+    met = 0
+    for geom in (hilb2, k3_elliptic, hilb2_elliptic, fano_round):
+        geom, lat = geom._replace(), geom.lattice
+        for chamber in geom.chambers:
+            for prime in geom.primes:
+                if prime.name in chamber:
+                    continue
+                slope, form, walls = okounkov._walk_entry(geom, (chamber, prime.name))
+                assert form == lat.form(slope)
+                want = [q for q in geom.primes if q.name not in chamber and q.name != prime.name
+                        and lat.pair(slope, q.cls) < 0]
+                assert [name for name, _, _ in walls] == [q.name for q in want]
+                for (_, row, c1), q in zip(walls, want):
+                    q_row, q_den = lat.form(q.cls)
+                    assert row == q_row
+                    assert Fraction(c1, slope.den * q_den) == lat.pair(slope, q.cls)
+                met += len(want)
+    assert met == 156
+
+
+def test_repeated_polygons_build_no_walk_entry(hilb2_elliptic):
+    # Polygons keep one walk entry per (support, flag) they stand on and
+    # nothing else; asked again, they build none.
+    geom = hilb2_elliptic._replace()
+    classes = sample_big_classes(geom, 6, seed=19)
+    first = [polygon(geom, d, p.name) for d in classes for p in geom.primes]
+    kept = dict(geom.answers)
+    assert {kind for kind, _ in kept} == {"walk"} and len(kept) > len(geom.primes)
+    assert [polygon(geom, d, p.name) for d in classes for p in geom.primes] == first
+    assert geom.answers.keys() == kept.keys()
+    assert all(geom.answers[key] is entry for key, entry in kept.items())
+
+
+def test_check_sweep_builds_the_entries_its_walks_stand_on(hilb2_elliptic, monkeypatch):
+    # run_checks(hilb2_k3, 4, 0) on a fresh copy: only chamber walks ask
+    # for entries, one per round; 98 rounds on the geometry leave 46 of
+    # the 18 * 6 (chamber, flag) entries, the 40 pairs of the traces'
+    # segments and 6 supports met at a wall of zero length.  The
+    # catalog-order check's reordered copy walks one round.
+    from ihspoly.checks import run_checks
+
+    geom = hilb2_elliptic._replace()
+    rounds, built, segments, inside = Counter(), Counter(), set(), []
+    kept, build, trace = geometry.Geometry.kept, okounkov._walk_entry, okounkov._trace
+
+    def counting_kept(self, kind, argument, build):
+        if kind == "walk":
+            assert inside, "a walk entry asked for outside a chamber walk"
+            rounds[self is geom] += 1
+        return kept(self, kind, argument, build)
+
+    def counting_build(self, key):
+        built[self is geom] += 1
+        return build(self, key)
+
+    def tracing(g, d, prime, dec):
+        inside.append(prime)
+        try:
+            found = trace(g, d, prime, dec)
+        finally:
+            inside.pop()
+        if g is geom:
+            segments.update((seg.chamber, prime.name) for seg in found[0].segments)
+        return found
+
+    monkeypatch.setattr(geometry.Geometry, "kept", counting_kept)
+    monkeypatch.setattr(okounkov, "_walk_entry", counting_build)
+    monkeypatch.setattr(okounkov, "_trace", tracing)
+    assert all(result.passed for result in run_checks(geom, 4, 0))
+    assert rounds == {True: 98, False: 1}
+    entries = {argument for kind, argument in geom.answers if kind == "walk"}
+    assert built == {True: 46, False: 1} and len(entries) == 46
+    assert len(geom.chambers) * len(geom.primes) == 108
+    assert segments <= entries and len(segments) == 40
+
+
+def test_terminus_check_runs_on_big_starts_only(hilb2, hilb2_elliptic, monkeypatch):
+    # The terminal identity runs once per polygon of a big class, never
+    # for a class that is not big, and is handed each class's own form.
+    calls = []
+    check = okounkov._check_terminus
+
+    def counting(base, base_form, slope, slope_form, mu):
+        calls.append((base, base_form, slope, slope_form))
+        return check(base, base_form, slope, slope_form, mu)
+
+    monkeypatch.setattr(okounkov, "_check_terminus", counting)
+    starts = Counter()
+    for geom in (hilb2, hilb2_elliptic):
+        lat = geom.lattice
+        for d in [*sample_big_classes(geom, 4, seed=23), *(p.cls for p in geom.primes)]:
+            big = lat.square(decompose(geom, d).positive) > 0
+            for prime in geom.primes:
+                calls.clear()
+                polygon(geom, d, prime.name)
+                assert len(calls) == big
+                for base, base_form, slope, slope_form in calls:
+                    assert (base_form, slope_form) == (lat.form(base), lat.form(slope))
+                starts[big] += 1
+    assert starts == {True: 32, False: 40}
 
 
 def test_terminus_check_matches_surd_value_seeded(hilb2, hilb2_elliptic, fano_round):
@@ -532,12 +639,12 @@ def test_terminus_check_matches_surd_value_seeded(hilb2, hilb2_elliptic, fano_ro
                 value = Surd(qb) + mu * (2 * qbs) + mu * mu * qs
                 d, den, ((a, b),) = to_frame([mu])
                 framed = (a, b, den, d)
+                forms = (base, lat.form(base), slope, lat.form(slope))
                 if value != 0:
                     with pytest.raises(ConsistencyError, match="terminal cross-check"):
-                        okounkov._check_terminus(lat, base, slope, framed, True)
+                        okounkov._check_terminus(*forms, framed)
                 else:
-                    okounkov._check_terminus(lat, base, slope, framed, True)
-                okounkov._check_terminus(lat, base, slope, framed, False)  # only big starts
+                    okounkov._check_terminus(*forms, framed)
                 outcomes[value == 0, mu.is_rational] += 1
     assert set(outcomes) == {(True, True), (True, False), (False, True), (False, False)}
 

@@ -49,6 +49,7 @@ from ihspoly import (
 )
 from ihspoly.checks import sample_big_classes
 from ihspoly.minkowski import enumerate_chambers
+from ihspoly.okounkov import _walk_entry
 from ihspoly.zariski import chamber_id, chamber_positive_part, divisorial_base_loci
 from test_geometry import pairwise_family
 from test_lattice import negative_definite, solve, sub_gram
@@ -449,10 +450,10 @@ def random_negative_supports(seed, count):
 )
 def test_support_records_match_fresh_solve(name, request):
     """One record per chamber, against a fresh Fraction solve of the
-    support's Gram system: the coefficients of N_S(E) and images[E] =
-    P_S(E) for every (prime, chamber), and the Minkowski generator of S is
-    P_S(E) made primitive; on the bundled catalogs the chamber walk's
-    slope on S is -P_S(E).  The pairwise (-2)-family and the random
+    support's Gram system: the coefficients of N_S(E) and the slope
+    -P_S(E) of the walk entry of (S, E) for every (prime, chamber), and
+    the Minkowski generator of S is P_S(E) made primitive; on the
+    bundled catalogs the chamber walk's slope on S is -P_S(E).  The pairwise (-2)-family and the random
     supports hold big classes on Eff's facets (or declare no Eff), so
     no walk runs on them."""
     if name == "pairwise_6":
@@ -480,14 +481,15 @@ def _check_support_records(geom, walks):
         support = [geom.prime(n).cls for n in sorted(chamber)]
         record = geom.support_projector(chamber)
         assert record.names == tuple(sorted(chamber))
-        assert set(record.images) == {p.name for p in geom.primes}
         for prime in geom.primes:
             xs = solve(sub_gram(lat, support), [lat.pair(prime.cls, c) for c in support])
             assert record.coefficients(prime.cls) == tuple(xs)
             image = prime.cls
             for c, x in zip(support, xs):
                 image = image - c.scale(x)
-            assert record.images[prime.name] == image
+            entry = geom.kept("walk", (chamber, prime.name), _walk_entry)
+            assert entry[0] == -image  # the slope
+            assert geom.kept("walk", (chamber, prime.name), _walk_entry) is entry
             fresh[prime.name, chamber] = image
             if prime.name in chamber:
                 with pytest.raises(DomainError, match="flag"):
@@ -586,7 +588,7 @@ def test_support_records_equal_whichever_path_builds_them(name, request):
         for chamber, record in asked.items():
             assert early.support_projector(chamber) is record
             other = late.support_projectors[chamber]
-            assert (record.names, record.images) == (other.names, other.images)
+            assert record.names == other.names
             for d in probes:
                 assert record.positive(d) == other.positive(d)
                 assert record.coefficients(d) == other.coefficients(d)
