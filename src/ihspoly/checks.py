@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 from .errors import DomainError, IHSError
@@ -75,11 +75,11 @@ def _check(name: str, cases, holds, says) -> CheckResult:
 
 def sample_big_classes(geom: Geometry, count: int, seed: int = 0) -> list[DivClass]:
     """Deterministic sample of big classes inside the declared cone."""
-    return _sample_big_classes(geom, count, seed, decompose)
+    return _sample_big_classes(geom, count, seed, partial(decompose, geom))
 
 
 def _sample_big_classes(geom: Geometry, count: int, seed: int, decomposed) -> list[DivClass]:
-    """sample_big_classes, decomposing candidates with decomposed(geom, d).
+    """sample_big_classes, decomposing candidates with decomposed(d).
     Each class is the first of at most 200 draws that is accepted."""
     rng = random.Random(seed)
     lat = geom.lattice
@@ -91,7 +91,7 @@ def _sample_big_classes(geom: Geometry, count: int, seed: int, decomposed) -> li
             return linear_combination(coeffs, gens, lat.rank)
 
         def accept(cand: DivClass) -> bool:
-            return not cand.is_zero and lat.square(decomposed(geom, cand).positive) > 0
+            return not cand.is_zero and lat.square(decomposed(cand).positive) > 0
     else:
         ample = geom.ample
 
@@ -112,28 +112,6 @@ def _sample_big_classes(geom: Geometry, count: int, seed: int, decomposed) -> li
         else:
             raise DomainError("could not sample a big class from the catalog")
     return out
-
-
-def _shared(fn):
-    """fn(geom, *args), computed once per (geometry, args) for the life of
-    the returned function; a raised IHSError is stored and raised again
-    to every later caller.  Geometries are told apart by identity."""
-    seen: dict = {}
-
-    def shared(geom: Geometry, *args):
-        key = (id(geom), *args)
-        found = seen.get(key)
-        if found is None:
-            try:
-                found = fn(geom, *args)
-            except IHSError as exc:
-                found = exc
-            seen[key] = found
-        if isinstance(found, IHSError):
-            raise found
-        return found
-
-    return shared
 
 
 def _translation_holds(base: NOPolygon, moved: NOPolygon) -> bool:
@@ -165,26 +143,31 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
     """Run every structural check on `samples` seeded big classes.
 
     Each check is an entry (name, cases, holds, says) that _check runs,
-    in the order listed.  The checks share one decomposition per
-    (geometry, class) and one polygon per (geometry, class, flag) for
-    this call only; nothing is kept once it returns.  Every polygon,
-    volume and Minkowski decomposition takes the decomposition of its
-    class from the shared ones; a polygon reads that of D - nu E off
-    that of D, so D - nu E is never decomposed.  Polygons that only one
-    check reads are built outside the polygon share: flag-translation's
-    D + E, superadditivity's D1 + D2, area-identity's non-flag polygons
-    of the samples that flag-translation skips, and the reordered
-    copy's.  The flag is the first non-exceptional prime, else the first
-    prime; a catalog with no prime gives the flag's checks no cases.
+    in the order listed.  The checks share one decomposition per class
+    and one polygon per (class, flag name) of geom, in two memos keyed
+    by value, for this call only; nothing is kept once it returns, and
+    a build that raises keeps nothing, so the next ask raises again.  Every polygon, volume and
+    Minkowski decomposition takes the decomposition of its class from
+    the shared ones; a polygon reads that of D - nu E off that of D, so
+    D - nu E is never decomposed.  Polygons that only one check reads
+    are built outside the polygon share: flag-translation's D + E,
+    superadditivity's D1 + D2, area-identity's non-flag polygons of the
+    samples that flag-translation skips, and the reordered copy's, which
+    takes the copy's one decomposition of its class.  The flag is the
+    first non-exceptional prime, else the first prime; a catalog with no
+    prime gives the flag's checks no cases.
     """
     lat = geom.lattice
-    shared_decompose = _shared(decompose)
 
-    def polygon(g: Geometry, d: DivClass, prime_name: str):
-        return _polygon(g, d, g.prime(prime_name), shared_decompose(g, d))
+    @cache
+    def decomposed(d: DivClass):
+        return decompose(geom, d)
 
-    shared_polygon = _shared(polygon)
-    classes = _sample_big_classes(geom, samples, seed, shared_decompose)
+    def polygon(d: DivClass, prime_name: str):
+        return _polygon(geom, d, geom.prime(prime_name), decomposed(d))
+
+    shared_polygon = cache(polygon)
+    classes = _sample_big_classes(geom, samples, seed, decomposed)
     primes = geom.primes
     flag = next((p for p in primes if not p.exceptional), primes[0] if primes else None)
     flagged = classes if flag else []  # the samples of the checks that read the flag
@@ -193,7 +176,7 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
                              effective_generators=geom.effective_generators[::-1])
 
     def square(d: DivClass) -> Fraction:
-        return lat.square(shared_decompose(geom, d).positive)
+        return lat.square(decomposed(d).positive)
 
     def area_cases():  # q(P(D)) is taken once per sample, before its primes
         for i, d in enumerate(classes):
@@ -202,17 +185,17 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
                 yield d, p, shared_polygon if p == flag or i < len(translated) else polygon, qp
 
     def area_identity(d: DivClass, p, build, qp: Fraction) -> bool:
-        return build(geom, d, p.name).area * 2 == qp
+        return build(d, p.name).area * 2 == qp
 
     def volume_chain(d: DivClass) -> bool:
         n, c = lat.half_dim, lat.fujiki
         qp = square(d)
         v = volume_from_square(geom, qp)
-        a = shared_polygon(geom, d, flag.name).area
+        a = shared_polygon(d, flag.name).area
         return a * 2 == qp and (a * 2) ** n * c == v and Surd(qp) ** n * c == v
 
     def structure(d: DivClass) -> bool:
-        segments = shared_polygon(geom, d, flag.name).trace.segments
+        segments = shared_polygon(d, flag.name).trace.segments
         for prev, nxt in zip(segments, segments[1:]):
             if not prev.chamber <= nxt.chamber or not isinstance(nxt.t_start, Fraction):
                 return False
@@ -220,13 +203,13 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
         return all(a >= b for a, b in zip(slopes, slopes[1:]))
 
     def translation(d: DivClass, p) -> bool:
-        base = shared_polygon(geom, d, p.name)
-        return _translation_holds(base, polygon(geom, d + p.cls, p.name))  # used only here
+        base = shared_polygon(d, p.name)
+        return _translation_holds(base, polygon(d + p.cls, p.name))  # used only here
 
     def superadditive(d1: DivClass, d2: DivClass) -> bool | None:
-        p1 = shared_polygon(geom, d1, flag.name)
-        p2 = shared_polygon(geom, d2, flag.name)
-        p12 = polygon(geom, d1 + d2, flag.name)  # used only here
+        p1 = shared_polygon(d1, flag.name)
+        p2 = shared_polygon(d2, flag.name)
+        p12 = polygon(d1 + d2, flag.name)  # used only here
         # Each polygon lives in the extension of its own mu; a sum
         # cannot combine two different radicals (comparing them is exact).
         if len({p.frame.d for p in (p1, p2, p12)} - {0}) > 1:
@@ -239,26 +222,26 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
         return gap >= 0 and gap * gap >= 4 * s1 * s2
 
     def idempotent(d: DivClass) -> bool:
-        pos = shared_decompose(geom, d).positive
-        again = shared_decompose(geom, pos)
+        pos = decomposed(d).positive
+        again = decomposed(pos)
         if again.negative or again.positive != pos:
             return False
-        kept = shared_polygon(geom, pos, flag.name).frame
-        return kept == shared_polygon(geom, d, flag.name).frame
+        kept = shared_polygon(pos, flag.name).frame
+        return kept == shared_polygon(d, flag.name).frame
 
     def order_invariant(d: DivClass) -> bool:
-        a, b = shared_decompose(geom, d), shared_decompose(shuffled, d)
+        a, b = decomposed(d), decompose(shuffled, d)
         if a.positive != b.positive or dict(a.negative) != dict(b.negative):
             return False
-        pa = shared_polygon(geom, d, flag.name)
-        return pa == polygon(shuffled, d, flag.name)  # used only here
+        pa = shared_polygon(d, flag.name)
+        return pa == _polygon(shuffled, d, shuffled.prime(flag.name), b)  # used only here
 
     def rebuilds(d: DivClass, full: bool) -> bool | None:
         try:
-            mk = _minkowski_decompose(geom, shared_decompose(geom, d), flag.name)
+            mk = _minkowski_decompose(geom, decomposed(d), flag.name)
         except DomainError:
             return None  # no chamber generator exists for the flag
-        if mk.reconstruct(lat.rank) != shared_decompose(geom, d).positive:
+        if mk.reconstruct(lat.rank) != decomposed(d).positive:
             return False
         if any(coeff <= 0 for coeff, _ in mk.terms):
             return False
@@ -267,11 +250,11 @@ def run_checks(geom: Geometry, samples: int = 100, seed: int = 0) -> tuple[Check
         # chamber, and it is not movable.
         if not full or not all(is_movable(geom, e.cls) for _, e in mk.terms):
             return True
-        total = polygon_scale(0, shared_polygon(geom, d, flag.name))
+        total = polygon_scale(0, shared_polygon(d, flag.name))
         for coeff, element in mk.terms:
-            piece = polygon_scale(coeff, shared_polygon(geom, element.cls, flag.name))
+            piece = polygon_scale(coeff, shared_polygon(element.cls, flag.name))
             total = polygon_minkowski_sum(total, piece)
-        return total.frame == shared_polygon(geom, d, flag.name).frame
+        return total.frame == shared_polygon(d, flag.name).frame
 
     def continuous(small: frozenset[str], big: frozenset[str], flag_name: str) -> bool:
         wall = chamber_generator(geom, big, flag_name)

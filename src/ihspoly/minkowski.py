@@ -21,7 +21,9 @@ one rank-one update of a smaller chamber's record.  A chamber's
 closure, a flag's basis and cone generators, and the isotropic rays
 are built here once per catalog and kept on the geometry by
 Geometry.kept; this module writes no store of its own, and a set of
-primes that is no chamber has no closure.
+primes that a caller names and that is no chamber has no closure and no
+generator (DomainError).  The walk's own null sets are not refused that
+way: a null set that is not negative definite is the catalog's fault.
 The walk's step tau along a generator is the largest one that keeps the
 leftover movable: one max_step over Mov (Geometry.mov_cone, Eff cut by
 the primes' form rows), so both the prime walls and the facets of Eff
@@ -38,7 +40,7 @@ from .errors import ConsistencyError, DomainError
 from .geometry import Geometry
 from .lattice import DivClass, dot, linear_combination
 from .linprog import max_step
-from .zariski import ZariskiDecomposition, decompose, null_set
+from .zariski import ZariskiDecomposition, _chamber_record, decompose, null_set
 
 
 def enumerate_chambers(geom: Geometry) -> tuple[frozenset[str], ...]:
@@ -58,14 +60,15 @@ def chamber_generator(geom: Geometry, chamber: frozenset[str], flag_name: str) -
     The x_i are nonnegative: Eff is built first in polyhedral mode, so
     rule (d) holds (round mode has it by construction), and then -Gram_S
     is a nonsingular M-matrix whose inverse maps the nonnegative q(E, E_j)
-    to x.
+    to x.  A set that is no chamber is refused, by name, as
+    chamber_closure_rays refuses it.
     """
     flag = geom.prime(flag_name)
     if flag.name in chamber:
         raise DomainError("flag prime cannot lie in the chamber it generates against")
     if geom.mode == "polyhedral":
         geom.eff_cone  # checks rules (c) and (d) before any chamber record is built
-    return geom.support_projector(chamber).positive(flag.cls).primitive()
+    return _chamber_record(geom, chamber).positive(flag.cls).primitive()
 
 
 def movable_cone_rays(geom: Geometry) -> tuple[DivClass, ...]:
@@ -104,13 +107,7 @@ def chamber_closure_rays(geom: Geometry, chamber: frozenset[str]) -> tuple[DivCl
 def _chamber_closure_rays(geom: Geometry, chamber: frozenset[str]) -> tuple[DivClass, ...]:
     primes = [geom.prime(name) for name in chamber]
     movable = movable_cone_rays(geom)  # refuses round mode, and builds Eff before any record
-    if not all(p.exceptional for p in primes):
-        raise DomainError(f"{sorted(chamber)} is not a chamber: it holds a non-exceptional prime")
-    try:
-        geom.support_projector(chamber)  # its Schur steps decide negative definiteness
-    except ConsistencyError:
-        raise DomainError(f"{sorted(chamber)} is not a chamber: its Gram matrix is not "
-                          "negative definite") from None
+    _chamber_record(geom, chamber)
     rows = [geom.prime_forms[p.name][0] for p in primes]
     face = [r for r in movable if not any(dot(r.num, row) for row in rows)]
     return tuple(sorted(face + [p.cls.primitive() for p in primes], key=lambda r: r.num))
@@ -261,7 +258,9 @@ def _minkowski_decompose(
                 "flag prime is orthogonal to the positive part; "
                 "no chamber generator exists for it"
             )
-        gen = chamber_generator(geom, sigma, flag_name)
+        # sigma's generator; a null set that is not negative definite is
+        # the catalog's fault, so its failed step stays a ConsistencyError
+        gen = geom.support_projector(sigma).positive(geom.prime(flag_name).cls).primitive()
         # bounded: by rules (c) and (d) gen is a nonzero class of the pointed Eff
         tau = max_step(geom.mov_cone, gen.num, m.num) * Fraction(gen.den, m.den)
         if tau <= 0:

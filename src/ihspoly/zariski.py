@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import ConsistencyError, DomainError
-from .geometry import Geometry, is_movable, is_pseudo_effective
+from .geometry import Geometry, SupportProjector, is_movable, is_pseudo_effective
 from .lattice import DivClass, dot
 
 
@@ -164,7 +164,24 @@ def chamber_positive_part(
 
     Applies the support's cached projector without sign checks;
     on the chamber this equals decompose(d).positive, and the formulas
-    of two adjacent chambers agree exactly on their common wall.
+    of two adjacent chambers agree exactly on their common wall.  A set
+    that is no chamber is refused (see _chamber_record).
     """
-    proj = geom.support_projector(frozenset(support_names))
+    proj = _chamber_record(geom, support_names)
     return proj.positive(d), dict(zip(proj.names, proj.coefficients(d)))
+
+
+def _chamber_record(geom: Geometry, names: Iterable[str]) -> SupportProjector:
+    """The support record of a chamber a caller names.  A set that holds
+    a non-exceptional prime, or whose record fails its Schur step (not
+    negative definite), is no chamber: DomainError naming the set.  The
+    supports the engine derives itself go to geom.support_projector, so
+    that a failed step there still reports the catalog inconsistent."""
+    chamber = frozenset(names)
+    if not all(geom.prime(name).exceptional for name in chamber):
+        raise DomainError(f"{sorted(chamber)} is not a chamber: it holds a non-exceptional prime")
+    try:
+        return geom.support_projector(chamber)
+    except ConsistencyError:
+        raise DomainError(f"{sorted(chamber)} is not a chamber: its Gram matrix is not "
+                          "negative definite") from None

@@ -1,6 +1,10 @@
 """Randomized self-check harness: sampling, bookkeeping, green runs."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -303,6 +307,51 @@ def test_run_checks_decomposes_each_class_once_across_layers(hilb2_elliptic, mon
     assert len(calls) == 28
 
 
+# cProfile's call count of every function over three run_checks sweeps
+# of the catalog at argv[1], as JSON [file, line, name, calls].
+PROFILED_SWEEPS = """import cProfile, json, pstats, sys
+from ihspoly import load_geometry, run_checks
+geom = load_geometry(sys.argv[1])
+profile = cProfile.Profile()
+profile.enable()
+for seed in range(3):
+    run_checks(geom, 4, seed)
+profile.disable()
+print(json.dumps([[*key, stat[1]] for key, stat in pstats.Stats(profile).stats.items()]))
+"""
+
+
+def _sweep_call_counts(hash_seed: int) -> dict:
+    """The calls of every ihspoly and fractions function over the sweeps
+    of hilb2_k3 in a fresh interpreter under PYTHONHASHSEED=hash_seed,
+    keyed by (file, line, name); a key that holds an address is left out."""
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join([str(GEOM_DIR.parent / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-c", PROFILED_SWEEPS, str(GEOM_DIR / "hilb2_k3.geom")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    counts = {}
+    for path, line, name, calls in json.loads(done.stdout):
+        if re.search("0x[0-9a-f]+", path + name):
+            continue
+        if "ihspoly" in Path(path).parts or Path(path).name == "fractions.py":
+            counts[path, line, name] = calls
+    return counts
+
+
+def test_run_checks_work_counts_repeat_across_hash_seeds():
+    # The check sweep's memos are keyed by classes and prime names, never
+    # by an address, so every function is called equally often in every
+    # process.  A key holding id(geom) once made DivClass.__eq__ read
+    # 145 to 151 calls here: two classes of equal hash met once or twice
+    # per lookup along a dict probe sequence that the address steered.
+    runs = [_sweep_call_counts(hash_seed) for hash_seed in (0, 1, 2)]
+    files = {Path(path).name for path, _, _ in runs[0]}
+    assert {"lattice.py", "checks.py", "fractions.py"} <= files
+    assert any(name == "__eq__" and Path(path).name == "lattice.py" for path, _, name in runs[0])
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_run_checks_gram_solves_once_per_chamber(hilb2_elliptic, monkeypatch):
     # Each support record is one passing Schur step from its parent's
     # record, and a geometry takes each such step once; the empty
@@ -360,8 +409,9 @@ def test_shared_polygon_failure_reaches_every_check(hilb2_elliptic, monkeypatch)
 
     monkeypatch.setattr(checks, "_polygon", failing)
     shared = run_checks(geom, 4, 0)
-    # The same run with every polygon and decomposition computed afresh.
-    monkeypatch.setattr(checks, "_shared", lambda fn: fn)
+    # The same run with every polygon and decomposition computed afresh:
+    # run_checks' memos are the cache decorator checks binds.
+    monkeypatch.setattr(checks, "cache", lambda fn: fn)
     unshared = run_checks(geom, 4, 0)
     assert shared == unshared
     label = format_divisor(geom, bad)

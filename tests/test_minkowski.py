@@ -62,6 +62,7 @@ from ihspoly import (
 from ihspoly.lattice import dot
 from ihspoly.linalg import kernel
 from ihspoly.linprog import UnboundedError, generated_cone, max_step
+from ihspoly.zariski import chamber_positive_part
 from test_geometry import pairwise_family
 from test_inconsistent_catalogs import CROSSED_PRIMES
 from test_lattice import solve, sub_gram
@@ -193,11 +194,13 @@ def test_chamber_generator_cache_matches_fresh_solve(hilb2, k3_elliptic, hilb2_e
         # one record per chamber, whichever flag asked for it
         assert set(fresh_copy.support_projectors) == set(geom.chambers)
         kept = dict(fresh_copy.support_projectors)
-        # a failed build is not kept
+        # a set that is no chamber is refused by name, and nothing is kept
         movable = next(p for p in geom.primes if not p.exceptional)
         flag = next(p for p in geom.primes if p is not movable)
-        with pytest.raises(ConsistencyError, match="negative definite"):
+        message = f"{[movable.name]} is not a chamber: it holds a non-exceptional prime"
+        with pytest.raises(DomainError) as refusal:
             chamber_generator(fresh_copy, frozenset({movable.name}), flag.name)
+        assert str(refusal.value) == message
         assert fresh_copy.support_projectors == kept
 
 
@@ -434,8 +437,9 @@ def test_answers_are_built_once_per_catalog(hilb2_elliptic):
 
 def test_closure_of_a_set_that_is_no_chamber_is_refused(k3_elliptic):
     # {A1, A2} has the singular Gram matrix [[-2, 2], [2, -2]], and Fib is
-    # movable: neither is a chamber, so neither has a closure.  Each is
-    # refused by name on every call, and nothing is kept.
+    # movable: neither is a chamber, so neither has a closure, a generator
+    # or a chamber-local positive part.  Each is refused by name, with one
+    # message from all three, on every call, and nothing is kept.
     geom = k3_elliptic._replace()
     refusals = {
         ("A1", "A2"): "['A1', 'A2'] is not a chamber: its Gram matrix is not negative definite",
@@ -443,9 +447,15 @@ def test_closure_of_a_set_that_is_no_chamber_is_refused(k3_elliptic):
         ("Fib", "Sec"): "['Fib', 'Sec'] is not a chamber: it holds a non-exceptional prime",
     }
     for names, message in refusals.items():
-        for _ in range(2):
+        flag = next(p.name for p in geom.primes if p.name not in names)
+        calls = [
+            lambda: chamber_closure_rays(geom, list(names)),
+            lambda: chamber_generator(geom, frozenset(names), flag),
+            lambda: chamber_positive_part(geom, DivClass([2, 1, 0]), names),
+        ]
+        for call in calls * 2:
             with pytest.raises(DomainError) as refusal:
-                chamber_closure_rays(geom, list(names))
+                call()
             assert str(refusal.value) == message
     assert geom.answers == {}
     assert set(geom.support_projectors) <= set(geom.chambers)

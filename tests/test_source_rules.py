@@ -17,7 +17,8 @@ hull, and okounkov chooses the threshold's root by sign, never by
 ordering roots.  No loop runs on a constant true test, and Surd orders
 two radicals in closed form, with no interval refinement.  The self-checks
 build their results in one runner, and no closure there binds a loop
-variable through a default argument.  No module imports `dataclasses`.
+variable through a default argument.  No module imports `dataclasses`,
+and none calls `id()`, so no address enters a key or an answer.
 Every `ConsistencyError` the engine raises is pinned by a test that
 asserts its message, except the three loop caps no catalog can reach.
 """
@@ -259,6 +260,16 @@ def test_checks_build_results_in_one_runner():
             assert not args.defaults and not any(args.kw_defaults), (
                 f"checks.py:{node.lineno} takes default arguments"
             )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_address_enters_a_key_or_an_answer(path):
+    """No module calls id(): a memory address in a key steers a dict's
+    probe sequence, so the work done would change from process to
+    process; memos key by value, as Geometry.kept and run_checks do."""
+    for node in ast.walk(_tree(path)):
+        call = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+        assert not call, f"{path.name}:{node.lineno} calls id()"
 
 
 # Each cap is the exit of a loop whose support or null set grows every

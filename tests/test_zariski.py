@@ -292,20 +292,41 @@ def test_chamber_formulas_agree_on_wall(hilb2):
     assert coeffs == {"E": F(0)}
 
 
-def test_chamber_positive_part_rejects_bad_support(hilb2):
-    # q(E') = 0, so {E, E'} spans no negative definite sublattice.
-    message = ("Gram matrix of ['E', \"E'\"] is not negative definite; "
-               "the declared prime catalog is inconsistent")
-    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
-        chamber_positive_part(hilb2, DivClass([1, 0]), ["E", "E'"])
+def test_chamber_positive_part_rejects_bad_support(hilb2, k3_elliptic):
+    # q(E') = 0, so E' is not exceptional and {E, E'} is no chamber; on
+    # k3_rank3 Fib is movable and {A1, A2} has the singular Gram matrix
+    # [[-2, 2], [2, -2]].  Each set is the caller's fault, refused by name.
+    refusals = [
+        (hilb2, DivClass([1, 0]), ["E", "E'"],
+         "['E', \"E'\"] is not a chamber: it holds a non-exceptional prime"),
+        (k3_elliptic, DivClass([2, 1, 0]), ["Fib"],
+         "['Fib'] is not a chamber: it holds a non-exceptional prime"),
+        (k3_elliptic, DivClass([2, 1, 0]), ["A1", "A2"],
+         "['A1', 'A2'] is not a chamber: its Gram matrix is not negative definite"),
+    ]
+    for geom, d, names, message in refusals:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            chamber_positive_part(geom, d, names)
 
 
-def test_failed_support_is_not_cached(hilb2):
+def test_failed_support_is_not_cached(hilb2, k3_elliptic):
+    # A caller's set that is no chamber is refused with a DomainError, and
+    # the same failed Schur step on a support asked of the geometry itself
+    # reports the catalog inconsistent.  Neither keeps a record.
     geom = hilb2._replace()
     for _ in range(2):
-        with pytest.raises(ConsistencyError, match="negative definite"):
+        with pytest.raises(DomainError, match="non-exceptional"):
             chamber_positive_part(geom, DivClass([1, 0]), ["E", "E'"])
         assert frozenset({"E", "E'"}) not in geom.support_projectors
+    geom, bad = k3_elliptic._replace(), frozenset({"A1", "A2"})
+    message = ("Gram matrix of ['A1', 'A2'] is not negative definite; "
+               "the declared prime catalog is inconsistent")
+    for _ in range(2):
+        with pytest.raises(DomainError, match="is not a chamber: its Gram matrix"):
+            chamber_positive_part(geom, DivClass([2, 1, 0]), bad)
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            geom.support_projector(bad)
+        assert bad not in geom.support_projectors
 
 
 def leading_minors_negative_definite(gram) -> bool:
@@ -521,11 +542,13 @@ def _check_support_records(geom, walks):
     movable = [p.name for p in geom.primes if not p.exceptional]
     bad = frozenset(movable[:1] or [p.name for p in geom.primes[:3]])
     flag = next(p for p in geom.primes if p.name not in bad)
-    builds = [lambda: geom.support_projector(bad)]
+    # the record's own failed step is a catalog inconsistency; the same
+    # set named to chamber_generator is refused as no chamber
+    builds = [(lambda: geom.support_projector(bad), ConsistencyError, "negative definite")]
     if has_eff:
-        builds.append(lambda: chamber_generator(geom, bad, flag.name))
-    for build in builds:
-        with pytest.raises(ConsistencyError, match="negative definite"):
+        builds.append((lambda: chamber_generator(geom, bad, flag.name), DomainError, "is not a chamber"))
+    for build, error, match in builds:
+        with pytest.raises(error, match=match):
             build()
         assert geom.support_projectors == kept
 
