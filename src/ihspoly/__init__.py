@@ -54,7 +54,7 @@ _LAYERS = {
         "polygon_scale",
         "simplex_flag",
     ),
-    "surd": ("DiscriminantMixError", "Surd", "quadratic_roots", "smallest_positive_root"),
+    "surd": ("DiscriminantMixError", "Surd"),
     "zariski": (
         "ZariskiDecomposition",
         "chamber_id",

@@ -396,37 +396,3 @@ class Surd:
             return core if b > 0 else f"-{core}"
         joiner = "+" if b > 0 else "-"
         return f"{a}{joiner}{core}"
-
-
-def quadratic_roots(a: RatLike, b: RatLike, c: RatLike) -> tuple[Surd, ...]:
-    """Real roots of a t^2 + b t + c = 0, ascending, as exact surds.
-
-    A linear equation yields one root; a contradiction (0 = c != 0)
-    yields none; the identically-zero equation is refused because every
-    t solves it.
-    """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if not a:
-        if not b:
-            if not c:
-                raise ValueError("identically zero equation has every root")
-            return ()
-        return (Surd(-c / b),)
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return ()
-    if not disc:
-        return (Surd(-b / (2 * a)),)
-    sq = Surd.sqrt(disc)
-    half = Fraction(1, 2) / a
-    r1 = (Surd(-b) - sq) * half
-    r2 = (Surd(-b) + sq) * half
-    return (r1, r2) if r1 < r2 else (r2, r1)
-
-
-def smallest_positive_root(a: RatLike, b: RatLike, c: RatLike) -> Surd | None:
-    """Smallest strictly positive root of a t^2 + b t + c = 0, or None."""
-    for root in quadratic_roots(a, b, c):
-        if root.sign() > 0:
-            return root
-    return None

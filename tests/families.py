@@ -1,4 +1,4 @@
-"""Catalog families for the tests.
+"""Catalog families for the tests, each defined once here.
 
 random_catalog draws one small catalog document from a seeded
 random.Random.  Its Gram matrix is U^T diag(2a, -2b, ...) U for a random
@@ -15,11 +15,22 @@ outside_eff_catalog adds a prime that does.  Entries stay in
 [-2, 2] and catalogs hold one to three primes, so every call on one is
 cheap.  A draw that finds no ample class in 100 tries fails with an
 AssertionError, as one that finds no nonzero vector does.
+
+pairwise_family, elliptic_family and orthogonal_family build the
+Geometry of k exceptional (-2)-primes that the chamber, movable-ray and
+scaling tests grow with k: primes meeting pairwise once, an elliptic K3
+with k fibres of type I2, and pairwise orthogonal primes.  catalog
+builds a small diagonal polyhedral Geometry from (name, class) pairs;
+CROSSED_PRIMES is its catalog that breaks rule (d) (distinct primes pair
+nonnegatively).
 """
 
 from __future__ import annotations
 
+import json
 import random
+
+from ihspoly import parse_geometry
 
 
 def _pair(gram, x, y) -> int:
@@ -107,3 +118,92 @@ def random_class(rng: random.Random, doc: dict) -> list[int]:
         return [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(rank)]
     k = rng.randint(0, 2)
     return [k * a + rng.randint(-1, 1) for a in doc["ample"]]
+
+
+def pairwise_family(k):
+    """k exceptional (-2)-primes meeting pairwise once: the Gram matrix is
+    J - 3I, of signature (1, k - 1) for k >= 4, in the basis of the primes,
+    and Eff is generated by them.  Its chambers are the empty set, the
+    singletons and the pairs: every triple has the singular Gram matrix
+    J - 3I of size 3."""
+    names = [f"E{i}" for i in range(1, k + 1)]
+    units = [[int(i == j) for j in range(k)] for i in range(k)]
+    doc = {
+        "name": f"pairwise_{k}",
+        "half_dim": 1,
+        "fujiki": 1,
+        "basis": [n.lower() for n in names],
+        "gram": [[-2 if i == j else 1 for j in range(k)] for i in range(k)],
+        "mode": "polyhedral",
+        "primes": [{"name": n, "class": u, "exceptional": True} for n, u in zip(names, units)],
+        "effective_generators": units,
+    }
+    return parse_geometry(json.dumps(doc))
+
+
+def elliptic_family(k):
+    """Elliptic K3 with a section and k fibres of type I2, on U + A1^k:
+    basis f, s, c1..ck; primes the section Sec, the fibre components
+    A_j = c_j and B_j = f - c_j (all (-2)-classes) and the isotropic
+    fibre Fib."""
+    n = k + 2
+    gram = [[0] * n for _ in range(n)]
+    gram[0][1] = gram[1][0] = 1
+    for i in range(1, n):
+        gram[i][i] = -2
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    primes = [{"name": "Sec", "class": unit[1], "exceptional": True}]
+    for j in range(1, k + 1):
+        primes.append({"name": f"A{j}", "class": unit[j + 1], "exceptional": True})
+        primes.append({"name": f"B{j}", "class": [a - b for a, b in zip(unit[0], unit[j + 1])],
+                       "exceptional": True})
+    doc = {
+        "name": f"elliptic_{k}",
+        "half_dim": 1,
+        "fujiki": 1,
+        "basis": ["f", "s"] + [f"c{j}" for j in range(1, k + 1)],
+        "gram": gram,
+        "mode": "polyhedral",
+        "primes": [*primes, {"name": "Fib", "class": unit[0], "exceptional": False}],
+        "effective_generators": [p["class"] for p in primes],
+    }
+    return parse_geometry(json.dumps(doc))
+
+
+def orthogonal_family(k):
+    """k pairwise orthogonal exceptional (-2)-primes E1..Ek and the
+    movable prime H on the lattice <2> + <-2>^k, Eff generated by the
+    primes: every subset of the E_i is a chamber, so there are 2^k."""
+    n = k + 1
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    primes = [{"name": "H", "class": unit[0], "exceptional": False}]
+    primes += [{"name": f"E{i}", "class": unit[i], "exceptional": True} for i in range(1, n)]
+    doc = {
+        "name": f"orthogonal_{k}",
+        "half_dim": 1,
+        "fujiki": 1,
+        "basis": ["h"] + [f"e{i}" for i in range(1, n)],
+        "gram": [[(2 if i == 0 else -2) * (i == j) for j in range(n)] for i in range(n)],
+        "mode": "polyhedral",
+        "primes": primes,
+        "effective_generators": unit,
+    }
+    return parse_geometry(json.dumps(doc))
+
+
+def catalog(name, diagonal, primes, effective_generators):
+    """A polyhedral catalog with the form diag(diagonal) over basis H, d(, c);
+    primes are (name, class) pairs, flagged exceptional by the sign of
+    their square."""
+    rank = len(diagonal)
+    return parse_geometry(json.dumps({
+        "name": name, "half_dim": 2, "fujiki": 3, "basis": ["H", "d", "c"][:rank], "mode": "polyhedral",
+        "gram": [[diagonal[i] if i == j else 0 for j in range(rank)] for i in range(rank)],
+        "primes": [{"name": n, "class": c, "exceptional": sum(g * v * v for g, v in zip(diagonal, c)) < 0}
+                   for n, c in primes],
+        "effective_generators": effective_generators,
+    }))
+
+
+# Rule (d): q(E, F) = -2 for the distinct primes E = H + d and F = d.
+CROSSED_PRIMES = catalog("crossed_primes", [2, -2], [("E", [1, 1]), ("F", [0, 1])], [[1, 0], [0, 1]])

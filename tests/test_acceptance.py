@@ -36,7 +36,7 @@ from ihspoly import (
     volume,
 )
 from ihspoly.zariski import chamber_positive_part
-from test_polygon2d import point
+from oracles import point
 
 F = Fraction
 

@@ -25,11 +25,11 @@ from ihspoly import (
 from ihspoly.checks import _translation_holds
 from ihspoly.geometry import format_divisor, is_pseudo_effective
 from ihspoly.minkowski import enumerate_chambers
-from test_polygon2d import _surd_contains_point as contains_point
-from test_polygon2d import _surd_contains_polygon as contains_polygon
-from test_polygon2d import _surd_scale as scale
-from test_polygon2d import _surd_translate as translate
-from test_polygon2d import point
+from oracles import _surd_contains_point as contains_point
+from oracles import _surd_contains_polygon as contains_polygon
+from oracles import _surd_scale as scale
+from oracles import _surd_translate as translate
+from oracles import point
 
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
 

@@ -368,7 +368,7 @@ def test_round_prime_off_eff_exits_3(capsys, tmp_path):
 
 def test_over_the_subset_limit_exits_3(capsys, tmp_path):
     from ihspoly import geometry_to_json
-    from test_geometry import elliptic_family
+    from families import elliptic_family
 
     path = tmp_path / "elliptic_5.geom"
     path.write_text(geometry_to_json(elliptic_family(5)))

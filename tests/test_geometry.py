@@ -1,5 +1,8 @@
 """Geometry documents: parsing, validation, serialization, divisor
-expressions, and the declared-cone predicates."""
+expressions, the declared-cone predicates, and the derived chambers and
+movable rays.  The catalog families the chamber tests grow (pairwise,
+elliptic, orthogonal) live in families.py, and the brute-force chamber
+oracle in oracles.py."""
 
 import json
 import random
@@ -30,7 +33,8 @@ from ihspoly.geometry import Geometry, Prime
 from ihspoly.lattice import dot
 from ihspoly.linalg import kernel
 from ihspoly.minkowski import enumerate_chambers
-from test_lattice import negative_definite
+from families import elliptic_family, orthogonal_family, pairwise_family
+from oracles import brute_force_chambers
 
 F = Fraction
 
@@ -473,40 +477,6 @@ def test_mov_cone_matches_is_movable_seeded(hilb2, k3_elliptic, hilb2_elliptic):
         assert seen == {(True, True), (False, True), (False, False)}
 
 
-def pairwise_family(k):
-    """k exceptional (-2)-primes meeting pairwise once: the Gram matrix is
-    J - 3I, of signature (1, k - 1) for k >= 4, in the basis of the primes,
-    and Eff is generated by them.  Its chambers are the empty set, the
-    singletons and the pairs: every triple has the singular Gram matrix
-    J - 3I of size 3."""
-    names = [f"E{i}" for i in range(1, k + 1)]
-    units = [[int(i == j) for j in range(k)] for i in range(k)]
-    doc = {
-        "name": f"pairwise_{k}",
-        "half_dim": 1,
-        "fujiki": 1,
-        "basis": [n.lower() for n in names],
-        "gram": [[-2 if i == j else 1 for j in range(k)] for i in range(k)],
-        "mode": "polyhedral",
-        "primes": [{"name": n, "class": u, "exceptional": True} for n, u in zip(names, units)],
-        "effective_generators": units,
-    }
-    return parse_geometry(json.dumps(doc))
-
-
-def brute_force_chambers(geom):
-    """Every subset of the exceptional primes, tested one by one by the
-    inertia of its Gram matrix."""
-    exceptional = geom.exceptional_primes
-    found = [
-        frozenset(p.name for p in combo)
-        for size in range(len(exceptional) + 1)
-        for combo in combinations(exceptional, size)
-        if negative_definite(geom.lattice, [p.cls for p in combo])
-    ]
-    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-
-
 @pytest.fixture
 def tested(monkeypatch):
     """The size of every set a Schur step is taken to, in order: the
@@ -544,56 +514,6 @@ def test_pairwise_family_movable_rays():
     for k in (6, 8):
         rays = {r.num for r in pairwise_family(k).movable_rays}
         assert rays == {tuple(int(i in c) for i in range(k)) for c in combinations(range(k), 3)}
-
-
-def elliptic_family(k):
-    """Elliptic K3 with a section and k fibres of type I2, on U + A1^k:
-    basis f, s, c1..ck; primes the section Sec, the fibre components
-    A_j = c_j and B_j = f - c_j (all (-2)-classes) and the isotropic
-    fibre Fib."""
-    n = k + 2
-    gram = [[0] * n for _ in range(n)]
-    gram[0][1] = gram[1][0] = 1
-    for i in range(1, n):
-        gram[i][i] = -2
-    unit = [[int(i == j) for j in range(n)] for i in range(n)]
-    primes = [{"name": "Sec", "class": unit[1], "exceptional": True}]
-    for j in range(1, k + 1):
-        primes.append({"name": f"A{j}", "class": unit[j + 1], "exceptional": True})
-        primes.append({"name": f"B{j}", "class": [a - b for a, b in zip(unit[0], unit[j + 1])],
-                       "exceptional": True})
-    doc = {
-        "name": f"elliptic_{k}",
-        "half_dim": 1,
-        "fujiki": 1,
-        "basis": ["f", "s"] + [f"c{j}" for j in range(1, k + 1)],
-        "gram": gram,
-        "mode": "polyhedral",
-        "primes": [*primes, {"name": "Fib", "class": unit[0], "exceptional": False}],
-        "effective_generators": [p["class"] for p in primes],
-    }
-    return parse_geometry(json.dumps(doc))
-
-
-def orthogonal_family(k):
-    """k pairwise orthogonal exceptional (-2)-primes E1..Ek and the
-    movable prime H on the lattice <2> + <-2>^k, Eff generated by the
-    primes: every subset of the E_i is a chamber, so there are 2^k."""
-    n = k + 1
-    unit = [[int(i == j) for j in range(n)] for i in range(n)]
-    primes = [{"name": "H", "class": unit[0], "exceptional": False}]
-    primes += [{"name": f"E{i}", "class": unit[i], "exceptional": True} for i in range(1, n)]
-    doc = {
-        "name": f"orthogonal_{k}",
-        "half_dim": 1,
-        "fujiki": 1,
-        "basis": ["h"] + [f"e{i}" for i in range(1, n)],
-        "gram": [[(2 if i == 0 else -2) * (i == j) for j in range(n)] for i in range(n)],
-        "mode": "polyhedral",
-        "primes": primes,
-        "effective_generators": unit,
-    }
-    return parse_geometry(json.dumps(doc))
 
 
 @pytest.mark.parametrize("family, k, count", [("elliptic", 3, 54), ("orthogonal", 8, 256)])

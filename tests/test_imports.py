@@ -118,7 +118,7 @@ def test_package_import_loads_no_layer():
 
 def test_public_names_resolve_to_their_home_objects():
     names = [name for name in ihspoly.__all__ if name != "__version__"]
-    assert names == sorted(names) and len(names) == 55
+    assert names == sorted(names) and len(names) == 53
     for name in names:
         home = import_module(f"ihspoly.{ihspoly._HOME[name]}")
         assert getattr(ihspoly, name) is getattr(home, name), name

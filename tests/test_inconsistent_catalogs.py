@@ -8,10 +8,9 @@ primes pair nonnegatively, (e) no movable ray with q > 0 lies on a
 facet of Eff.  Geometry.eff_cone refuses a catalog that breaks (c) or
 (d) by name.  Rules (b) and (e) are not checked yet; the engine sites
 they would retire are reached here.  Some catalogs break other rules as
-well.
+well.  families.catalog builds them; the rule-(d) catalog CROSSED_PRIMES
+lives in families too, because test_minkowski uses it as well.
 """
-
-import json
 
 import pytest
 
@@ -24,31 +23,13 @@ from ihspoly import (
     minkowski_basis,
     minkowski_decompose,
     mu_threshold,
-    parse_geometry,
 )
-
-
-def catalog(name, diagonal, primes, effective_generators):
-    """A polyhedral catalog with the form diag(diagonal) over basis H, d(, c);
-    primes are (name, class) pairs, flagged exceptional by the sign of
-    their square."""
-    rank = len(diagonal)
-    return parse_geometry(json.dumps({
-        "name": name, "half_dim": 2, "fujiki": 3, "basis": ["H", "d", "c"][:rank], "mode": "polyhedral",
-        "gram": [[diagonal[i] if i == j else 0 for j in range(rank)] for i in range(rank)],
-        "primes": [{"name": n, "class": c, "exceptional": sum(g * v * v for g, v in zip(diagonal, c)) < 0}
-                   for n, c in primes],
-        "effective_generators": effective_generators,
-    }))
-
+from families import CROSSED_PRIMES, catalog
 
 DIAG2 = [2, -2]
 
 # Rule (c): Eff is the positive quadrant and E = -d lies outside it.
 FLIPPED_PRIME = catalog("flipped_prime", DIAG2, [("E", [0, -1])], [[1, 0], [0, 1]])
-
-# Rule (d): q(E, F) = -2 for the distinct primes E = H + d and F = d.
-CROSSED_PRIMES = catalog("crossed_primes", DIAG2, [("E", [1, 1]), ("F", [0, 1])], [[1, 0], [0, 1]])
 
 # Rule (b): with no exceptional prime Mov = Eff = cone(H, H + 2d),
 # and q(H + 2d) = -6.  The isotropic class H + d lies inside Mov.

@@ -1,4 +1,11 @@
-"""Divisor classes and the BBF pairing: algebra, signatures, definiteness."""
+"""Divisor classes and the BBF pairing: algebra, signatures, definiteness.
+
+The shared oracles these tests use (the Fraction solve and RREF kernel,
+Gram matrices, negative definiteness by inertia and by leading minors,
+primitive vectors) live in oracles.py.  The oracles only this module
+uses stay here: the support-record probe projector_accepts, the
+Descartes signature, the exact ratio and the minor rank.
+"""
 
 import copy
 import math
@@ -14,49 +21,18 @@ from ihspoly.errors import ConsistencyError, GeometryError
 from ihspoly.geometry import Geometry, Prime
 from ihspoly.lattice import dot, linear_combination
 from ihspoly.linalg import inertia, kernel
+from oracles import (
+    SingularMatrixError,
+    assert_kernel_matches_fraction_oracle,
+    leading_minors_negative_definite,
+    negative_definite,
+    oracle_primitive,
+    solve,
+    sub_gram,
+)
 
 
-# -- independent oracles ---------------------------------------------------
-
-
-class SingularMatrixError(ValueError):
-    """Square system without a unique solution."""
-
-
-def solve(matrix, rhs):
-    """Solve matrix @ x = rhs exactly for a square nonsingular matrix, by
-    Gauss-Jordan elimination over Fraction; the oracle for the engine's
-    support records (their Schur steps) and its fraction-free kernel
-    solves (cone membership)."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("shape mismatch")
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot_row is None:
-            raise SingularMatrixError("singular matrix")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot = a[col][col]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col] / pivot
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-    return [a[i][n] / a[i][i] for i in range(n)]
-
-
-def sub_gram(lattice, classes):
-    """The Gram matrix of the classes under the lattice's pairing."""
-    return [[lattice.pair(a, b) for b in classes] for a in classes]
-
-
-def negative_definite(lattice, classes):
-    """Whether the span of the classes is q-negative-definite, by the
-    inertia of their Gram matrix: a linearly dependent family picks up a
-    kernel and is never definite.  The oracle for the engine's Schur
-    steps (Geometry.support_projector and Geometry.chambers)."""
-    return inertia(sub_gram(lattice, classes)) == (0, len(classes), 0)
+# -- local oracles ---------------------------------------------------------
 
 
 def projector_accepts(lattice, classes):
@@ -120,28 +96,6 @@ def signature_by_descartes(matrix):
     pos = changes(tail)
     neg = changes([c if k % 2 == 0 else -c for k, c in enumerate(tail)])
     return pos, neg, zeros
-
-
-def leading_minor_negdef(matrix):
-    """Brute-force alternating-minors test: (-1)^k det_k > 0 for all k."""
-
-    def det(m):
-        if not m:
-            return Fraction(1)
-        if len(m) == 1:
-            return m[0][0]
-        total = Fraction(0)
-        for j, v in enumerate(m[0]):
-            if v:
-                minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-                total += (-1) ** j * v * det(minor)
-        return total
-
-    for k in range(1, len(matrix) + 1):
-        sub = [row[:k] for row in matrix[:k]]
-        if (-1) ** k * det(sub) <= 0:
-            return False
-    return True
 
 
 # -- DivClass --------------------------------------------------------------
@@ -242,16 +196,6 @@ def assert_canonical_class(v: DivClass) -> None:
     assert math.gcd(v.den, *v.num) == 1
 
 
-def oracle_primitive(coords):
-    """Clear denominators, then divide out the content; all in Fractions."""
-    k = 1
-    for c in coords:
-        k = k * c.denominator // math.gcd(k, c.denominator)
-    ints = [c * k for c in coords]
-    g = math.gcd(*(int(c) for c in ints)) or 1
-    return [c / g for c in ints]
-
-
 def test_divclass_canonical_form():
     a, b = DivClass([1, 2]), DivClass([Fraction(2, 2), Fraction(4, 2)])
     assert a == b and hash(a) == hash(b)
@@ -313,7 +257,7 @@ def test_pairing_with_fractional_gram_matches_fraction_oracle_seeded():
 # -- exact linear algebra helpers -------------------------------------------
 
 
-# solve is the test-local Fraction oracle above; these pin it down.
+# solve is the Fraction oracle of oracles.py; these pin it down.
 
 
 def test_solve_exact():
@@ -351,48 +295,6 @@ def test_kernel_matches_minor_rank_seeded():
         assert _minor_rank(basis, n) == len(basis)
         for x in basis:
             assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
-
-
-def _fraction_kernel(rows, n):
-    """Kernel basis by Fraction RREF: one vector per free column, with 1
-    in that column."""
-    a = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    for col in range(n):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][col]
-        a[r] = [v / pivot for v in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [v - f * p for v, p in zip(a[i], a[r])]
-        pivots.append(col)
-    basis = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        x = [Fraction(0)] * n
-        x[free] = Fraction(1)
-        for i, col in enumerate(pivots):
-            x[col] = -a[i][free]
-        basis.append(x)
-    return basis
-
-
-def assert_kernel_matches_fraction_oracle(rows, n):
-    """kernel(rows, n) is, in order, the primitive integer vector of each
-    oracle vector, in ints, positive in the oracle vector's free column
-    (its last nonzero entry, equal to 1)."""
-    got, want = kernel(rows, n), _fraction_kernel(rows, n)
-    assert got == [tuple(oracle_primitive(y)) for y in want], (rows, n)
-    for x, y in zip(got, want):
-        assert type(x) is tuple and all(type(c) is int for c in x)
-        free = max(i for i, c in enumerate(y) if c)
-        assert y[free] == 1 and x[free] > 0
 
 
 def test_kernel_matches_fraction_oracle_seeded():
@@ -529,7 +431,7 @@ def test_negative_definite_matches_minor_oracle_seeded():
         if inertia(g)[2] > 0:
             assert not got
         else:
-            assert got == leading_minor_negdef(g)
+            assert got == leading_minors_negative_definite(g)
         agree_true += got
         agree_false += not got
     assert agree_true and agree_false  # both branches exercised

@@ -1,9 +1,8 @@
 """The exact cone engine against hand-checked cases and an independent
-Caratheodory oracle."""
+Caratheodory oracle (oracles.oracle_in_cone)."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -14,13 +13,9 @@ from ihspoly.linprog import (
     generated_cone,
     max_step,
 )
-from test_lattice import SingularMatrixError, solve
+from oracles import oracle_in_cone, vec
 
 F = Fraction
-
-
-def vec(*xs):
-    return tuple(F(x) for x in xs)
 
 
 def rays_set(rays):
@@ -38,28 +33,6 @@ def cut(gens, functional, hyperplane=False):
     if hyperplane:
         return extreme_rays(c.facets, c.equations + (f,), len(f))
     return extreme_rays(c.facets + (f,), c.equations, len(f))
-
-
-def oracle_in_cone(gens, v):
-    """Caratheodory: v lies in cone(gens) iff it is a nonnegative
-    combination of some linearly independent subset of gens; a
-    nonsingular square minor of the subset fixes its coefficients."""
-    n = len(v)
-    if not any(v):
-        return True
-    for k in range(1, n + 1):
-        for subset in combinations(gens, k):
-            for rows in combinations(range(n), k):
-                try:
-                    coeffs = solve([[g[i] for g in subset] for i in rows], [v[i] for i in rows])
-                except SingularMatrixError:
-                    continue
-                if all(c >= 0 for c in coeffs) and all(
-                    sum(c * g[i] for c, g in zip(coeffs, subset)) == v[i] for i in range(n)
-                ):
-                    return True
-                break
-    return False
 
 
 def random_vec(rng, lo, hi, n=3):

@@ -63,11 +63,8 @@ from ihspoly.lattice import dot
 from ihspoly.linalg import kernel
 from ihspoly.linprog import UnboundedError, generated_cone, max_step
 from ihspoly.zariski import chamber_positive_part
-from test_geometry import pairwise_family
-from test_inconsistent_catalogs import CROSSED_PRIMES
-from test_lattice import solve, sub_gram
-from test_linprog import oracle_in_cone, vec
-from test_polygon2d import point
+from families import CROSSED_PRIMES, pairwise_family
+from oracles import oracle_in_cone, point, solve, sub_gram, vec
 
 F = Fraction
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"

@@ -1,11 +1,11 @@
 """Exact convex 2D geometry in the integer frame, against Surd oracles.
 
 polygon2d works on Frames: integer vertices over one denominator and
-one square-free d.  The Surd-pair functions below are its oracle and
-are imported by the other test modules: point, cross and convex_hull,
-whose output defines the canonical polygon form, and the area,
-Minkowski sum, scale, translate and containment in Surd arithmetic.
-The tests reach the kernel through thin wrappers that lift Surd points
+one square-free d.  Its oracle is the Surd-pair polygon section of
+oracles.py: point, cross and convex_hull, whose output defines the
+canonical polygon form, and the area, Minkowski sum, scale, translate
+and containment in Surd arithmetic.  The tests reach the kernel through
+the thin wrappers of that file's last section, which lift Surd points
 into a frame and read the result back.
 """
 
@@ -16,124 +16,27 @@ import pytest
 
 from ihspoly import polygon2d
 from ihspoly.okounkov import NOPolygon, polygon_contains, polygon_minkowski_sum, polygon_scale
-from ihspoly.polygon2d import lift, points
+from ihspoly.polygon2d import lift
 from ihspoly.surd import DiscriminantMixError, Surd
+from oracles import (
+    _hull_of_pairwise_sums,
+    _surd_area,
+    _surd_contains_point,
+    _surd_contains_polygon,
+    _surd_scale,
+    _surd_translate,
+    area,
+    contains_point,
+    contains_polygon,
+    convex_hull,
+    cross,
+    minkowski_sum,
+    point,
+    scale,
+    translate,
+)
 
 F = Fraction
-
-
-# -- the Surd-pair oracle ------------------------------------------------------------
-
-
-def _s(x) -> Surd:
-    return x if isinstance(x, Surd) else Surd(x)
-
-
-def point(x, y):
-    return (_s(x), _s(y))
-
-
-def cross(o, a, b) -> Surd:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def convex_hull(pts):
-    """Counterclockwise hull starting at the lexicographic minimum: the
-    canonical form.  Collinear points are dropped; a segment or single
-    point comes back with 2 or 1 vertices."""
-    pts = sorted(set((_s(x), _s(y)) for x, y in pts))
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p).sign() <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p).sign() <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    return hull if len(hull) > 2 else sorted(set(hull))
-
-
-def _surd_area(vertices):
-    if len(vertices) < 3:
-        return Surd(0)
-    total = Surd(0)
-    for i, (x0, y0) in enumerate(vertices):
-        x1, y1 = vertices[(i + 1) % len(vertices)]
-        total = total + (x0 * y1 - x1 * y0)
-    return abs(total) * F(1, 2)
-
-
-def _hull_of_pairwise_sums(p, q):
-    """The Minkowski sum oracle: the hull of all n*m pairwise vertex sums."""
-    return convex_hull([(a[0] + b[0], a[1] + b[1]) for a in p for b in q])
-
-
-def _surd_scale(vertices, factor):
-    if not factor:
-        return [point(0, 0)] if vertices else []
-    return [(x * factor, y * factor) for x, y in vertices]
-
-
-def _surd_translate(vertices, dx, dy=0):
-    return [(x + dx, y + dy) for x, y in vertices]
-
-
-def _surd_contains_point(vertices, pt):
-    pt = point(*pt)
-    if not vertices:
-        return False
-    if len(vertices) == 1:
-        return vertices[0] == pt
-    if len(vertices) == 2:
-        a, b = vertices
-        if cross(a, b, pt).sign() != 0:
-            return False
-        ab = (b[0] - a[0], b[1] - a[1])
-        t = (pt[0] - a[0]) * ab[0] + (pt[1] - a[1]) * ab[1]
-        return t.sign() >= 0 and (t - (ab[0] * ab[0] + ab[1] * ab[1])).sign() <= 0
-    return _surd_contains_polygon(vertices, [pt])
-
-
-def _surd_contains_polygon(outer, inner):
-    if len(outer) < 3:
-        return all(_surd_contains_point(outer, v) for v in inner)
-    for x, y in inner:
-        for v, w in zip(outer, (*outer[1:], outer[0])):
-            if cross(v, w, (x, y)).sign() < 0:
-                return False
-    return True
-
-
-# -- the frame kernel, on Surd points --------------------------------------------------
-
-
-def area(vertices):
-    return polygon2d.area(lift(vertices, 0))
-
-
-def minkowski_sum(p, q):
-    return list(points(polygon2d.minkowski_sum(lift(p, 0), lift(q, 0))))
-
-
-def scale(vertices, factor):
-    return list(points(polygon2d.scale(lift(vertices, 0), F(factor))))
-
-
-def translate(vertices, dx):
-    return list(points(polygon2d.translate(lift(vertices, 0), F(dx))))
-
-
-def contains_polygon(outer, inner):
-    return polygon2d.contains_polygon(lift(outer, 0), lift(inner, 0))
-
-
-def contains_point(vertices, pt):
-    return contains_polygon(vertices, [pt])
 
 
 def square(side=1):

@@ -17,13 +17,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ihspoly.linalg import kernel  # noqa: E402
 from ihspoly.surd import DiscriminantMixError, Surd  # noqa: E402
-from test_lattice import assert_kernel_matches_fraction_oracle  # noqa: E402
-from test_polygon2d import (  # noqa: E402
+from oracles import (  # noqa: E402
     _hull_of_pairwise_sums,
     _surd_area,
     _surd_contains_point,
     _surd_contains_polygon,
     area,
+    assert_kernel_matches_fraction_oracle,
     contains_point,
     contains_polygon,
     convex_hull,

@@ -13,14 +13,18 @@ check.  The CLI and the renderer load no computation layer on import,
 so each subcommand loads only the layers its handler imports, and the
 CLI loads the text view only where it renders text or SVG.  Polygons
 have one representation, the integer frame: polygon2d keeps no Surd-pair
-hull, and okounkov chooses the threshold's root by sign, never by
-ordering roots.  No loop runs on a constant true test, and Surd orders
-two radicals in closed form, with no interval refinement.  The self-checks
-build their results in one runner, and no closure there binds a loop
-variable through a default argument.  No module imports `dataclasses`,
-and none calls `id()`, so no address enters a key or an answer.
+hull, and no engine module has a root finder, so okounkov chooses the
+threshold's root by sign, never by ordering roots.  No loop runs on a
+constant true test, and Surd orders two radicals in closed form, with no
+interval refinement.  The self-checks build their results in one
+runner, and no closure there binds a loop variable through a default
+argument.  No module imports `dataclasses`, and none calls `id()`, so
+no address enters a key or an answer.
 Every `ConsistencyError` the engine raises is pinned by a test that
 asserts its message, except the three loop caps no catalog can reach.
+The test modules share their oracles and catalog families through
+oracles.py and families.py alone: none imports another test module or
+the benchmark.
 """
 
 import ast
@@ -208,16 +212,32 @@ def test_report_imports_only_geometry_and_lattice_at_runtime():
 
 def test_polygons_have_one_representation():
     """polygon2d defines no convex_hull or cross, which are the tests'
-    canonical-form oracle, and okounkov names neither root finder."""
+    canonical-form oracle, and no module under src/ defines or names
+    quadratic_roots or smallest_positive_root, the tests' threshold
+    oracle."""
     defined = {node.name for node in _tree(SRC / "polygon2d.py").body if hasattr(node, "name")}
     assert not defined & {"convex_hull", "cross"}
-    named = set()
-    for node in ast.walk(_tree(SRC / "okounkov.py")):
-        if isinstance(node, ast.alias):
-            named.add(node.name)
-        elif isinstance(node, (ast.Name, ast.Attribute)):
-            named.add(node.id if isinstance(node, ast.Name) else node.attr)
-    assert not named & {"quadratic_roots", "smallest_positive_root"}
+    for path in MODULES:
+        named = set()
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+                named.add(node.name)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+        assert not named & {"quadratic_roots", "smallest_positive_root"}, path.name
+
+
+def test_no_test_module_imports_another():
+    """Test modules share helpers only through oracles.py and families.py:
+    no tests/*.py imports a test_* module, at any depth, function bodies
+    included, and none imports the benchmark."""
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        for line, name in _absolute_imports(path):
+            top = name.split(".")[0]
+            assert not top.startswith("test_"), f"{path.name}:{line} imports {name}"
+            assert top != "perfbench", f"{path.name}:{line} imports {name}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,4 +1,5 @@
-"""Exact quadratic-extension arithmetic: identities, ordering, roots."""
+"""Exact quadratic-extension arithmetic: identities and ordering; and the
+root finders of oracles.py, the threshold's oracle, checked in turn."""
 
 import decimal
 import math
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ihspoly import DiscriminantMixError, DomainError, Surd, quadratic_roots, smallest_positive_root
+from ihspoly import DiscriminantMixError, DomainError, Surd
 from ihspoly import surd
 from ihspoly.surd import (
     TRIAL_DIVISOR_LIMIT,
@@ -17,6 +18,7 @@ from ihspoly.surd import (
     squarefree_decompose,
     to_frame,
 )
+from oracles import quadratic_roots, smallest_positive_root
 
 
 # -- squarefree decomposition ------------------------------------------

@@ -23,7 +23,6 @@ import json
 import random
 import re
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
@@ -51,8 +50,8 @@ from ihspoly.checks import sample_big_classes
 from ihspoly.minkowski import enumerate_chambers
 from ihspoly.okounkov import _walk_entry
 from ihspoly.zariski import chamber_id, chamber_positive_part, divisorial_base_loci
-from test_geometry import pairwise_family
-from test_lattice import negative_definite, solve, sub_gram
+from families import pairwise_family
+from oracles import leading_minors_negative_definite, negative_definite, solve, sub_gram
 
 F = Fraction
 
@@ -327,22 +326,6 @@ def test_failed_support_is_not_cached(hilb2, k3_elliptic):
         with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
             geom.support_projector(bad)
         assert bad not in geom.support_projectors
-
-
-def leading_minors_negative_definite(gram) -> bool:
-    """(-1)^k det_k > 0 for every leading minor, determinants by the
-    permutation expansion (independent of linalg)."""
-    for k in range(1, len(gram) + 1):
-        det = Fraction(0)
-        for perm in permutations(range(k)):
-            sign = (-1) ** sum(1 for i in range(k) for j in range(i) if perm[j] > perm[i])
-            term = Fraction(sign)
-            for i, j in enumerate(perm):
-                term *= gram[i][j]
-            det += term
-        if (-1) ** k * det <= 0:
-            return False
-    return True
 
 
 @pytest.mark.parametrize("name", ["hilb2", "k3_elliptic", "hilb2_elliptic", "fano_round"])
