@@ -39,9 +39,10 @@ S is negative definite; the chamber list stops at CHAMBER_LIMIT.
 One more store (answers, filled by Geometry.kept) holds the upper
 layers' answers once asked for, keyed by a kind and a flag prime's
 name, a chamber's frozenset of names or both: each chamber walk's
-entry for a support and flag (okounkov), each chamber's closure rays,
-each flag's Minkowski basis and polygon-cone generators, and the
-isotropic movable rays (minkowski).  A failed build is never kept.
+entry for a support and flag and each flag's threshold entry
+(okounkov), each chamber's closure rays, each flag's Minkowski basis
+and polygon-cone generators, and the isotropic movable rays
+(minkowski).  A failed build is never kept.
 
 Everything downstream is correct relative to this declared data: a
 truncated catalog (actual manifolds may carry infinitely many prime

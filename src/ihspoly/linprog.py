@@ -10,7 +10,7 @@ with n - 1 - rank(equations) facets that are tight on it, and
 ``linalg.kernel`` returns that kernel fraction-free, as a primitive
 integer vector.  The facets of a generated cone are the extreme rays of
 its dual inside the span, and membership and the largest step along a
-direction are then sign tests and a min-ratio over the facets.  The
+direction are then sign tests and an integer min-ratio over the facets.  The
 cones built here are Eff (generated_cone) and Mov (extreme_rays); the
 chamber closures and the polygon-cone generators are read off Mov's
 rays and the primes, with no cone computation of their own.  The
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
@@ -106,27 +106,35 @@ def generated_cone(generators: Sequence[Vec], n: int) -> Cone:
     return Cone(tuple(extreme_rays(generators, equations, n)), equations)
 
 
-def max_step(cone: Cone, direction: Vec, start: Vec) -> Fraction:
-    """sup { t >= 0 : start - t*direction in cone }, exact.
+def max_step(cone: Cone, direction: Row, start: Row, downs: Sequence[int] | None = None) -> tuple[int, int]:
+    """sup { t >= 0 : start - t*direction in cone }, exact, as a pair
+    (num, den) of ints in lowest terms with den > 0.
 
-    Raises InfeasibleError when start itself is outside the cone and
-    UnboundedError when the whole ray stays inside (the cone contains
-    -direction).  A direction leaving the span allows no step at all.
-    Classes may be passed as their integer numerators: the signs stay,
-    and the step rescales by direction.den / start.den.
+    direction and start are integer rows; a class passes its numerator,
+    and the step rescales by direction.den / start.den.  downs, when
+    given, are the facets' pairings with direction, in facet order, so
+    a caller stepping along one direction many times pairs it once.
+    One pass pairs each facet with start and keeps the least ratio
+    f . start / f . direction over the facets with f . direction > 0,
+    compared by cross-multiplication.  Raises InfeasibleError when
+    start itself is outside the cone and UnboundedError when the whole
+    ray stays inside (the cone contains -direction).  A direction
+    leaving the span allows no step at all.
     """
-    if not cone.contains(start):
+    if downs is None:
+        downs = [dot(f, direction) for f in cone.facets]
+    num = den = 0  # num/den: the least ratio so far; den = 0 before the first
+    for f, down in zip(cone.facets, downs):
+        up = dot(f, start)
+        if up < 0:
+            raise InfeasibleError("start lies outside the cone")
+        if down > 0 and (not den or up * den < num * down):
+            num, den = up, down
+    if any(dot(e, start) for e in cone.equations):
         raise InfeasibleError("start lies outside the cone")
     if any(dot(e, direction) for e in cone.equations):
-        return Fraction(0)
-    best = None
-    for f in cone.facets:
-        down = dot(f, direction)
-        if down > 0:
-            ratio = Fraction(dot(f, start), down)
-            if best is None or ratio < best:
-                best = ratio
-    if best is None:
+        return 0, 1
+    if not den:
         raise UnboundedError("the cone contains the whole ray")
-    return best
-
+    g = gcd(num, den)
+    return num // g, den // g

@@ -262,7 +262,8 @@ def _minkowski_decompose(
         # the catalog's fault, so its failed step stays a ConsistencyError
         gen = geom.support_projector(sigma).positive(geom.prime(flag_name).cls).primitive()
         # bounded: by rules (c) and (d) gen is a nonzero class of the pointed Eff
-        tau = max_step(geom.mov_cone, gen.num, m.num) * Fraction(gen.den, m.den)
+        num, den = max_step(geom.mov_cone, gen.num, m.num)
+        tau = Fraction(num * gen.den, den * m.den)
         if tau <= 0:
             raise ConsistencyError(
                 "chamber generator cannot be subtracted; catalog inconsistent"

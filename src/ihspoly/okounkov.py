@@ -15,9 +15,11 @@ affine function of t on each Boucksom-Zariski chamber S, with slope
 (Geometry.kept) with the slope's form and the walls that can end the
 segment: the primes outside S + E that pair negatively with the slope.
 A round takes one integer dot per wall, and the walk tracks the
-chamber changes exactly.  The pseudo-effective
-threshold mu is a min-ratio over the facets of the declared effective
-cone in polyhedral mode.  In round mode it is the least positive root
+chamber changes exactly.  The pseudo-effective threshold mu is, in
+polyhedral mode, linprog.max_step's integer min-ratio over the facets
+of the declared effective cone, which also confirms that D - nu E lies
+in Eff; the facets' pairings with E are the flag's threshold entry,
+also kept once per geometry.  In round mode mu is the least positive root
 of q(D - tE) = 0: D and E lie in one closed positive cone (Geometry's
 invariants), which fixes the signs of the pairings and so the root,
 built in integers from one square-free decomposition.  The area always
@@ -28,7 +30,8 @@ boundary already in order: the vertices are read off it in polygon2d's
 canonical form, (0, 0), (mu, 0), then the graph from t = mu back to
 t = 0, and no hull is taken.  Interior breakpoints are rational and
 mu lies in one quadratic field, so a polygon is born in polygon2d's
-integer frame, where sums, scaling and containment run; Surd values are
+integer frame, where sums, scaling and containment run; the heights
+are integer pairs read off the flag's form row, and Surd values are
 built only for the trace and by NOPolygon's accessors.
 """
 
@@ -119,15 +122,29 @@ class NOPolygon(_Frozen):
 # pseudo-effective threshold
 
 
-def _threshold(geom: Geometry, d: DivClass, prime: Prime) -> FrameValue:
-    """mu_E(D) = sup { t >= 0 : D - tE pseudo-effective }, D psef.
+def _threshold_entry(geom: Geometry, name: str) -> tuple[int, ...]:
+    """What a polyhedral threshold along the flag E reads, for E's name,
+    kept by Geometry.kept under ("threshold", name): the pairing f . E.num
+    of each facet row f of Eff, in facet order."""
+    e = geom.prime(name).cls.num
+    return tuple(dot(row, e) for row in geom.eff_cone.facets)
 
-    In polyhedral mode mu is a max_step over Eff, bounded as E != 0 lies
-    in the pointed Eff (rule (c), Geometry).  In round mode mu is the
-    least positive root of q(D - tE) = q(D) - 2t q(D, E) + t^2 q(E).
-    Over one denominator that is a t^2 - 2b t + c.  D and E != 0 lie in
-    the closed positive cone and E is not exceptional (Geometry), so
-    a, b, c >= 0.  For c = 0 mu is
+
+def _threshold(geom: Geometry, d: DivClass, prime: Prime, form) -> FrameValue:
+    """mu_E(D) = sup { t >= 0 : D - tE pseudo-effective }, D psef; form is
+    D's form (BBFLattice.form), read in round mode only.
+
+    In polyhedral mode mu is max_step along E from D over Eff, handed the
+    flag's threshold entry, with no Fraction built.  It is bounded and
+    leaves no span: E != 0 lies in Eff (rule (c), Geometry), so every
+    span equation vanishes on E, and were f . E = 0 on every facet f, E
+    would lie in the kernel of the facets and span equations, which is 0
+    as Eff is pointed.
+
+    In round mode mu is the least positive root of q(D - tE) = q(D) -
+    2t q(D, E) + t^2 q(E).  Over one denominator that is a t^2 - 2b t + c.
+    D and E != 0 lie in the closed positive cone and E is not
+    exceptional (Geometry), so a, b, c >= 0.  For c = 0 mu is
     0 when b > 0; else D is isotropic and orthogonal to E in that cone,
     so a nonnegative multiple of E, and mu is that ratio.  For c > 0,
     b > 0 and the quarter discriminant b^2 - ac = r^2 s is nonnegative
@@ -136,11 +153,15 @@ def _threshold(geom: Geometry, d: DivClass, prime: Prime) -> FrameValue:
     """
     e = prime.cls
     if geom.mode == "polyhedral":
+        downs = geom.kept("threshold", prime.name, _threshold_entry)
         try:
-            return _rational(max_step(geom.eff_cone, e.num, d.num) * Fraction(e.den, d.den))
+            num, den = max_step(geom.eff_cone, e.num, d.num, downs)
         except InfeasibleError as exc:  # D is psef, so only _trace's D - nu E gets here
             raise ConsistencyError("normalized class left the declared effective cone") from exc
-    a, b, c = _quadratic(d, geom.lattice.form(d), e, geom.prime_forms[prime.name])
+        num, den = num * e.den, den * d.den  # the step of the numerators, rescaled
+        g = gcd(num, den)
+        return num // g, 0, den // g, 0
+    a, b, c = _quadratic(d, form, e, geom.prime_forms[prime.name])
     if c == 0:
         return (0, 0, 1, 0) if b > 0 else _rational(d.ratio(e))
     g = gcd(a, b, c)
@@ -167,7 +188,7 @@ def mu_threshold(geom: Geometry, d: DivClass, prime_name: str) -> Surd:
     prime = geom.prime(prime_name)
     if not is_pseudo_effective(geom, d):
         raise DomainError("mu threshold requires a pseudo-effective class")
-    return from_frame(*_threshold(geom, d, prime))
+    return from_frame(*_threshold(geom, d, prime, geom.lattice.form(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +218,9 @@ def _trace(
     nu = dec.coefficient(prime.name)
     if nu:
         d = d - prime.cls.scale(nu)
-    mu = _threshold(geom, d, prime)
     base = positive = dec.positive
     form = lat.form(positive)
+    mu = _threshold(geom, d, prime, form)  # round mode has no negative part: d is positive
     big = dot(positive.num, form[0]) > 0
     support = dec.support - {prime.name}
     segments: list[WalkSegment] = []
@@ -303,25 +324,30 @@ def _outline(geom: Geometry, trace: BreakpointTrace, prime_name: str, mu: FrameV
     at height 0, which coincides with (0, 0) or (mu, 0).  With mu = 0
     the region is the segment from (0, 0) to (0, h(0)), or the point
     (0, 0); with h = 0 throughout it is the segment to (mu, 0).  Each
-    coordinate is a FrameValue until one lcm puts them over den.
+    segment's height at 0 and slope are integer pairs (n, k) for n/k,
+    read off E's form row, and each coordinate is a FrameValue, not
+    always in lowest terms, until one lcm puts them over den and
+    canonical reduces the frame.
     """
-    heights = [
-        (geom.prime_pair(seg.base, prime_name), geom.prime_pair(seg.slope, prime_name))
-        for seg in trace.segments
-    ]
+    row, k = geom.prime_forms[prime_name]  # q(x, E) = dot(x.num, row) / (x.den k)
+    heights = [((dot(seg.base.num, row), seg.base.den * k), (dot(seg.slope.num, row), seg.slope.den * k))
+               for seg in trace.segments]
     zero = (0, 0, 1, 0)
     verts, chain = [(zero, zero)], []
     if mu[0] or mu[1]:
         verts.append((mu, zero))
-        (n0, k0), (n1, k1) = (h.as_integer_ratio() for h in heights[-1])  # h(mu) = n0/k0 + mu n1/k1
+        (n0, k0), (n1, k1) = heights[-1]  # h(mu) = n0/k0 + mu n1/k1
         ma, mb, m, d = mu
         chain.append((mu, (n0 * k1 * m + n1 * k0 * ma, n1 * k0 * mb, k0 * k1 * m, d)))
         for i in range(len(heights) - 1, 0, -1):
-            c0, c1 = heights[i]
-            if c1 != heights[i - 1][1]:
+            (n0, k0), (n1, k1) = heights[i]
+            s1, j1 = heights[i - 1][1]  # the slope before t_start
+            if n1 * j1 != s1 * k1:
                 t = trace.segments[i].t_start
-                chain.append((_rational(t), _rational(c0 + t * c1)))
-    chain.append((zero, _rational(heights[0][0])))
+                tn, td = t.numerator, t.denominator
+                chain.append(((tn, 0, td, 0), (n0 * k1 * td + n1 * k0 * tn, 0, k0 * k1 * td, 0)))
+    (n0, k0), _ = heights[0]
+    chain.append((zero, (n0, 0, k0, 0)))
     verts += (v for v in chain if v[1][0] or v[1][1])
     den = lcm(mu[2], *(c[2] for v in verts for c in v))
     pts = [(xa * (den // xn), xb * (den // xn), ya * (den // yn), yb * (den // yn))

@@ -3,6 +3,7 @@ Caratheodory oracle (oracles.oracle_in_cone)."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,6 +14,7 @@ from ihspoly.linprog import (
     generated_cone,
     max_step,
 )
+from ihspoly.lattice import DivClass
 from oracles import oracle_in_cone, vec
 
 F = Fraction
@@ -37,6 +39,16 @@ def cut(gens, functional, hyperplane=False):
 
 def random_vec(rng, lo, hi, n=3):
     return tuple(F(rng.randint(lo, hi)) for _ in range(n))
+
+
+def step(c, direction, start):
+    """max_step along rational vectors, as a Fraction: each passes its
+    integer numerator, and the pair (num, den) rescales by
+    direction.den / start.den."""
+    direction, start = DivClass(direction), DivClass(start)
+    num, den = max_step(c, direction.num, start.num)
+    assert den > 0 and gcd(num, den) == 1
+    return F(num * direction.den, den * start.den)
 
 
 # -- membership ----------------------------------------------------------------
@@ -83,20 +95,31 @@ def test_membership_matches_caratheodory_oracle_seeded():
 def test_max_step_orthant():
     orthant = cone((1, 0), (0, 1))
     start = vec(2, 3)
-    assert max_step(orthant, vec(1, 0), start) == 2
-    assert max_step(orthant, vec(1, 1), start) == 2
-    assert max_step(orthant, vec(0, 1), start) == 3
-    assert max_step(orthant, vec(2, 1), start) == 1
+    assert step(orthant, vec(1, 0), start) == 2
+    assert step(orthant, vec(1, 1), start) == 2
+    assert step(orthant, vec(0, 1), start) == 3
+    assert step(orthant, vec(2, 1), start) == 1
+
+
+def test_max_step_is_a_reduced_integer_pair():
+    # Ratios 9/4 and 3/2 are compared by cross-multiplication; the least,
+    # 6/4, comes back in lowest terms, with downs handed in or not.
+    orthant = cone((1, 0), (0, 1))
+    assert orthant.facets == ((0, 1), (1, 0))
+    assert max_step(orthant, (4, 4), (6, 9)) == (3, 2)
+    assert max_step(orthant, (4, 4), (6, 9), (4, 4)) == (3, 2)
+    assert max_step(orthant, (4, 4), (6, 9), (4, 0)) == (9, 4)  # the handed downs are the ones read
+    assert max_step(orthant, (0, 2), (5, 0)) == (0, 1)
 
 
 def test_max_step_start_outside():
     with pytest.raises(InfeasibleError):
-        max_step(cone((1, 0), (0, 1)), vec(1, 0), vec(-1, 0))
+        step(cone((1, 0), (0, 1)), vec(1, 0), vec(-1, 0))
 
 
 def test_max_step_unbounded():
     with pytest.raises(UnboundedError):
-        max_step(cone((1, 0), (0, 1)), vec(0, -1), vec(1, 1))
+        step(cone((1, 0), (0, 1)), vec(0, -1), vec(1, 1))
 
 
 def test_max_step_lands_on_boundary():
@@ -104,7 +127,7 @@ def test_max_step_lands_on_boundary():
     # start - t*(0,1) = (2, 2-t) stays inside iff 0 <= 2-t, so t_max = 2
     # and the segment exits through the y = 0 facet.
     c = cone((1, 0), (1, 2))
-    t = max_step(c, vec(0, 1), vec(2, 2))
+    t = step(c, vec(0, 1), vec(2, 2))
     assert t == 2
     end = (F(2), F(2) - t)
     assert c.contains(end)
@@ -121,7 +144,7 @@ def test_max_step_tight_against_oracle_seeded():
         start = tuple(sum(k * g[i] for k, g in zip(coeffs, gens)) for i in range(3))
         direction = random_vec(rng, -2, 2)
         try:
-            t = max_step(c, direction, start)
+            t = step(c, direction, start)
         except UnboundedError:
             assert oracle_in_cone(gens, tuple(-x for x in direction))
             continue
@@ -189,8 +212,8 @@ def test_lower_dimensional_cone():
     assert c.contains(vec(1, 2, 0))
     assert not c.contains(vec(1, 1, 1))
     assert not c.contains(vec(-1, 1, 0))
-    assert max_step(c, vec(0, 0, 1), vec(1, 1, 0)) == 0  # leaves the span
-    assert max_step(c, vec(1, 0, 0), vec(2, 1, 0)) == 2
+    assert step(c, vec(0, 0, 1), vec(1, 1, 0)) == 0  # leaves the span
+    assert step(c, vec(1, 0, 0), vec(2, 1, 0)) == 2
 
 
 def test_non_pointed_cone():
@@ -199,6 +222,6 @@ def test_non_pointed_cone():
     assert c.facets == ((0, 1),) and c.equations == ()
     assert c.contains(vec(-5, 1)) and c.contains(vec(3, 0))
     assert not c.contains(vec(0, -1))
-    assert max_step(c, vec(0, 1), vec(4, 3)) == 3
+    assert step(c, vec(0, 1), vec(4, 3)) == 3
     with pytest.raises(UnboundedError):
-        max_step(c, vec(1, 0), vec(0, 1))
+        step(c, vec(1, 0), vec(0, 1))

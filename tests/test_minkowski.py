@@ -43,7 +43,6 @@ from ihspoly import (
     ConsistencyError,
     DivClass,
     DomainError,
-    MinkowskiDecomposition,
     chamber_closure_rays,
     chamber_generator,
     cone_generators,
@@ -635,7 +634,8 @@ def _two_pass_step(geom, gen, m):
         if lat.pair(gen, p.cls) > 0
     ]
     try:
-        bounds.append(max_step(geom.eff_cone, gen.coords, m.coords))
+        num, den = max_step(geom.eff_cone, gen.num, m.num)
+        bounds.append(F(num * gen.den, den * m.den))
     except UnboundedError:
         pass
     return min(bounds)

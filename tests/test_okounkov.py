@@ -54,12 +54,13 @@ from ihspoly import (
     simplex_flag,
 )
 from ihspoly import cli, geometry, linalg, linprog, okounkov
+from ihspoly.lattice import dot
 from ihspoly.polygon2d import points
 from ihspoly.surd import to_frame
-from families import pairwise_family
+from families import catalog, elliptic_family, pairwise_family
 from oracles import _surd_contains_point as contains_point
 from oracles import _surd_contains_polygon as contains_polygon
-from oracles import convex_hull, point, quadratic_roots, smallest_positive_root, solve, sub_gram
+from oracles import convex_hull, oracle_in_cone, point, quadratic_roots, smallest_positive_root, solve, sub_gram
 
 F = Fraction
 GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
@@ -193,15 +194,51 @@ def test_trial_divisor_refusal_keeps_its_name(tmp_path, capsys):
     assert payload["code"] == 3 and "TRIAL_DIVISOR_LIMIT" in payload["message"]
 
 
-def test_stripped_class_outside_eff_is_a_consistency_error(hilb2, monkeypatch):
-    # A polyhedral threshold whose LP is infeasible means that D - nu E
-    # left Eff although D is pseudo-effective: the catalog is at fault.
-    def infeasible(*args):
-        raise linprog.InfeasibleError("no step")
+def _fraction_threshold(geom, e, x):
+    """The least f . x / f . e over Eff's facets f with f . e > 0, in
+    Fractions on the classes' coordinates."""
+    return min(F(dot(f, x.coords), dot(f, e.coords)) for f in geom.eff_cone.facets if dot(f, e.coords) > 0)
 
-    monkeypatch.setattr(okounkov, "max_step", infeasible)
-    with pytest.raises(ConsistencyError, match="normalized class left the declared effective cone"):
-        polygon(hilb2, DivClass([1, 0]), "E")
+
+def test_integer_threshold_matches_fraction_min_ratio_and_cone_oracle(hilb2, k3_elliptic, hilb2_elliptic):
+    # The polyhedral threshold, an integer max_step over the flag's kept
+    # pairings, against the facets' min-ratio in Fractions, and D - mu E
+    # against the Caratheodory oracle for Eff, exactly: on seeded big
+    # classes D and their D - nu_E(D) E, along every prime of each
+    # polyhedral catalog; Eff's generators, on its boundary, add
+    # thresholds of 0.
+    seen = Counter()
+    for geom in (hilb2, k3_elliptic, hilb2_elliptic, elliptic_family(2), elliptic_family(3)):
+        gens = [g.coords for g in geom.effective_generators]
+        for d in (*sample_big_classes(geom, 6, seed=23), *geom.effective_generators):
+            dec = decompose(geom, d)
+            for prime in geom.primes:
+                e, nu = prime.cls, dec.coefficient(prime.name)
+                for x in {d, d - e.scale(nu)}:
+                    t = _fraction_threshold(geom, e, x)
+                    assert mu_threshold(geom, x, prime.name) == t, (geom.name, x, prime.name)
+                    assert oracle_in_cone(gens, (x - e.scale(t)).coords), (geom.name, x, prime.name)
+                    seen["D - nu E" if x != d else "D"] += 1
+                    seen["mu = 0" if not t else "mu > 0"] += 1
+    assert seen == {"D": 288, "D - nu E": 80, "mu = 0": 131, "mu > 0": 237}, seen
+
+
+def test_stripped_class_outside_eff_is_a_consistency_error(hilb2):
+    # The polyhedral threshold's max_step confirms that D - nu E lies in
+    # Eff; a class outside it, which D - nu E of a consistent catalog
+    # never is, means the catalog is at fault.  (1, -2) lies just past
+    # hilb2's facet (1, 1); (1, 1) leaves the span of a thin Eff = cone(d).
+    def threshold(geom, d, name):
+        return okounkov._threshold(geom, d, geom.prime(name), geom.lattice.form(d))
+
+    message = "normalized class left the declared effective cone"
+    with pytest.raises(ConsistencyError, match=message):
+        threshold(hilb2, DivClass([1, -2]), "E")
+    thin = catalog("thin", [2, -2], [("Q", [0, 1])], [[0, 1]])
+    assert thin.eff_cone.equations
+    with pytest.raises(ConsistencyError, match=message):
+        threshold(thin, DivClass([1, 1]), "Q")
+    assert threshold(thin, DivClass([0, 3]), "Q") == (3, 0, 1, 0)
 
 
 # -- frozen polygons ----------------------------------------------------------------
@@ -533,15 +570,52 @@ def test_walk_entries_match_a_scan_of_the_primes(hilb2, k3_elliptic, hilb2_ellip
 
 def test_repeated_polygons_build_no_walk_entry(hilb2_elliptic):
     # Polygons keep one walk entry per (support, flag) they stand on and
-    # nothing else; asked again, they build none.
+    # one threshold entry per flag, and nothing else; asked again, they
+    # build neither.
     geom = hilb2_elliptic._replace()
     classes = sample_big_classes(geom, 6, seed=19)
     first = [polygon(geom, d, p.name) for d in classes for p in geom.primes]
     kept = dict(geom.answers)
-    assert {kind for kind, _ in kept} == {"walk"} and len(kept) > len(geom.primes)
+    assert {kind for kind, _ in kept} == {"walk", "threshold"}
+    assert sorted(name for kind, name in kept if kind == "threshold") == sorted(p.name for p in geom.primes)
+    assert sum(kind == "walk" for kind, _ in kept) > len(geom.primes)
     assert [polygon(geom, d, p.name) for d in classes for p in geom.primes] == first
     assert geom.answers.keys() == kept.keys()
     assert all(geom.answers[key] is entry for key, entry in kept.items())
+
+
+def test_warm_polygon_builds_no_fraction_in_threshold_or_outline(hilb2_elliptic):
+    # With the flags' threshold entries kept, a polygon's threshold is one
+    # integer max_step over Eff, handed the flag's pairings, and its
+    # outline reads the heights off the flag's form row: no Fraction is
+    # built while _threshold (and so max_step) or _outline is on the
+    # stack.
+    geom = hilb2_elliptic._replace()
+    cases = [(d, p.name) for d in sample_big_classes(geom, 6, seed=19) for p in geom.primes]
+    first = [polygon(geom, d, name) for d, name in cases]
+    watched = {okounkov._threshold.__code__, okounkov._outline.__code__}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is linprog.max_step.__code__:
+            calls["max_step"] += 1
+        elif frame.f_code is Fraction.__new__.__code__:
+            calls["Fraction"] += 1
+            while frame is not None and frame.f_code not in watched:
+                frame = frame.f_back
+            if frame is not None:
+                calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        again = [polygon(geom, d, name) for d, name in cases]
+    finally:
+        sys.setprofile(None)
+    assert again == first
+    assert calls["max_step"] == len(cases)  # the thresholds', one each
+    assert calls.keys() == {"max_step", "Fraction"}  # the walk's breakpoints and the decompositions' coefficients
 
 
 def test_check_sweep_builds_the_entries_its_walks_stand_on(hilb2_elliptic, monkeypatch):

@@ -9,7 +9,8 @@ that produces them.  Data derived from a catalog is kept on the
 function has one module-level name, so a tracer that wraps module
 attributes counts its calls under that name alone.  Negative definiteness has one path, the Schur steps of the
 support records: `linalg.inertia` serves only the lattice's signature
-check.  The CLI and the renderer load no computation layer on import,
+check.  A step through a cone has one min-ratio, `linprog.max_step`,
+which serves the polyhedral threshold and the Minkowski walk.  The CLI and the renderer load no computation layer on import,
 so each subcommand loads only the layers its handler imports, and the
 CLI loads the text view only where it renders text or SVG.  Polygons
 have one representation, the integer frame: polygon2d keeps no Surd-pair
@@ -157,21 +158,30 @@ def test_functions_have_one_module_level_name(path):
             )
 
 
+def _names(tree, name: str) -> bool:
+    """Whether the tree names `name`: as a name, an attribute or an import."""
+    return any(
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
+        for node in ast.walk(tree)
+    )
+
+
 def test_inertia_serves_only_the_lattice():
     """Outside linalg.py only lattice.py names `inertia`, so no second
     negative-definiteness test sits beside the support records' Schur
     steps."""
-
-    def names_inertia(tree) -> bool:
-        return any(
-            (isinstance(node, ast.Name) and node.id == "inertia")
-            or (isinstance(node, ast.Attribute) and node.attr == "inertia")
-            or (isinstance(node, ast.alias) and node.name == "inertia")
-            for node in ast.walk(tree)
-        )
-
-    users = {p.name for p in MODULES if p.name != "linalg.py" and names_inertia(_tree(p))}
+    users = {p.name for p in MODULES if p.name != "linalg.py" and _names(_tree(p), "inertia")}
     assert users == {"lattice.py"}
+
+
+def test_max_step_is_the_one_min_ratio():
+    """Outside linprog.py exactly okounkov.py, for the polyhedral
+    threshold, and minkowski.py, for the walk through Mov, name
+    `max_step`."""
+    users = {p.name for p in MODULES if p.name != "linprog.py" and _names(_tree(p), "max_step")}
+    assert users == {"minkowski.py", "okounkov.py"}
 
 
 def _layers_bound(node, prune) -> set[str]:
