@@ -1,36 +1,27 @@
-"""Exact polyhedral cones by brute force over facet subsets.
+"""Exact polyhedral cones by double description.
 
 A cone is stored by its facet inequalities f . x >= 0 and the equations
 e . x = 0 of its linear span, each a primitive integer row, so sign
-tests on integer vectors stay in ints; rational input vectors are
-rescaled to integer rows on entry.  One routine, ``extreme_rays``,
-turns such a description into rays: every extreme ray of a pointed cone
-in Q^n is the one-dimensional kernel of the span equations together
-with n - 1 - rank(equations) facets that are tight on it, and
-``linalg.kernel`` returns that kernel fraction-free, as a primitive
-integer vector.  The facets of a generated cone are the extreme rays of
-its dual inside the span, and membership and the largest step along a
-direction are then sign tests and an integer min-ratio over the facets.  The
-cones built here are Eff (generated_cone) and Mov (extreme_rays); the
+tests stay in ints; rational input vectors are rescaled on entry.  The
+facets of a generated cone (Eff) are the extreme rays of its dual inside
+the span, and Mov's rays come from the same ``extreme_rays``, whose work
+follows the rays it meets; membership and the largest step along a
+direction are sign tests and an integer min-ratio over the facets.  The
 chamber closures and the polygon-cone generators are read off Mov's
-rays and the primes, with no cone computation of their own.  The
-subset count grows exponentially with the rank, so ``extreme_rays``
-refuses, by a DomainError, a cone with more than
-EXTREME_RAY_SUBSET_LIMIT subsets to solve; every comparison is exact.
+rays and the primes, with no cone computation of their own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb, gcd
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
 from .lattice import DivClass, dot
 from .linalg import kernel
 
-EXTREME_RAY_SUBSET_LIMIT = 10**6  # extreme_rays solves at most this many facet subsets
+EXTREME_RAY_PAIR_LIMIT = 10**5  # one cut of extreme_rays pairs at most this many rays
 
 Vec = tuple[Fraction, ...]
 Row = tuple[int, ...]
@@ -38,17 +29,12 @@ Row = tuple[int, ...]
 
 def _rows(vectors: Sequence[Vec]) -> list[Row]:
     """Each vector as an integer row on its ray: positive rescaling keeps
-    every half-space and equation, and integer rows keep the kernel and
-    the sign tests in ints."""
+    every half-space and equation."""
     return [DivClass(v).num for v in vectors]
 
 
 class InfeasibleError(Exception):
     """The starting point lies outside the cone."""
-
-
-class UnboundedError(Exception):
-    """The step along the direction is unbounded."""
 
 
 class Cone(NamedTuple):
@@ -64,35 +50,51 @@ class Cone(NamedTuple):
         )
 
 
+def _combine(x: int, r: Row, y: int, s: Row) -> Row:
+    """The primitive integer row on the ray of x*r - y*s."""
+    v = [x * a - y * b for a, b in zip(r, s)]
+    g = gcd(*v)
+    return tuple(a // g for a in v)
+
+
 def extreme_rays(facets: Sequence[Vec], equations: Sequence[Vec], n: int) -> list[Row]:
     """Primitive integer extreme rays, sorted, of a pointed cone in Q^n.
 
-    The equations are independent, as the span equations of a Cone are.
-    Each subset of n - 1 - len(equations) facets is one kernel solve;
-    more than EXTREME_RAY_SUBSET_LIMIT subsets raise DomainError before
-    the first.
+    An incremental double description (Motzkin et al. 1953; Fukuda and
+    Prodon 1996), each ray with the bitmask of its tight half-spaces.
+    The half-spaces independent on the span (one kernel solve) cut out a
+    simplicial start; each other one is a cut that keeps the rays with
+    a . r >= 0 and joins each pair a . r > 0 > a . s whose common tight
+    set no third ray's holds, by (a . r) s - (a . s) r.  A cut with more
+    than EXTREME_RAY_PAIR_LIMIT pairs raises DomainError before the first.
     """
-    equations = _rows(equations)
-    size = n - 1 - len(equations)
-    if size < 0:
-        return []
-    halfspaces = _rows(facets)
-    if (count := comb(len(halfspaces), size)) > EXTREME_RAY_SUBSET_LIMIT:
-        raise DomainError(f"the extreme rays of a cone with {len(halfspaces)} facets in "
-                          f"dimension {size + 1} need {count} facet subsets, more than "
-                          f"EXTREME_RAY_SUBSET_LIMIT = {EXTREME_RAY_SUBSET_LIMIT}")
-    found = set()
-    for subset in combinations(halfspaces, size):
-        ker = kernel([*subset, *equations], n)
-        if len(ker) != 1:
+    halfspaces, span = _rows(facets), kernel(_rows(equations), n)
+    rays, cuts, taken = [], [], 0  # rays as (ray, tight bitmask); taken: the start's half-spaces
+    for bit, a in enumerate(halfspaces):
+        i = next((i for i, w in enumerate(span) if dot(a, w)), None)
+        if i is None:
+            cuts.append(bit)
             continue
-        ray = ker[0]
-        values = [dot(f, ray) for f in halfspaces]
-        if min(values, default=0) >= 0:
-            found.add(ray)
-        elif max(values) <= 0:
-            found.add(tuple(-c for c in ray))
-    return sorted(found)
+        v = span.pop(i)
+        if (av := dot(a, v)) < 0:
+            v, av = tuple(-c for c in v), -av
+        span = [_combine(av, w, dot(a, w), v) for w in span]
+        rays = [(_combine(av, r, dot(a, r), v), m | 1 << bit) for r, m in rays] + [(v, taken)]
+        taken |= 1 << bit
+    dim = len(rays)  # adjacent rays share at least dim - 2 tight half-spaces
+    for bit in cuts:
+        signed = [(dot(halfspaces[bit], r), r, m) for r, m in rays]
+        plus, minus = [t for t in signed if t[0] > 0], [t for t in signed if t[0] < 0]
+        if (pairs := len(plus) * len(minus)) > EXTREME_RAY_PAIR_LIMIT:
+            raise DomainError(f"a cut of a cone in dimension {dim} pairs {len(plus)} x {len(minus)} = {pairs} "
+                              f"rays, more than EXTREME_RAY_PAIR_LIMIT = {EXTREME_RAY_PAIR_LIMIT}")
+        rays = [(r, m | (not x) << bit) for x, r, m in signed if x >= 0]
+        for x, r, m in plus:
+            for y, s, k in minus:
+                common = m & k
+                if common.bit_count() >= dim - 2 and sum(common & t == common for *_, t in signed) == 2:
+                    rays.append((_combine(x, s, y, r), common | 1 << bit))
+    return sorted(r for r, _ in rays)
 
 
 def generated_cone(generators: Sequence[Vec], n: int) -> Cone:
@@ -114,12 +116,13 @@ def max_step(cone: Cone, direction: Row, start: Row, downs: Sequence[int] | None
     and the step rescales by direction.den / start.den.  downs, when
     given, are the facets' pairings with direction, in facet order, so
     a caller stepping along one direction many times pairs it once.
-    One pass pairs each facet with start and keeps the least ratio
-    f . start / f . direction over the facets with f . direction > 0,
-    compared by cross-multiplication.  Raises InfeasibleError when
-    start itself is outside the cone and UnboundedError when the whole
-    ray stays inside (the cone contains -direction).  A direction
-    leaving the span allows no step at all.
+    The least f . start / f . direction over the facets with
+    f . direction > 0 is kept by cross-multiplication.  Raises
+    InfeasibleError when start is outside the cone.  direction is a
+    nonzero class of the pointed cone (a prime of Eff by rule (c), or a
+    chamber generator of Mov), so the span equations vanish on it and,
+    -direction being outside, some facet pairs positively with it: the
+    step is bounded.
     """
     if downs is None:
         downs = [dot(f, direction) for f in cone.facets]
@@ -132,9 +135,5 @@ def max_step(cone: Cone, direction: Row, start: Row, downs: Sequence[int] | None
             num, den = up, down
     if any(dot(e, start) for e in cone.equations):
         raise InfeasibleError("start lies outside the cone")
-    if any(dot(e, direction) for e in cone.equations):
-        return 0, 1
-    if not den:
-        raise UnboundedError("the cone contains the whole ray")
     g = gcd(num, den)
     return num // g, den // g

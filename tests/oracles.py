@@ -9,7 +9,8 @@ here and never from one another.
 - Linear algebra over Fraction: solve, the Fraction RREF kernel, Gram
   matrices of classes, negative definiteness by inertia and by leading
   minors, primitive vectors.
-- Cones: the Caratheodory membership test and the brute-force chambers.
+- Cones: the Caratheodory membership test, the brute-force extreme
+  rays and the brute-force chambers.
 - The threshold's quadratic: its real roots in ascending order, and the
   least positive one.
 - Polygons as lists of Surd pairs: the hull whose output is the
@@ -181,6 +182,29 @@ def oracle_in_cone(gens, v):
                     return True
                 break
     return False
+
+
+def brute_force_extreme_rays(facets, equations, n):
+    """The primitive integer extreme rays, sorted, of the pointed cone
+    {x : f . x >= 0, e . x = 0}: each ray is the one-dimensional kernel
+    of the equations and n - 1 - rank(equations) facets tight on it, so
+    every such facet subset is one kernel solve (linalg.kernel, which
+    assert_kernel_matches_fraction_oracle judges), and a kernel line is
+    kept on the side where no facet is negative."""
+    facets, equations = ([[int(c) for c in oracle_primitive([F(c) for c in v])] for v in rows]
+                         for rows in (facets, equations))
+    size = len(_fraction_kernel(equations, n)) - 1
+    found = set()
+    for subset in combinations(facets, size) if size >= 0 else ():
+        line = kernel([*subset, *equations], n)
+        if len(line) != 1:
+            continue
+        values = [sum(a * b for a, b in zip(f, line[0])) for f in facets]
+        for sign in (1, -1):
+            if all(sign * v >= 0 for v in values):
+                found.add(tuple(sign * c for c in line[0]))
+                break
+    return sorted(found)
 
 
 def brute_force_chambers(geom):

@@ -366,16 +366,29 @@ def test_round_prime_off_eff_exits_3(capsys, tmp_path):
     assert err == "error: prime 'T' pairs to -6 <= 0 with the ample class, so it is not pseudo-effective\n"
 
 
-def test_over_the_subset_limit_exits_3(capsys, tmp_path):
+def _elliptic_5(tmp_path):
     from ihspoly import geometry_to_json
     from families import elliptic_family
 
     path = tmp_path / "elliptic_5.geom"
     path.write_text(geometry_to_json(elliptic_family(5)))
-    code, payload = run_json(capsys, "cone-generators", str(path), "Sec")
+    return str(path)
+
+
+def test_cone_generators_on_elliptic_5_exits_0(capsys, tmp_path):
+    # Mov's 33 rays, refused by the facet-subset count of an earlier engine
+    code, payload = run_json(capsys, "cone-generators", _elliptic_5(tmp_path), "Sec")
+    assert (code, payload["status"], len(payload["generators"])) == (0, "ok", 47)
+
+
+def test_over_the_pair_limit_exits_3(capsys, monkeypatch, tmp_path):
+    from ihspoly import linprog
+
+    monkeypatch.setattr(linprog, "EXTREME_RAY_PAIR_LIMIT", 191)  # elliptic k = 5's largest cut pairs 192
+    code, payload = run_json(capsys, "cone-generators", _elliptic_5(tmp_path), "Sec")
     assert (code, payload["status"]) == (3, "error")
-    assert payload["message"].endswith("need 8145060 facet subsets, more than "
-                                       "EXTREME_RAY_SUBSET_LIMIT = 1000000")
+    assert payload["message"] == ("a cut of a cone in dimension 7 pairs 16 x 12 = 192 rays, "
+                                  "more than EXTREME_RAY_PAIR_LIMIT = 191")
 
 
 def test_over_the_chamber_limit_exits_3(capsys, monkeypatch):

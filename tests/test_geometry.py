@@ -509,9 +509,9 @@ def test_chambers_grow_from_chambers_only(tested, k):
 
 def test_pairwise_family_movable_rays():
     # Mov is cut out of the orthant by sum(x) >= 3 x_i, and its extremal
-    # rays are the sums of three primes; k = 8 solves C(16, 7) = 11,440
-    # facet subsets, inside EXTREME_RAY_SUBSET_LIMIT.
-    for k in (6, 8):
+    # rays are the sums of three primes: 120 of them at k = 10, whose
+    # largest cut pairs 840 rays, far inside EXTREME_RAY_PAIR_LIMIT.
+    for k in (6, 8, 10):
         rays = {r.num for r in pairwise_family(k).movable_rays}
         assert rays == {tuple(int(i in c) for i in range(k)) for c in combinations(range(k), 3)}
 
@@ -559,47 +559,103 @@ def test_chambers_refuse_past_the_chamber_limit(monkeypatch, tested):
     assert max(tested) == 2
 
 
+class _PairLog(list):
+    """Stands in for linprog.EXTREME_RAY_PAIR_LIMIT = value and logs the
+    double description's work in order: ("cut", pairs) as each cut asks
+    `pairs > EXTREME_RAY_PAIR_LIMIT`, which Python turns into
+    `limit.__lt__(pairs)`, and ("kernel",) and ("combine",) per call."""
+
+    def __init__(self, value):
+        super().__init__()
+        self.value = value
+
+    def __lt__(self, pairs):
+        self.append(("cut", pairs))
+        return self.value < pairs
+
+    def __format__(self, spec):
+        return format(self.value, spec)
+
+    def work(self):
+        """(kernel solves, cuts, candidate pairs, the largest cut's pairs)."""
+        pairs = [e[1] for e in self if e[0] == "cut"]
+        return sum(e == ("kernel",) for e in self), len(pairs), sum(pairs), max(pairs, default=0)
+
+
 @pytest.fixture
-def subset_solves(monkeypatch):
-    """One entry per kernel solve in linprog."""
-    calls = []
+def pair_log(monkeypatch):
+    """Install a _PairLog at linprog's real limit; set .value to move it."""
+    log = _PairLog(linprog.EXTREME_RAY_PAIR_LIMIT)
+    for name in ("kernel", "_combine"):
+        def counting(*args, call=getattr(linprog, name), event=(name.strip("_"),)):
+            log.append(event)
+            return call(*args)
+        monkeypatch.setattr(linprog, name, counting)
+    monkeypatch.setattr(linprog, "EXTREME_RAY_PAIR_LIMIT", log)
+    return log
 
-    def counting(rows, n):
-        calls.append(rows)
-        return kernel(rows, n)
 
-    monkeypatch.setattr(linprog, "kernel", counting)
-    return calls
+@pytest.mark.parametrize("family, k, eff, mov, rays", [
+    ("hilb2_k3", 0, (2, 1, 2, 2), (1, 7, 17, 6), 5),
+    ("elliptic", 2, (2, 1, 2, 2), (1, 7, 17, 6), 5),
+    ("elliptic", 3, (2, 2, 6, 4), (1, 12, 53, 20), 9),
+    ("elliptic", 4, (2, 3, 14, 8), (1, 21, 159, 64), 17),
+    ("elliptic", 5, (2, 4, 30, 16), (1, 38, 460, 192), 33),
+    ("pairwise", 6, (2, 0, 0, 0), (1, 6, 252, 75), 20),
+    ("pairwise", 7, (2, 0, 0, 0), (1, 7, 588, 156), 35),
+    ("pairwise", 8, (2, 0, 0, 0), (1, 8, 1218, 294), 56),
+    ("pairwise", 9, (2, 0, 0, 0), (1, 9, 2304, 512), 84),
+])
+def test_extreme_ray_work_is_counted(pair_log, hilb2_elliptic, family, k, eff, mov, rays):
+    """The double description's work, exactly: Eff's facets take the
+    generators' kernel and the span's, Mov's rays the span's alone, and
+    every other step is a cut, counted with its candidate pairs, so the
+    work follows the rays (elliptic k = 5's Mov: 460 pairs where the
+    facet subsets were C(45, 6) = 8,145,060)."""
+    families = {"hilb2_k3": lambda _: hilb2_elliptic._replace(), "elliptic": elliptic_family,
+                "pairwise": pairwise_family}
+    geom = families[family](k)
+    pair_log.clear()
+    geom.eff_cone
+    assert pair_log.work() == eff
+    pair_log.clear()
+    assert len(geom.movable_rays) == rays
+    assert pair_log.work() == mov
 
 
-def test_movable_rays_refuse_over_the_subset_limit(subset_solves):
-    # Rank 7: Mov has 33 facets of Eff and 12 prime rows, and its rays
-    # would take C(45, 6) = 8,145,060 solves (the brute force ran 525 s).
-    assert linprog.EXTREME_RAY_SUBSET_LIMIT == 10**6
+def test_movable_rays_refuse_over_the_pair_limit(pair_log):
+    """Past EXTREME_RAY_PAIR_LIMIT the cut that would pair too many rays
+    raises DomainError naming the counts, before it examines a pair: no
+    combination follows that cut's count.  Elliptic k = 5's largest cut
+    pairs 16 x 12 = 192 rays."""
+    assert linprog.EXTREME_RAY_PAIR_LIMIT.value == 10**5
     geom = elliptic_family(5)
-    assert len(geom.mov_cone.facets) == 45 and not geom.mov_cone.equations
-    subset_solves.clear()
-    with pytest.raises(DomainError, match="8145060 facet subsets.*EXTREME_RAY_SUBSET_LIMIT = 1000000"):
+    geom.mov_cone
+    pair_log.value = 191
+    pair_log.clear()
+    with pytest.raises(DomainError) as refusal:
         geom.movable_rays
-    assert subset_solves == []
+    assert str(refusal.value) == ("a cut of a cone in dimension 7 pairs 16 x 12 = 192 rays, "
+                                  "more than EXTREME_RAY_PAIR_LIMIT = 191")
+    assert pair_log[-1] == ("cut", 192)
+    assert "movable_rays" not in vars(geom)
 
 
-def test_subset_limit_is_inclusive(hilb2_elliptic, monkeypatch, subset_solves):
-    # hilb2_k3's Mov: 11 facets in dimension 4, so C(11, 3) = 165 subsets
+def test_pair_limit_is_inclusive(hilb2_elliptic, pair_log):
     want = hilb2_elliptic.movable_rays
-    monkeypatch.setattr(linprog, "EXTREME_RAY_SUBSET_LIMIT", 165)
+    pair_log.value = 6
     geom = hilb2_elliptic._replace()
     geom.mov_cone
-    subset_solves.clear()
+    pair_log.clear()
     assert geom.movable_rays == want
-    assert len(subset_solves) == 165
-    monkeypatch.setattr(linprog, "EXTREME_RAY_SUBSET_LIMIT", 164)
+    assert pair_log.work()[3] == 6  # hilb2_k3's largest cut
+    pair_log.value = 5
     geom = hilb2_elliptic._replace()
     geom.mov_cone
-    subset_solves.clear()
-    with pytest.raises(DomainError, match="165 facet subsets.*EXTREME_RAY_SUBSET_LIMIT = 164"):
+    pair_log.clear()
+    with pytest.raises(DomainError, match=r"= 6 rays, more than EXTREME_RAY_PAIR_LIMIT = 5$"):
         geom.movable_rays
-    assert subset_solves == []
+    assert pair_log[-1] == ("cut", 6)
 
 
 def test_chambers_take_one_step_per_later_prime(tested):

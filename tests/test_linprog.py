@@ -1,23 +1,29 @@
-"""The exact cone engine against hand-checked cases and an independent
-Caratheodory oracle (oracles.oracle_in_cone)."""
+"""The exact cone engine against hand-checked cases, an independent
+Caratheodory oracle (oracles.oracle_in_cone) and the brute-force extreme
+rays (oracles.brute_force_extreme_rays)."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from ihspoly.linprog import (
     InfeasibleError,
-    UnboundedError,
     extreme_rays,
     generated_cone,
     max_step,
 )
+from ihspoly import load_geometry
 from ihspoly.lattice import DivClass
-from oracles import oracle_in_cone, vec
+from ihspoly.linalg import kernel
+from families import elliptic_family, orthogonal_family, pairwise_family
+from oracles import brute_force_extreme_rays, oracle_in_cone, vec
 
 F = Fraction
+GEOM_DIR = Path(__file__).resolve().parents[1] / "geometries"
 
 
 def rays_set(rays):
@@ -117,11 +123,6 @@ def test_max_step_start_outside():
         step(cone((1, 0), (0, 1)), vec(1, 0), vec(-1, 0))
 
 
-def test_max_step_unbounded():
-    with pytest.raises(UnboundedError):
-        step(cone((1, 0), (0, 1)), vec(0, -1), vec(1, 1))
-
-
 def test_max_step_lands_on_boundary():
     # Cone {0 <= y <= 2x}; start (2,2); direction (0,1).
     # start - t*(0,1) = (2, 2-t) stays inside iff 0 <= 2-t, so t_max = 2
@@ -134,26 +135,30 @@ def test_max_step_lands_on_boundary():
     assert not c.contains((end[0], end[1] - F(1, 100)))
 
 
+def combination(rng, gens):
+    """A nonnegative integer combination of gens."""
+    coeffs = [rng.randint(0, 3) for _ in gens]
+    return tuple(sum(k * g[i] for k, g in zip(coeffs, gens)) for i in range(len(gens[0])))
+
+
 def test_max_step_tight_against_oracle_seeded():
+    # Each direction is a nonzero class of the cone whose opposite is
+    # outside it, as every engine caller's is, so each step is bounded.
     rng = random.Random(45)
-    bounded = 0
+    steps = 0
     for _ in range(40):
         gens = [g for g in (random_vec(rng, -2, 2) for _ in range(4)) if any(g)]
         c = generated_cone(gens, 3)
-        coeffs = [rng.randint(0, 3) for _ in gens]
-        start = tuple(sum(k * g[i] for k, g in zip(coeffs, gens)) for i in range(3))
-        direction = random_vec(rng, -2, 2)
-        try:
-            t = step(c, direction, start)
-        except UnboundedError:
-            assert oracle_in_cone(gens, tuple(-x for x in direction))
+        start, direction = combination(rng, gens), combination(rng, gens)
+        if oracle_in_cone(gens, tuple(-x for x in direction)):
             continue
-        bounded += 1
+        steps += 1
+        t = step(c, direction, start)
         assert t >= 0
         assert oracle_in_cone(gens, tuple(s - t * d for s, d in zip(start, direction)))
         beyond = t + F(1, 7)
         assert not oracle_in_cone(gens, tuple(s - beyond * d for s, d in zip(start, direction)))
-    assert bounded >= 20
+    assert steps >= 20
 
 
 # -- extremal rays and cuts --------------------------------------------------------
@@ -212,7 +217,6 @@ def test_lower_dimensional_cone():
     assert c.contains(vec(1, 2, 0))
     assert not c.contains(vec(1, 1, 1))
     assert not c.contains(vec(-1, 1, 0))
-    assert step(c, vec(0, 0, 1), vec(1, 1, 0)) == 0  # leaves the span
     assert step(c, vec(1, 0, 0), vec(2, 1, 0)) == 2
 
 
@@ -223,5 +227,59 @@ def test_non_pointed_cone():
     assert c.contains(vec(-5, 1)) and c.contains(vec(3, 0))
     assert not c.contains(vec(0, -1))
     assert step(c, vec(0, 1), vec(4, 3)) == 3
-    with pytest.raises(UnboundedError):
-        step(c, vec(1, 0), vec(0, 1))
+
+
+# -- extreme rays against the brute-force oracle -------------------------------------
+
+
+def test_extreme_rays_match_brute_force_on_catalogs_and_families():
+    # Eff's facets (the extreme rays of its dual) and Mov's rays.
+    geometries = [load_geometry(p) for p in sorted(GEOM_DIR.glob("*.geom"))]
+    geometries += [elliptic_family(k) for k in range(1, 5)]
+    geometries += [pairwise_family(k) for k in range(4, 9)]
+    geometries += [orthogonal_family(k) for k in range(3, 9)]
+    cones = 0
+    for geom in geometries:
+        if geom.mode != "polyhedral":
+            continue
+        eff, mov = geom.eff_cone, geom.mov_cone
+        generators = [g.num for g in geom.effective_generators]
+        assert list(eff.facets) == brute_force_extreme_rays(generators, eff.equations, geom.rank)
+        rays = [r.num for r in geom.movable_rays]
+        assert rays == brute_force_extreme_rays(mov.facets, mov.equations, geom.rank)
+        cones += 2
+    assert cones == 2 * (3 + 4 + 5 + 6)
+
+
+def test_extreme_rays_match_brute_force_seeded():
+    """Random H-descriptions of ranks 2-5: the facets of a cone generated
+    inside a random span (the extreme rays of its dual) and, when that
+    cone is pointed, its rays cut by up to three random half-spaces.
+    Uncut, the Caratheodory oracle judges the rays too: each lies in
+    cone(generators) and each generator in cone(rays)."""
+    rng = random.Random(53)
+    seen = Counter()
+    for _ in range(200):
+        n, dim = rng.randint(2, 5), rng.randint(1, 5)
+        basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(min(dim, n))]
+        generators = []
+        for _ in range(rng.randint(1, 6)):
+            coeffs = [rng.randint(-1, 2) for _ in basis]
+            g = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n))
+            if any(g):
+                generators.append(g)
+        c = generated_cone(generators, n)
+        assert list(c.facets) == brute_force_extreme_rays(generators, kernel(generators, n), n)
+        seen["equations" if c.equations else "full"] += 1
+        if kernel([*c.facets, *c.equations], n):
+            seen["not pointed"] += 1
+            continue
+        cuts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+        rays = extreme_rays(c.facets + tuple(cuts), c.equations, n)
+        assert rays == brute_force_extreme_rays(c.facets + tuple(cuts), c.equations, n)
+        seen["cut" if cuts else "uncut"] += 1
+        seen["rays"] += len(rays)
+        if not cuts:
+            assert all(oracle_in_cone(generators, r) for r in rays)
+            assert all(oracle_in_cone(rays, g) for g in generators)
+    assert seen == {"full": 64, "equations": 136, "not pointed": 58, "uncut": 40, "cut": 102, "rays": 263}

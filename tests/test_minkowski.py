@@ -60,7 +60,7 @@ from ihspoly import (
 )
 from ihspoly.lattice import dot
 from ihspoly.linalg import kernel
-from ihspoly.linprog import UnboundedError, generated_cone, max_step
+from ihspoly.linprog import generated_cone, max_step
 from ihspoly.zariski import chamber_positive_part
 from families import CROSSED_PRIMES, pairwise_family
 from oracles import oracle_in_cone, point, solve, sub_gram, vec
@@ -626,19 +626,16 @@ def test_minkowski_decompose_seeded(hilb2, k3_elliptic, hilb2_elliptic):
 
 def _two_pass_step(geom, gen, m):
     """The step along gen from m as a min-ratio over the primes' rows with
-    q(gen, Q) > 0, then a max_step over Eff when that one is bounded."""
+    q(gen, Q) > 0, then a max_step over Eff, bounded because gen is a
+    nonzero class of the pointed Eff."""
     lat = geom.lattice
     bounds = [
         lat.pair(m, p.cls) / lat.pair(gen, p.cls)
         for p in geom.primes
         if lat.pair(gen, p.cls) > 0
     ]
-    try:
-        num, den = max_step(geom.eff_cone, gen.num, m.num)
-        bounds.append(F(num * gen.den, den * m.den))
-    except UnboundedError:
-        pass
-    return min(bounds)
+    num, den = max_step(geom.eff_cone, gen.num, m.num)
+    return min(bounds + [F(num * gen.den, den * m.den)])
 
 
 def test_minkowski_step_matches_two_pass_oracle_seeded(hilb2, k3_elliptic, hilb2_elliptic):

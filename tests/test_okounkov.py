@@ -1052,8 +1052,8 @@ def test_cone_generators_and_closures_do_no_cone_work(monkeypatch):
     # off them and the primes: no kernel at all, and cone_generators does
     # not even need the chamber list or any support record: an
     # exceptional prime is its own negative part (rules (c) and (d)).
-    geom = pairwise_family(8)
-    assert len(geom.movable_rays) == 56
+    geom = pairwise_family(10)
+    assert len(geom.movable_rays) == 120
     calls = Counter()
 
     def counting_kernel(module):
@@ -1073,16 +1073,16 @@ def test_cone_generators_and_closures_do_no_cone_work(monkeypatch):
         monkeypatch.setattr(module, "kernel", counting_kernel(module))
     monkeypatch.setattr(geometry.Geometry, "_grow", counting_step)
     for prime in geom.primes:
-        # rays through the flag have height 0, the 35 others q(r, E) = 3
-        assert len(cone_generators(geom, prime.name)) == 21 + 2 * 35 + 8 + 1
+        # rays through the flag have height 0, the 84 others q(r, E) = 3
+        assert len(cone_generators(geom, prime.name)) == 36 + 2 * 84 + 10 + 1
     assert geom.support_projectors == {}
     assert calls == Counter()
     for chamber in enumerate_chambers(geom):
         chamber_closure_rays(geom, chamber)
     assert calls[("ihspoly.linprog", "kernel")] == calls[("ihspoly.geometry", "kernel")] == 0
-    # the chamber list itself: the 8 singletons, the 28 pairs and the 56
-    # triples, which all fail
-    assert calls["schur_step"] == 8 + 28 + 56
+    # the chamber list itself: the 10 singletons, the 45 pairs and the
+    # 120 triples, which all fail
+    assert calls["schur_step"] == 10 + 45 + 120
 
 
 def test_cone_generators_round_mode_rejected(fano_round):
