@@ -26,7 +26,7 @@ _LAYERS = {
         "parse_divisor",
         "parse_geometry",
     ),
-    "lattice": ("BBFLattice", "DivClass", "Rat"),
+    "lattice": ("BBFLattice", "DivClass"),
     "minkowski": (
         "BasisElement",
         "ConePoint",
@@ -48,11 +48,9 @@ _LAYERS = {
         "cone_contains",
         "mu_threshold",
         "polygon",
-        "polygon_area",
         "polygon_contains",
         "polygon_minkowski_sum",
         "polygon_scale",
-        "simplex_flag",
     ),
     "surd": ("DiscriminantMixError", "Surd"),
     "zariski": (
@@ -62,7 +60,6 @@ _LAYERS = {
         "divisorial_base_loci",
         "is_big",
         "null_set",
-        "positive_part",
         "restricted_volume",
         "volume",
     ),

@@ -22,8 +22,6 @@ from typing import Iterable, Sequence
 
 from .linalg import inertia
 
-Rat = Fraction
-
 
 def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Rational rows as integer rows over their least common denominator
@@ -230,9 +228,6 @@ class BBFLattice(_Frozen):
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    def signature(self) -> tuple[int, int, int]:
-        return inertia(self.gram)
 
     def pair(self, x: DivClass, y: DivClass) -> Fraction:
         """BBF pairing q(x, y)."""

@@ -355,10 +355,6 @@ def _outline(geom: Geometry, trace: BreakpointTrace, prime_name: str, mu: FrameV
     return canonical(mu[3], den, pts, (mu[0] * (den // mu[2]), mu[1] * (den // mu[2])))
 
 
-def polygon_area(poly: NOPolygon) -> Surd:
-    return poly.area
-
-
 def polygon_minkowski_sum(p: NOPolygon, q: NOPolygon) -> NOPolygon:
     return NOPolygon._of(frame_minkowski_sum(p.frame, q.frame), p.nu + q.nu)
 
@@ -407,25 +403,3 @@ def cone_contains(geom: Geometry, prime_name: str, zeta: DivClass, t, y) -> bool
     seg = next(seg for seg in trace.segments if t_rel <= seg.t_end)  # they tile [0, mu]
     c0, c1 = geom.prime_pair(seg.base, prime_name), geom.prime_pair(seg.slope, prime_name)
     return y <= Surd(c0) + t_rel * c1
-
-
-# ---------------------------------------------------------------------------
-# synthetic simplex flag
-
-
-def simplex_flag(geom: Geometry, d: DivClass) -> tuple[DivClass, NOPolygon]:
-    """Synthetic integral flag E = k P(D) and its triangle polygon.
-
-    With k clearing the denominators of P(D), the polygon of D along
-    its own positive part is the triangle with legs 1/k and k q(P(D)),
-    of area q(P(D))/2 -- a simplex witness that needs no catalog prime.
-    """
-    dec = decompose(geom, d)
-    q = geom.lattice.square(dec.positive)
-    if q <= 0:
-        raise DomainError("simplex flag requires a big class")
-    k = dec.positive.den
-    flag = dec.positive.scale(k)
-    # (0, 0), (1/k, 0), (0, kq) is already in canonical order
-    poly = NOPolygon(((0, 0), (Fraction(1, k), 0), (0, k * q)), Fraction(0), Fraction(1, k))
-    return flag, poly

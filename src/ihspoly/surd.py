@@ -1,4 +1,5 @@
-"""Exact arithmetic in a real quadratic extension Q(sqrt(d)).
+"""Exact ring operations and exact order in a real quadratic extension
+Q(sqrt(d)): +, -, * and integer powers, with no division.
 
 A :class:`Surd` is the value (an + bn*sqrt(d)) / den with integers an,
 bn, den and d: den > 0, gcd(an, bn, den) == 1, and d a square-free
@@ -235,16 +236,6 @@ class Surd:
             raise ValueError(f"{self} is irrational")
         return Fraction(self._an, self._den)
 
-    @property
-    def conjugate(self) -> "Surd":
-        return _make(self._an, -self._bn, self._den, self._d)
-
-    @property
-    def norm(self) -> Fraction:
-        """Field norm a^2 - b^2 d (product with the conjugate)."""
-        an, bn = self._an, self._bn
-        return Fraction(an * an - bn * bn * self._d, self._den * self._den)
-
     def sign(self) -> int:
         return _sign(self._an, self._bn, self._d)
 
@@ -300,29 +291,6 @@ class Surd:
         return _make(a1 * a2 + b1 * b2 * d1, a1 * b2 + b1 * a2, n1 * n2, d1)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        a1, b1, n1, d1 = self._an, self._bn, self._den, self._d
-        a2, b2, n2, d2 = o
-        if b1 and b2 and d1 != d2:
-            raise _mix_error(d1, d2)
-        d = d1 or d2
-        norm = a2 * a2 - b2 * b2 * d
-        if not norm:
-            raise ZeroDivisionError("division by zero surd")
-        # (a1 + b1 r)/n1 * n2 (a2 - b2 r) / (a2^2 - b2^2 d), r = sqrt(d)
-        return _make(
-            n2 * (a1 * a2 - b1 * b2 * d), n2 * (b1 * a2 - a1 * b2), n1 * norm, d
-        )
-
-    def __rtruediv__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return _make(*o) / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:

@@ -82,10 +82,6 @@ def decompose(geom: Geometry, d: DivClass) -> ZariskiDecomposition:
     raise ConsistencyError("Zariski support enlargement did not stabilize")
 
 
-def positive_part(geom: Geometry, d: DivClass) -> DivClass:
-    return decompose(geom, d).positive
-
-
 def null_set(geom: Geometry, p: DivClass) -> frozenset[str]:
     """Primes orthogonal to a movable class."""
     if not is_movable(geom, p):

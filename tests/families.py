@@ -19,15 +19,17 @@ AssertionError, as one that finds no nonzero vector does.
 pairwise_family, elliptic_family and orthogonal_family build the
 Geometry of k exceptional (-2)-primes that the chamber, movable-ray and
 scaling tests grow with k: primes meeting pairwise once, an elliptic K3
-with k fibres of type I2, and pairwise orthogonal primes.  catalog
-builds a small diagonal polyhedral Geometry from (name, class) pairs;
-CROSSED_PRIMES is its catalog that breaks rule (d) (distinct primes pair
-nonnegatively).
+with k fibres of type I2, and pairwise orthogonal primes.  k3n_family
+builds hilb2_k3's catalog in every dimension 2n, so the Fujiki exponents
+meet n = 3 and 4.  catalog builds a small diagonal polyhedral Geometry
+from (name, class) pairs; CROSSED_PRIMES is its catalog that breaks
+rule (d) (distinct primes pair nonnegatively).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 
 from ihspoly import parse_geometry
@@ -187,6 +189,30 @@ def orthogonal_family(k):
         "mode": "polyhedral",
         "primes": primes,
         "effective_generators": unit,
+    }
+    return parse_geometry(json.dumps(doc))
+
+
+def k3n_family(n):
+    """The K3^[n]-type catalog of hilb2_k3's shape, n >= 2, on
+    U + A1 + <-2(n-1)>: basis f, s, c, e with delta = e; primes R0 = s,
+    R1 = c, R2 = f - c, Ex = 2 delta and W = f - e, all exceptional and
+    declared Eff's generators, and the isotropic fibre F = f.  half_dim
+    is n and the Fujiki constant (2n)!/(n! 2^n) (Beauville 1983): 3, 15
+    and 105 for n = 2, 3 and 4.  n = 2 gives hilb2_k3.geom."""
+    gram = [[0, 1, 0, 0], [1, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2 * (n - 1)]]
+    primes = [("R0", [0, 1, 0, 0]), ("R1", [0, 0, 1, 0]), ("R2", [1, 0, -1, 0]),
+              ("Ex", [0, 0, 0, 2]), ("W", [1, 0, 0, -1])]
+    doc = {
+        "name": f"k3n_{n}",
+        "half_dim": n,
+        "fujiki": math.factorial(2 * n) // (math.factorial(n) * 2**n),
+        "basis": ["f", "s", "c", "e"],
+        "gram": gram,
+        "mode": "polyhedral",
+        "primes": [*({"name": p, "class": c, "exceptional": True} for p, c in primes),
+                   {"name": "F", "class": [1, 0, 0, 0], "exceptional": False}],
+        "effective_generators": [c for _, c in primes],
     }
     return parse_geometry(json.dumps(doc))
 

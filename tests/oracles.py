@@ -11,6 +11,8 @@ here and never from one another.
   minors, primitive vectors.
 - Cones: the Caratheodory membership test, the brute-force extreme
   rays and the brute-force chambers.
+- Volumes of K3^[n]-type catalogs: c q(P)^n with c from n alone, and
+  the restricted volume as the derivative of the volume along E.
 - The threshold's quadratic: its real roots in ascending order, and the
   least positive one.
 - Polygons as lists of Surd pairs: the hull whose output is the
@@ -218,6 +220,54 @@ def brute_force_chambers(geom):
         if negative_definite(geom.lattice, [p.cls for p in combo])
     ]
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+# -- volumes of K3^[n]-type catalogs ---------------------------------------------
+
+
+def fujiki_constant(n: int) -> int:
+    """(2n)!/(n! 2^n) = 1 * 3 * ... * (2n - 1), the Fujiki constant of
+    the K3^[n] type (Beauville 1983), read off n and never off a catalog."""
+    return math.prod(range(1, 2 * n, 2))
+
+
+def fujiki_volume(lattice, positive) -> Fraction:
+    """vol(D) = c q(P)^n for the positive part P of D on a K3^[n]-type
+    lattice of half_dim n; 0 when q(P) <= 0 (D is not big)."""
+    n = lattice.half_dim
+    q = lattice.square(positive)
+    return fujiki_constant(n) * q**n if q > 0 else Fraction(0)
+
+
+def restricted_volume_by_derivative(lattice, positive_at) -> Fraction:
+    """vol_{X|E}(D) = (1/2n) d/dt vol(D + tE) at t = 0+, for a big D on a
+    K3^[n]-type lattice; positive_at(t) is P(D + tE) for rational t >= 0.
+
+    The negative part is convex (P(D) + P(D') is movable and below
+    D + D'), so t -> N(D + tE) is too, and when P(D + tE) is affine in t
+    at the 2n + 1 points t = j eps / 2n, j = 0..2n, it is affine on all
+    of [0, eps].  There vol(D + tE) = c q(P(D + tE))^n is one polynomial
+    of degree <= 2n, and its derivative at 0 comes from exact Lagrange
+    interpolation at those points.  eps halves from 1 until they qualify.
+    """
+    n = lattice.half_dim
+    eps = Fraction(1)
+    for _ in range(64):
+        ts = [eps * Fraction(j, 2 * n) for j in range(2 * n + 1)]
+        parts = [positive_at(t) for t in ts]
+        step = parts[1] - parts[0]
+        if all(p == parts[0] + step.scale(j) for j, p in enumerate(parts)):
+            break
+        eps /= 2
+    else:
+        raise AssertionError("P(D + tE) is affine on no [0, eps] tried")
+    slope = Fraction(0)
+    for j, (tj, part) in enumerate(zip(ts, parts)):
+        others = ts[:j] + ts[j + 1:]
+        # the t coefficient of prod(t - s), over the other points s
+        linear = sum(math.prod(-s for s in others[:k] + others[k + 1:]) for k in range(len(others)))
+        slope += fujiki_volume(lattice, part) * linear / math.prod(tj - s for s in others)
+    return slope / (2 * n)
 
 
 # -- the threshold's quadratic -----------------------------------------------

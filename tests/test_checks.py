@@ -25,6 +25,7 @@ from ihspoly import (
 from ihspoly.checks import _translation_holds
 from ihspoly.geometry import format_divisor, is_pseudo_effective
 from ihspoly.minkowski import enumerate_chambers
+from families import k3n_family
 from oracles import _surd_contains_point as contains_point
 from oracles import _surd_contains_polygon as contains_polygon
 from oracles import _surd_scale as scale
@@ -84,6 +85,14 @@ def test_run_checks_green_polyhedral(hilb2, k3_elliptic, hilb2_elliptic):
             assert r.passed, f"{geom.name}: {r.name} failed: {r.messages}"
             assert r.messages == ()
             assert not r.skipped, f"{geom.name}: {r.name} never ran"
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_run_checks_green_in_dimensions_six_and_eight(n):
+    geom = k3n_family(n)
+    for r in run_checks(geom, samples=30, seed=0):
+        assert r.passed, f"{geom.name}: {r.name} failed: {r.messages}"
+        assert not r.skipped, f"{geom.name}: {r.name} never ran"
 
 
 def test_run_checks_green_round(fano_round):

@@ -348,7 +348,7 @@ def hyperbolic(fujiki=1, half_dim=1):
 def test_lattice_basics():
     lat = hyperbolic(fujiki=3, half_dim=2)
     assert lat.rank == 2
-    assert lat.signature() == (1, 1, 0)
+    assert inertia(lat.gram) == (1, 1, 0)
     assert lat.fujiki == 3
     assert lat.half_dim == 2
 
@@ -370,7 +370,7 @@ def test_lattice_validation():
 
 def test_hyperbolic_plane_accepted():
     lat = BBFLattice([[0, 1], [1, 0]], 1, 1)
-    assert lat.signature() == (1, 1, 0)
+    assert inertia(lat.gram) == (1, 1, 0)
 
 
 def test_pairing_values():

@@ -1,4 +1,4 @@
-"""Polygons along prime divisors: traces, thresholds, cones, simplices.
+"""Polygons along prime divisors: traces, thresholds and cones.
 
 Frozen expected values are hand-solved.  Rank-2 model (basis H, d;
 q = diag(2, -2); E = 2d, E' = H - d):
@@ -45,13 +45,10 @@ from ihspoly import (
     parse_divisor,
     parse_geometry,
     polygon,
-    polygon_area,
     polygon_contains,
     polygon_minkowski_sum,
     polygon_scale,
-    positive_part,
     sample_big_classes,
-    simplex_flag,
 )
 from ihspoly import cli, geometry, linalg, linprog, okounkov
 from ihspoly.lattice import dot
@@ -389,7 +386,7 @@ def test_area_identity_seeded(hilb2, k3_elliptic, hilb2_elliptic):
             d = geom.zero()
             for g in geom.effective_generators:
                 d = d + g.scale(rng.randint(0, 5))
-            qp = lat.square(positive_part(geom, d))
+            qp = lat.square(decompose(geom, d).positive)
             for prime in geom.primes:
                 poly = polygon(geom, d, prime.name)
                 assert 2 * poly.area == qp
@@ -481,7 +478,7 @@ def test_walk_matches_pointwise_decomposition(hilb2, k3_elliptic):
                         continue
                     t_hi = seg.t_end.as_fraction()
                     for t in (seg.t_start, (seg.t_start + t_hi) / 2, t_hi):
-                        expected = positive_part(geom, d - prime.cls.scale(t))
+                        expected = decompose(geom, d - prime.cls.scale(t)).positive
                         assert seg.base + seg.slope.scale(t) == expected
 
 
@@ -767,7 +764,7 @@ def test_scaling_matches_polygon_of_scaled_class(hilb2):
     tri = polygon(hilb2, DivClass([1, 0]), "E")
     direct = polygon(hilb2, DivClass([3, 0]), "E")
     assert polygon_scale(3, tri).vertices == direct.vertices
-    assert polygon_area(polygon_scale(3, tri)) == direct.area == 9
+    assert polygon_scale(3, tri).area == direct.area == 9
 
 
 def test_superadditivity_equality_case(hilb2):
@@ -883,15 +880,11 @@ def test_polygon_outline_matches_hull_oracle(hilb2, k3_elliptic, hilb2_elliptic,
                     continue
                 assert poly.vertices == _hull_of_trace(geom, poly.trace, prime.name)
                 assert len(poly.vertices) <= 2 * lat.rank + 2
-                seen["big" if lat.square(positive_part(geom, d)) > 0 else "not big"] += 1
+                seen["big" if lat.square(decompose(geom, d).positive) > 0 else "not big"] += 1
                 seen["mu = 0"] += not poly.mu
                 seen["nu > 0"] += poly.nu > 0
                 seen["isotropic"] += lat.square(d) == 0
     assert all(seen[k] for k in ("big", "not big", "mu = 0", "nu > 0", "isotropic")), seen
-    for geom in (hilb2, k3_elliptic, hilb2_elliptic):
-        for d in sample_big_classes(geom, 4, seed=6):
-            _, tri = simplex_flag(geom, d)
-            assert list(tri.vertices) == convex_hull(tri.vertices)
 
 
 def test_outline_drops_joints_of_equal_slope(hilb2):
@@ -1157,9 +1150,9 @@ def test_polygon_slices_of_cone_agree(hilb2, k3_elliptic):
                 for i in range(n):
                     x1, y1 = verts[i]
                     x2, y2 = verts[(i + 1) % n]
-                    probes.append(point((x1 + x2) / 2, (y1 + y2) / 2))
-                cx = sum((v[0] for v in verts), start=Surd(0)) / n
-                cy = sum((v[1] for v in verts), start=Surd(0)) / n
+                    probes.append(point((x1 + x2) * F(1, 2), (y1 + y2) * F(1, 2)))
+                cx = sum((v[0] for v in verts), start=Surd(0)) * F(1, n)
+                cy = sum((v[1] for v in verts), start=Surd(0)) * F(1, n)
                 probes.append(point(cx, cy))
                 for x, y in list(probes):
                     probes.append(point(x + eps, y + eps))
@@ -1170,41 +1163,3 @@ def test_polygon_slices_of_cone_agree(hilb2, k3_elliptic):
                     inside = contains_point(verts, (x, y))
                     assert cone_contains(geom, prime.name, d, x, y) == inside
 
-
-# -- synthetic simplex flags --------------------------------------------------------------------
-
-
-def test_simplex_flag_integral(hilb2):
-    flag, poly = simplex_flag(hilb2, DivClass([3, -2]))
-    assert flag == DivClass([3, -2])
-    assert poly.vertices == (point(0, 0), point(1, 0), point(0, 10))
-    assert poly.mu == 1
-    assert poly.area == 5  # q(P)/2
-
-
-def test_simplex_flag_fractional(hilb2):
-    # P(D) = (1/2) H: the integral flag is H, the triangle has legs
-    # 1/2 and 2 * (1/2) = 1.
-    flag, poly = simplex_flag(hilb2, DivClass([F(1, 2), F(1, 2)]))
-    assert flag == DivClass([1, 0])
-    assert poly.vertices == (point(0, 0), point(F(1, 2), 0), point(0, 1))
-    assert poly.area == F(1, 4)
-
-
-def test_simplex_flag_matches_area_identity_seeded(hilb2, k3_elliptic):
-    rng = random.Random(113)
-    for geom in (hilb2, k3_elliptic):
-        for _ in range(10):
-            d = geom.zero()
-            for g in geom.effective_generators:
-                d = d + g.scale(rng.randint(1, 5))
-            p = positive_part(geom, d)
-            if geom.lattice.square(p) <= 0:
-                continue
-            _, poly = simplex_flag(geom, d)
-            assert 2 * poly.area == geom.lattice.square(p)
-
-
-def test_simplex_flag_requires_big(hilb2):
-    with pytest.raises(DomainError, match="big"):
-        simplex_flag(hilb2, DivClass([1, -1]))

@@ -68,15 +68,8 @@ def test_field_axioms(xyz):
     assert x * (y + z) == x * y + x * z
     assert x + 0 == x and x * 1 == x and x * 0 == 0
     assert x + (-x) == 0 and x - y == x + (-y)
-    for r in (x + y, x - y, x * y, -x, x.conjugate):
+    for r in (x + y, x - y, x * y, -x):
         assert_canonical(r)
-    if x:
-        assert x * (1 / x) == 1
-        assert (y / x) * x == y
-        assert_canonical(y / x)
-    else:
-        with pytest.raises(ZeroDivisionError):
-            y / x
 
 
 @exact
@@ -85,7 +78,7 @@ def test_mixed_irrational_arithmetic_refused(x, y):
     if x.is_rational or y.is_rational:
         assert x + y - y == x
         return
-    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y):
         with pytest.raises(DiscriminantMixError):
             op()
 
@@ -102,7 +95,7 @@ def test_eq_and_hash_agree_with_fraction_and_int(q, n, xs):
         assert s == plain and plain == s and hash(s) == hash(plain)
         assert s.is_rational and s.as_fraction() == plain
     # x + conjugate(x) = 2a is rational however it was reached
-    twice_a = x + x.conjugate
+    twice_a = x + Surd(x.a, -x.b, x.d)
     assert twice_a == 2 * x.a and hash(twice_a) == hash(2 * x.a)
     assert hash(x) == hash(Surd(x.a, x.b, x.d))
     assert (x == x.a) == x.is_rational
@@ -185,7 +178,7 @@ def test_integer_kernel_matches_surd_arithmetic(pq):
     for outer, inner in ((p, q), (q, p), (total, p), (total, minkowski_sum(p, q[:1]))):
         assert contains_polygon(outer, inner) == _surd_contains_polygon(outer, inner)
     # vertices, edge midpoints and the points just past them
-    mids = [((v[0] + w[0]) / 2, (v[1] + w[1]) / 2) for v, w in zip(p, (*p[1:], p[0]))]
+    mids = [((v[0] + w[0]) * Fraction(1, 2), (v[1] + w[1]) * Fraction(1, 2)) for v, w in zip(p, (*p[1:], p[0]))]
     for x in (*q, *mids, *((a + 1, b) for a, b in mids), (q[0][0], q[0][1] - 1)):
         assert contains_point(p, x) == _surd_contains_point(p, x)
 

@@ -136,35 +136,9 @@ def test_square_of_unit():
     assert Surd(2, -1, 3) ** 2 == Surd(7, -4, 3)
 
 
-def test_inverse_of_unit():
-    # 1 / (2 - sqrt(3)) = 2 + sqrt(3)
-    assert 1 / Surd(2, -1, 3) == Surd(2, 1, 3)
-
-
 def test_cube():
     # (1 + sqrt(2))^3 = 7 + 5 sqrt(2)
     assert Surd(1, 1, 2) ** 3 == Surd(7, 5, 2)
-
-
-def test_norm_is_product_with_conjugate():
-    s = Surd(Fraction(3, 2), Fraction(-5, 4), 7)
-    assert (s * s.conjugate).as_fraction() == s.norm
-
-
-def test_division_round_trips():
-    rng = random.Random(11)
-    for _ in range(50):
-        d = rng.choice((2, 3, 5, 7))
-        x = Surd(rng.randint(-6, 6), rng.randint(-6, 6), d)
-        y = Surd(rng.randint(-6, 6), rng.randint(-6, 6), d)
-        if not y:
-            continue
-        assert (x / y) * y == x
-
-
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        Surd(1, 1, 2) / Surd(0)
 
 
 def test_mixed_rational_arithmetic():
@@ -174,8 +148,6 @@ def test_mixed_rational_arithmetic():
     assert 2 * s == Surd(2, 2, 5)
     assert s - Fraction(1, 2) == Surd(Fraction(1, 2), 1, 5)
     assert 3 - s == Surd(2, -1, 5)
-    assert s / 2 == Surd(Fraction(1, 2), Fraction(1, 2), 5)
-    assert 4 / Surd(0, 2, 5) == Surd(0, Fraction(2, 5), 5)
 
 
 def test_discriminant_mix_rejected_in_arithmetic():
@@ -253,8 +225,8 @@ def test_cross_discriminant_ordering_float_oracle_seeded():
 def test_exact_ties_across_constructions():
     assert Surd(0, 1, 8) == Surd(0, 2, 2)
     assert Surd(1, 1, 2) - Surd(0, 1, 2) == 1
-    assert not Surd(0, 1, 2) < Surd(0, 2, 2) / 2
-    assert not Surd(0, 2, 2) / 2 < Surd(0, 1, 2)
+    assert not Surd(0, 1, 2) < Surd(0, 2, 2) * Fraction(1, 2)
+    assert not Surd(0, 2, 2) * Fraction(1, 2) < Surd(0, 1, 2)
     # Rational equal to a degenerate cross-discriminant compare
     assert not Surd(4, -2, 2) < Surd(4, -2, 2)
 
@@ -325,7 +297,7 @@ def test_arithmetic_results_are_canonical_seeded():
                 Surd(rat(), rat(), raw_d),  # same extension
                 Surd(rat(), -x.b, d),  # b cancels in the sum
                 Surd(rat(), x.b, d),  # b cancels in the difference
-                x.conjugate,  # b cancels in the product
+                Surd(x.a, -x.b, x.d),  # b cancels in the product
             ]
             for y in partners:
                 e = d or y.d  # x itself may have come out rational
@@ -334,14 +306,7 @@ def test_arithmetic_results_are_canonical_seeded():
                 assert_canonical(
                     x * y, Surd(x.a * y.a + x.b * y.b * e, x.a * y.b + x.b * y.a, e)
                 )
-                if y:
-                    q = x / y
-                    assert_canonical(q, q)
-                    assert_canonical(q * y, x)
             assert_canonical(-x, Surd(-x.a, -x.b, d))
-            assert_canonical(x.conjugate, Surd(x.a, -x.b, d))
-            if x:
-                assert_canonical(x / x, Surd(1))
             c = rat()
             assert_canonical(x + c, Surd(x.a + c, x.b, d))
             assert_canonical(c - x, Surd(c - x.a, -x.b, d))

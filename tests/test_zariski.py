@@ -36,13 +36,13 @@ from ihspoly import (
     chamber_generator,
     chamber_walk,
     decompose,
+    geometry_to_json,
     is_big,
     is_movable,
     null_set,
     parse_divisor,
     parse_geometry,
     polygon,
-    positive_part,
     restricted_volume,
     volume,
 )
@@ -50,8 +50,15 @@ from ihspoly.checks import sample_big_classes
 from ihspoly.minkowski import enumerate_chambers
 from ihspoly.okounkov import _walk_entry
 from ihspoly.zariski import chamber_id, chamber_positive_part, divisorial_base_loci
-from families import pairwise_family
-from oracles import leading_minors_negative_definite, negative_definite, solve, sub_gram
+from families import k3n_family, pairwise_family
+from oracles import (
+    fujiki_volume,
+    leading_minors_negative_definite,
+    negative_definite,
+    restricted_volume_by_derivative,
+    solve,
+    sub_gram,
+)
 
 F = Fraction
 
@@ -112,7 +119,7 @@ def test_decompose_requires_pseudo_effective(hilb2):
 
 
 def test_positive_part_shortcut(hilb2):
-    assert positive_part(hilb2, DivClass([0, 1])) == hilb2.zero()
+    assert decompose(hilb2, DivClass([0, 1])).positive == hilb2.zero()
 
 
 # -- structural invariants --------------------------------------------------------
@@ -262,6 +269,57 @@ def test_restricted_volume_unknown_prime(hilb2):
 def test_restricted_volume_surface_case(k3_elliptic):
     # n = 1: the q(P)^(n-1) factor degenerates to 1.
     assert restricted_volume(k3_elliptic, DivClass([2, 2, 0]), "Fib") == 1
+
+
+# -- the Fujiki exponents in dimensions four, six and eight ------------------------------
+
+
+def test_k3n_family_at_n_2_is_hilb2_k3(hilb2_elliptic):
+    docs = [json.loads(geometry_to_json(g)) for g in (k3n_family(2), hilb2_elliptic)]
+    for doc in docs:
+        del doc["name"]
+    assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_volume_matches_fujiki_oracle(n):
+    geom = k3n_family(n)
+    rng = random.Random(170 + n)
+    big = 0
+    for _ in range(20):
+        d = random_psef(geom, rng)
+        expected = fujiki_volume(geom.lattice, decompose(geom, d).positive)
+        assert volume(geom, d) == expected
+        big += expected > 0
+    assert big >= 10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_restricted_volume_is_the_volume_derivative(n):
+    # Every prime E outside the support of N(D), over sampled big D.
+    geom = k3n_family(n)
+    lat = geom.lattice
+    rng = random.Random(180 + n)
+    seen = 0
+    for _ in range(10):
+        d = random_psef(geom, rng)
+        dec = decompose(geom, d)
+        if lat.square(dec.positive) <= 0:
+            continue
+        for prime in geom.primes:
+            if dec.coefficient(prime.name):
+                continue
+            try:
+                value = restricted_volume(geom, d, prime.name)
+            except DomainError:  # E lies in the divisorial augmented base locus
+                assert prime.exceptional and lat.pair(dec.positive, prime.cls) == 0
+                continue
+            def positive_at(t):
+                return decompose(geom, d + prime.cls.scale(t)).positive
+
+            assert value == restricted_volume_by_derivative(lat, positive_at)
+            seen += value != 0
+    assert seen >= 15
 
 
 # -- chamber-local formula --------------------------------------------------------------
